@@ -18,8 +18,6 @@ raises MirrorConstraintViolated naming the interval).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .polynomial import (
     ONE,
     ZERO,
@@ -28,7 +26,6 @@ from .polynomial import (
     poly_div_t_minus_1,
     poly_rev,
 )
-from .poset import Poset, bits
 from .status import CheckResult
 
 
@@ -122,20 +119,6 @@ class WeakRank:
 
     def __repr__(self):
         return f"WeakRank(on {self.poset!r})"
-
-
-def product_weak_rank(r1, r2, product_poset):
-    """Weak rank on a direct product: the sum of the factor values.
-
-    The product poset must be direct_product(r1.poset, r2.poset).
-    """
-    n2 = r2.poset.n
-    vals = {}
-    for (i, j) in product_poset.intervals():
-        i1, i2 = divmod(i, n2)
-        j1, j2 = divmod(j, n2)
-        vals[(i, j)] = r1.value(i1, j1) + r2.value(i2, j2)
-    return WeakRank(product_poset, vals)
 
 
 class IncidenceElement:
@@ -275,18 +258,13 @@ def _natural_rho(poset):
     return poset.natural_rank()
 
 
-@lru_cache(maxsize=None)
-def _lower_eulerian_cached(poset):
-    return poset.is_lower_eulerian()
-
-
 def hat(p):
     """Sign twist by the natural rank: p(z,z') -> (-1)^{rho(z')-rho(z)} p(z,z').
 
     The carrier must be lower Eulerian (this is what makes the twist
     interact correctly with reversal for rank-alternating kernels).
     """
-    res = _lower_eulerian_cached(p.poset)
+    res = p.poset.is_lower_eulerian()
     if not res:
         raise ValueError(f"hat needs a lower Eulerian carrier: {res.describe()}")
     rho = _natural_rho(p.poset)

@@ -89,9 +89,6 @@ class Poset:
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
 
-    def between_mask(self, i, j):
-        return self.up[i] & self.down[j]
-
     def elements_between(self, i, j):
         """All z with i <= z <= j, ascending by index."""
         return bits(self.up[i] & self.down[j])

@@ -16,15 +16,22 @@ X-to-Y intervals by
 
 and Delta ell_sigma recovers the mixed block of g itself; the checkers
 here verify that and its f/Z companions by two disjoint code paths.
+
+g, f and Z depend on the kernel alone, not on q, so every triple on the
+same Gamma shares them.  solve_kernel(kappa) returns a KernelSolution:
+it checks once that kappa is multiplicative and rank-alternating, solves
+g and its inverse, and solves f and Z (with the Z identities and
+symmetry verified) on first use.  local_invariants, the check_*
+functions and relative_g accept either a raw kernel, solved on entry, or
+a KernelSolution shared across triples; the per-triple identities run
+on every call either way.
 """
 
 from __future__ import annotations
 
 from .incidence import (
     IncidenceElement,
-    WeakRank,
     convolve,
-    delta,
     delta_op,
     eulerian_kernel,
     hat,
@@ -36,8 +43,8 @@ from .incidence import (
     solve_g,
     z_function,
 )
-from .polynomial import ONE, ZERO, Poly, poly_div_t_minus_1, poly_rev
-from .poset import Poset, PosetError, bits, boolean_algebra, direct_product, segment_subdivision
+from .polynomial import ZERO, poly_div_t_minus_1, poly_rev
+from .poset import Poset, bits, direct_product, segment_subdivision
 from .status import CheckResult
 
 
@@ -165,12 +172,6 @@ class SubdivisionTriple:
         """The join x v q, for x in the X part."""
         return self._sigma_of[x]
 
-    def x_elements(self):
-        return [z for z in range(self.gamma.n) if self.in_x(z)]
-
-    def y_elements(self):
-        return bits(self.gamma.up[self.q])
-
     # -- masks over incidence elements -------------------------------------
 
     def mask_xy(self, p):
@@ -245,35 +246,96 @@ def mapping_cylinder(sfs):
     return SubdivisionTriple(gamma, q)
 
 
-def validate_sfs(sfs):
-    """Convenience wrapper for StrongFormalSubdivision.validate."""
-    return sfs.validate()
+class KernelSolution:
+    """A kernel solved once, for every triple on its carrier.
+
+    Built by solve_kernel, which checks that kappa is multiplicative and
+    rank-alternating and solves g and its inverse.  f and Z are solved on
+    first access and kept on this instance; Z goes through z_function, so
+    its defining identities and its symmetry are verified once per kernel.
+    """
+
+    __slots__ = ("kappa", "g", "g_inv", "_f", "_z")
+
+    def __init__(self, kappa, g, g_inv):
+        self.kappa = kappa
+        self.g = g
+        self.g_inv = g_inv
+        self._f = None
+        self._z = None
+
+    def __repr__(self):
+        return f"KernelSolution(on {self.kappa.poset!r})"
+
+    @property
+    def poset(self):
+        return self.kappa.poset
+
+    @property
+    def weak_rank(self):
+        return self.kappa.weak_rank
+
+    @property
+    def f(self):
+        if self._f is None:
+            self._f = solve_f(self.kappa)
+        return self._f
+
+    @property
+    def z(self):
+        if self._z is None:
+            self._z = z_function(self.kappa, g=self.g, f=self.f)
+        return self._z
+
+
+def solve_kernel(kappa):
+    """Check and solve a kernel once; a KernelSolution passes through.
+
+    kappa must be multiplicative and rank-alternating; otherwise
+    SubdivisionError names the offending chain or interval.
+    MirrorConstraintViolated propagates from the g solver.
+    """
+    if isinstance(kappa, KernelSolution):
+        return kappa
+    res = is_multiplicative(kappa)
+    if not res:
+        raise SubdivisionError(f"kernel is not multiplicative: {res.describe()}")
+    res = is_rank_alternating(kappa)
+    if not res:
+        raise SubdivisionError(f"kernel is not rank alternating: {res.describe()}")
+    g = solve_g(kappa)
+    return KernelSolution(kappa, g, invert(g))
 
 
 class LocalInvariants:
     """h_sigma, ell_sigma and Delta ell_sigma of a subdivision, plus the
-    solver output g they were computed from (all on the cylinder)."""
+    kernel solution they were computed from (all on the cylinder)."""
 
-    __slots__ = ("triple", "kappa", "g", "h_sigma", "ell_sigma", "delta_ell")
+    __slots__ = ("triple", "solution", "h_sigma", "ell_sigma", "delta_ell")
 
-    def __init__(self, triple, kappa, g, h_sigma, ell_sigma, delta_ell):
+    def __init__(self, triple, solution, h_sigma, ell_sigma, delta_ell):
         self.triple = triple
-        self.kappa = kappa
-        self.g = g
+        self.solution = solution
         self.h_sigma = h_sigma
         self.ell_sigma = ell_sigma
         self.delta_ell = delta_ell
+
+    @property
+    def g(self):
+        return self.solution.g
 
     def __repr__(self):
         return f"LocalInvariants(on {self.triple!r})"
 
 
-def local_invariants(triple, weak_rank, kappa, _skip_kernel_checks=False):
+def local_invariants(triple, weak_rank, kappa):
     """Compute h_sigma, ell_sigma, Delta ell_sigma on the cylinder.
 
-    kappa must be multiplicative and rank-alternating (checked); the
-    division by (t - 1) is exact for such kernels and NotDivisible
-    propagates if the input data is inconsistent.
+    kappa is a kernel or its KernelSolution; a raw kernel is solved (and
+    checked multiplicative and rank-alternating) by solve_kernel.  Its
+    carrier must be the triple's poset with this weak rank.  The division
+    by (t - 1) is exact for such kernels and NotDivisible propagates if
+    the input data is inconsistent.
 
     Structural facts are verified before returning: degrees stay below the
     interval weak rank, ell is symmetric, h and ell agree on the pairs
@@ -283,21 +345,15 @@ def local_invariants(triple, weak_rank, kappa, _skip_kernel_checks=False):
     gamma = triple.gamma
     if kappa.poset != gamma or kappa.weak_rank != weak_rank:
         raise SubdivisionError("kernel carrier does not match the triple")
-    if not _skip_kernel_checks:
-        res = is_multiplicative(kappa)
-        if not res:
-            raise SubdivisionError(f"kernel is not multiplicative: {res.describe()}")
-        res = is_rank_alternating(kappa)
-        if not res:
-            raise SubdivisionError(f"kernel is not rank alternating: {res.describe()}")
-    g = solve_g(kappa)
+    solution = solve_kernel(kappa)
+    kappa, g = solution.kappa, solution.g
     kappa_interior = triple.mask_interior(kappa)
     h_raw = convolve(g, kappa_interior)
     h_vals = {}
     for pair, poly in h_raw.vals.items():
         h_vals[pair] = poly_div_t_minus_1(poly)
     h_sigma = IncidenceElement(gamma, weak_rank, h_vals)
-    ell_sigma = convolve(h_sigma, invert(g))
+    ell_sigma = convolve(h_sigma, solution.g_inv)
     delta_ell = delta_op(ell_sigma)
 
     wr = weak_rank
@@ -320,7 +376,7 @@ def local_invariants(triple, weak_rank, kappa, _skip_kernel_checks=False):
                 raise SubdivisionError(f"ell constant term nonzero on ({i}, {j})")
         if hv.coeff(0) != kr:
             raise SubdivisionError(f"h constant term != kernel top on ({i}, {j})")
-    return LocalInvariants(triple, kappa, g, h_sigma, ell_sigma, delta_ell)
+    return LocalInvariants(triple, solution, h_sigma, ell_sigma, delta_ell)
 
 
 def _elements_agree(tag, *elems):
@@ -338,15 +394,15 @@ def _elements_agree(tag, *elems):
     return CheckResult.passed()
 
 
-def check_theorem_g(triple, kappa, invariants=None):
+def check_theorem_g(triple, kappa):
     """The mixed block of g equals Delta ell * g (and Delta ell * g|_Y),
     and Delta ell is recovered as g|_{X/Y} * g^{-1}.
 
-    Left side: solver output, masked.  Right side: convolutions of the
-    local invariants.  The code paths share nothing but the solver.
+    kappa is a kernel or its KernelSolution.  Left side: solver output,
+    masked.  Right side: convolutions of the local invariants.  The code
+    paths share nothing but the solver.
     """
-    li = invariants if invariants is not None else local_invariants(
-        triple, kappa.weak_rank, kappa)
+    li = local_invariants(triple, kappa.weak_rank, kappa)
     g = li.g
     lhs = triple.mask_xy(g)
     rhs_full = convolve(li.delta_ell, g)
@@ -354,15 +410,14 @@ def check_theorem_g(triple, kappa, invariants=None):
     res = _elements_agree("theorem-g", lhs, rhs_full, rhs_y)
     if not res:
         return res
-    alt = convolve(triple.mask_xy(g), invert(g))
+    alt = convolve(triple.mask_xy(g), li.solution.g_inv)
     return _elements_agree("delta-ell-from-g", li.delta_ell, alt)
 
 
-def check_corollary_f(triple, kappa, invariants=None):
+def check_corollary_f(triple, kappa):
     """Mixed block of f equals -f * hat(Delta ell) = -f|_X * hat(Delta ell)."""
-    li = invariants if invariants is not None else local_invariants(
-        triple, kappa.weak_rank, kappa)
-    f = solve_f(kappa)
+    li = local_invariants(triple, kappa.weak_rank, kappa)
+    f = li.solution.f
     ell_hat = hat(li.delta_ell)
     lhs = triple.mask_xy(f)
     rhs_full = -convolve(f, ell_hat)
@@ -370,11 +425,10 @@ def check_corollary_f(triple, kappa, invariants=None):
     return _elements_agree("corollary-f", lhs, rhs_full, rhs_x)
 
 
-def check_corollary_z(triple, kappa, invariants=None):
+def check_corollary_z(triple, kappa):
     """Mixed block of Z equals -Z|_X * hat(Delta ell) + rev(Delta ell) * Z|_Y."""
-    li = invariants if invariants is not None else local_invariants(
-        triple, kappa.weak_rank, kappa)
-    z = z_function(kappa, g=li.g)
+    li = local_invariants(triple, kappa.weak_rank, kappa)
+    z = li.solution.z
     lhs = triple.mask_xy(z)
     rhs = (-convolve(triple.mask_xx(z), hat(li.delta_ell))
            + convolve(rev(li.delta_ell), triple.mask_yy(z)))
@@ -386,22 +440,31 @@ def check_corollary_z(triple, kappa, invariants=None):
 # --------------------------------------------------------------------------
 
 
-def relative_g(face_lattice, face, g=None):
+def relative_g(face_lattice, face, g=None, solution=None):
     """Relative g-polynomial g(Q, F) of an Eulerian lattice Q at a face F.
 
     Defined by the recursion sum over E in [F, Q] of g(E, F) g([E, Q])
     equal to g(Q), with g(F, F) = g([0, F]).  The result is checked against
     the independent route Delta ell at the full interval of the triple
     (Q, natural rank, q = F); a mismatch raises SubdivisionError.
+
+    solution is the KernelSolution of the lattice's Eulerian kernel, solved
+    here when absent; both routes read it.  A precomputed g of that kernel
+    may be passed for the recursion instead.
     """
     res = face_lattice.is_eulerian()
     if not res:
         raise SubdivisionError(f"relative g needs an Eulerian lattice: {res.describe()}")
-    if g is None:
-        g = solve_g(eulerian_kernel(face_lattice))
     bot, top = face_lattice.bottom(), face_lattice.top()
     if face == bot:
         raise SubdivisionError("relative g needs a nonempty face")
+    kappa = eulerian_kernel(face_lattice)
+    if solution is None:
+        solution = solve_kernel(kappa)
+    elif solution.kappa != kappa:
+        raise SubdivisionError("solution is not of the lattice's Eulerian kernel")
+    if g is None:
+        g = solution.g
     rel = {}
     above = bits(face_lattice.up[face])
     rho = face_lattice.rank if face_lattice.rank is not None else face_lattice.natural_rank()
@@ -416,11 +479,10 @@ def relative_g(face_lattice, face, g=None):
 
     if face != top:
         triple = SubdivisionTriple(face_lattice, face)
-        kappa = eulerian_kernel(face_lattice)
-        li = local_invariants(triple, kappa.weak_rank, kappa, _skip_kernel_checks=True)
+        li = local_invariants(triple, solution.weak_rank, solution)
         other = li.delta_ell.value(bot, top)
     else:
-        other = g.value(bot, top)
+        other = solution.g.value(bot, top)
     if result != other:
         raise SubdivisionError(
             f"relative g mismatch: recursion gives {result!r}, "
@@ -452,10 +514,11 @@ def product_sfs(s1, s2):
 
 
 def _cylinder_data(sfs):
+    """The mapping cylinder of sfs and its local invariants, from the
+    solved Eulerian kernel of the cylinder."""
     triple = mapping_cylinder(sfs)
-    kappa = eulerian_kernel(triple.gamma)
-    li = local_invariants(triple, kappa.weak_rank, kappa, _skip_kernel_checks=True)
-    return triple, kappa, li
+    solution = solve_kernel(eulerian_kernel(triple.gamma))
+    return triple, local_invariants(triple, solution.weak_rank, solution)
 
 
 def check_product_identities(s1, s2):
@@ -473,9 +536,9 @@ def check_product_identities(s1, s2):
     if not res:
         return CheckResult.failed("product-not-sfs", witness=res.witness,
                                   detail=res.describe())
-    t1, _, li1 = _cylinder_data(s1)
-    t2, _, li2 = _cylinder_data(s2)
-    tp, _, lip = _cylinder_data(sp)
+    _, li1 = _cylinder_data(s1)
+    _, li2 = _cylinder_data(s2)
+    tp, lip = _cylinder_data(sp)
 
     nx1, ny1 = s1.X.n, s1.Y.n
     nx2, ny2 = s2.X.n, s2.Y.n
@@ -515,18 +578,16 @@ def check_product_identities(s1, s2):
             return CheckResult.failed("product-g-cylinder", witness=(i, j),
                                       detail=f"{lip.g.value(i, j)!r} != {acc!r}")
 
-    # identity-factor laws, with the first factor replaced by an identity map
-    base = s1.Y
-    idf = id_sfs(base)
-    sid = product_sfs(idf, s2)
-    tid, _, liid = _cylinder_data(sid)
-    gb = solve_g(eulerian_kernel(base))
+    # identity-factor laws, with the first factor replaced by the identity
+    # map of s1.Y, whose g is gy1
+    sid = product_sfs(id_sfs(s1.Y), s2)
+    tid, liid = _cylinder_data(sid)
     nxi = sid.X.n
     for (i, j) in tid.xy_pairs():
         b1, x2 = divmod(i, nx2)
         b2, y2 = divmod(j - nxi, ny2)
         h_lhs = liid.h_sigma.value(i, j)
-        h_rhs = gb.value(b1, b2) * li2.h_sigma.value(cyl2(x2, False), cyl2(y2, True))
+        h_rhs = gy1.value(b1, b2) * li2.h_sigma.value(cyl2(x2, False), cyl2(y2, True))
         if h_lhs != h_rhs:
             return CheckResult.failed("id-factor-h", witness=(i, j),
                                       detail=f"{h_lhs!r} != {h_rhs!r}")
@@ -553,9 +614,9 @@ def check_composition(s1, s2):
     if not res:
         return CheckResult.failed("composite-not-sfs", witness=res.witness,
                                   detail=res.describe())
-    _, _, li1 = _cylinder_data(s1)
-    _, _, li2 = _cylinder_data(s2)
-    tc, _, lic = _cylinder_data(comp)
+    _, li1 = _cylinder_data(s1)
+    _, li2 = _cylinder_data(s2)
+    tc, lic = _cylinder_data(comp)
     nx1, nx2, nxc = s1.X.n, s2.X.n, comp.X.n
     for (i, j) in tc.xy_pairs():
         x = i

@@ -14,7 +14,8 @@ from klspoly.subdivision import (StrongFormalSubdivision, SubdivisionError,
                                  id_sfs, local_invariants, mapping_cylinder,
                                  product_sfs, relative_g,
                                  segment_refinement_sfs,
-                                 segment_subdivision_sfs, triple_to_sfs)
+                                 segment_subdivision_sfs, solve_kernel,
+                                 triple_to_sfs)
 
 
 def test_segment_subdivision_sfs_validates():
@@ -93,15 +94,16 @@ def test_polygon_triple_local_invariants():
 
 def test_relative_g_cube_faces():
     c = cube_face_lattice(3)
+    solution = solve_kernel(eulerian_kernel(c))
     expected = {1: Poly([0, 1]), 2: Poly([0, 2]), 3: Poly([0, 3]),
                 4: Poly([1, 4])}
     for z in range(c.n):
         r = c.rank[z]
         if r == 0:
             with pytest.raises(SubdivisionError, match="nonempty"):
-                relative_g(c, z)
+                relative_g(c, z, solution=solution)
         else:
-            assert relative_g(c, z) == expected[r]
+            assert relative_g(c, z, solution=solution) == expected[r]
 
 
 def test_relative_g_square():
@@ -161,3 +163,88 @@ def test_random_segment_refinements_satisfy_theorem_g(fine, data):
     triple = mapping_cylinder(sfs)
     kappa = eulerian_kernel(triple.gamma)
     assert check_theorem_g(triple, kappa)
+
+
+# -- solved kernels ----------------------------------------------------------
+
+
+def test_solve_kernel_refuses_a_non_multiplicative_kernel_with_witness():
+    b = boolean_algebra(2)
+    kappa = eulerian_kernel(b)
+    bot, top = b.bottom(), b.top()
+    kappa.vals[(bot, top)] = Poly([1, -2, 2])
+    atom = min(z for z in b.elements_between(bot, top) if z not in (bot, top))
+    with pytest.raises(SubdivisionError, match="not multiplicative") as err:
+        solve_kernel(kappa)
+    assert f"witness={(bot, atom, top)}" in str(err.value)
+
+
+def test_a_solution_on_another_carrier_is_refused():
+    solution = solve_kernel(eulerian_kernel(polygon(5)))
+    triple = SubdivisionTriple(polygon(6), 1)
+    with pytest.raises(SubdivisionError, match="carrier"):
+        local_invariants(triple, solution.weak_rank, solution)
+    with pytest.raises(SubdivisionError, match="carrier"):
+        check_theorem_g(triple, solution)
+    with pytest.raises(SubdivisionError, match="Eulerian kernel"):
+        relative_g(cube_face_lattice(2), 1, solution=solution)
+
+
+def test_theorem_g_suite_solves_each_corpus_kernel_once(monkeypatch):
+    from klspoly import incidence, subdivision, verify
+
+    calls = {"g": 0, "f": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {"solve_g": counting("g", incidence.solve_g),
+               "solve_f": counting("f", incidence.solve_f)}
+    for module in (incidence, subdivision, verify):
+        for name, fn in wrapped.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    posets = sum(1 for _, p in verify.builder_corpus()
+                 if any(True for _ in verify.admissible_triples(p)))
+    results = verify.run_suite("theorem-g")
+    assert all(res for _, res in results)
+    # one solve per poset with an admissible triple, one for the guard
+    assert calls["g"] == posets + 1
+    assert calls["f"] == 0
+
+
+def test_corrupted_kernel_guard_checks_the_interval(monkeypatch):
+    from klspoly import verify
+    from klspoly.incidence import MirrorConstraintViolated
+
+    assert verify._corrupted_kernel_guard()
+
+    def misplaced(kappa):
+        raise MirrorConstraintViolated("mirror constraint fails (1, 3)", (1, 3))
+
+    monkeypatch.setattr(verify, "solve_g", misplaced)
+    res = verify._corrupted_kernel_guard()
+    assert not res and res.witness == (1, 3)
+
+
+@pytest.mark.parametrize("poset", [polygon(6), cube_face_lattice(3)],
+                         ids=["polygon-6", "cube-3"])
+def test_a_shared_solution_matches_a_raw_kernel_at_every_q(poset):
+    from klspoly.verify import admissible_triples
+
+    kappa = eulerian_kernel(poset)
+    solution = solve_kernel(kappa)
+    seen = 0
+    for q, triple in admissible_triples(poset):
+        shared = local_invariants(triple, solution.weak_rank, solution)
+        raw = local_invariants(triple, kappa.weak_rank, kappa)
+        for name in ("g", "h_sigma", "ell_sigma", "delta_ell"):
+            assert getattr(shared, name) == getattr(raw, name), (q, name)
+        assert check_theorem_g(triple, solution)
+        assert check_corollary_f(triple, solution)
+        assert check_corollary_z(triple, solution)
+        seen += 1
+    assert seen > 0
