@@ -21,10 +21,11 @@ g, f and Z depend on the kernel alone, not on q, so every triple on the
 same Gamma shares them.  solve_kernel(kappa) returns a KernelSolution:
 it checks once that kappa is multiplicative and rank-alternating, solves
 g and its inverse, and solves f and Z (with the Z identities and
-symmetry verified) on first use.  local_invariants, the check_*
-functions and relative_g accept either a raw kernel, solved on entry, or
-a KernelSolution shared across triples; the per-triple identities run
-on every call either way.
+symmetry verified) on first use.  local_invariants and the check_*
+functions accept either a raw kernel, solved on entry, or a
+KernelSolution shared across triples; the per-triple identities run on
+every call either way.  relative_g solves its lattice's Eulerian kernel
+once and reads that solution on both of its routes.
 """
 
 from __future__ import annotations
@@ -440,7 +441,7 @@ def check_corollary_z(triple, kappa):
 # --------------------------------------------------------------------------
 
 
-def relative_g(face_lattice, face, g=None, solution=None):
+def relative_g(face_lattice, face, g=None):
     """Relative g-polynomial g(Q, F) of an Eulerian lattice Q at a face F.
 
     Defined by the recursion sum over E in [F, Q] of g(E, F) g([E, Q])
@@ -448,9 +449,8 @@ def relative_g(face_lattice, face, g=None, solution=None):
     the independent route Delta ell at the full interval of the triple
     (Q, natural rank, q = F); a mismatch raises SubdivisionError.
 
-    solution is the KernelSolution of the lattice's Eulerian kernel, solved
-    here when absent; both routes read it.  A precomputed g of that kernel
-    may be passed for the recursion instead.
+    Both routes read one KernelSolution of the lattice's Eulerian kernel.
+    A precomputed g of that kernel may be passed for the recursion instead.
     """
     res = face_lattice.is_eulerian()
     if not res:
@@ -458,13 +458,8 @@ def relative_g(face_lattice, face, g=None, solution=None):
     bot, top = face_lattice.bottom(), face_lattice.top()
     if face == bot:
         raise SubdivisionError("relative g needs a nonempty face")
-    kappa = eulerian_kernel(face_lattice)
-    if solution is None:
-        solution = solve_kernel(kappa)
-    elif solution.kappa != kappa:
-        raise SubdivisionError("solution is not of the lattice's Eulerian kernel")
-    if g is None:
-        g = solution.g
+    solution = solve_kernel(eulerian_kernel(face_lattice))
+    g = solution.g if g is None else g
     rel = {}
     above = bits(face_lattice.up[face])
     rho = face_lattice.rank if face_lattice.rank is not None else face_lattice.natural_rank()
