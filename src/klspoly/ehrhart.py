@@ -16,7 +16,7 @@ placed at height one.
 from fractions import Fraction
 from itertools import combinations
 
-from .polynomial import ONE, Poly, ZERO, poly_rev
+from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
 from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import charpoly, express, extend_basis, mat_vec, mat_rank, span_basis
@@ -262,9 +262,6 @@ class LatticeSimplexComplex:
 
     def face_vertices(self, z):
         return [self.vertices[k] for k in sorted(self.faces[z])]
-
-    def stab_matrices(self, z):
-        return {w: self.by_perm[w] for w in self.action.stabilizer(z)}
 
     def boxes(self, z, strictness):
         """All box points of face z at every height, cached."""
@@ -745,7 +742,7 @@ def coarse_hstar(cx, cylinder=None, data=None):
         values = {}
         for w in cp.group:
             num = cp.ev(w)
-            div, rem = _divide_t_minus_1(num)
+            div, rem = poly_divmod_t_minus_1(num)
             if rem != 0:
                 raise ComplexError(
                     f"coarse face {gamma.labels[y]} has a non-polynomial "
@@ -753,18 +750,6 @@ def coarse_hstar(cx, cylinder=None, data=None):
             values[w] = div
         out[y - nx] = ClassPoly(cp.group, values)
     return out
-
-
-def _divide_t_minus_1(p):
-    """Quotient and remainder of p by (t - 1)."""
-    coeffs = list(p.coeffs)
-    out = [Fraction(0)] * max(len(coeffs) - 1, 1)
-    carry = Fraction(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        out[k - 1] = coeffs[k] + carry
-        carry = out[k - 1]
-    rem = coeffs[0] + carry if coeffs else Fraction(0)
-    return Poly(out), rem
 
 
 def check_hstar_identity(cx, cylinder=None, data=None):

@@ -20,7 +20,7 @@ computation paths stay honest against each other.
 import os
 from fractions import Fraction
 
-from .polynomial import ONE, T, ZERO, Poly, delta_truncate, poly_rev
+from .polynomial import ONE, T, ZERO, Poly, poly_rev
 from .poset import PosetError
 from .incidence import (
     IncidenceElement,
@@ -349,11 +349,6 @@ class ClassPoly:
                          {w: poly_rev(v, r) for w, v in self.values.items()},
                          validate=False)
 
-    def delta(self, r):
-        return ClassPoly(self.group,
-                         {w: delta_truncate(v, r) for w, v in self.values.items()},
-                         validate=False)
-
     def res(self, subgroup):
         subgroup = frozenset(subgroup)
         if not subgroup <= self.group:
@@ -601,16 +596,6 @@ def equiv_rev(p):
     """Reverse each value at the weak rank of its interval."""
     vals = {(i, j): cp.rev(p.weak_rank.value(i, j))
             for (i, j), cp in p.vals.items()}
-    return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
-
-
-def equiv_delta_op(p):
-    """Apply the half-degree difference operator valuewise."""
-    vals = {}
-    for (i, j), cp in p.vals.items():
-        if i == j:
-            continue
-        vals[(i, j)] = cp.delta(p.weak_rank.value(i, j))
     return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
 
 

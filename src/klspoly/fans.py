@@ -20,7 +20,6 @@ from .linalg import (
     charpoly,
     express,
     extend_basis,
-    fixed_space_dim as _fixed_space_dim,
     frac_matrix,
     frac_vector,
     mat_mul,
@@ -333,32 +332,9 @@ def induced_charpoly(matrix, sub_basis, ext_vectors):
     return charpoly(induced)
 
 
-def fixed_dim(matrix, sub_basis, ext_vectors):
-    """Dimension of the fixed space of the induced quotient map."""
-    if not ext_vectors:
-        return 0
-    full = list(sub_basis) + list(ext_vectors)
-    cols = []
-    for v in ext_vectors:
-        coords = express(full, mat_vec(frac_matrix(matrix), v))
-        if coords is None:
-            raise FanError("matrix does not preserve the span")
-        cols.append(coords[len(sub_basis):])
-    size = len(ext_vectors)
-    induced = tuple(tuple(cols[j][i] for j in range(size))
-                    for i in range(size))
-    return _fixed_space_dim(induced)
-
-
 def _complement(small_basis, big_generators):
     """Deterministic complement: first independent generators, in order."""
     return extend_basis(small_basis, big_generators)
-
-
-def quotient_charpoly(fan, matrix, z, zp):
-    """Characteristic polynomial of a matrix on span(z')/span(z)."""
-    comp = _complement(fan.span(z), fan.ray_vectors(zp))
-    return induced_charpoly(matrix, fan.span(z), comp)
 
 
 def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,

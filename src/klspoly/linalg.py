@@ -82,10 +82,6 @@ def span_basis(vectors):
     return [reduced[k] for k in range(len(pivots))]
 
 
-def in_span(basis, v):
-    return mat_rank(list(basis) + [tuple(v)]) == mat_rank(list(basis))
-
-
 def extend_basis(basis, candidates):
     """Greedily extend a basis by the first independent candidates.
 
@@ -132,16 +128,6 @@ def express(basis, v):
         return () if not any(frac_vector(v)) else None
     columns = tuple(zip(*[frac_vector(b) for b in basis]))
     return solve_linear(columns, v)
-
-
-def mat_inv(a):
-    a = frac_matrix(a)
-    n = len(a)
-    augmented = [a[i] + identity_matrix(n)[i] for i in range(n)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
 
 
 def charpoly(m):

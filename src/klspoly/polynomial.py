@@ -1,10 +1,13 @@
 """Exact univariate polynomials over the rationals.
 
 Everything downstream (incidence algebras, Kazhdan-Lusztig-Stanley solvers,
-Ehrhart counts) is built on polynomials in one variable t with Fraction
-coefficients.  Coefficients are stored densely, lowest degree first, with
-trailing zeros trimmed, so equal polynomials always have equal coefficient
-tuples.  There are no floats anywhere in this package.
+Ehrhart counts) is built on polynomials in one variable t with rational
+coefficients.  A coefficient is stored as an ``int`` when its denominator is
+1 and as a ``Fraction`` only otherwise, so the integer polynomials that the
+Eulerian theory runs on never pay for Fraction arithmetic.  Coefficients are
+stored densely, lowest degree first, with trailing zeros trimmed, so equal
+polynomials always have equal coefficient tuples.  There are no floats
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -33,20 +36,42 @@ class NotDivisible(ValueError):
 
 
 def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
+    """An exact coefficient: an ``int``, or a ``Fraction`` whose denominator
+    is not 1.  Accepts int (bool included), Fraction and rational strings."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+
+
+def _poly(cs):
+    """The Poly with coefficient list cs, which it takes over.
+
+    The entries are int or Fraction, as arithmetic on coefficients yields;
+    trailing zeros are trimmed and Fractions with denominator 1 become ints.
+    Every arithmetic result is built here.
+    """
+    while cs and not cs[-1]:
+        cs.pop()
+    for k, c in enumerate(cs):
+        if type(c) is not int and c.denominator == 1:
+            cs[k] = c.numerator
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 class Poly:
     """A polynomial in t with exact rational coefficients.
 
-    ``Poly([1, 4, 1])`` is 1 + 4t + t^2.  Instances are immutable and
-    hashable; arithmetic always returns new objects.
+    ``Poly([1, 4, 1])`` is 1 + 4t + t^2.  Each entry of ``coeffs`` is an
+    ``int`` unless its denominator is not 1, in which case it is a
+    ``Fraction``; the representation is canonical, so equality and hashing
+    compare values.  Instances are immutable and hashable; arithmetic always
+    returns new objects.
     """
 
     __slots__ = ("coeffs",)
@@ -75,7 +100,7 @@ class Poly:
         """Coefficient of t^i (zero beyond the stored degree)."""
         if i < 0:
             raise IndexError("negative degree")
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -97,12 +122,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -120,12 +145,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -155,7 +180,7 @@ class Poly:
             raise ValueError("negative shift")
         if not self.coeffs:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return _poly([0] * k + list(self.coeffs))
 
     def __call__(self, x):
         """Evaluate at a rational point (Horner)."""
@@ -192,7 +217,7 @@ class Poly:
 
         Integers serialize without a slash; other rationals as "num/den".
         """
-        return [str(c) if c.denominator != 1 else str(c.numerator) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data):
@@ -217,27 +242,35 @@ def poly_rev(p, r):
         raise DegreeExceedsRank(f"rank must be nonnegative, got {r}")
     if p.degree > r:
         raise DegreeExceedsRank(f"degree {p.degree} exceeds rank {r}")
-    out = [Fraction(0)] * (r + 1)
+    out = [0] * (r + 1)
     for i, c in enumerate(p.coeffs):
         out[r - i] = c
-    return Poly(out)
+    return _poly(out)
+
+
+def poly_divmod_t_minus_1(p):
+    """Quotient and remainder of p by (t - 1).
+
+    Returns (q, r) with p = (t - 1) q + r; the remainder r = p(1) is a
+    number (int or Fraction), not a Poly.
+    """
+    # synthetic division by root 1, highest degree first
+    out = []
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc += c
+        out.append(acc)
+    rem = out.pop() if out else 0
+    out.reverse()
+    return _poly(out), rem
 
 
 def poly_div_t_minus_1(p):
     """Exact division by (t - 1); raises NotDivisible when p(1) != 0."""
-    if p.is_zero():
-        return ZERO
-    # synthetic division by root 1, highest degree first
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc += c
-        out.append(acc)
-    rem = out.pop()
+    quotient, rem = poly_divmod_t_minus_1(p)
     if rem != 0:
         raise NotDivisible(f"remainder {rem} after division by (t - 1)", Poly([rem]))
-    out.reverse()
-    return Poly(out)
+    return quotient
 
 
 def delta_truncate(p, r):

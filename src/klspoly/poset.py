@@ -37,7 +37,8 @@ class Poset:
     The order axioms are validated at construction.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "rank", "_covers", "_intervals")
+    __slots__ = ("n", "labels", "up", "down", "rank", "_covers", "_intervals",
+                 "_lower_eulerian")
 
     def __init__(self, up_masks, labels=None, rank=None, _validated=False):
         up = tuple(up_masks)
@@ -66,6 +67,7 @@ class Poset:
         self.down = tuple(down)
         self._covers = None
         self._intervals = None
+        self._lower_eulerian = None
         if not _validated:
             self._validate_order()
 
@@ -208,8 +210,18 @@ class Poset:
     def is_lower_eulerian(self, rank=None):
         """Unique minimum, valid rank, and Euler alternating-sum zero on all
         strict intervals.  Returns a CheckResult whose witness is the first
-        offending interval."""
-        rank = self.rank if rank is None else rank
+        offending interval.
+
+        The result for rank=None (the poset's own rank, else its natural
+        rank) is computed once and kept; an explicit rank is checked afresh.
+        """
+        if rank is not None:
+            return self._check_lower_eulerian(rank)
+        if self._lower_eulerian is None:
+            self._lower_eulerian = self._check_lower_eulerian(self.rank)
+        return self._lower_eulerian
+
+    def _check_lower_eulerian(self, rank):
         if rank is None:
             try:
                 rank = self.natural_rank()

@@ -88,6 +88,33 @@ def test_carriers_must_match():
         convolve(p, q)
 
 
+def _multiplicative_on_every_chain(kappa):
+    poset = kappa.poset
+    return all(kappa.value(i, w) * kappa.value(w, j) == kappa.value(i, j)
+               for (i, j) in poset.intervals()
+               for w in poset.elements_between(i, j))
+
+
+@pytest.mark.parametrize("poset", [boolean_algebra(3), cube_face_lattice(3)],
+                         ids=["boolean-3", "cube-3"])
+def test_atom_multiplicativity_agrees_with_the_full_chain_check(poset):
+    kappa = eulerian_kernel(poset)
+    assert is_multiplicative(kappa) and _multiplicative_on_every_chain(kappa)
+    for (i, j) in poset.intervals():
+        for bad in (Poly([]), Poly([1]), kappa.value(i, j) * 2,
+                    kappa.value(i, j) + Poly([0, 0, 1])):
+            if bad == kappa.value(i, j):
+                continue
+            corrupted = IncidenceElement(poset, kappa.weak_rank,
+                                         {**kappa.vals, (i, j): bad})
+            res = is_multiplicative(corrupted)
+            assert bool(res) == _multiplicative_on_every_chain(corrupted)
+            assert not res
+            a, w, b = res.witness
+            assert (corrupted.value(a, w) * corrupted.value(w, b)
+                    != corrupted.value(a, b))
+
+
 def test_eulerian_kernel_properties():
     kappa = eulerian_kernel(B3)
     assert kappa.value(0, 7) == Poly([-1, 1]) ** 3

@@ -7,22 +7,106 @@ from hypothesis import given, strategies as st
 
 from klspoly.polynomial import (NEG_INF, DegreeExceedsRank, NotDivisible,
                                 Poly, delta_invert, delta_truncate,
-                                poly_div_t_minus_1, poly_rev)
+                                poly_div_t_minus_1, poly_divmod_t_minus_1,
+                                poly_rev)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 polys = coeffs.map(Poly)
 small_rank = st.integers(min_value=0, max_value=12)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+rational_lists = st.lists(rationals, max_size=6)
+
+
+def _exact(c):
+    """An exact coefficient: int, or Fraction whose denominator is not 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def test_construction_trims_and_coerces():
     p = Poly([1, 2, 0, 0])
     assert p.coeffs == (1, 2)
-    assert all(isinstance(c, Fraction) for c in p.coeffs)
+    assert all(_exact(c) for c in p.coeffs)
+    assert p.coeffs == (Fraction(1), Fraction(2))
     assert Poly(["1/2", 1]).coeff(0) == Fraction(1, 2)
     assert Poly().is_zero() and Poly([0, 0]).is_zero()
     assert Poly().degree == NEG_INF
     with pytest.raises(TypeError):
         Poly([1.5])
+
+
+def test_integer_coefficients_are_stored_as_int():
+    assert Poly([Fraction(4, 2), "3/1", True]).coeffs == (2, 3, 1)
+    assert all(type(c) is int for c in Poly([Fraction(4, 2), "3/1", True]).coeffs)
+    half = Poly([Fraction(1, 2)])
+    assert type(half.coeffs[0]) is Fraction
+    doubled = half * 2
+    assert doubled.coeffs == (1,) and type(doubled.coeffs[0]) is int
+    assert all(type(c) is int for c in (half + half).coeffs)
+    assert type(Poly([1]).coeff(5)) is int
+
+
+def test_equality_and_hash_do_not_see_the_representation():
+    assert Poly([Fraction(1)]) == Poly([1])
+    assert hash(Poly([Fraction(1)])) == hash(Poly([1]))
+    assert Poly([Fraction(3, 1), Fraction(1, 2)]) == Poly([3, "1/2"])
+    assert hash(Poly([Fraction(3, 1), Fraction(1, 2)])) == hash(Poly([3, "1/2"]))
+    assert Poly([2]) == Fraction(2) and Poly([2]) == 2
+
+
+def test_json_strings_are_the_same_for_int_and_fraction_input():
+    assert Poly([Fraction(-2), Fraction(7, 1)]).to_json() == ["-2", "7"]
+    assert Poly([-2, 7]).to_json() == ["-2", "7"]
+    assert Poly([Fraction(1, 3), Fraction(6, 2)]).to_json() == ["1/3", "3"]
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@given(rational_lists, rational_lists, small_rank)
+def test_arithmetic_agrees_with_a_fraction_reference(a, b, r):
+    p, q = Poly(a), Poly(b)
+    for got, want in ((p + q, _ref_add(a, b)), (p * q, _ref_mul(a, b)),
+                      (-p, [-x for x in a])):
+        assert got.coeffs == _ref_trim(want)
+        assert all(_exact(c) for c in got.coeffs)
+    if p.degree <= r:
+        padded = list(a) + [Fraction(0)] * (r + 1 - len(a))
+        rev = poly_rev(p, r)
+        assert rev.coeffs == _ref_trim(reversed(padded))
+        assert all(_exact(c) for c in rev.coeffs)
+    # (t - 1) * p divided back, and p itself divided with remainder p(1)
+    tm1 = [Fraction(-1), Fraction(1)]
+    quotient = poly_div_t_minus_1(Poly(_ref_mul(a, tm1)))
+    assert quotient.coeffs == _ref_trim(a)
+    assert all(_exact(c) for c in quotient.coeffs)
+    quotient, rem = poly_divmod_t_minus_1(p)
+    assert rem == sum(a, Fraction(0))
+    assert Poly(_ref_add(_ref_mul(list(quotient.coeffs), tm1), [rem])) == p
+
+
+def test_divmod_by_t_minus_1_examples():
+    assert poly_divmod_t_minus_1(Poly()) == (Poly(), 0)
+    assert poly_divmod_t_minus_1(Poly([5])) == (Poly(), 5)
+    assert poly_divmod_t_minus_1(Poly([1, 1])) == (Poly([1]), 2)
+    assert poly_divmod_t_minus_1(Poly([-1, 0, 1])) == (Poly([1, 1]), 0)
 
 
 def test_arithmetic_basics():

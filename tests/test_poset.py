@@ -27,6 +27,19 @@ def test_chain_fails_lower_eulerian_with_witness():
     assert tuple(res.witness) == (0, 2)
 
 
+def test_lower_eulerian_result_is_kept_for_the_own_rank_only():
+    c = chain(3)
+    first = c.is_lower_eulerian()
+    assert c.is_lower_eulerian() is first
+    assert not first and tuple(first.witness) == (0, 2)
+    # an explicit rank is checked afresh, whatever was kept
+    assert c.is_lower_eulerian(rank=(0, 1, 1)).reason == "cover-step"
+    b = boolean_algebra(2)
+    assert b.is_lower_eulerian()
+    assert not b.is_lower_eulerian(rank=(0, 0, 1, 2))
+    assert b.is_lower_eulerian() is b.is_lower_eulerian()
+
+
 def test_polygon_and_segment_builders():
     p = polygon(5)
     assert p.n == 12
