@@ -14,16 +14,17 @@ placed at height one.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
 from .poset import from_covers
 from .incidence import WeakRank
-from .linalg import charpoly, express, extend_basis, mat_vec, mat_rank, span_basis
+from .linalg import (charpoly, express, extend_basis, identity_matrix,
+                     mat_vec, mat_rank, span_basis)
 from .status import CheckResult
 from .equivariant import (
     ClassPoly,
     EquivIncidenceElement,
+    NotAutomorphism,
     PermAction,
     equiv_invert,
     equiv_local_invariants,
@@ -32,12 +33,13 @@ from .equivariant import (
     equiv_solve_g,
 )
 from .fans import (
-    FanError,
     conv_contains,
     cylinder_kernel,
-    identity_matrix_fr,
-    perm_matrix_closure,
+    face_permutation,
+    induced_charpoly,
+    matrix_action,
     span_kernel,
+    vertex_permutation,
 )
 from .subdivision import StrongFormalSubdivision, mapping_cylinder
 
@@ -154,54 +156,24 @@ class LatticeSimplexComplex:
     # -- symmetry -----------------------------------------------------------
 
     def _init_action(self, matrices, max_group):
-        from .equivariant import NotAutomorphism
+        last = identity_matrix(self.dim + 1)[self.dim]
+        lifted_permutation = vertex_permutation(self.lifted)
 
-        vert_index = {u: k for k, u in enumerate(self.lifted)}
-        face_index = {f: k for k, f in enumerate(self.faces)}
-        gen_pairs = []
-        perms = []
-        for m in matrices:
-            mat = tuple(tuple(Fraction(x) for x in row) for row in m)
-            if len(mat) != self.dim + 1 or any(len(r) != self.dim + 1
-                                               for r in mat):
-                raise ComplexError("affine matrices must have size dim+1")
-            last = tuple(Fraction(1 if c == self.dim else 0)
-                         for c in range(self.dim + 1))
+        def affine_permutation(mat):
             if mat[self.dim] != last:
                 raise ComplexError("affine matrices must fix the last "
                                    "coordinate")
-            vperm = []
-            for u in self.lifted:
-                k = vert_index.get(tuple(mat_vec(mat, u)))
-                if k is None:
-                    raise NotAutomorphism(
-                        f"matrix maps vertex {u[:-1]} outside the vertex set")
-                vperm.append(k)
-            fperm = []
-            for f in self.faces:
-                k = face_index.get(frozenset(vperm[j] for j in f))
-                if k is None:
-                    raise NotAutomorphism("matrix does not permute the faces")
-                fperm.append(k)
-            perms.append(tuple(fperm))
-            gen_pairs.append(((tuple(fperm), tuple(vperm)), mat))
-        n = self.poset.n
-        ident = ((tuple(range(n)), tuple(range(len(self.vertices)))),
-                 identity_matrix_fr(self.dim + 1))
-        seen = perm_matrix_closure(gen_pairs, ident, max_group=max_group)
-        self.by_perm = {fp: m for fp, (_perms, m) in seen.items()}
-        self.vert_perm = {fp: perms_[1] for fp, (perms_, m) in seen.items()}
-        self.action = PermAction(self.poset, perms or [ident[0][0]],
-                                 max_group=max_group)
-        if len(self.action) != len(self.by_perm):
-            raise NotAutomorphism("permutation closure disagrees with the "
-                                  "matrix closure")
+            return lifted_permutation(mat)
+
+        self.action, pairs = matrix_action(
+            self.poset, self.faces, self.dim + 1, matrices,
+            affine_permutation, max_group=max_group)
+        self.by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
+        self.vert_perm = {w: vperm for w, (vperm, _mat) in pairs.items()}
 
     # -- coarsening ---------------------------------------------------------
 
     def _init_coarse(self, coarse):
-        from .equivariant import NotAutomorphism
-
         self.coarse_poset = None
         if coarse is None:
             return
@@ -223,17 +195,12 @@ class LatticeSimplexComplex:
         if not res:
             raise ComplexError(f"coarse face poset is not lower Eulerian: "
                                f"{res.describe()}")
-        cface_index = {f: k for k, f in enumerate(cfaces)}
         cperms = {}
         for w, vperm in self.vert_perm.items():
-            cperm = []
-            for f in cfaces:
-                k = cface_index.get(frozenset(vperm[j] for j in f))
-                if k is None:
-                    raise NotAutomorphism(
-                        "the group does not preserve the coarsening")
-                cperm.append(k)
-            cperms[w] = tuple(cperm)
+            cperms[w] = face_permutation(cfaces, vperm)
+            if cperms[w] is None:
+                raise NotAutomorphism(
+                    "the group does not preserve the coarsening")
         self.coarse_faces = cfaces
         self.coarse_poset = cposet
         self.coarse_spans = spans
@@ -531,9 +498,7 @@ def ehr_interior_series(cx, w, order=None):
 
 
 def _ambient_charpoly(cx, z, w):
-    comp = extend_basis(cx.spans[z],
-                        list(identity_matrix_fr(cx.dim + 1)))
-    from .fans import induced_charpoly
+    comp = extend_basis(cx.spans[z], list(identity_matrix(cx.dim + 1)))
     return induced_charpoly(cx.by_perm[w], cx.spans[z], comp)
 
 

@@ -24,8 +24,6 @@ from .polynomial import ONE, T, ZERO, Poly, poly_rev
 from .poset import PosetError
 from .incidence import (
     IncidenceElement,
-    WeakRank,
-    delta_op,
     invert,
     solve_f,
     solve_g,
@@ -948,8 +946,7 @@ def _equiv_agree(tag, *elems):
     return CheckResult.passed()
 
 
-def check_equivariant_theorem(triple, weak_rank, action, kappa,
-                              invariants=None):
+def check_equivariant_theorem(triple, weak_rank, action, kappa):
     """Verify the subdivision identities in the equivariant algebra.
 
     Both routes are exercised: the local invariants are assembled from the
@@ -963,8 +960,7 @@ def check_equivariant_theorem(triple, weak_rank, action, kappa,
 
     together with delta_ell = (g on mixed pairs) * g^{-1}.
     """
-    li = invariants if invariants is not None else equiv_local_invariants(
-        triple, weak_rank, action, kappa)
+    li = equiv_local_invariants(triple, weak_rank, action, kappa)
     g = li.g
     dl = li.delta_ell
     in_x, in_y = triple.in_x, triple.in_y

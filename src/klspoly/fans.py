@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .polynomial import ONE, T, Poly
-from .poset import Poset, PosetError, from_covers
+from .polynomial import ONE, T
+from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import (
     charpoly,
@@ -22,6 +22,7 @@ from .linalg import (
     extend_basis,
     frac_matrix,
     frac_vector,
+    identity_matrix,
     mat_mul,
     mat_rank,
     mat_vec,
@@ -39,48 +40,79 @@ from .equivariant import (
     _group_bound,
     perm_mul,
 )
-from .status import CheckResult
 
 
 class FanError(ValueError):
     pass
 
 
-def identity_matrix_fr(dim):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim))
-                 for i in range(dim))
+def face_permutation(faces, point_perm):
+    """Permutation of the faces induced by a permutation of their points.
 
-
-def perm_matrix_closure(gen_pairs, identity, max_group=None):
-    """Close (permutations, matrix) generator pairs under composition.
-
-    Each pair carries a tuple of permutations (composed componentwise) and
-    a matrix.  The closure is keyed on the first permutation: if two
-    distinct matrices ever induce the same first permutation the action is
-    not faithful and the failure is loud.  Returns {first perm: pair}.
+    Faces are point-index sets; returns None when the image of some face
+    is not a face.
     """
+    index = {f: k for k, f in enumerate(faces)}
+    perm = []
+    for f in faces:
+        k = index.get(frozenset(point_perm[j] for j in f))
+        if k is None:
+            return None
+        perm.append(k)
+    return tuple(perm)
+
+
+def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
+    """The group generated by lattice matrices permuting faces of a poset.
+
+    ``faces`` lists the point-index set of each poset element and
+    ``point_perm`` maps a dim x dim Fraction matrix to the permutation it
+    induces on the points (raising loudly when it has none).  The matrix
+    group is closed eagerly, keyed on face permutations: if two distinct
+    matrices induce the same face permutation the action is not faithful
+    and the failure is loud, so a kernel can evaluate one well-defined
+    matrix at each poset permutation.  Returns (PermAction,
+    {face perm: (point perm, matrix)}).
+    """
+    gens = []
+    for k, m in enumerate(matrices):
+        mat = frac_matrix(m)
+        if len(mat) != dim or any(len(row) != dim for row in mat):
+            raise NotAutomorphism(f"matrix {k} is not {dim} x {dim}")
+        pperm = point_perm(mat)
+        fperm = face_permutation(faces, pperm)
+        if fperm is None:
+            raise NotAutomorphism(f"matrix {k} does not permute the faces")
+        gens.append((fperm, pperm, mat))
     bound = _group_bound(max_group)
-    seen = {identity[0][0]: identity}
-    frontier = [identity]
+    ident = tuple(range(poset.n))
+    ident_mat = identity_matrix(dim)
+    seen = {ident: (point_perm(ident_mat), ident_mat)}
+    frontier = list(seen.items())
     while frontier:
         nxt = []
-        for (perms, mat) in frontier:
-            for (gperms, gmat) in gen_pairs:
-                new = (tuple(perm_mul(gp, p) for gp, p in zip(gperms, perms)),
-                       mat_mul(gmat, mat))
-                known = seen.get(new[0][0])
+        for (fperm, (pperm, mat)) in frontier:
+            for (gf, gp, gm) in gens:
+                new = perm_mul(gf, fperm)
+                value = (perm_mul(gp, pperm), mat_mul(gm, mat))
+                known = seen.get(new)
                 if known is None:
                     if len(seen) >= bound:
                         raise GroupTooLarge(
                             f"matrix group exceeds bound {bound}")
-                    seen[new[0][0]] = new
-                    nxt.append(new)
-                elif known[0] != new[0] or known[1] != new[1]:
+                    seen[new] = value
+                    nxt.append((new, value))
+                elif known != value:
                     raise NotAutomorphism(
                         "action is not faithful: two distinct group elements "
                         "induce the same permutation")
         frontier = nxt
-    return seen
+    action = PermAction(poset, [g[0] for g in gens] or [ident],
+                        max_group=max_group)
+    if len(action) != len(seen):
+        raise NotAutomorphism("permutation closure disagrees with the "
+                              "matrix closure")
+    return action, seen
 
 
 def primitive_vector(v):
@@ -230,6 +262,24 @@ class LatticeFan:
         return f"LatticeFan(dim={self.dim}, rays={len(self.rays)}, cones={self.n})"
 
 
+def vertex_permutation(vertices):
+    """Point rule for :func:`matrix_action`: each vertex image must be a
+    vertex, found by exact lookup."""
+    index = {v: k for k, v in enumerate(vertices)}
+
+    def perm(matrix):
+        out = []
+        for v in vertices:
+            k = index.get(mat_vec(matrix, v))
+            if k is None:
+                raise NotAutomorphism(
+                    f"matrix maps vertex {v} outside the vertex set")
+            out.append(k)
+        return tuple(out)
+
+    return perm
+
+
 def _ray_permutation(fan, matrix):
     """Permutation of ray indices induced by a matrix, or a loud failure."""
     perm = []
@@ -249,49 +299,20 @@ def _ray_permutation(fan, matrix):
     return tuple(perm)
 
 
-def _cone_permutation(fan, ray_perm):
-    cone_index = {c: k for k, c in enumerate(fan.cones)}
-    perm = []
-    for c in fan.cones:
-        image = frozenset(ray_perm[k] for k in c)
-        k = cone_index.get(image)
-        if k is None:
-            raise NotAutomorphism(
-                f"matrix maps cone {sorted(c)} outside the fan")
-        perm.append(k)
-    return tuple(perm)
-
-
 class EquivFanAction:
     """A finite matrix group acting on a fan.
 
     Generators are integer matrices; each must permute the rays (up to
-    positive scale) and the cones.  The closure is generated eagerly and
-    the action must be faithful on the face poset, so that evaluating a
-    kernel at a poset permutation picks out one well-defined matrix.
+    positive scale) and the cones.  The group is built by
+    :func:`matrix_action`, so it is closed eagerly and must act faithfully
+    on the face poset.
     """
 
     def __init__(self, fan, matrices, max_group=None):
         self.fan = fan
-        gen_pairs = []
-        for m in matrices:
-            mat = tuple(tuple(Fraction(x) for x in row) for row in m)
-            rperm = _ray_permutation(fan, mat)
-            cperm = _cone_permutation(fan, rperm)
-            gen_pairs.append((cperm, rperm, mat))
-        n = fan.n
-        ident = ((tuple(range(n)), tuple(range(len(fan.rays)))),
-                 identity_matrix_fr(fan.dim))
-        pairs = [((cp, rp), m) for (cp, rp, m) in gen_pairs]
-        seen = perm_matrix_closure(pairs, ident, max_group=max_group)
-        self._by_perm = {cp: (perms[1], m)
-                         for cp, (perms, m) in seen.items()}
-        self.action = PermAction(fan.face_poset,
-                                 [cp for (cp, _rp, _m) in gen_pairs] or
-                                 [ident[0][0]])
-        if len(self.action) != len(seen):
-            raise NotAutomorphism("permutation closure disagrees with the "
-                                  "matrix closure")
+        self.action, self._by_perm = matrix_action(
+            fan.face_poset, fan.cones, fan.dim, matrices,
+            lambda mat: _ray_permutation(fan, mat), max_group=max_group)
 
     def matrix_of(self, w):
         return self._by_perm[tuple(w)][1]
@@ -332,11 +353,6 @@ def induced_charpoly(matrix, sub_basis, ext_vectors):
     return charpoly(induced)
 
 
-def _complement(small_basis, big_generators):
-    """Deterministic complement: first independent generators, in order."""
-    return extend_basis(small_basis, big_generators)
-
-
 def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,
                 validate=True):
     """Kernel from span data: quotient characteristic polynomials.
@@ -352,7 +368,7 @@ def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,
     vals = {}
     for (i, j) in poset.intervals():
         stab = action.stabilizer(i, j)
-        comp = _complement(spans[i], generators[j])
+        comp = extend_basis(spans[i], generators[j])
         values = {}
         for w in stab:
             p = induced_charpoly(matrix_of(w), spans[i], comp)
@@ -474,39 +490,11 @@ class PolytopeGeometry:
         Each matrix must permute the vertices; the face permutation must
         be faithful so kernels can evaluate matrices at permutations.
         """
-        vert_index = {v: k for k, v in enumerate(self.vertices)}
-        face_index = {f: k for k, f in enumerate(self.faces)}
-        perms = []
-        gen_pairs = []
-        for m in matrices:
-            mat = frac_matrix(m)
-            vperm = []
-            for v in self.vertices:
-                image = tuple(mat_vec(mat, v))
-                k = vert_index.get(image)
-                if k is None:
-                    raise NotAutomorphism(
-                        f"matrix maps vertex {v} outside the vertex set")
-                vperm.append(k)
-            fperm = []
-            for f in self.faces:
-                image = frozenset(vperm[k] for k in f)
-                k = face_index.get(image)
-                if k is None:
-                    raise NotAutomorphism(
-                        "matrix does not permute the faces")
-                fperm.append(k)
-            fperm = tuple(fperm)
-            perms.append(fperm)
-            gen_pairs.append(((fperm,), mat))
-        n = self.poset.n
-        ident = ((tuple(range(n)),), identity_matrix_fr(self.dim))
-        seen = perm_matrix_closure(gen_pairs, ident, max_group=max_group)
-        by_perm = {cp: m for cp, (_perms, m) in seen.items()}
-        action = PermAction(self.poset, perms or [ident[0][0]])
-        if len(action) != len(by_perm):
-            raise NotAutomorphism("permutation closure disagrees with the "
-                                  "matrix closure")
+        action, pairs = matrix_action(self.poset, self.faces, self.dim,
+                                      matrices,
+                                      vertex_permutation(self.vertices),
+                                      max_group=max_group)
+        by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
         for w in action.generators:
             if w[self.face_index] != self.face_index:
                 raise NotAutomorphism("action does not fix the designated "

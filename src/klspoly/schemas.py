@@ -139,11 +139,12 @@ def build_fan(payload, max_group=None):
     """Return (fan, action-or-None) from a fan payload."""
     try:
         fan = LatticeFan.from_json(payload)
+        action = None
+        if payload.get("action") is not None:
+            action = EquivFanAction.from_json(fan, payload["action"],
+                                              max_group=max_group)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad fan payload: {exc}") from exc
-    action = None
-    if payload.get("action") is not None:
-        action = EquivFanAction.from_json(fan, payload["action"], max_group=max_group)
     return fan, action
 
 

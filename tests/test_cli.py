@@ -8,7 +8,7 @@ from klspoly import cli
 from klspoly.ehrhart import ComplexCylinder
 from klspoly.poset import chain
 from klspoly.schemas import save_document
-from klspoly.verify import load_complex_fixture
+from klspoly.verify import load_complex_fixture, load_fixture
 
 
 def run(capsys, argv):
@@ -199,6 +199,22 @@ def test_malformed_document_is_an_input_error(capsys, tmp_path):
     wrong.write_text(json.dumps({"schema": "poset", "v": 1}))
     code, out = run(capsys, ["kls", str(wrong), "--what", "g"])
     assert code == 2
+
+
+@pytest.mark.parametrize("action", [
+    {"matrices": [[["a", 0], [0, 1]]]},
+    {"matrices": 5},
+    {},
+], ids=["non-number-entry", "matrices-not-a-list", "no-matrices"])
+def test_malformed_fan_action_is_an_input_error(capsys, tmp_path, action):
+    _tag, payload = load_fixture("square_fan_z4.json", expect="fan")
+    payload["action"] = action
+    path = tmp_path / "fan.json"
+    save_document(path, "fan", payload)
+    code = cli.main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
 
 
 def test_group_size_bound_from_environment(capsys, monkeypatch):

@@ -10,9 +10,10 @@ from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              interior_faces, localhstar_via_localh,
                              polynomial_action_check, reciprocity_check,
                              simplex_hstar, simplex_local_hstar)
-from klspoly.equivariant import ClassPoly, classpoly_json
+from klspoly.equivariant import ClassPoly, NotAutomorphism, classpoly_json
 from klspoly.polynomial import Poly
-from klspoly.verify import COMPLEX_FIXTURES, load_complex_fixture
+from klspoly.verify import (COMPLEX_FIXTURES, load_complex_fixture,
+                            load_fixture)
 
 
 def test_box_points_of_small_simplices():
@@ -178,3 +179,30 @@ def test_degenerate_complex_rejected():
             1, [(0,), (1,), (2,)],
             [[], [0], [1], [2], [0, 1, 2]],
             [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def _segment(matrices=None, coarse_faces=None):
+    """The flip-symmetric [0, 2] segment with its action or coarsening
+    replaced."""
+    _tag, payload = load_fixture("seg2_flip.json", expect="complex")
+    if matrices is not None:
+        payload["affine_action"] = {"matrices": matrices}
+    if coarse_faces is not None:
+        payload["coarse"]["faces"] = coarse_faces
+    return LatticeSimplexComplex.from_json(payload)
+
+
+def test_complex_action_rejections():
+    assert len(_segment().action) == 2
+    with pytest.raises(NotAutomorphism, match="not 2 x 2"):
+        _segment(matrices=[[[-1]]])
+    with pytest.raises(ComplexError, match="fix the last coordinate"):
+        _segment(matrices=[[[-1, 2], [0, 2]]])
+    with pytest.raises(NotAutomorphism, match="outside the vertex set"):
+        _segment(matrices=[[[1, 1], [0, 1]]])
+
+
+def test_a_group_that_moves_the_coarsening_is_refused():
+    # the flip sends the coarse vertex {0} to {2}, which is no coarse face
+    with pytest.raises(NotAutomorphism, match="coarsening"):
+        _segment(coarse_faces=[[], [0], [1], [0, 1, 2]])

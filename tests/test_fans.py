@@ -16,7 +16,7 @@ from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
 from klspoly.linalg import charpoly, fixed_space_dim
 from klspoly.polynomial import Poly, poly_rev
 from klspoly.schemas import load_document
-from klspoly.verify import fixture_path
+from klspoly.verify import fixture_path, hexagon_polytope
 
 
 def load_fan_fixture(name):
@@ -220,6 +220,35 @@ def test_matrix_action_rejections():
         EquivFanAction(fan, [[[2, 0], [0, 2]]], 10_000)
     with pytest.raises(GroupTooLarge):
         EquivFanAction(fan, [[[0, -1], [1, 0]]], 2)
+
+
+def test_matrix_action_rejects_a_wrong_size_matrix():
+    fan, _ = load_fan_fixture("square_fan_z4.json")
+    with pytest.raises(NotAutomorphism, match="not 2 x 2"):
+        EquivFanAction(fan, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], 10_000)
+    with pytest.raises(NotAutomorphism, match="not 2 x 2"):
+        EquivFanAction(fan, [[[0, -1], [1]]], 10_000)
+
+
+def test_polytope_action_rejects_a_vertex_mapped_outside():
+    verts, faces, covers = hexagon_polytope()
+    _triple, geom = polytope_cone_triple(verts, faces, covers, 13)
+    with pytest.raises(NotAutomorphism, match="outside the vertex set"):
+        geom.action([[[2, 0], [0, 2]]])
+
+
+def test_an_explicit_max_group_overrides_the_environment(monkeypatch):
+    monkeypatch.setenv("KLS_MAX_GROUP", "4")
+    fan, _ = load_fan_fixture("square_fan_z4.json")
+    dihedral = [[[0, -1], [1, 0]], [[1, 0], [0, -1]]]
+    assert len(EquivFanAction(fan, dihedral, 100).action) == 8
+    verts, faces, covers = hexagon_polytope()
+    _triple, geom = polytope_cone_triple(verts, faces, covers, 13)
+    action, by_perm = geom.action([((1, -1), (1, 0)), ((0, 1), (1, 0))],
+                                  max_group=100)
+    assert len(action) == len(by_perm) == 12
+    with pytest.raises(GroupTooLarge):
+        EquivFanAction(fan, dihedral)
 
 
 def test_fan_json_roundtrip():
