@@ -472,8 +472,7 @@ def cmd_ehrhart(args):
     if args.what == "series":
         lines = []
         table = []
-        for cls in action.conjugacy_classes():
-            rep = min(cls)
+        for rep in action.stabilizer().reps:
             series = ehr_series(cx, rep, order=order)
             counts = [series.coeff(m) for m in range(order + 1)]
             wid = action.element_id(rep)
@@ -485,8 +484,7 @@ def cmd_ehrhart(args):
         return EXIT_OK
     # reciprocity
     results = []
-    for cls in action.conjugacy_classes():
-        rep = min(cls)
+    for rep in action.stabilizer().reps:
         results.append((f"reciprocity w{action.element_id(rep)}",
                         reciprocity_check(cx, rep, order=order)))
     ok, lines, checks = _check_lines(results)

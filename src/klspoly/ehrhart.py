@@ -26,6 +26,7 @@ from .equivariant import (
     EquivIncidenceElement,
     NotAutomorphism,
     PermAction,
+    _classpoly,
     equiv_invert,
     equiv_local_invariants,
     equiv_multiply,
@@ -119,7 +120,7 @@ class LatticeSimplexComplex:
         if len(set(self.vertices)) != len(self.vertices):
             raise ComplexError("duplicate vertices")
         self.lifted = tuple(_lift(v) for v in self.vertices)
-        self.faces = tuple(frozenset(f) for f in faces)
+        self.faces = _vertex_sets(faces, len(self.vertices), "face")
         if frozenset() not in self.faces:
             raise ComplexError("the empty face must be listed")
         if len(set(self.faces)) != len(self.faces):
@@ -177,7 +178,8 @@ class LatticeSimplexComplex:
         self.coarse_poset = None
         if coarse is None:
             return
-        cfaces = tuple(frozenset(f) for f in coarse["faces"])
+        cfaces = _vertex_sets(coarse["faces"], len(self.vertices),
+                              "coarse face")
         if frozenset() not in cfaces:
             raise ComplexError("the coarse empty face must be listed")
         if len(set(cfaces)) != len(cfaces):
@@ -253,6 +255,8 @@ class LatticeSimplexComplex:
     @classmethod
     def from_json(cls, payload, max_group=None):
         action = payload.get("affine_action") or {}
+        if not isinstance(action, dict):
+            raise ComplexError("affine_action must be an object")
         return cls(payload["dim"], payload["vertices"], payload["faces"],
                    payload["covers"], matrices=action.get("matrices"),
                    coarse=payload.get("coarse"), max_group=max_group)
@@ -276,6 +280,16 @@ class LatticeSimplexComplex:
                 f"faces={self.poset.n}, |W|={len(self.action)})")
 
 
+def _vertex_sets(faces, nverts, what):
+    """Faces as frozensets of vertex indices, each index in range."""
+    out = tuple(frozenset(f) for f in faces)
+    for f in out:
+        if any(k < 0 or k >= nverts for k in f):
+            raise ComplexError(f"{what} {sorted(f)} references a missing "
+                               f"vertex")
+    return out
+
+
 def _fixed_count(points, matrix):
     return sum(1 for u in points if tuple(mat_vec(matrix, u)) == u)
 
@@ -284,13 +298,13 @@ def _char_from_boxes(cx, z, strictness):
     stab = cx.action.stabilizer(z)
     boxes = cx.boxes(z, strictness)
     values = {}
-    for w in stab:
+    for w in stab.reps:
         mat = cx.by_perm[w]
         coeffs = [0] * (len(cx.faces[z]) or 1)
         for m, pts in boxes.items():
             coeffs[m] = _fixed_count(pts, mat)
         values[w] = Poly(coeffs)
-    return ClassPoly(stab, values)
+    return _classpoly(stab, values)
 
 
 def simplex_hstar(cx, z):
@@ -323,12 +337,10 @@ class HStarData:
         for z in range(cx.poset.n):
             h = simplex_hstar(cx, z)
             l = simplex_local_hstar(cx, z)
-            r = len(cx.faces[z])
-            for w in cx.action.stabilizer(z):
-                if poly_rev(l.ev(w), r) != l.ev(w):
-                    raise ComplexError(
-                        f"open-box polynomial of face {cx.poset.labels[z]} "
-                        f"is not symmetric")
+            if l.rev(len(cx.faces[z])) != l:
+                raise ComplexError(
+                    f"open-box polynomial of face {cx.poset.labels[z]} "
+                    f"is not symmetric")
             if any(c < 0 or c != int(c) for c in h.ev(ident).coeffs):
                 raise ComplexError("box counts must be nonnegative integers")
             self.hstar[z] = h
@@ -512,12 +524,12 @@ def hstar_from_subdivision(cx, data=None):
     """
     data = data if data is not None else HStarData(cx)
     interior = interior_faces(cx)
-    group = frozenset(cx.action.elements)
+    group = cx.action.stabilizer()
     total = ClassPoly.constant(group, ZERO)
     for z in cx.action.orbit_reps(interior):
         stab = cx.action.stabilizer(z)
-        factor = ClassPoly(stab, {w: _ambient_charpoly(cx, z, w)
-                                  for w in stab})
+        factor = _classpoly(stab, {w: _ambient_charpoly(cx, z, w)
+                                   for w in stab.reps})
         total = total + (data.hstar[z] * factor).induce(group)
     ident = cx.action.identity
     if total.ev(ident).degree > cx.dim:
@@ -609,7 +621,8 @@ class ComplexCylinder:
         for fp in (cx.action.generators or [cx.action.identity]):
             cp = cx.coarse_perm[fp]
             gamma_gens.append(tuple(fp) + tuple(c + nx for c in cp))
-        self.action = PermAction(self.triple.gamma, gamma_gens)
+        self.action = PermAction(self.triple.gamma, gamma_gens,
+                                 max_group=len(cx.action))
         self._to_fine = {}
         for fp in cx.action.elements:
             cp = cx.coarse_perm[fp]
@@ -625,6 +638,12 @@ class ComplexCylinder:
         self.weak_rank = WeakRank.natural(self.triple.gamma)
 
     def fine_of(self, w):
+        """The fine complex group element of a cylinder permutation.
+
+        A cylinder permutation starts with its fine permutation, so this
+        isomorphism preserves the order of permutations and maps class
+        representatives to class representatives.
+        """
         return self._to_fine[tuple(w)]
 
     def top(self):
@@ -634,25 +653,31 @@ class ComplexCylinder:
         return tops[0]
 
 
-def _cylinder_bottom_row(cyl, per_face, x_only):
+def _cylinder_bottom_row(cyl, per_face):
     """Lift per-face polynomials of the fine complex onto the cylinder's
-    bottom row, optionally restricted to the fine part."""
-    cx = cyl.cx
-    gamma = cyl.triple.gamma
-    bottom = gamma.bottom()
-    nx = cx.poset.n
+    bottom row."""
+    bottom = cyl.triple.gamma.bottom()
     vals = {}
-    for z in range(gamma.n):
-        if z < nx:
-            cp = per_face.get(z)
-            if cp is None:
-                continue
-            stab = cyl.action.stabilizer(bottom, z)
-            vals[(bottom, z)] = ClassPoly(
-                stab, {w: cp.ev(cyl.fine_of(w)) for w in stab})
-        elif not x_only:
-            raise ComplexError("coarse-side values not supported here")
+    for z, cp in per_face.items():
+        stab = cyl.action.stabilizer(bottom, z)
+        vals[(bottom, z)] = _classpoly(
+            stab, {w: cp.ev(cyl.fine_of(w)) for w in stab.reps})
     return EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
+
+
+def _via_localh(cx, cylinder, invariants, data, field):
+    """The open-box element of the fine faces times the ``field`` row of
+    the local invariants, read at (bottom, top) and moved to the complex's
+    group."""
+    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
+    inv = invariants if invariants is not None else equiv_local_invariants(
+        cyl.triple, cyl.weak_rank, cyl.action, cyl.kappa)
+    data = data if data is not None else HStarData(cx)
+    lstar = _cylinder_bottom_row(cyl, data.local)
+    product = equiv_multiply(lstar, getattr(inv, field))
+    out = product.value(cyl.triple.gamma.bottom(), cyl.top())
+    return _classpoly(cx.action.stabilizer(),
+                      {cyl.fine_of(w): v for w, v in out.values.items()})
 
 
 def hstar_via_localh(cx, cylinder=None, invariants=None, data=None):
@@ -662,28 +687,12 @@ def hstar_via_localh(cx, cylinder=None, invariants=None, data=None):
     the fine-to-coarse map at (face, top); with a unimodular triangulation
     this collapses to the local h at the bottom interval.
     """
-    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
-    inv = invariants if invariants is not None else equiv_local_invariants(
-        cyl.triple, cyl.weak_rank, cyl.action, cyl.kappa)
-    data = data if data is not None else HStarData(cx)
-    lstar = _cylinder_bottom_row(cyl, data.local, x_only=True)
-    product = equiv_multiply(lstar, inv.h_sigma)
-    out = product.value(cyl.triple.gamma.bottom(), cyl.top())
-    return ClassPoly(frozenset(cx.action.elements),
-                     {cyl.fine_of(w): out.ev(w) for w in out.group})
+    return _via_localh(cx, cylinder, invariants, data, "h_sigma")
 
 
 def localhstar_via_localh(cx, cylinder=None, invariants=None, data=None):
     """Open-box polynomial of the polytope from local subdivision data."""
-    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
-    inv = invariants if invariants is not None else equiv_local_invariants(
-        cyl.triple, cyl.weak_rank, cyl.action, cyl.kappa)
-    data = data if data is not None else HStarData(cx)
-    lstar = _cylinder_bottom_row(cyl, data.local, x_only=True)
-    product = equiv_multiply(lstar, inv.ell_sigma)
-    out = product.value(cyl.triple.gamma.bottom(), cyl.top())
-    return ClassPoly(frozenset(cx.action.elements),
-                     {cyl.fine_of(w): out.ev(w) for w in out.group})
+    return _via_localh(cx, cylinder, invariants, data, "ell_sigma")
 
 
 def coarse_hstar(cx, cylinder=None, data=None):
@@ -695,7 +704,7 @@ def coarse_hstar(cx, cylinder=None, data=None):
     """
     cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
     data = data if data is not None else HStarData(cx)
-    hstar_x = _cylinder_bottom_row(cyl, data.hstar, x_only=True)
+    hstar_x = _cylinder_bottom_row(cyl, data.hstar)
     crossing = cyl.triple.mask_interior(cyl.kappa)
     product = equiv_multiply(hstar_x, crossing)
     gamma = cyl.triple.gamma
@@ -705,15 +714,14 @@ def coarse_hstar(cx, cylinder=None, data=None):
     for y in range(nx, gamma.n):
         cp = product.value(bottom, y)
         values = {}
-        for w in cp.group:
-            num = cp.ev(w)
+        for w, num in cp.values.items():
             div, rem = poly_divmod_t_minus_1(num)
             if rem != 0:
                 raise ComplexError(
                     f"coarse face {gamma.labels[y]} has a non-polynomial "
                     f"count at some group element")
             values[w] = div
-        out[y - nx] = ClassPoly(cp.group, values)
+        out[y - nx] = _classpoly(cp.group, values)
     return out
 
 
@@ -728,17 +736,10 @@ def check_hstar_identity(cx, cylinder=None, data=None):
     cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
     data = data if data is not None else HStarData(cx)
     coarse = coarse_hstar(cx, cylinder=cyl, data=data)
-    gamma = cyl.triple.gamma
-    bottom = gamma.bottom()
+    bottom = cyl.triple.gamma.bottom()
     nx = cx.poset.n
-    vals = {}
-    for z in range(gamma.n):
-        if z < nx:
-            stab = cyl.action.stabilizer(bottom, z)
-            vals[(bottom, z)] = ClassPoly(
-                stab, {w: data.hstar[z].ev(cyl.fine_of(w)) for w in stab})
-        else:
-            vals[(bottom, z)] = coarse[z - nx]
+    vals = dict(_cylinder_bottom_row(cyl, data.hstar).vals)
+    vals.update({(bottom, y + nx): cp for y, cp in coarse.items()})
     full = EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
     tm1 = Poly([-1, 1])
     lhs = cyl.triple.mask_xy(full).scale(tm1)

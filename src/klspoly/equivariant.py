@@ -9,8 +9,10 @@ element w collapses an equivariant element to an ordinary incidence element
 on the fixed poset B^w, and this evaluation is an algebra homomorphism.
 
 That homomorphism is also the computational workhorse here: kernels are
-validated and the f/g/Z solvers run on each fixed poset B^w separately,
-and the per-w answers are reassembled into class-function form.  Assembly
+validated on every fixed poset B^w, the f/g/Z solvers run on the fixed
+posets of the class representatives of each interval stabilizer (values
+are class functions, stored once per conjugacy class), and the per-w
+answers are reassembled into class-function form.  Assembly
 is then validated against the conjugation-compatibility condition that
 defines the equivariant algebra, and one interval of each solve is
 re-verified through the induction/restriction product so that the two
@@ -72,6 +74,52 @@ def _group_bound(max_group):
     return int(env) if env else DEFAULT_MAX_GROUP
 
 
+class Subgroup:
+    """A concrete group of permutations together with its conjugacy classes.
+
+    ``elements`` is the frozenset of members.  ``reps`` lists the smallest
+    element of each conjugacy class in increasing order, ``class_of`` maps
+    every element to the representative of its class, and ``size`` maps a
+    representative to the size of its class.  Iteration, ``len`` and
+    ``<=`` act on the elements.
+    """
+
+    __slots__ = ("elements", "reps", "class_of", "size")
+
+    def __init__(self, elements):
+        self.elements = frozenset(elements)
+        pairs = [(x, perm_inv(x)) for x in self.elements]
+        self.class_of = {}
+        self.size = {}
+        for w in sorted(self.elements):
+            if w not in self.class_of:
+                cls = {perm_mul(perm_mul(x, w), xi) for x, xi in pairs}
+                self.class_of.update(dict.fromkeys(cls, w))
+                self.size[w] = len(cls)
+        self.reps = tuple(self.size)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __le__(self, other):
+        return self.elements <= other.elements
+
+    def __eq__(self, other):
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self is other or self.elements == other.elements
+
+    def __hash__(self):
+        return hash(self.elements)
+
+    def __repr__(self):
+        return (f"Subgroup(order={len(self.elements)}, "
+                f"classes={len(self.reps)})")
+
+
 class PermAction:
     """A finite group of poset automorphisms, given by generators.
 
@@ -79,9 +127,9 @@ class PermAction:
     preserve the order relation in both directions, preserve the rank
     function when the poset has one, and preserve ``weak_rank`` when one is
     supplied.  The full group is generated eagerly (breadth-first) so that
-    stabilizers, orbits and conjugacy classes are plain set operations; a
-    size bound (argument, else the KLS_MAX_GROUP environment variable,
-    else 10^4) keeps that from exploding.
+    stabilizers and conjugacy classes are plain set operations; a size
+    bound (argument, else the KLS_MAX_GROUP environment variable, else
+    10^4) keeps that from exploding.
     """
 
     def __init__(self, poset, generators, weak_rank=None, max_group=None):
@@ -114,8 +162,8 @@ class PermAction:
         self.identity = ident
         self._index = {w: k for k, w in enumerate(self.elements)}
         self._stab_cache = {}
+        self._subgroups = {}
         self._fixed_cache = {}
-        self._class_cache = {}
 
     def _check_automorphism(self, g):
         poset = self.poset
@@ -148,50 +196,31 @@ class PermAction:
     def element_id(self, w):
         return self._index[tuple(w)]
 
-    def orbit(self, z):
-        return frozenset(w[z] for w in self.elements)
-
-    def orbits(self):
-        seen = set()
-        out = []
-        for z in range(self.poset.n):
-            if z in seen:
-                continue
-            orb = self.orbit(z)
-            seen |= orb
-            out.append(orb)
-        return out
-
     def stabilizer(self, *points):
-        """Subgroup fixing every listed element pointwise."""
-        key = tuple(points)
-        cached = self._stab_cache.get(key)
+        """Subgroup fixing every listed element pointwise.
+
+        With no points this is the whole group.  Subgroups with the same
+        elements are one shared object, so their conjugacy classes are
+        computed once.
+        """
+        cached = self._stab_cache.get(points)
         if cached is None:
-            cached = frozenset(
+            elements = frozenset(
                 w for w in self.elements if all(w[z] == z for z in points))
-            self._stab_cache[key] = cached
+            cached = self._subgroups.get(elements)
+            if cached is None:
+                cached = self._subgroups[elements] = Subgroup(elements)
+            self._stab_cache[points] = cached
         return cached
 
-    def conjugacy_classes(self, subgroup=None):
-        """Conjugacy classes of a subgroup, each as a frozenset.
+    def conjugacy_classes(self):
+        """Conjugacy classes of the group, each as a frozenset.
 
-        Classes of the whole group by default; sorted by their smallest
-        member so that representatives are deterministic.
+        Sorted by their smallest member, which is the class representative.
         """
-        group = frozenset(self.elements) if subgroup is None else frozenset(subgroup)
-        cached = self._class_cache.get(group)
-        if cached is not None:
-            return cached
-        remaining = set(group)
-        classes = []
-        while remaining:
-            w = min(remaining)
-            cls = frozenset(perm_mul(perm_mul(x, w), perm_inv(x)) for x in group)
-            remaining -= cls
-            classes.append(cls)
-        classes.sort(key=min)
-        self._class_cache[group] = classes
-        return classes
+        group = self.stabilizer()
+        return [frozenset(w for w, r in group.class_of.items() if r == rep)
+                for rep in group.reps]
 
     def orbit_reps(self, candidates, subgroup=None):
         """Smallest-index representatives of the subgroup orbits on a set."""
@@ -250,47 +279,64 @@ def validate_action(action, poset=None, rank=None, q=None):
     return CheckResult.passed()
 
 
+def _as_poly(v):
+    return v if isinstance(v, Poly) else Poly(v)
+
+
+def _classpoly(group, values):
+    """The ClassPoly on Subgroup ``group`` with ``values`` {rep: Poly}.
+
+    The dict is taken over unchecked: every computed class polynomial is
+    built here, from arithmetic on class polynomials or from evaluation at
+    the carrier's class representatives.
+    """
+    cp = object.__new__(ClassPoly)
+    cp.group = group
+    cp.values = values
+    return cp
+
+
 class ClassPoly:
     """Polynomial with rational class-function coefficients.
 
-    The carrier is a concrete subgroup (frozenset of permutations) and the
-    value is one ordinary polynomial per carrier element, constant on the
-    carrier's conjugacy classes.  Addition and multiplication are pointwise
-    (multiplication of characters is the character of the tensor product);
-    ``res``/``induce`` move between carriers.
+    The carrier is a Subgroup and ``values`` holds one ordinary polynomial
+    per conjugacy class, keyed by the class representative, so class
+    constancy holds by construction.  Addition and multiplication are
+    classwise (multiplication of characters is the character of the tensor
+    product); ``res``/``induce`` move between carriers.
     """
 
     __slots__ = ("group", "values")
 
-    def __init__(self, group, values, validate=True):
-        self.group = frozenset(group)
-        vals = {}
-        for w in self.group:
-            v = values.get(w)
-            if v is None:
-                raise ValueError(f"missing value on carrier element {w}")
-            vals[w] = v if isinstance(v, Poly) else Poly(v)
-        self.values = vals
-        if len(vals) != len(values):
-            raise ValueError("value keys outside the carrier subgroup")
-        if validate:
-            self._check_class_constant()
+    def __init__(self, group, values):
+        """Class polynomial from a dict keyed by carrier elements.
 
-    def _check_class_constant(self):
-        for x in self.group:
-            xi = perm_inv(x)
-            for w in self.group:
-                if self.values[perm_mul(perm_mul(x, w), xi)] != self.values[w]:
-                    raise ValueError(
-                        "values are not constant on conjugacy classes")
+        Every class representative needs a value; any other listed element
+        must carry the value of its representative.
+        """
+        vals = {}
+        for rep in group.reps:
+            v = values.get(rep)
+            if v is None:
+                raise ValueError(
+                    f"missing value on class representative {rep}")
+            vals[rep] = _as_poly(v)
+        for w, v in values.items():
+            rep = group.class_of.get(w)
+            if rep is None:
+                raise ValueError("value keys outside the carrier subgroup")
+            if _as_poly(v) != vals[rep]:
+                raise ValueError(
+                    f"values are not constant on the conjugacy class of {rep}")
+        self.group = group
+        self.values = vals
 
     @classmethod
     def constant(cls, group, poly):
-        poly = poly if isinstance(poly, Poly) else Poly(poly)
-        return cls(group, {w: poly for w in group}, validate=False)
+        return _classpoly(group, dict.fromkeys(group.reps, _as_poly(poly)))
 
     def ev(self, w):
-        return self.values[tuple(w)]
+        return self.values[self.group.class_of[tuple(w)]]
 
     @property
     def is_zero(self):
@@ -311,72 +357,60 @@ class ClassPoly:
 
     def __add__(self, other):
         self._same_carrier(other)
-        return ClassPoly(self.group,
-                         {w: self.values[w] + other.values[w] for w in self.group},
-                         validate=False)
+        return _classpoly(self.group, {r: v + other.values[r]
+                                       for r, v in self.values.items()})
 
     def __sub__(self, other):
         self._same_carrier(other)
-        return ClassPoly(self.group,
-                         {w: self.values[w] - other.values[w] for w in self.group},
-                         validate=False)
+        return _classpoly(self.group, {r: v - other.values[r]
+                                       for r, v in self.values.items()})
 
     def __neg__(self):
-        return ClassPoly(self.group, {w: -v for w, v in self.values.items()},
-                         validate=False)
+        return _classpoly(self.group, {r: -v for r, v in self.values.items()})
 
     def __mul__(self, other):
         self._same_carrier(other)
-        return ClassPoly(self.group,
-                         {w: self.values[w] * other.values[w] for w in self.group},
-                         validate=False)
+        return _classpoly(self.group, {r: v * other.values[r]
+                                       for r, v in self.values.items()})
 
     def scale(self, c):
-        c = c if isinstance(c, Poly) else Poly(c)
-        return ClassPoly(self.group, {w: v * c for w, v in self.values.items()},
-                         validate=False)
+        c = _as_poly(c)
+        return _classpoly(self.group, {r: v * c
+                                       for r, v in self.values.items()})
 
     def twist(self, signs):
-        """Multiply the value at each carrier element by its own scalar."""
-        return ClassPoly(self.group,
-                         {w: v * signs[w] for w, v in self.values.items()},
-                         validate=False)
+        """Multiply the value on each class by its representative's scalar."""
+        return _classpoly(self.group, {r: v * signs[r]
+                                       for r, v in self.values.items()})
 
     def rev(self, r):
-        return ClassPoly(self.group,
-                         {w: poly_rev(v, r) for w, v in self.values.items()},
-                         validate=False)
+        return _classpoly(self.group, {w: poly_rev(v, r)
+                                       for w, v in self.values.items()})
 
     def res(self, subgroup):
-        subgroup = frozenset(subgroup)
+        """Restriction to a Subgroup of the carrier."""
         if not subgroup <= self.group:
             raise ValueError("restriction target is not a subgroup of the carrier")
-        return ClassPoly(subgroup, {w: self.values[w] for w in subgroup},
-                         validate=False)
+        return _classpoly(subgroup, {r: self.ev(r) for r in subgroup.reps})
 
     def induce(self, group):
-        """Induce to a bigger carrier by the averaged-conjugation formula.
+        """Induce to a bigger carrier G by the Frobenius formula.
 
-        The value at g is (1/|H|) * sum of the values at x^{-1} g x over
-        all x in the big group for which the conjugate lands in the old
-        carrier H.
+        The value at g is |G| / (|H| |g^G|) times the sum of |c| f(c) over
+        the conjugacy classes c of the carrier H that lie in g^G.
         """
-        group = frozenset(group)
         if not self.group <= group:
             raise ValueError("induction target does not contain the carrier")
-        unit = Fraction(1, len(self.group))
-        values = {}
-        for g in group:
-            total = ZERO
-            for x in group:
-                conj = perm_mul(perm_mul(perm_inv(x), g), x)
-                if conj in self.group:
-                    total = total + self.values[conj]
-            values[g] = total * unit
-        return ClassPoly(group, values, validate=False)
+        sub = self.group
+        values = dict.fromkeys(group.reps, ZERO)
+        for c, v in self.values.items():
+            g = group.class_of[c]
+            values[g] = values[g] + v * Fraction(
+                len(group) * sub.size[c], len(sub) * group.size[g])
+        return _classpoly(group, values)
 
     def nonintegral_values(self):
-        """Coefficient values that fail integrality, as (w, i, value)."""
+        """Coefficient values that fail integrality, as (rep, i, value)."""
         bad = []
         for w in sorted(self.values):
             for i, c in enumerate(self.values[w].coeffs):
@@ -393,10 +427,10 @@ class EquivIncidenceElement:
 
     ``vals`` maps a comparable pair (i, j) to a ClassPoly whose carrier is
     the stabilizer of the pair.  Two conditions make such data equivariant:
-    each value is a class function on its stabilizer (checked by ClassPoly),
-    and values on intervals in the same orbit determine each other by
-    conjugation; ``validate_definition`` checks both and constructors used
-    on untrusted data run it.
+    each value is a class function on its stabilizer (which a ClassPoly is
+    by construction), and values on intervals in the same orbit determine
+    each other by conjugation; ``validate_definition`` checks the latter and
+    constructors used on untrusted data run it.
     """
 
     __slots__ = ("action", "weak_rank", "vals")
@@ -424,7 +458,9 @@ class EquivIncidenceElement:
         The value on (i, j) evaluated at u must equal the value on
         (w i, w j) evaluated at w u w^{-1}.  Checking generators suffices:
         the condition for a product of generators follows step by step,
-        provided the checked pairs cover whole interval orbits.
+        provided the checked pairs cover whole interval orbits.  Checking
+        class representatives u suffices too, since both sides are class
+        functions and conjugation by w maps classes to classes.
         """
         action = self.action
         pairs = set(self.vals)
@@ -436,9 +472,9 @@ class EquivIncidenceElement:
             for w in action.generators:
                 other = self.value(w[i], w[j])
                 winv = perm_inv(w)
-                for u in cp.group:
+                for u in cp.group.reps:
                     conj = perm_mul(perm_mul(w, u), winv)
-                    if cp.values[u] != other.values[conj]:
+                    if cp.values[u] != other.ev(conj):
                         return CheckResult.failed(
                             "conjugation-compatibility",
                             witness={"interval": [i, j], "w": list(w),
@@ -559,8 +595,7 @@ def equiv_multiply(p, q):
     without dividing by orbit sizes.
     """
     p._same_carrier(q)
-    action = p.action
-    poset = action.poset
+    poset = p.action.poset
     out = {}
     by_first = {}
     for (i, z) in p.vals:
@@ -572,22 +607,13 @@ def equiv_multiply(p, q):
         for j in range(poset.n):
             if not poset.leq(i, j):
                 continue
-            stab = action.stabilizer(i, j)
             candidates = [z for z in firsts if poset.leq(z, j)]
             if not candidates:
                 continue
-            total = None
-            for z in action.orbit_reps(candidates, subgroup=stab):
-                a = p.value(i, z)
-                b = q.value(z, j)
-                if a.is_zero or b.is_zero:
-                    continue
-                small = frozenset(w for w in stab if w[z] == z)
-                term = (a.res(small) * b.res(small)).induce(stab)
-                total = term if total is None else total + term
-            if total is not None and not total.is_zero:
+            total = _multiply_at(p, q, i, j, candidates)
+            if not total.is_zero:
                 out[(i, j)] = total
-    return EquivIncidenceElement(action, p.weak_rank, out, validate=False)
+    return EquivIncidenceElement(p.action, p.weak_rank, out, validate=False)
 
 
 def equiv_rev(p):
@@ -595,11 +621,6 @@ def equiv_rev(p):
     vals = {(i, j): cp.rev(p.weak_rank.value(i, j))
             for (i, j), cp in p.vals.items()}
     return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
-
-
-def _fixed_natural_rank(action, w):
-    sub, emb, _pos = action.fixed_poset(w)
-    return sub.natural_rank()
 
 
 def equiv_hat(p):
@@ -613,7 +634,7 @@ def equiv_hat(p):
     rank_of = {}
     for w in action.elements:
         try:
-            rank_of[w] = _fixed_natural_rank(action, w)
+            rank_of[w] = action.fixed_poset(w)[0].natural_rank()
         except PosetError as exc:
             raise ValueError(
                 f"fixed poset of {w} is not graded; hat is undefined: {exc}"
@@ -621,7 +642,7 @@ def equiv_hat(p):
     vals = {}
     for (i, j), cp in p.vals.items():
         signs = {}
-        for w in cp.group:
+        for w in cp.group.reps:
             _sub, _emb, pos = action.fixed_poset(w)
             ranks = rank_of[w]
             signs[w] = -1 if (ranks[pos[j]] - ranks[pos[i]]) % 2 else 1
@@ -657,8 +678,7 @@ def is_eulerian_action(action):
     conjugate elements are isomorphic); the witness names the offending
     group element.
     """
-    for cls in action.conjugacy_classes():
-        w = min(cls)
+    for w in action.stabilizer().reps:
         sub, _emb, _pos = action.fixed_poset(w)
         try:
             result = sub.is_lower_eulerian()
@@ -697,36 +717,33 @@ def equiv_kernel_validate(kappa):
     return CheckResult.passed()
 
 
-def _assemble(action, weak_rank, per_w):
+def _assemble(action, weak_rank, solve_at):
     """Glue per-fixed-poset incidence elements into class-function form.
 
-    ``per_w`` maps each group element to an incidence element on its fixed
-    poset.  The value on (i, j) collects, for every w stabilizing the pair,
-    the per-w value at the corresponding fixed-poset interval.  Class
-    constancy and conjugation compatibility of the collected data are
-    exactly what makes the input consistent, so both are validated and
-    failures raise AssemblyInconsistent.
+    ``solve_at(w)`` is an incidence element on the fixed poset of w.  The
+    value on (i, j) reads, at each class representative w of the
+    stabilizer of the pair, the per-w value at the corresponding
+    fixed-poset interval; ``solve_at`` runs once per distinct
+    representative, since fixed posets of conjugate elements are
+    isomorphic and the other elements of a class carry nothing new.
+    Conjugation compatibility of the collected data is exactly what makes
+    the input consistent, so it is validated and a failure raises
+    AssemblyInconsistent.
     """
+    solved = {}
     vals = {}
     for (i, j) in action.poset.intervals():
         stab = action.stabilizer(i, j)
         values = {}
-        for w in stab:
+        for w in stab.reps:
+            if w not in solved:
+                solved[w] = solve_at(w)
             _sub, _emb, pos = action.fixed_poset(w)
-            values[w] = per_w[w].value(pos[i], pos[j])
-        try:
-            cp = ClassPoly(stab, values)
-        except ValueError as exc:
-            raise AssemblyInconsistent(
-                f"interval ({i}, {j}): {exc}") from exc
+            values[w] = solved[w].value(pos[i], pos[j])
+        cp = _classpoly(stab, values)
         if not cp.is_zero:
             vals[(i, j)] = cp
-    try:
-        return EquivIncidenceElement(action, weak_rank, vals, validate=True)
-    except AssemblyInconsistent:
-        raise
-    except ValueError as exc:
-        raise AssemblyInconsistent(str(exc)) from exc
+    return EquivIncidenceElement(action, weak_rank, vals)
 
 
 def _crosscheck_interval(p):
@@ -744,85 +761,82 @@ def _crosscheck_interval(p):
     return best[1]
 
 
-def _multiply_at(p, q, i, j):
-    """One interval of equiv_multiply, for cheap cross-checks."""
+def _multiply_at(p, q, i, j, candidates):
+    """The value of p * q on [i, j], summed over middle elements z.
+
+    ``candidates`` must be stable under the stabilizer W_{i,j} and hold
+    every z with both p(i, z) and q(z, j) possibly nonzero.  Each
+    stabilizer orbit of candidates contributes the induction to W_{i,j} of
+    the product of the two restrictions to the three-point stabilizer
+    W_{i,z,j}.
+    """
     action = p.action
-    poset = action.poset
     stab = action.stabilizer(i, j)
     total = ClassPoly.constant(stab, ZERO)
-    for z in action.orbit_reps(poset.elements_between(i, j), subgroup=stab):
+    for z in action.orbit_reps(candidates, subgroup=stab):
         a = p.value(i, z)
         b = q.value(z, j)
         if a.is_zero or b.is_zero:
             continue
-        small = frozenset(w for w in stab if w[z] == z)
+        small = action.stabilizer(i, z, j)
         total = total + (a.res(small) * b.res(small)).induce(stab)
     return total
 
 
-def _solve_per_w(kappa, solver):
+def _equiv_solve(kappa, solver, name, left):
+    """Solve on the fixed posets and reassemble; then cross-check
+    rev(x) = x * kappa (``left``) or kappa * x on one deterministic
+    interval through the induction/restriction product."""
     action = kappa.action
-    per_w = {}
-    for w in action.elements:
-        per_w[w] = solver(ev_w(kappa, w))
-    return per_w
+    x = _assemble(action, kappa.weak_rank, lambda w: solver(ev_w(kappa, w)))
+    i, j = _crosscheck_interval(kappa)
+    p, q = (x, kappa) if left else (kappa, x)
+    if equiv_rev(x).value(i, j) != _multiply_at(
+            p, q, i, j, action.poset.elements_between(i, j)):
+        product = f"{name}*kernel" if left else f"kernel*{name}"
+        raise AssemblyInconsistent(
+            f"solved {name} fails rev({name}) = {product} on interval "
+            f"({i}, {j})")
+    return x
 
 
 def equiv_solve_g(kappa):
     """Equivariant left solution: rev(g) = g * kappa, g below half degree.
 
-    Solved on every fixed poset separately, reassembled, and cross-checked
-    on one deterministic interval through the induction/restriction
-    product.
+    Solved on the fixed posets of class representatives, reassembled, and
+    cross-checked on one deterministic interval through the
+    induction/restriction product.
     """
-    g = _assemble(kappa.action, kappa.weak_rank, _solve_per_w(kappa, solve_g))
-    i, j = _crosscheck_interval(kappa)
-    lhs = equiv_rev(g).value(i, j)
-    rhs = _multiply_at(g, kappa, i, j)
-    if lhs != rhs:
-        raise AssemblyInconsistent(
-            f"solved g fails rev(g) = g*kernel on interval ({i}, {j})")
-    return g
+    return _equiv_solve(kappa, solve_g, "g", left=True)
 
 
 def equiv_solve_f(kappa):
     """Equivariant right solution: rev(f) = kappa * f."""
-    f = _assemble(kappa.action, kappa.weak_rank, _solve_per_w(kappa, solve_f))
-    i, j = _crosscheck_interval(kappa)
-    lhs = equiv_rev(f).value(i, j)
-    rhs = _multiply_at(kappa, f, i, j)
-    if lhs != rhs:
-        raise AssemblyInconsistent(
-            f"solved f fails rev(f) = kernel*f on interval ({i}, {j})")
-    return f
+    return _equiv_solve(kappa, solve_f, "f", left=False)
 
 
 def equiv_z_function(kappa, g=None, f=None):
     """Equivariant Z = g * kappa * f, assembled from the fixed posets."""
     action = kappa.action
-    per_g = ({w: ev_w(g, w) for w in action.elements} if g is not None
-             else _solve_per_w(kappa, solve_g))
-    per_f = ({w: ev_w(f, w) for w in action.elements} if f is not None
-             else _solve_per_w(kappa, solve_f))
-    per_z = {w: z_function(ev_w(kappa, w), g=per_g[w], f=per_f[w])
-             for w in action.elements}
-    z = _assemble(action, kappa.weak_rank, per_z)
+    g = g if g is not None else equiv_solve_g(kappa)
+    f = f if f is not None else equiv_solve_f(kappa)
+    z = _assemble(action, kappa.weak_rank,
+                  lambda w: z_function(ev_w(kappa, w), g=ev_w(g, w),
+                                       f=ev_w(f, w)))
     if z != equiv_rev(z):
         raise AssemblyInconsistent("assembled Z is not symmetric")
     i, j = _crosscheck_interval(kappa)
-    g_elem = g if g is not None else _assemble(action, kappa.weak_rank, per_g)
-    f_elem = f if f is not None else _assemble(action, kappa.weak_rank, per_f)
-    if _multiply_at(equiv_rev(g_elem), f_elem, i, j) != z.value(i, j):
+    if _multiply_at(equiv_rev(g), f, i, j,
+                    action.poset.elements_between(i, j)) != z.value(i, j):
         raise AssemblyInconsistent(
             f"assembled Z disagrees with rev(g)*f on interval ({i}, {j})")
     return z
 
 
 def equiv_invert(p):
-    """Inverse, computed on every fixed poset and reassembled."""
+    """Inverse, computed on the fixed posets and reassembled."""
     action = p.action
-    per_w = {w: invert(ev_w(p, w)) for w in action.elements}
-    return _assemble(action, p.weak_rank, per_w)
+    return _assemble(action, p.weak_rank, lambda w: invert(ev_w(p, w)))
 
 
 def nonintegral_report(p):
@@ -848,11 +862,8 @@ def classpoly_json(action, cp):
     carrier, keyed by the class's smallest element id.
     """
     on = sorted(action.element_id(w) for w in cp.group)
-    values = []
-    for cls in action.conjugacy_classes(cp.group):
-        rep = min(cls)
-        values.append([action.element_id(rep), cp.values[rep].to_json()])
-    values.sort(key=lambda kv: kv[0])
+    values = sorted([action.element_id(rep), v.to_json()]
+                    for rep, v in cp.values.items())
     return {"on": on, "values": values}
 
 
@@ -880,7 +891,8 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     """Equivariant h, local-h and half-degree data of a subdivision.
 
     The action must fix q, preserve the cylinder rank, and have lower
-    Eulerian fixed posets.  On each fixed poset the element q cuts out the
+    Eulerian fixed posets.  On the fixed poset of each class
+    representative of an interval stabilizer the element q cuts out the
     fixed subdivision, whose ordinary local invariants are computed with
     the restricted weak rank and evaluated kernel; the per-element answers
     are assembled into class-function form.  Two defining identities are
@@ -897,21 +909,22 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     if not eul:
         raise ValueError(f"action is not Eulerian: {eul.describe()}")
 
-    per = {}
-    for w in action.elements:
-        sub, emb, pos = action.fixed_poset(w)
-        graded = sub.with_rank(sub.natural_rank())
-        triple_w = SubdivisionTriple(graded, pos[triple.q])
-        wr_w = weak_rank.restrict(graded, emb)
-        kw = ev_w(kappa, w)
-        kw = IncidenceElement(graded, wr_w, kw.vals)
-        per[w] = local_invariants(triple_w, wr_w, kw)
-    g = _assemble(action, weak_rank, {w: per[w].g for w in per})
-    h_sigma = _assemble(action, weak_rank, {w: per[w].h_sigma for w in per})
-    ell_sigma = _assemble(action, weak_rank,
-                          {w: per[w].ell_sigma for w in per})
-    delta_ell = _assemble(action, weak_rank,
-                          {w: per[w].delta_ell for w in per})
+    per = {}  # one local solve per representative, read by four assemblies
+
+    def local_at(w):
+        if w not in per:
+            sub, emb, pos = action.fixed_poset(w)
+            graded = sub.with_rank(sub.natural_rank())
+            triple_w = SubdivisionTriple(graded, pos[triple.q])
+            wr_w = weak_rank.restrict(graded, emb)
+            kw = IncidenceElement(graded, wr_w, ev_w(kappa, w).vals)
+            per[w] = local_invariants(triple_w, wr_w, kw)
+        return per[w]
+
+    g = _assemble(action, weak_rank, lambda w: local_at(w).g)
+    h_sigma = _assemble(action, weak_rank, lambda w: local_at(w).h_sigma)
+    ell_sigma = _assemble(action, weak_rank, lambda w: local_at(w).ell_sigma)
+    delta_ell = _assemble(action, weak_rank, lambda w: local_at(w).delta_ell)
 
     is_interior = {(i, j) for (i, j) in triple.gamma.intervals()
                    if triple.in_x(i) and triple.in_y(j)

@@ -29,7 +29,6 @@ from .linalg import (
     span_basis,
 )
 from .equivariant import (
-    ClassPoly,
     EquivIncidenceElement,
     GroupTooLarge,
     NotAutomorphism,
@@ -37,6 +36,7 @@ from .equivariant import (
     equiv_hat,
     equiv_kernel_validate,
     equiv_rev,
+    _classpoly,
     _group_bound,
     perm_mul,
 )
@@ -370,12 +370,12 @@ def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,
         stab = action.stabilizer(i, j)
         comp = extend_basis(spans[i], generators[j])
         values = {}
-        for w in stab:
+        for w in stab.reps:
             p = induced_charpoly(matrix_of(w), spans[i], comp)
             if crossing(i, j):
                 p = p * tm1
             values[w] = p
-        vals[(i, j)] = ClassPoly(stab, values)
+        vals[(i, j)] = _classpoly(stab, values)
     kernel = EquivIncidenceElement(action, weak_rank, vals)
     if validate:
         result = equiv_kernel_validate(kernel)

@@ -298,21 +298,6 @@ class Poset:
         """Induced subposet of elements fixed by an automorphism."""
         return self.subposet([i for i in range(self.n) if perm[i] == i])
 
-    def reorder(self, order):
-        """Relabel elements so that new element k is old element order[k]."""
-        if sorted(order) != list(range(self.n)):
-            raise PosetError("reorder requires a permutation of all elements")
-        pos = {z: k for k, z in enumerate(order)}
-        up = []
-        for z in order:
-            m = 0
-            for w in bits(self.up[z]):
-                m |= 1 << pos[w]
-            up.append(m)
-        labels = [self.labels[z] for z in order]
-        rank = None if self.rank is None else [self.rank[z] for z in order]
-        return Poset(up, labels, rank, _validated=True)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -338,7 +323,7 @@ class Poset:
 class IntervalIndex:
     """Flat enumeration of the intervals (comparable pairs) of a poset.
 
-    Provides O(1) lookup from a pair to its slot, and deterministic
+    Provides an O(1) membership test for a pair, and deterministic
     iteration orders for solvers.
     """
 
@@ -358,12 +343,6 @@ class IntervalIndex:
 
     def __iter__(self):
         return iter(self.pairs)
-
-    def slot(self, i, j):
-        try:
-            return self._slot[(i, j)]
-        except KeyError:
-            raise PosetError(f"({i}, {j}) is not an interval") from None
 
     def contains(self, i, j):
         return (i, j) in self._slot

@@ -186,6 +186,9 @@ def load_kernel_file(path, poset):
         for entry in obj["values"]:
             z, zp, coeffs = entry
             z, zp = int(z), int(zp)
+            if not (0 <= z < poset.n and 0 <= zp < poset.n):
+                raise DocumentError(
+                    f"kernel file names a missing element in ({z}, {zp})")
             if not poset.leq(z, zp):
                 raise DocumentError(
                     f"kernel file lists a non-comparable pair ({z}, {zp})")

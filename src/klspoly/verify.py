@@ -242,8 +242,8 @@ def square_fan_setup(max_group=None):
 def solver_crosscheck(kappa):
     """g and f from per-element reduction against the direct identities.
 
-    ``equiv_solve_g``/``equiv_solve_f`` work one group element at a time on
-    fixed posets; the defining equations ``rev(g) = g * kappa`` and
+    ``equiv_solve_g``/``equiv_solve_f`` work one class representative at a
+    time on fixed posets; the defining equations ``rev(g) = g * kappa`` and
     ``rev(f) = kappa * f`` are then re-verified with the
     induction/restriction product, which never looks at fixed posets.
     Finally Z = g * kappa * f must be symmetric under rev.

@@ -57,8 +57,7 @@ def random_equiv_element(action, weak_rank, rng, max_deg=2):
             winv = perm_inv(w)
             vals[key] = ClassPoly(
                 stab,
-                {u: cp.values[perm_mul(perm_mul(winv, u), w)] for u in stab},
-                validate=False)
+                {u: cp.ev(perm_mul(perm_mul(winv, u), w)) for u in stab})
     return EquivIncidenceElement(action, weak_rank, vals)
 
 

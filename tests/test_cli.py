@@ -217,6 +217,49 @@ def test_malformed_fan_action_is_an_input_error(capsys, tmp_path, action):
     assert captured.err.startswith("error:")
 
 
+def _complex_with(edit):
+    _tag, payload = load_fixture("unit_square.json", expect="complex")
+    edit(payload)
+    return "complex", payload
+
+
+def _set(path, value):
+    def edit(payload):
+        *keys, last = path
+        target = payload
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda: _complex_with(_set(["faces", 1], [99])), "missing vertex"),
+    (lambda: _complex_with(_set(["faces", 1], [-1])), "missing vertex"),
+    (lambda: _complex_with(_set(["coarse", "faces", 1], [99])),
+     "missing vertex"),
+    (lambda: _complex_with(_set(["affine_action"], 5)), "affine_action"),
+    (lambda: ("kernel", {"values": [[-1, 7, [1, -1]]]}), "(-1, 7)"),
+], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
+        "affine-action-not-an-object", "kernel-pair-out-of-range"])
+def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
+                                                  needle):
+    kind, payload = make()
+    path = tmp_path / "input.json"
+    if kind == "kernel":
+        path.write_text(json.dumps(payload))
+        argv = ["kls", "fixture:boolean3.json", "--what", "g",
+                "--kernel", str(path)]
+    else:
+        save_document(path, kind, payload)
+        argv = ["check", str(path)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert needle in captured.err
+
+
 def test_group_size_bound_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("KLS_MAX_GROUP", "2")
     code, out = run(capsys, ["check", "fixture:cone_square_z4.json"])

@@ -206,3 +206,10 @@ def test_a_group_that_moves_the_coarsening_is_refused():
     # the flip sends the coarse vertex {0} to {2}, which is no coarse face
     with pytest.raises(NotAutomorphism, match="coarsening"):
         _segment(coarse_faces=[[], [0], [1], [0, 1, 2]])
+
+
+def test_the_cylinder_honours_the_complex_group_bound(monkeypatch):
+    monkeypatch.setenv("KLS_MAX_GROUP", "2")
+    cx = load_complex_fixture("crosscut_d4.json", max_group=100)
+    cyl = ComplexCylinder(cx)
+    assert len(cyl.action) == len(cx.action) == 8

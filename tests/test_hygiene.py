@@ -50,3 +50,72 @@ def test_no_module_imports_an_unused_name():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == [], "unused imports:\n" + "\n".join(found)
+
+
+ROOT = PACKAGE.parents[1]
+SCANNED = [PACKAGE, ROOT / "tests", ROOT / "bench"]
+
+
+def _definitions(tree):
+    """(name, line) of every function, class and non-dunder method."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def _references(tree):
+    """Names, attribute names and imported names a module mentions."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                refs.add(alias.name.split(".")[-1])
+                if alias.asname:
+                    refs.add(alias.asname)
+    return refs
+
+
+def unreferenced_definitions(sources, targets):
+    """Definitions in ``targets`` that no module of ``sources`` mentions.
+
+    Both arguments map a label to a parsed module.  A definition counts as
+    referenced when its name appears anywhere except as its own
+    definition, so a function mentioned only inside its own body is still
+    referenced; the scan is a guard against dead code, not a call graph.
+    """
+    refs = set()
+    for tree in sources.values():
+        refs |= _references(tree)
+    return sorted((label, line, name) for label, tree in targets.items()
+                  for name, line in _definitions(tree) if name not in refs)
+
+
+def _parse_all(paths):
+    return {str(path.relative_to(ROOT)): ast.parse(
+                path.read_text(encoding="utf-8"))
+            for base in paths for path in sorted(base.rglob("*.py"))}
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    tree = ast.parse("class A:\n    def used(self):\n        pass\n"
+                     "    def unused(self):\n        pass\n"
+                     "    def __repr__(self):\n        return ''\n"
+                     "def helper():\n    return A().used()\n"
+                     "helper()\n")
+    found = unreferenced_definitions({"m": tree}, {"m": tree})
+    assert found == [("m", 4, "unused")]
+
+
+def test_every_package_definition_is_referenced():
+    sources = _parse_all(SCANNED)
+    targets = {label: tree for label, tree in sources.items()
+               if label.startswith("src/")}
+    found = [f"{label}:{line}: {name}" for label, line, name
+             in unreferenced_definitions(sources, targets)]
+    assert found == [], "unreferenced definitions:\n" + "\n".join(found)

@@ -6,7 +6,7 @@ from klspoly.poset import (Poset, PosetError, adjoin_max, boolean_algebra,
                            chain, cross_polytope_face_lattice,
                            cube_face_lattice, direct_product, from_covers,
                            polygon, pyramid, segment_subdivision,
-                           simplex_face_lattice)
+                           semisuspension, simplex_face_lattice)
 
 
 def test_boolean_algebra_shape():
@@ -118,3 +118,10 @@ def test_euler_check_catches_bad_rank():
     # where inconsistency surfaces
     flat = from_covers(2, [(0, 1)], rank=[0, 0])
     assert not flat.is_lower_eulerian()
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_semisuspension_of_a_segment_subdivision_is_a_polygon(s):
+    # the added element closes the path of s + 1 edges into a cycle
+    closed = semisuspension(segment_subdivision(s))
+    assert closed.same_order(polygon(s + 2))
