@@ -2,7 +2,8 @@
 
 A complex is a lattice triangulation of a polytope together with a finite
 group of affine lattice symmetries.  Everything is computed exactly: box
-points of simplices by rational barycentric solves, point counts of cones
+points of simplices by integer barycentric coordinates against one
+factored span per face (:class:`klspoly.linalg.Span`), point counts of cones
 by box points plus invariant ray combinations, and the assembly formulas
 expressing the counting polynomials of the whole polytope through the
 kernel machinery on the subdivision's face poset.
@@ -18,8 +19,7 @@ from fractions import Fraction
 from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
 from .poset import from_covers
 from .incidence import WeakRank
-from .linalg import (charpoly, express, extend_basis, identity_matrix,
-                     mat_vec, mat_rank, span_basis)
+from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
 from .status import CheckResult
 from .equivariant import (
     ClassPoly,
@@ -57,22 +57,25 @@ def _lift(v):
     return tuple(v) + (1,)
 
 
-def box_points(vertices, strictness, m):
+def box_points(span, strictness, m):
     """Lattice points in the (half-open or open) box of a simplex.
 
-    The simplex is given by its vertex coordinates; returned points are
-    the lattice vectors sum lambda_i (v_i, 1) with all lambda in [0,1)
-    ("half-open") or (0,1) ("open") and total lambda equal to m.  Raises
-    NotASimplex when the vertices are affinely dependent.
+    The simplex is given by the factored span of its lifted vertices
+    (v_i, 1); returned points are the lattice vectors sum lambda_i (v_i, 1)
+    with all lambda in [0,1) ("half-open") or (0,1) ("open") and total
+    lambda equal to m.  Each bounding-box candidate is one integer
+    coordinate query, lambda_i * den, against the one factorization.
+    Raises NotASimplex when the vertices are affinely dependent.
     """
     if strictness not in ("half-open", "open"):
         raise ValueError("strictness must be 'half-open' or 'open'")
-    lifted = [_lift(v) for v in vertices]
-    k = len(lifted)
-    if k == 0:
+    lifted = span.basis
+    if not lifted:
         raise NotASimplex("a simplex needs at least one vertex")
-    if mat_rank(lifted) < k:
+    if not span.independent:
         raise NotASimplex("vertices are affinely dependent")
+    den = span.den
+    low = 0 if strictness == "half-open" else 1
     dim1 = len(lifted[0])
     lo = [sum(min(0, u[c]) for u in lifted) for c in range(dim1)]
     hi = [sum(max(0, u[c]) for u in lifted) for c in range(dim1)]
@@ -81,14 +84,8 @@ def box_points(vertices, strictness, m):
     def rec(c, point):
         if c == dim1 - 1:
             candidate = tuple(point) + (m,)
-            coords = express(lifted, candidate)
-            if coords is None:
-                return
-            if strictness == "half-open":
-                ok = all(0 <= lam < 1 for lam in coords)
-            else:
-                ok = all(0 < lam < 1 for lam in coords)
-            if ok:
+            coords = span.coords(candidate)
+            if coords is not None and all(low <= x < den for x in coords):
                 out.append(candidate)
             return
         for x in range(lo[c], hi[c] + 1):
@@ -113,7 +110,7 @@ class LatticeSimplexComplex:
     def __init__(self, dim, vertices, faces, covers, matrices=None,
                  coarse=None, max_group=None):
         self.dim = dim
-        self.vertices = tuple(tuple(int(x) for x in v) for v in vertices)
+        self.vertices = lattice_points(vertices, "vertex", ComplexError)
         for v in self.vertices:
             if len(v) != dim:
                 raise ComplexError("vertex dimension mismatch")
@@ -125,9 +122,10 @@ class LatticeSimplexComplex:
             raise ComplexError("the empty face must be listed")
         if len(set(self.faces)) != len(self.faces):
             raise ComplexError("duplicate faces")
-        for f in self.faces:
-            pts = [self.lifted[k] for k in f]
-            if pts and mat_rank(pts) < len(pts):
+        self.spans = [Span(self.lifted[k] for k in sorted(f))
+                      for f in self.faces]
+        for f, span in zip(self.faces, self.spans):
+            if not span.independent:
                 raise NotASimplex(
                     f"face {sorted(f)} is not a simplex")
         labels = ["{" + ",".join(map(str, sorted(f))) + "}"
@@ -146,10 +144,6 @@ class LatticeSimplexComplex:
         for z in self.poset.maximal_elements():
             if len(self.faces[z]) != dim + 1:
                 raise ComplexError("maximal faces must be full-dimensional")
-        self.spans = [span_basis([self.lifted[k] for k in f])
-                      for f in self.faces]
-        self.generators = [[self.lifted[k] for k in sorted(f)]
-                           for f in self.faces]
         self._init_action(matrices or [], max_group)
         self._init_coarse(coarse)
         self._box_cache = {}
@@ -185,8 +179,8 @@ class LatticeSimplexComplex:
         if len(set(cfaces)) != len(cfaces):
             raise ComplexError("duplicate coarse faces")
         labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in cfaces]
-        spans = [span_basis([self.lifted[k] for k in f]) for f in cfaces]
-        rank = [len(s) for s in spans]
+        spans = [Span(self.lifted[k] for k in sorted(f)) for f in cfaces]
+        rank = [s.rank for s in spans]
         cposet = from_covers(len(cfaces), coarse["covers"], labels=labels,
                              rank=rank)
         for (i, j) in cposet.intervals():
@@ -206,18 +200,22 @@ class LatticeSimplexComplex:
         self.coarse_faces = cfaces
         self.coarse_poset = cposet
         self.coarse_spans = spans
-        self.coarse_generators = [[self.lifted[k] for k in sorted(f)]
-                                  for f in cfaces]
         self.coarse_perm = cperms
+        # the vertices lying in each coarse face, decided once per pair
+        inside = []
+        for cf in cfaces:
+            points = [self.vertices[k] for k in sorted(cf)]
+            inside.append(frozenset(
+                j for j, v in enumerate(self.vertices)
+                if j in cf or (cf and conv_contains(points, v))))
         sigma = []
         bottom = cposet.bottom()
         for f in self.faces:
             if not f:
                 sigma.append(bottom)
                 continue
-            candidates = [y for y in range(cposet.n) if cfaces[y] and all(
-                conv_contains([self.vertices[k] for k in sorted(cfaces[y])],
-                              self.vertices[j]) for j in f)]
+            candidates = [y for y in range(cposet.n)
+                          if cfaces[y] and f <= inside[y]]
             minimal = [y for y in candidates
                        if all(cposet.leq(y, y2) for y2 in candidates)]
             if len(minimal) != 1:
@@ -229,9 +227,6 @@ class LatticeSimplexComplex:
 
     # -- basic accessors ------------------------------------------------------
 
-    def face_vertices(self, z):
-        return [self.vertices[k] for k in sorted(self.faces[z])]
-
     def boxes(self, z, strictness):
         """All box points of face z at every height, cached."""
         key = (z, strictness)
@@ -240,10 +235,9 @@ class LatticeSimplexComplex:
             if k == 0:
                 pts = {0: [tuple([0] * (self.dim + 1))]}
             else:
-                verts = self.face_vertices(z)
                 pts = {}
                 for m in range(0, k):
-                    found = box_points(verts, strictness, m)
+                    found = box_points(self.spans[z], strictness, m)
                     if found:
                         pts[m] = found
             self._box_cache[key] = pts
@@ -371,8 +365,8 @@ def face_kernel(cx):
     one.
     """
     weak_rank = WeakRank.natural(cx.poset)
-    return span_kernel(cx.action, weak_rank, cx.spans, cx.generators,
-                       lambda i, j: False, lambda w: cx.by_perm[w])
+    return span_kernel(cx.action, weak_rank, cx.spans, lambda i, j: False,
+                       lambda w: cx.by_perm[w])
 
 
 def check_hl_relation(cx, data=None, kappa=None):
@@ -509,11 +503,6 @@ def ehr_interior_series(cx, w, order=None):
 # -- assembly formulas --------------------------------------------------------
 
 
-def _ambient_charpoly(cx, z, w):
-    comp = extend_basis(cx.spans[z], list(identity_matrix(cx.dim + 1)))
-    return induced_charpoly(cx.by_perm[w], cx.spans[z], comp)
-
-
 def hstar_from_subdivision(cx, data=None):
     """Counting polynomial of the whole polytope, assembled from the
     subdivision's interior faces.
@@ -526,10 +515,15 @@ def hstar_from_subdivision(cx, data=None):
     interior = interior_faces(cx)
     group = cx.action.stabilizer()
     total = ClassPoly.constant(group, ZERO)
+    ambient = identity_matrix(cx.dim + 1)
     for z in cx.action.orbit_reps(interior):
         stab = cx.action.stabilizer(z)
-        factor = _classpoly(stab, {w: _ambient_charpoly(cx, z, w)
-                                   for w in stab.reps})
+        # the face's span completed to the ambient space, factored once
+        full = cx.spans[z].extend(ambient)
+        rank = cx.spans[z].rank
+        factor = _classpoly(stab, {
+            w: induced_charpoly(cx.by_perm[w], full, rank)
+            for w in stab.reps})
         total = total + (data.hstar[z] * factor).induce(group)
     ident = cx.action.identity
     if total.ev(ident).degree > cx.dim:
@@ -631,9 +625,8 @@ class ComplexCylinder:
             raise ComplexError("cylinder symmetries disagree with the "
                                "complex symmetries")
         spans = list(cx.spans) + list(cx.coarse_spans)
-        generators = list(cx.generators) + list(cx.coarse_generators)
         self.kappa = cylinder_kernel(
-            self.triple, self.action, spans, generators,
+            self.triple, self.action, spans,
             lambda w: cx.by_perm[self._to_fine[tuple(w)]])
         self.weak_rank = WeakRank.natural(self.triple.gamma)
 

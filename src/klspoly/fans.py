@@ -13,20 +13,17 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .polynomial import ONE, T
+from .polynomial import ONE, T, Poly
 from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import (
+    Span,
     charpoly,
-    express,
-    extend_basis,
-    frac_matrix,
-    frac_vector,
+    exact_vector,
     identity_matrix,
+    lattice_points,
     mat_mul,
-    mat_rank,
     mat_vec,
-    span_basis,
 )
 from .equivariant import (
     EquivIncidenceElement,
@@ -66,7 +63,8 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     """The group generated by lattice matrices permuting faces of a poset.
 
     ``faces`` lists the point-index set of each poset element and
-    ``point_perm`` maps a dim x dim Fraction matrix to the permutation it
+    ``point_perm`` maps a dim x dim exact matrix (int entries, Fraction only
+    where an entry is not an integer) to the permutation it
     induces on the points (raising loudly when it has none).  The matrix
     group is closed eagerly, keyed on face permutations: if two distinct
     matrices induce the same face permutation the action is not faithful
@@ -76,7 +74,7 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     """
     gens = []
     for k, m in enumerate(matrices):
-        mat = frac_matrix(m)
+        mat = tuple(exact_vector(row) for row in m)
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise NotAutomorphism(f"matrix {k} is not {dim} x {dim}")
         pperm = point_perm(mat)
@@ -117,7 +115,7 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
 
 def primitive_vector(v):
     """Scale a rational vector to primitive integer form."""
-    v = frac_vector(v)
+    v = [Fraction(x) for x in v]
     if not any(v):
         raise FanError("zero vector has no primitive form")
     lcm = 1
@@ -131,31 +129,31 @@ def primitive_vector(v):
 
 
 def cone_contains(generators, x):
-    """Membership of x in the cone spanned by the generators.
+    """Membership of x in the cone spanned by integer generators.
 
     Checks all linearly independent generator subsets of the right size
-    for a nonnegative coordinate solution; small generator counts make
-    this exhaustive approach exact and fast enough.
+    for a nonnegative coordinate solution, one elimination per subset;
+    small generator counts make this exhaustive approach exact and fast
+    enough.
     """
-    x = frac_vector(x)
     if not any(x):
         return True
-    gens = [frac_vector(g) for g in generators]
-    d = mat_rank(gens)
+    gens = [tuple(g) for g in generators]
+    d = Span(gens).rank
     if d == 0:
         return False
-    for subset in combinations(range(len(gens)), d):
-        vectors = [gens[k] for k in subset]
-        if mat_rank(vectors) < d:
+    for subset in combinations(gens, d):
+        span = Span(subset)
+        if not span.independent:
             continue
-        coords = express(vectors, x)
+        coords = span.coords(x)
         if coords is not None and all(c >= 0 for c in coords):
             return True
     return False
 
 
 def conv_contains(points, x):
-    """Membership of x in the convex hull of the points."""
+    """Membership of x in the convex hull of the integer points."""
     lifted = [tuple(p) + (1,) for p in points]
     return cone_contains(lifted, tuple(x) + (1,))
 
@@ -166,24 +164,24 @@ def relint_contains(points, x):
     Enumerates the basic convex representations of x (affinely independent
     support sets with nonnegative unique coefficients) and averages them;
     x is in the relative interior exactly when the average puts positive
-    weight on every point.
+    weight on every point.  The points are integer; x may be rational.
     """
     m = len(points)
-    lifted = [frac_vector(p) + (Fraction(1),) for p in points]
-    target = frac_vector(x) + (Fraction(1),)
+    lifted = [tuple(p) + (1,) for p in points]
+    target = tuple(x) + (1,)
     total = [Fraction(0)] * m
     count = 0
     for size in range(1, m + 1):
         for subset in combinations(range(m), size):
-            vectors = [lifted[k] for k in subset]
-            if mat_rank(vectors) < size:
+            span = Span(lifted[k] for k in subset)
+            if not span.independent:
                 continue
-            coords = express(vectors, target)
+            coords = span.coords(target)
             if coords is None or any(c < 0 for c in coords):
                 continue
             count += 1
             for k, c in zip(subset, coords):
-                total[k] += c
+                total[k] += Fraction(c, span.den)
     if count == 0:
         return False
     return all(c > 0 for c in total)
@@ -201,7 +199,7 @@ class LatticeFan:
 
     def __init__(self, dim, rays, cones, covers=None):
         self.dim = dim
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = lattice_points(rays, "ray", FanError)
         for r in self.rays:
             if len(r) != dim:
                 raise FanError("ray dimension mismatch")
@@ -222,7 +220,8 @@ class LatticeFan:
                       and not any(self.cones[i] < self.cones[k] < self.cones[j]
                                   for k in range(len(self.cones)))]
         labels = ["{" + ",".join(map(str, sorted(c))) + "}" for c in self.cones]
-        rank = [mat_rank([self.rays[k] for k in c]) for c in self.cones]
+        self._spans = [Span(self.ray_vectors(z)) for z in range(self.n)]
+        rank = [s.rank for s in self._spans]
         self.face_poset = from_covers(len(self.cones), covers, labels=labels,
                                       rank=rank)
         for (i, j) in self.face_poset.intervals():
@@ -233,15 +232,13 @@ class LatticeFan:
         if not result:
             raise FanError(f"face poset is not lower Eulerian: "
                            f"{result.describe()}")
-        self._spans = [span_basis([self.rays[k] for k in c])
-                       for c in self.cones]
 
     @property
     def n(self):
         return len(self.cones)
 
     def span(self, z):
-        """Canonical basis of the linear span of cone z."""
+        """The factored linear span of cone z."""
         return self._spans[z]
 
     def ray_vectors(self, z):
@@ -331,47 +328,55 @@ class EquivFanAction:
         return f"EquivFanAction(|W|={len(self._by_perm)}, {self.fan!r})"
 
 
-def induced_charpoly(matrix, sub_basis, ext_vectors):
+def induced_charpoly(matrix, full, sub_rank):
     """Characteristic polynomial of the induced map on big/small.
 
-    ``sub_basis`` spans the small space; ``ext_vectors`` complete it to the
-    big space and represent the quotient.  The matrix must preserve both
-    spans; coordinates of images that fail to resolve raise loudly.
+    ``full`` is the factored big space; the first ``sub_rank`` vectors of
+    its basis span the small space and the rest represent the quotient.
+    The matrix must preserve both spans; an image outside the big span
+    raises loudly.  The induced matrix is the integer matrix of scaled
+    coordinates divided by ``full.den``, so its characteristic polynomial
+    is that of the integer matrix with the coefficient of t^(s-k) divided
+    by den^k.
     """
-    if not ext_vectors:
+    size = full.rank - sub_rank
+    if not size:
         return ONE
-    full = list(sub_basis) + list(ext_vectors)
     cols = []
-    for v in ext_vectors:
-        coords = express(full, mat_vec(frac_matrix(matrix), v))
+    for v in full.basis[sub_rank:]:
+        coords = full.coords(mat_vec(matrix, v))
         if coords is None:
             raise FanError("matrix does not preserve the span")
-        cols.append(coords[len(sub_basis):])
-    size = len(ext_vectors)
-    induced = tuple(tuple(cols[j][i] for j in range(size))
-                    for i in range(size))
-    return charpoly(induced)
+        cols.append(coords[sub_rank:])
+    induced = tuple(zip(*cols))
+    cp = charpoly(induced).coeffs
+    den = full.den
+    if den == 1:
+        return Poly(cp)
+    return Poly([Fraction(c, den ** (size - k)) for k, c in enumerate(cp)])
 
 
-def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,
+def span_kernel(action, weak_rank, spans, crossing, matrix_of,
                 validate=True):
     """Kernel from span data: quotient characteristic polynomials.
 
-    ``spans``/``generators`` give, per poset element, the canonical span
-    basis and the generating vectors used for complements; ``crossing`` is
-    a predicate on pairs that receives an extra factor of (t - 1);
-    ``matrix_of`` maps each group element to its matrix.  The result is
-    validated as an equivariant kernel unless told otherwise.
+    ``spans`` gives the factored span of each poset element; on [i, j] the
+    basis of spans[i] is extended greedily by the basis of spans[j], once,
+    and every stabilizer class rep is read off that one factorization.
+    ``crossing`` is a predicate on pairs that receives an extra factor of
+    (t - 1); ``matrix_of`` maps each group element to its matrix.  The
+    result is validated as an equivariant kernel unless told otherwise.
     """
     poset = action.poset
     tm1 = T - ONE
     vals = {}
     for (i, j) in poset.intervals():
         stab = action.stabilizer(i, j)
-        comp = extend_basis(spans[i], generators[j])
+        sub = spans[i]
+        full = sub.extend(spans[j].basis)
         values = {}
         for w in stab.reps:
-            p = induced_charpoly(matrix_of(w), spans[i], comp)
+            p = induced_charpoly(matrix_of(w), full, sub.rank)
             if crossing(i, j):
                 p = p * tm1
             values[w] = p
@@ -387,8 +392,7 @@ def span_kernel(action, weak_rank, spans, generators, crossing, matrix_of,
     return kernel
 
 
-def cylinder_kernel(triple, action, spans, generators, matrix_of,
-                    validate=True):
+def cylinder_kernel(triple, action, spans, matrix_of, validate=True):
     """Kernel of a geometrically realized subdivision cylinder.
 
     Pairs inside either half use plain quotient characteristic
@@ -397,7 +401,7 @@ def cylinder_kernel(triple, action, spans, generators, matrix_of,
     rank of the cylinder.
     """
     weak_rank = WeakRank.natural(triple.gamma)
-    return span_kernel(action, weak_rank, spans, generators,
+    return span_kernel(action, weak_rank, spans,
                        lambda i, j: triple.in_x(i) and triple.in_y(j),
                        matrix_of, validate=validate)
 
@@ -412,10 +416,8 @@ def fan_kernel(fan, faction, validate=True):
     action = faction.action
     weak_rank = WeakRank.natural(fan.face_poset)
     spans = [fan.span(z) for z in range(fan.n)]
-    generators = [fan.ray_vectors(z) for z in range(fan.n)]
-    return span_kernel(action, weak_rank, spans, generators,
-                       lambda i, j: False, faction.matrix_of,
-                       validate=validate)
+    return span_kernel(action, weak_rank, spans, lambda i, j: False,
+                       faction.matrix_of, validate=validate)
 
 
 def fixed_fan(fan, faction, w):
@@ -473,15 +475,13 @@ class PolytopeGeometry:
     """
 
     def __init__(self, vertices, faces, poset, face_index):
-        self.vertices = tuple(tuple(int(x) for x in v) for v in vertices)
+        self.vertices = lattice_points(vertices, "vertex", FanError)
         self.faces = tuple(frozenset(f) for f in faces)
         self.poset = poset
         self.face_index = face_index
         self.dim = len(self.vertices[0]) if self.vertices else 0
-        self.spans = [span_basis([self.vertices[k] for k in f])
+        self.spans = [Span(self.vertices[k] for k in sorted(f))
                       for f in self.faces]
-        self.generators = [[self.vertices[k] for k in sorted(f)]
-                           for f in self.faces]
         self.in_y = [poset.leq(face_index, z) for z in range(poset.n)]
 
     def action(self, matrices, max_group=None):
@@ -504,7 +504,7 @@ class PolytopeGeometry:
     def kernel(self, action, by_perm, validate=True):
         weak_rank = WeakRank.natural(self.poset)
         return span_kernel(
-            action, weak_rank, self.spans, self.generators,
+            action, weak_rank, self.spans,
             lambda i, j: self.in_y[j] and not self.in_y[i],
             lambda w: by_perm[tuple(w)], validate=validate)
 
@@ -530,17 +530,17 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
         if not faces[i] <= faces[j]:
             raise FanError(f"face relation {i} <= {j} inconsistent with "
                            "vertex sets")
-    face_points = [vertices[k] for k in sorted(faces[face_index])]
+    geometry = PolytopeGeometry(vertices, faces, poset, face_index)
+    face_points = [geometry.vertices[k] for k in sorted(faces[face_index])]
     if not face_points:
         raise FanError("designated face has no vertices")
-    origin = [0] * len(vertices[0])
+    origin = [0] * geometry.dim
     if not relint_contains(face_points, origin):
         raise FanError("origin is not in the relative interior of the "
                        "designated face")
-    geometry = PolytopeGeometry(vertices, faces, poset, face_index)
     for z in range(n):
         expected = rank[z] - (1 if geometry.in_y[z] else 0)
-        actual = len(geometry.spans[z])
+        actual = geometry.spans[z].rank
         if actual != expected:
             raise FanError(
                 f"span dimension of face {labels[z]} is {actual}, "

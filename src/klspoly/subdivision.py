@@ -524,7 +524,9 @@ def check_product_identities(s1, s2):
     the factor ells; the mixed block of g on the product cylinder is the
     double convolution of Delta ell with the factor target g's; and the
     identity-factor laws h_{id x sigma} = g x h_sigma,
-    ell_{id x sigma} = delta x ell_sigma.
+    ell_{id x sigma} = delta x ell_sigma.  The target g's come from
+    solve_kernel, so the targets' kernels are checked multiplicative and
+    rank alternating too.
     """
     sp = product_sfs(s1, s2)
     res = sp.validate()
@@ -557,8 +559,8 @@ def check_product_identities(s1, s2):
                                       detail=f"{lhs!r} != {rhs!r}")
 
     # mixed block of g via Delta ell against the *target* g's
-    gy1 = solve_g(eulerian_kernel(s1.Y))
-    gy2 = solve_g(eulerian_kernel(s2.Y))
+    gy1 = solve_kernel(eulerian_kernel(s1.Y)).g
+    gy2 = solve_kernel(eulerian_kernel(s2.Y)).g
     for (i, j) in tp.xy_pairs():
         x1, x2 = divmod(i, nx2)
         y1, y2 = divmod(j - nxp, ny2)

@@ -223,6 +223,12 @@ def _complex_with(edit):
     return "complex", payload
 
 
+def _fan_with(edit):
+    _tag, payload = load_fixture("square_fan_z4.json", expect="fan")
+    edit(payload)
+    return "fan", payload
+
+
 def _set(path, value):
     def edit(payload):
         *keys, last = path
@@ -240,8 +246,13 @@ def _set(path, value):
      "missing vertex"),
     (lambda: _complex_with(_set(["affine_action"], 5)), "affine_action"),
     (lambda: ("kernel", {"values": [[-1, 7, [1, -1]]]}), "(-1, 7)"),
+    (lambda: _complex_with(_set(["vertices", 1], [0.5, 0])),
+     "vertex 1 [0.5, 0] has a non-integer coordinate"),
+    (lambda: _fan_with(_set(["rays", 0], [1.5, 0])),
+     "ray 0 [1.5, 0] has a non-integer coordinate"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
-        "affine-action-not-an-object", "kernel-pair-out-of-range"])
+        "affine-action-not-an-object", "kernel-pair-out-of-range",
+        "vertex-not-integer", "ray-not-integer"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()

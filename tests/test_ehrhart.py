@@ -1,6 +1,7 @@
 """Equivariant lattice-point counting on simplicial complexes."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              LatticeSimplexComplex, NotASimplex, box_points,
@@ -11,27 +12,65 @@ from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              polynomial_action_check, reciprocity_check,
                              simplex_hstar, simplex_local_hstar)
 from klspoly.equivariant import ClassPoly, NotAutomorphism, classpoly_json
+from klspoly.linalg import Span
 from klspoly.polynomial import Poly
 from klspoly.verify import (COMPLEX_FIXTURES, load_complex_fixture,
                             load_fixture)
 
 
+def _box(vertices, strictness, m):
+    return box_points(Span(tuple(v) + (1,) for v in vertices), strictness, m)
+
+
 def test_box_points_of_small_simplices():
     # unimodular triangle: the half-open box contains only the origin
     tri = [(0, 0), (1, 0), (0, 1)]
-    assert box_points(tri, "half-open", 0) == [(0, 0, 0)]
-    assert box_points(tri, "half-open", 1) == []
-    assert box_points(tri, "open", 1) == []
+    assert _box(tri, "half-open", 0) == [(0, 0, 0)]
+    assert _box(tri, "half-open", 1) == []
+    assert _box(tri, "open", 1) == []
     # segment of length two: one box point at height one
     seg = [(0,), (2,)]
-    assert box_points(seg, "half-open", 1) == [(1, 1)]
-    assert box_points(seg, "open", 1) == [(1, 1)]
-    assert box_points(seg, "half-open", 0) == [(0, 0)]
-    assert box_points(seg, "open", 0) == []
-    with pytest.raises(NotASimplex):
-        box_points([(0, 0), (1, 0), (2, 0)], "half-open", 1)
+    assert _box(seg, "half-open", 1) == [(1, 1)]
+    assert _box(seg, "open", 1) == [(1, 1)]
+    assert _box(seg, "half-open", 0) == [(0, 0)]
+    assert _box(seg, "open", 0) == []
+    with pytest.raises(NotASimplex, match="vertices are affinely dependent"):
+        _box([(0, 0), (1, 0), (2, 0)], "half-open", 1)
     with pytest.raises(ValueError, match="strictness"):
-        box_points(seg, "closed", 0)
+        _box(seg, "closed", 0)
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:]
+                                           for row in m[1:]])
+               for c in range(len(m)))
+
+
+@st.composite
+def lattice_simplices(draw):
+    dim = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * dim)
+    return draw(st.lists(point, min_size=dim + 1, max_size=dim + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_simplices())
+def test_box_points_count_the_normalized_volume(vertices):
+    lifted = [tuple(v) + (1,) for v in vertices]
+    volume = abs(_det(lifted))
+    assume(volume)
+    k = len(vertices)
+    half_open = [_box(vertices, "half-open", m) for m in range(k + 1)]
+    # the half-open box is a set of coset representatives of the lattice
+    # generated by the lifted vertices, so it has |det| points
+    assert sum(map(len, half_open)) == volume
+    assert half_open[0] == [(0,) * k] and half_open[k] == []
+    # lambda -> 1 - lambda maps the open box at height m onto height k - m
+    open_counts = [len(_box(vertices, "open", m)) for m in range(k + 1)]
+    assert open_counts == open_counts[::-1]
 
 
 def test_series_oracles():
@@ -174,7 +213,7 @@ def test_complex_json_roundtrip():
 
 def test_degenerate_complex_rejected():
     # three collinear points cannot span a triangle face
-    with pytest.raises((ComplexError, NotASimplex)):
+    with pytest.raises(NotASimplex, match=r"face \[0, 1, 2\] is not a simplex"):
         LatticeSimplexComplex(
             1, [(0,), (1,), (2,)],
             [[], [0], [1], [2], [0, 1, 2]],

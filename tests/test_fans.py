@@ -13,7 +13,7 @@ from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
                           cone_contains, conv_contains, fan_kernel,
                           fixed_fan, polytope_cone_triple, primitive_vector,
                           relint_contains)
-from klspoly.linalg import charpoly, fixed_space_dim
+from klspoly.linalg import Span, charpoly, identity_matrix
 from klspoly.polynomial import Poly, poly_rev
 from klspoly.schemas import load_document
 from klspoly.verify import fixture_path, hexagon_polytope
@@ -164,8 +164,11 @@ def test_finite_order_charpoly_mirror_identity():
         cp = charpoly(m)
         det = cp.coeff(0) * (-1) ** d
         assert cp * Poly([det]) == poly_rev(cp, d) * Poly([(-1) ** d])
-        # the determinant is the parity of the moved dimensions
-        assert det == (-1) ** (d - fixed_space_dim(m))
+        # the determinant is the parity of the moved dimensions: the
+        # fixed space has dimension d - rank(M - I)
+        moved = Span(tuple(x - y for x, y in zip(row, irow))
+                     for row, irow in zip(m, identity_matrix(d))).rank
+        assert det == (-1) ** moved
 
 
 def test_polytope_triple_at_the_full_face():
