@@ -335,7 +335,8 @@ class HStarData:
                 raise ComplexError(
                     f"open-box polynomial of face {cx.poset.labels[z]} "
                     f"is not symmetric")
-            if any(c < 0 or c != int(c) for c in h.ev(ident).coeffs):
+            counts = h.ev(ident)
+            if counts.den != 1 or any(c < 0 for c in counts.num):
                 raise ComplexError("box counts must be nonnegative integers")
             self.hstar[z] = h
             self.local[z] = l
@@ -557,19 +558,24 @@ def polynomial_action_check(cx, order=None):
 
 
 def _series_div(num, den, order):
-    """Truncated power series num/den; den must have unit constant term."""
-    if den.coeffs[0] != 1:
+    """Truncated power series num/den; den must have unit constant term.
+
+    Runs on numerators: with num = N/a and den = D/b (so D_0 = b), the
+    coefficient of t^j is u_j / (a b^j), where
+    u_j = N_j b^j - sum_{k >= 1} D_k u_{j-k} b^(k-1) stays in int.
+    """
+    n, a = num.num, num.den
+    d, b = den.num, den.den
+    if not d or d[0] != b:
         raise ValueError("denominator must have constant term 1")
-    out = []
-    rem = list(num.coeffs) + [Fraction(0)] * (order + 1)
+    u = []
     for j in range(order + 1):
-        c = rem[j]
-        out.append(c)
-        if c:
-            for k, d in enumerate(den.coeffs):
-                if j + k <= order:
-                    rem[j + k] -= c * d
-    return out
+        acc = n[j] * b ** j if j < len(n) else 0
+        for k in range(1, min(len(d), j + 1)):
+            if d[k]:
+                acc -= d[k] * u[j - k] * b ** (k - 1)
+        u.append(acc)
+    return [Fraction(c, a * b ** j) for j, c in enumerate(u)]
 
 
 def reciprocity_check(cx, w, order=None, hstar=None):

@@ -20,9 +20,8 @@ computation paths stay honest against each other.
 """
 
 import os
-from fractions import Fraction
 
-from .polynomial import ONE, T, ZERO, Poly, poly_rev
+from .polynomial import ONE, T, ZERO, Poly, _poly, poly_rev
 from .poset import PosetError
 from .incidence import (
     IncidenceElement,
@@ -340,7 +339,7 @@ class ClassPoly:
 
     @property
     def is_zero(self):
-        return all(not v.coeffs for v in self.values.values())
+        return not any(self.values.values())
 
     @property
     def degree(self):
@@ -405,17 +404,20 @@ class ClassPoly:
         values = dict.fromkeys(group.reps, ZERO)
         for c, v in self.values.items():
             g = group.class_of[c]
-            values[g] = values[g] + v * Fraction(
-                len(group) * sub.size[c], len(sub) * group.size[g])
+            # scale v by |G| |c| / (|H| |g^G|) on its numerators
+            n = len(group) * sub.size[c]
+            values[g] = values[g] + _poly([x * n for x in v.num],
+                                          v.den * len(sub) * group.size[g])
         return _classpoly(group, values)
 
     def nonintegral_values(self):
         """Coefficient values that fail integrality, as (rep, i, value)."""
         bad = []
         for w in sorted(self.values):
-            for i, c in enumerate(self.values[w].coeffs):
-                if c.denominator != 1:
-                    bad.append((w, i, c))
+            v = self.values[w]
+            if v.den != 1:
+                bad.extend((w, i, c) for i, c in enumerate(v.coeffs)
+                           if type(c) is not int)
         return bad
 
     def __repr__(self):
@@ -463,10 +465,18 @@ class EquivIncidenceElement:
         functions and conjugation by w maps classes to classes.
         """
         action = self.action
+        # close the support under the generators: breadth-first orbits
         pairs = set(self.vals)
-        for (i, j) in list(pairs):
-            for w in action.elements:
-                pairs.add((w[i], w[j]))
+        frontier = list(pairs)
+        while frontier:
+            step = []
+            for (i, j) in frontier:
+                for w in action.generators:
+                    image = (w[i], w[j])
+                    if image not in pairs:
+                        pairs.add(image)
+                        step.append(image)
+            frontier = step
         for (i, j) in sorted(pairs):
             cp = self.value(i, j)
             for w in action.generators:
@@ -580,7 +590,7 @@ def ev_w(p, w):
     for (i, j), cp in p.vals.items():
         if w[i] == i and w[j] == j:
             poly = cp.ev(w)
-            if poly.coeffs:
+            if poly:
                 vals[(pos[i], pos[j])] = poly
     return IncidenceElement(sub, wr, vals)
 

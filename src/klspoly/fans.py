@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .polynomial import ONE, T, Poly
+from .polynomial import ONE, T, _poly
 from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import (
@@ -349,11 +349,13 @@ def induced_charpoly(matrix, full, sub_rank):
             raise FanError("matrix does not preserve the span")
         cols.append(coords[sub_rank:])
     induced = tuple(zip(*cols))
-    cp = charpoly(induced).coeffs
+    cp = charpoly(induced)
     den = full.den
     if den == 1:
-        return Poly(cp)
-    return Poly([Fraction(c, den ** (size - k)) for k, c in enumerate(cp)])
+        return cp
+    # the coefficient of t^k is divided by den^(size - k)
+    return _poly([c * den ** k for k, c in enumerate(cp.num)],
+                 cp.den * den ** size)
 
 
 def span_kernel(action, weak_rank, spans, crossing, matrix_of,

@@ -22,11 +22,15 @@ from .polynomial import Poly
 def exact_vector(v):
     """The entries of v as exact numbers: int where integral, else Fraction.
 
-    Raises ValueError or TypeError for an entry that is not a number.
+    Raises ValueError or TypeError for an entry that is not a number, and
+    ValueError naming an entry with a zero denominator.
     """
     out = []
     for x in v:
-        q = Fraction(x)
+        try:
+            q = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"entry {x!r} has a zero denominator") from None
         out.append(q.numerator if q.denominator == 1 else q)
     return tuple(out)
 

@@ -2,17 +2,20 @@
 
 Everything downstream (incidence algebras, Kazhdan-Lusztig-Stanley solvers,
 Ehrhart counts) is built on polynomials in one variable t with rational
-coefficients.  A coefficient is stored as an ``int`` when its denominator is
-1 and as a ``Fraction`` only otherwise, so the integer polynomials that the
-Eulerian theory runs on never pay for Fraction arithmetic.  Coefficients are
-stored densely, lowest degree first, with trailing zeros trimmed, so equal
-polynomials always have equal coefficient tuples.  There are no floats
-anywhere in this package.
+coefficients.  A polynomial is stored as one tuple of ``int`` numerators,
+lowest degree first with trailing zeros trimmed, over one common ``int``
+denominator ``den > 0``, reduced so that gcd(den, *num) == 1.  The form is
+canonical (zero is ``((), 1)``), so equal polynomials have equal ``num`` and
+``den``.  Arithmetic is integer arithmetic on numerators followed by at most
+one gcd: an integer polynomial (``den == 1``) never pays for rational
+arithmetic, and a rational one never builds a ``Fraction`` per coefficient.
+There are no floats anywhere in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 #: Degree of the zero polynomial.  A sentinel that compares below every
 #: integer; deliberately not -1, so that deg(p) <= r reads correctly even
@@ -35,76 +38,142 @@ class NotDivisible(ValueError):
         self.remainder = remainder
 
 
-def _coerce(c):
-    """An exact coefficient: an ``int``, or a ``Fraction`` whose denominator
-    is not 1.  Accepts int (bool included), Fraction and rational strings."""
+def _rational(c):
+    """An exact coefficient as an int or a Fraction.
+
+    Accepts int (bool included), Fraction and rational strings such as
+    "3", "-1/2" or "0.25".  A string with a zero denominator raises
+    ValueError naming it; any other type raises TypeError.
+    """
     if isinstance(c, int):
         return int(c)
-    if isinstance(c, str):
-        c = Fraction(c)
     if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+        return c
+    if isinstance(c, str):
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"coefficient {c!r} has a zero denominator") from None
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-def _poly(cs):
-    """The Poly with coefficient list cs, which it takes over.
+def _to_common_denominator(cs):
+    """Rewrite the exact coefficients cs as int numerators, in place, over
+    the lcm of their denominators, and return that denominator.
 
-    The entries are int or Fraction, as arithmetic on coefficients yields;
-    trailing zeros are trimmed and Fractions with denominator 1 become ints.
-    Every arithmetic result is built here.
+    The lcm of reduced denominators leaves gcd(den, *num) == 1, so the
+    result needs no further reduction.
     """
-    while cs and not cs[-1]:
-        cs.pop()
+    den = 1
     for k, c in enumerate(cs):
-        if type(c) is not int and c.denominator == 1:
-            cs[k] = c.numerator
-    p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", tuple(cs))
+        if type(c) is int:
+            if den != 1:
+                cs[k] = c * den
+            continue
+        if type(c) is not Fraction:
+            c = _rational(c)
+        d = c.denominator
+        if den % d:
+            # raise the common denominator and rescale the entries before k
+            m = d // gcd(den, d)
+            for j in range(k):
+                cs[j] *= m
+            den *= m
+        cs[k] = c.numerator * (den // d)
+    return den
+
+
+def _exact(c, den):
+    """The number c/den: an int when den divides c, else a Fraction."""
+    return c // den if not c % den else Fraction(c, den)
+
+
+def _poly(num, den=1):
+    """The Poly num/den, taking over the int list num.
+
+    Trailing zeros are trimmed and a denominator other than 1 is reduced
+    against the numerators.  Every arithmetic result is built here or, when
+    it is already trimmed and reduced, by :func:`_raw`.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    p = _new(Poly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
+    return p
+
+
+def _raw(num, den):
+    """The Poly num/den from a trimmed int tuple already reduced against den."""
+    p = _new(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
     return p
 
 
 class Poly:
     """A polynomial in t with exact rational coefficients.
 
-    ``Poly([1, 4, 1])`` is 1 + 4t + t^2.  Each entry of ``coeffs`` is an
-    ``int`` unless its denominator is not 1, in which case it is a
-    ``Fraction``; the representation is canonical, so equality and hashing
-    compare values.  Instances are immutable and hashable; arithmetic always
-    returns new objects.
+    ``Poly([1, 4, 1])`` is 1 + 4t + t^2 and ``Poly(["1/2", 1])`` is
+    1/2 + t.  The value is ``num`` (a tuple of ints, trailing zeros
+    trimmed) divided by ``den`` (an int > 0 with gcd(den, *num) == 1); the
+    representation is canonical, so equality and hashing compare values.
+    ``coeffs`` is the exact coefficient view: an ``int`` where the
+    denominator divides the numerator and a ``Fraction`` otherwise.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        num = list(coeffs)
+        den = 1
+        for c in num:
+            if type(c) is not int:
+                den = _to_common_denominator(num)
+                break
+        while num and not num[-1]:
+            num.pop()
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self):
+        """The coefficients, lowest degree first, each an int or a Fraction."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(_exact(c, den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def coeff(self, i):
         """Coefficient of t^i (zero beyond the stored degree)."""
         if i < 0:
             raise IndexError("negative degree")
-        return self.coeffs[i] if i < len(self.coeffs) else 0
+        num = self.num
+        if i >= len(num):
+            return 0
+        return num[i] if self.den == 1 else _exact(num[i], self.den)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
@@ -113,21 +182,34 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not Poly:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        den = self.den
+        if den != other.den:
+            if not a:
+                return other
+            if not b:
+                return self
+            # scale both numerator vectors to the lcm of the denominators
+            g = gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            den *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return _poly(out)
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly([-c for c in self.coeffs])
+        return _raw(tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -139,10 +221,11 @@ class Poly:
         return self._lift(other) - self
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not Poly:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
         if not a or not b:
             return Poly()
         out = [0] * (len(a) + len(b) - 1)
@@ -150,7 +233,7 @@ class Poly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return _poly(out)
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -178,25 +261,19 @@ class Poly:
         """Multiply by t^k (k >= 0)."""
         if k < 0:
             raise ValueError("negative shift")
-        if not self.coeffs:
+        if not self.num:
             return self
-        return _poly([0] * k + list(self.coeffs))
+        return _raw((0,) * k + self.num, self.den)
 
     def __call__(self, x):
         """Evaluate at a rational point (Horner)."""
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
-
-    def truncate(self, bound):
-        """Drop all terms of degree >= bound."""
-        if bound <= 0:
-            return Poly()
-        return Poly(self.coeffs[:bound])
+        return acc / self.den
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -221,10 +298,21 @@ class Poly:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, list):
-            raise ValueError("polynomial must be a JSON array of rational strings")
-        return cls([Fraction(str(c)) for c in data])
+        """The polynomial of a JSON array of coefficients.
 
+        Each entry is an integer or a rational string; anything else, a
+        zero denominator included, raises ValueError or TypeError.
+        """
+        if not isinstance(data, list):
+            raise ValueError(
+                "polynomial must be a JSON array of rational strings, "
+                f"got {data!r}")
+        return cls(data)
+
+
+_new = object.__new__
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
 
 ZERO = Poly()
 ONE = Poly([1])
@@ -242,10 +330,14 @@ def poly_rev(p, r):
         raise DegreeExceedsRank(f"rank must be nonnegative, got {r}")
     if p.degree > r:
         raise DegreeExceedsRank(f"degree {p.degree} exceeds rank {r}")
-    out = [0] * (r + 1)
-    for i, c in enumerate(p.coeffs):
-        out[r - i] = c
-    return _poly(out)
+    num = p.num
+    if not num:
+        return p
+    # pad up to degree r, reverse, and drop the zeros that were p's low terms
+    out = list(reversed(num))
+    while not out[-1]:
+        out.pop()
+    return _raw((0,) * (r + 1 - len(num)) + tuple(out), p.den)
 
 
 def poly_divmod_t_minus_1(p):
@@ -254,15 +346,16 @@ def poly_divmod_t_minus_1(p):
     Returns (q, r) with p = (t - 1) q + r; the remainder r = p(1) is a
     number (int or Fraction), not a Poly.
     """
-    # synthetic division by root 1, highest degree first
+    # synthetic division by root 1 on the numerators, highest degree first
     out = []
     acc = 0
-    for c in reversed(p.coeffs):
+    for c in reversed(p.num):
         acc += c
         out.append(acc)
     rem = out.pop() if out else 0
     out.reverse()
-    return _poly(out), rem
+    den = p.den
+    return _poly(out, den), (rem if den == 1 else _exact(rem, den))
 
 
 def poly_div_t_minus_1(p):
@@ -282,11 +375,11 @@ def delta_truncate(p, r):
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    half = (r - 1) // 2
-    out = [p.coeff(0)]
-    for i in range(1, half + 1):
-        out.append(p.coeff(i) - p.coeff(i - 1))
-    return Poly(out)
+    num = p.num + (0,) * ((r + 1) // 2)
+    out = [num[0]]
+    for i in range(1, (r - 1) // 2 + 1):
+        out.append(num[i] - num[i - 1])
+    return _poly(out, p.den)
 
 
 def delta_invert(q, r):

@@ -192,7 +192,7 @@ def load_kernel_file(path, poset):
             if not poset.leq(z, zp):
                 raise DocumentError(
                     f"kernel file lists a non-comparable pair ({z}, {zp})")
-            vals[(z, zp)] = Poly(coeffs)
+            vals[(z, zp)] = Poly.from_json(coeffs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, DocumentError):
             raise

@@ -250,9 +250,19 @@ def _set(path, value):
      "vertex 1 [0.5, 0] has a non-integer coordinate"),
     (lambda: _fan_with(_set(["rays", 0], [1.5, 0])),
      "ray 0 [1.5, 0] has a non-integer coordinate"),
+    (lambda: ("kernel", {"values": [[0, 7, ["1/0", "1"]]]}),
+     "coefficient '1/0' has a zero denominator"),
+    (lambda: ("kernel", {"values": [[0, 7, "1/2"]]}), "JSON array"),
+    (lambda: _complex_with(_set(["vertices", 1], ["1/0", 0])),
+     "entry '1/0' has a zero denominator"),
+    (lambda: _complex_with(
+        _set(["affine_action", "matrices", 0, 0, 0], "1/0")),
+     "entry '1/0' has a zero denominator"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
-        "vertex-not-integer", "ray-not-integer"])
+        "vertex-not-integer", "ray-not-integer",
+        "kernel-zero-denominator", "kernel-coefficients-not-a-list",
+        "vertex-zero-denominator", "affine-action-zero-denominator"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()

@@ -1,4 +1,4 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no unused imports, no unreferenced definitions, no floats."""
 
 import ast
 from pathlib import Path
@@ -119,3 +119,44 @@ def test_every_package_definition_is_referenced():
     found = [f"{label}:{line}: {name}" for label, line, name
              in unreferenced_definitions(sources, targets)]
     assert found == [], "unreferenced definitions:\n" + "\n".join(found)
+
+
+def float_uses(source):
+    """(line, what) for every float constant and ``float(...)`` call.
+
+    The one exception is the degree sentinel ``NEG_INF = float("-inf")``:
+    the zero polynomial's degree must compare below every integer.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == ["NEG_INF"]):
+            allowed.update(id(sub) for sub in ast.walk(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float(...)"))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_float():
+    source = ('NEG_INF = float("-inf")\n'
+              "x = 0.5\n"
+              "y = float(3)\n"
+              "z = [1, 2e3]\n")
+    assert float_uses(source) == [(2, "0.5"), (3, "float(...)"),
+                                  (4, "2000.0")]
+
+
+def test_no_module_uses_a_float():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in float_uses(path.read_text(encoding="utf-8"))]
+    assert found == [], "floats in the package:\n" + "\n".join(found)

@@ -1,7 +1,9 @@
 """Incidence algebra: convolution, kernels, and the f/g/Z solvers."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klspoly.incidence import (CarrierMismatch, IncidenceElement,
                                MirrorConstraintViolated, NotInvertible,
@@ -188,3 +190,32 @@ def test_weak_rank_validation():
     values = {pair: 1 if pair[0] != pair[1] else 0 for pair in PAIRS3}
     with pytest.raises(ValueError, match="not-additive"):
         WeakRank.from_values(B3, values)
+
+
+SCALED_POSETS = {"boolean3": B3, "pentagon": polygon(5),
+                 "cube3": cube_face_lattice(3)}
+nonzero_rationals = st.fractions(min_value=-7, max_value=7,
+                                 max_denominator=19).filter(bool)
+
+
+def _scaled(element, c):
+    """c^(rho(y) - rho(x)) times every value, coefficientwise in Fraction."""
+    wr = element.weak_rank
+    return IncidenceElement(element.poset, wr, {
+        (i, j): Poly([x * c ** wr.value(i, j) for x in v.coeffs])
+        for (i, j), v in element.vals.items()})
+
+
+@given(nonzero_rationals, st.sampled_from(sorted(SCALED_POSETS)))
+@settings(max_examples=12, deadline=None)
+@example(c=Fraction(11, 17), name="cube3")
+def test_scaled_kernel_scales_g_f_and_z(c, name):
+    # kappa -> c^(rho(y) - rho(x)) kappa is an automorphism of the
+    # incidence algebra that commutes with rev, so g, f and Z scale alike
+    kappa = eulerian_kernel(SCALED_POSETS[name])
+    kappa_c = _scaled(kappa, c)
+    g, f = solve_g(kappa), solve_f(kappa)
+    g_c, f_c = solve_g(kappa_c), solve_f(kappa_c)
+    assert g_c == _scaled(g, c)
+    assert f_c == _scaled(f, c)
+    assert z_function(kappa_c, g_c, f_c) == _scaled(z_function(kappa, g, f), c)

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic and the rank-reversal/difference operators."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -28,7 +29,7 @@ def test_construction_trims_and_coerces():
     assert all(_exact(c) for c in p.coeffs)
     assert p.coeffs == (Fraction(1), Fraction(2))
     assert Poly(["1/2", 1]).coeff(0) == Fraction(1, 2)
-    assert Poly().is_zero() and Poly([0, 0]).is_zero()
+    assert not Poly() and not Poly([0, 0])
     assert Poly().degree == NEG_INF
     with pytest.raises(TypeError):
         Poly([1.5])
@@ -120,7 +121,7 @@ def test_arithmetic_basics():
     assert (p ** 3) == Poly([1, 3, 3, 1])
     assert p.shift(2) == Poly([0, 0, 1, 1])
     assert q(1) == 6 and q(-1) == -2
-    assert p.truncate(1) == Poly([1])
+    assert Poly(p.coeffs[:1]) == Poly([1])
 
 
 @given(polys, polys)
@@ -193,3 +194,79 @@ def test_json_roundtrip_is_exact():
     p = Poly(["1/3", -2, 7])
     assert Poly.from_json(p.to_json()) == p
     assert p.to_json() == ["1/3", "-2", "7"]
+
+
+# -- the numerator/denominator representation --------------------------------
+
+mixed_rationals = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=60))
+mixed_lists = st.lists(mixed_rationals, max_size=6)
+
+
+def _canonical(p):
+    """num is a trimmed int tuple over den > 0 with gcd(den, *num) == 1."""
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert gcd(p.den, *p.num) == 1
+    if not p.num:
+        assert (p.num, p.den) == ((), 1)
+    return True
+
+
+def _ref(cs):
+    return [Fraction(c) for c in cs]
+
+
+def _matches(p, cs):
+    """p is canonical and has the coefficients of the Fraction list cs."""
+    return _canonical(p) and p.coeffs == _ref_trim(cs) and \
+        all(_exact(c) for c in p.coeffs)
+
+
+def test_canonical_form_examples():
+    assert (Poly().num, Poly().den) == ((), 1)
+    assert (Poly([Fraction(0, 7)]).num, Poly([Fraction(0, 7)]).den) == ((), 1)
+    half = Poly(["1/2", "1/3", 0])
+    assert (half.num, half.den) == ((3, 2), 6)
+    # (t - 1)/3 * 3 reduces back to an integer polynomial
+    third = Poly([Fraction(-1, 3), Fraction(1, 3)]) * 3
+    assert (third.num, third.den) == ((-1, 1), 1)
+    # equal denominators whose sum shares a factor with them
+    s = Poly([Fraction(1, 4)]) + Poly([Fraction(1, 4)])
+    assert (s.num, s.den) == ((1,), 2)
+    assert Poly(["1/2", 1]) - Poly(["1/2", 1]) == Poly()
+    assert (Poly(["1/2", 1]) - Poly(["1/2", 1])).den == 1
+
+
+@given(mixed_lists, mixed_lists, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=4))
+@example(a=[Fraction(1, 2)], b=[Fraction(-1, 2)], k=2, s=1)
+@example(a=[Fraction(1, 6), Fraction(1, 3)], b=[Fraction(5, 6)], k=0, s=0)
+def test_every_operation_stays_canonical_and_exact(a, b, k, s):
+    p, q = Poly(a), Poly(b)
+    assert _matches(p, _ref(a)) and _matches(q, _ref(b))
+    assert _matches(p + q, _ref_add(_ref(a), _ref(b)))
+    assert _matches(p - q, _ref_add(_ref(a), [-x for x in _ref(b)]))
+    assert _matches(-p, [-x for x in _ref(a)])
+    assert _matches(p * q, _ref_mul(_ref(a), _ref(b)))
+    power = [Fraction(1)]
+    for _ in range(k):
+        power = _ref_mul(power, _ref(a))
+    assert _matches(p ** k, power)
+    assert _matches(p.shift(s), ([Fraction(0)] * s + _ref(a)) if p else [])
+    trimmed = list(_ref_trim(_ref(a)))
+    r = len(trimmed) + s
+    padded = trimmed + [Fraction(0)] * (r + 1 - len(trimmed))
+    assert _matches(poly_rev(p, r), list(reversed(padded)))
+    quotient, rem = poly_divmod_t_minus_1(p)
+    assert _canonical(quotient) and _exact(rem)
+    assert rem == sum(_ref(a), Fraction(0))
+    back = _ref_add(_ref_mul(list(quotient.coeffs), [Fraction(-1), 1]), [rem])
+    assert _ref_trim(back) == _ref_trim(_ref(a))
+    if s:
+        full = trimmed + [Fraction(0)] * s
+        want = [full[0]] + [full[i] - full[i - 1]
+                            for i in range(1, (s - 1) // 2 + 1)]
+        assert _matches(delta_truncate(p, s), want)
