@@ -20,7 +20,8 @@ json`` switches from aligned text to a single JSON object.
 
 Exit status: 0 on success, 1 when a verification fails (an identity does
 not hold, a kernel or action is rejected), 2 on input errors (unreadable
-files, malformed documents, impossible flag combinations).
+files, malformed documents, impossible flag combinations, a
+``KLS_MAX_GROUP`` that is not an integer).
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -28,7 +29,6 @@ generated group sizes.
 
 import argparse
 import json
-import os
 import sys
 
 from . import schemas
@@ -36,7 +36,8 @@ from . import verify as verify_mod
 from .ehrhart import (ComplexError, HStarData, ehr_series,
                       hstar_from_subdivision, localhstar_via_localh,
                       polynomial_action_check, reciprocity_check)
-from .equivariant import (GroupTooLarge, NotAutomorphism, classpoly_json,
+from .equivariant import (AssemblyInconsistent, GroupBoundError,
+                          GroupTooLarge, NotAutomorphism, classpoly_json,
                           equiv_constant, equiv_kernel_validate,
                           equiv_local_invariants, is_eulerian_action,
                           validate_action)
@@ -55,16 +56,6 @@ EXIT_INPUT = 2
 
 class InputProblem(Exception):
     """Anything that makes the request unanswerable (exit code 2)."""
-
-
-def _max_group():
-    raw = os.environ.get("KLS_MAX_GROUP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputProblem(f"KLS_MAX_GROUP must be an integer, got {raw!r}")
 
 
 def _resolve(path):
@@ -107,7 +98,7 @@ def _check_lines(results):
 
 # -- check ------------------------------------------------------------------
 
-def _document_checks(tag, payload, max_group):
+def _document_checks(tag, payload):
     from .status import CheckResult
 
     results = []
@@ -127,7 +118,7 @@ def _document_checks(tag, payload, max_group):
         results.append(("strong-formal-subdivision",
                         triple_to_sfs(triple).validate()))
     elif tag == "fan":
-        fan, faction = schemas.build_fan(payload, max_group=max_group)
+        fan, faction = schemas.build_fan(payload)
         results.append(("fan-structure", CheckResult.passed()))
         results.append(("lower-eulerian",
                         fan.face_poset.is_lower_eulerian()))
@@ -138,7 +129,7 @@ def _document_checks(tag, payload, max_group):
             results.append(("equivariant-kernel",
                             equiv_kernel_validate(kappa)))
     elif tag == "complex":
-        cx = schemas.build_complex(payload, max_group=max_group)
+        cx = schemas.build_complex(payload)
         results.append(("complex-structure", CheckResult.passed()))
         results.append(("action-eulerian", is_eulerian_action(cx.action)))
         HStarData(cx)
@@ -162,7 +153,7 @@ def _document_checks(tag, payload, max_group):
 
 def cmd_check(args):
     tag, payload = schemas.load_document(_resolve(args.path))
-    results = _document_checks(tag, payload, _max_group())
+    results = _document_checks(tag, payload)
     ok, lines, checks = _check_lines(results)
     _emit(args, {"command": "check", "schema": tag,
                  "status": "ok" if ok else "fail", "checks": checks}, lines)
@@ -179,7 +170,7 @@ def _load_carrier(args):
         return schemas.build_poset(payload)
     if tag == "triple":
         return schemas.build_triple(payload).gamma
-    fan, _action = schemas.build_fan(payload, max_group=_max_group())
+    fan, _action = schemas.build_fan(payload)
     return fan.face_poset
 
 
@@ -307,7 +298,7 @@ def cmd_local(args):
     # equivariant tables from a permutation group document
     gtag, gpayload = schemas.load_document(_resolve(args.equivariant),
                                            expect="group")
-    action = schemas.build_group(gpayload, gamma, max_group=_max_group())
+    action = schemas.build_group(gpayload, gamma)
     res = validate_action(action, gamma, q=triple.q)
     if not res:
         raise InputProblem(f"group incompatible with the triple: "
@@ -373,13 +364,11 @@ def _verify_paths(args):
                 and group_doc is not None:
             poset = schemas.build_poset(payload["poset"]) if tag == "triple" \
                 else schemas.build_poset(payload)
-            action = schemas.build_group(group_doc[1], poset,
-                                         max_group=_max_group())
+            action = schemas.build_group(group_doc[1], poset)
             results.append((f"eulerian-action on {path}",
                             is_eulerian_action(action)))
         elif tag == "fan" and args.suite == "equivariant":
-            fan, faction = schemas.build_fan(payload,
-                                             max_group=_max_group())
+            fan, faction = schemas.build_fan(payload)
             if faction is None:
                 raise InputProblem(f"{path} carries no action")
             kappa = fan_kernel(fan, faction, validate=False)
@@ -388,10 +377,9 @@ def _verify_paths(args):
             results.append((f"solvers on {path}",
                             verify_mod.solver_crosscheck(kappa)))
         elif tag == "complex" and args.suite == "ehrhart-reciprocity":
-            cx = schemas.build_complex(payload, max_group=_max_group())
+            cx = schemas.build_complex(payload)
             results.append((f"counting vs assembled h* on {path}",
-                            polynomial_action_check(cx,
-                                                    order=2 * (cx.dim + 1))))
+                            polynomial_action_check(cx)))
             for w in sorted(cx.action.elements):
                 results.append((f"reciprocity w={list(w)} on {path}",
                                 reciprocity_check(cx, w, order=6)))
@@ -424,10 +412,7 @@ def cmd_verify(args):
     if args.paths:
         results = _verify_paths(args)
     else:
-        try:
-            results = verify_mod.run_suite(args.suite)
-        except ValueError as exc:
-            raise InputProblem(str(exc))
+        results = verify_mod.run_suite(args.suite)
     ok, lines, checks = _check_lines(results)
     passed = sum(1 for _n, r in results if r)
     lines.append(f"passed {passed}/{len(results)}")
@@ -440,16 +425,16 @@ def cmd_verify(args):
 
 # -- ehrhart ------------------------------------------------------------------
 
-def _class_lines(action, cp, prefix=""):
+def _class_lines(action, cp):
     data = classpoly_json(action, cp)
-    return [f"{prefix}w{wid}: {','.join(coeffs) if coeffs else '0'}"
+    return [f"w{wid}: {','.join(coeffs) if coeffs else '0'}"
             for wid, coeffs in data["values"]], data
 
 
 def cmd_ehrhart(args):
     tag, payload = schemas.load_document(_resolve(args.path),
                                          expect="complex")
-    cx = schemas.build_complex(payload, max_group=_max_group())
+    cx = schemas.build_complex(payload)
     action = cx.action
     elements = [list(w) for w in sorted(action.elements)]
     order = args.order if args.order is not None else cx.default_order()
@@ -559,19 +544,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except schemas.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GroupTooLarge, NotAutomorphism) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MirrorConstraintViolated as exc:
+    except (MirrorConstraintViolated, AssemblyInconsistent) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (PosetError, SubdivisionError, ComplexError, FanError) as exc:
+    except (InputProblem, schemas.DocumentError, GroupBoundError,
+            GroupTooLarge, NotAutomorphism, PosetError, SubdivisionError,
+            ComplexError, FanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

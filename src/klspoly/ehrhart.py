@@ -370,15 +370,14 @@ def face_kernel(cx):
                        lambda w: cx.by_perm[w])
 
 
-def check_hl_relation(cx, data=None, kappa=None):
+def check_hl_relation(cx):
     """Open-box = half-open-box * inverse-g, and open-box symmetry.
 
     These are the incidence-algebra forms of reciprocity on the face
     poset; both are checked as equalities of equivariant elements.
     """
-    data = data if data is not None else HStarData(cx)
-    kappa = kappa if kappa is not None else face_kernel(cx)
-    g = equiv_solve_g(kappa)
+    data = HStarData(cx)
+    g = equiv_solve_g(face_kernel(cx))
     h_elem = data.element()
     l_elem = data.local_element()
     expected = equiv_multiply(h_elem, equiv_invert(g))
@@ -504,7 +503,7 @@ def ehr_interior_series(cx, w, order=None):
 # -- assembly formulas --------------------------------------------------------
 
 
-def hstar_from_subdivision(cx, data=None):
+def hstar_from_subdivision(cx):
     """Counting polynomial of the whole polytope, assembled from the
     subdivision's interior faces.
 
@@ -512,7 +511,7 @@ def hstar_from_subdivision(cx, data=None):
     polynomial times the characteristic polynomial of the quotient of the
     ambient space by the face's span.
     """
-    data = data if data is not None else HStarData(cx)
+    data = HStarData(cx)
     interior = interior_faces(cx)
     group = cx.action.stabilizer()
     total = ClassPoly.constant(group, ZERO)
@@ -533,15 +532,14 @@ def hstar_from_subdivision(cx, data=None):
     return total
 
 
-def polynomial_action_check(cx, order=None):
+def polynomial_action_check(cx):
     """Certify the assembled counting polynomial against direct counts.
 
-    For every group element, the truncated point-count series times
-    det(I - wt) must reproduce the assembled polynomial, with nothing
-    beyond its degree.
+    For every group element, the point-count series truncated at the
+    default order 2(dim+1) times det(I - wt) must reproduce the assembled
+    polynomial, with nothing beyond its degree.
     """
-    order = 2 * cx.dim if order is None else order
-    order = max(order, cx.dim + 1)
+    order = cx.default_order()
     hstar = hstar_from_subdivision(cx)
     for w in cx.action.elements:
         det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
@@ -664,34 +662,33 @@ def _cylinder_bottom_row(cyl, per_face):
     return EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
 
 
-def _via_localh(cx, cylinder, invariants, data, field):
+def _via_localh(cx, cylinder, invariants, field):
     """The open-box element of the fine faces times the ``field`` row of
     the local invariants, read at (bottom, top) and moved to the complex's
     group."""
     cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
     inv = invariants if invariants is not None else equiv_local_invariants(
         cyl.triple, cyl.weak_rank, cyl.action, cyl.kappa)
-    data = data if data is not None else HStarData(cx)
-    lstar = _cylinder_bottom_row(cyl, data.local)
+    lstar = _cylinder_bottom_row(cyl, HStarData(cx).local)
     product = equiv_multiply(lstar, getattr(inv, field))
     out = product.value(cyl.triple.gamma.bottom(), cyl.top())
     return _classpoly(cx.action.stabilizer(),
                       {cyl.fine_of(w): v for w, v in out.values.items()})
 
 
-def hstar_via_localh(cx, cylinder=None, invariants=None, data=None):
+def hstar_via_localh(cx, cylinder=None, invariants=None):
     """Counting polynomial of the polytope from local subdivision data.
 
     Sums, over fine faces, the open-box polynomial times the local h of
     the fine-to-coarse map at (face, top); with a unimodular triangulation
     this collapses to the local h at the bottom interval.
     """
-    return _via_localh(cx, cylinder, invariants, data, "h_sigma")
+    return _via_localh(cx, cylinder, invariants, "h_sigma")
 
 
-def localhstar_via_localh(cx, cylinder=None, invariants=None, data=None):
+def localhstar_via_localh(cx, cylinder=None, invariants=None):
     """Open-box polynomial of the polytope from local subdivision data."""
-    return _via_localh(cx, cylinder, invariants, data, "ell_sigma")
+    return _via_localh(cx, cylinder, invariants, "ell_sigma")
 
 
 def coarse_hstar(cx, cylinder=None, data=None):
@@ -724,7 +721,7 @@ def coarse_hstar(cx, cylinder=None, data=None):
     return out
 
 
-def check_hstar_identity(cx, cylinder=None, data=None):
+def check_hstar_identity(cx):
     """The crossing identity on the cylinder, as equivariant elements.
 
     (t-1) times the box element restricted to crossing pairs must equal
@@ -732,8 +729,8 @@ def check_hstar_identity(cx, cylinder=None, data=None):
     crossing kernel; the coarse-side values are produced by the exact
     division and re-validated for conjugation consistency.
     """
-    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
-    data = data if data is not None else HStarData(cx)
+    cyl = ComplexCylinder(cx)
+    data = HStarData(cx)
     coarse = coarse_hstar(cx, cylinder=cyl, data=data)
     bottom = cyl.triple.gamma.bottom()
     nx = cx.poset.n

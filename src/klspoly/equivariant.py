@@ -32,6 +32,9 @@ from .incidence import (
     z_function,
 )
 from .status import CheckResult
+from .subdivision import (SubdivisionTriple, corollary_f_identity,
+                          corollary_z_identity, local_invariants,
+                          theorem_g_identities)
 
 DEFAULT_MAX_GROUP = 10_000
 
@@ -42,6 +45,14 @@ class GroupTooLarge(ValueError):
 
 class NotAutomorphism(ValueError):
     """A generator fails to be an order/rank-preserving bijection."""
+
+
+class GroupBoundError(Exception):
+    """KLS_MAX_GROUP is set to something other than an integer.
+
+    Not a ValueError, so document builders do not report it as a malformed
+    document.
+    """
 
 
 class AssemblyInconsistent(ValueError):
@@ -67,10 +78,17 @@ def perm_inv(a):
 
 
 def _group_bound(max_group):
+    """The group size bound: the argument, else KLS_MAX_GROUP, else 10^4."""
     if max_group is not None:
         return max_group
     env = os.environ.get("KLS_MAX_GROUP")
-    return int(env) if env else DEFAULT_MAX_GROUP
+    if not env:
+        return DEFAULT_MAX_GROUP
+    try:
+        return int(env)
+    except ValueError:
+        raise GroupBoundError(
+            f"KLS_MAX_GROUP must be an integer, got {env!r}") from None
 
 
 class Subgroup:
@@ -252,24 +270,17 @@ class PermAction:
                 f"generators={len(self.generators)}, n={self.poset.n})")
 
 
-def validate_action(action, poset=None, rank=None, q=None):
-    """Re-check an action against a poset, a rank function and a fixed point.
+def validate_action(action, poset=None, q=None):
+    """Check an action against a poset and a fixed point.
 
-    Construction already rejects non-automorphisms; this is the reporting
-    variant used by file validation, and it adds the two conditions that
-    depend on context: invariance of an explicit rank function and
-    pointwise fixing of a designated element q.
+    Construction already rejects non-automorphisms, including generators
+    that move the rank; this adds the two conditions that depend on
+    context: the action's poset has the same order and rank as ``poset``,
+    and the designated element q is fixed pointwise.
     """
     if poset is not None and not action.poset.same_order(poset):
         return CheckResult.failed("action-poset-mismatch",
                                   detail="action was built on a different poset")
-    ranks = rank if rank is not None else action.poset.rank
-    if ranks is not None:
-        for w in action.generators:
-            for z in range(action.poset.n):
-                if ranks[w[z]] != ranks[z]:
-                    return CheckResult.failed(
-                        "rank-not-invariant", witness={"w": list(w), "z": z})
     if q is not None:
         for w in action.generators:
             if w[q] != q:
@@ -410,16 +421,6 @@ class ClassPoly:
                                           v.den * len(sub) * group.size[g])
         return _classpoly(group, values)
 
-    def nonintegral_values(self):
-        """Coefficient values that fail integrality, as (rep, i, value)."""
-        bad = []
-        for w in sorted(self.values):
-            v = self.values[w]
-            if v.den != 1:
-                bad.extend((w, i, c) for i, c in enumerate(v.coeffs)
-                           if type(c) is not int)
-        return bad
-
     def __repr__(self):
         return f"ClassPoly(|carrier|={len(self.group)})"
 
@@ -549,13 +550,6 @@ class EquivIncidenceElement:
                 f"support={len(self.vals)})")
 
 
-def equiv_delta(action, weak_rank):
-    """Identity of the equivariant incidence algebra."""
-    vals = {(z, z): ClassPoly.constant(action.stabilizer(z, z), ONE)
-            for z in range(action.poset.n)}
-    return EquivIncidenceElement(action, weak_rank, vals, validate=False)
-
-
 def equiv_constant(action, p):
     """Embed an invariant ordinary incidence element as constants.
 
@@ -658,27 +652,6 @@ def equiv_hat(p):
             signs[w] = -1 if (ranks[pos[j]] - ranks[pos[i]]) % 2 else 1
         vals[(i, j)] = cp.twist(signs)
     return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
-
-
-def pullback(p, subaction):
-    """Restrict an equivariant element to a subgroup's action.
-
-    The subgroup is given as its own action on the same poset and must be
-    contained in the original group; values restrict carrier by carrier.
-    Restricting to the trivial group recovers the ordinary element (up to
-    the constant embedding).
-    """
-    if subaction.poset is not p.action.poset and \
-            not subaction.poset.same_order(p.action.poset):
-        raise ValueError("pullback target acts on a different poset")
-    big = set(p.action.elements)
-    if any(w not in big for w in subaction.elements):
-        raise ValueError("pullback target is not a subgroup of the source")
-    vals = {}
-    for (i, j), cp in p.vals.items():
-        small = subaction.stabilizer(i, j)
-        vals[(i, j)] = cp.res(small)
-    return EquivIncidenceElement(subaction, p.weak_rank, vals, validate=False)
 
 
 def is_eulerian_action(action):
@@ -849,21 +822,6 @@ def equiv_invert(p):
     return _assemble(action, p.weak_rank, lambda w: invert(ev_w(p, w)))
 
 
-def nonintegral_report(p):
-    """Class-function values failing integrality, with their intervals.
-
-    Virtual characters take integer values; rationals appearing anywhere in
-    a solved element indicate either a genuinely non-integral input or a
-    bug, so callers report these rather than failing silently.
-    """
-    bad = []
-    for (i, j) in sorted(p.vals):
-        for (w, k, value) in p.vals[(i, j)].nonintegral_values():
-            bad.append({"interval": [i, j], "w": list(w), "coefficient": k,
-                        "value": str(value)})
-    return bad
-
-
 def classpoly_json(action, cp):
     """Serialize one class polynomial against an action's element ids.
 
@@ -909,8 +867,6 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     then re-verified through the equivariant product itself:
     (t - 1) h = g * (kernel masked to carrier pairs) and ell * g = h.
     """
-    from .subdivision import SubdivisionTriple, local_invariants
-
     result = validate_action(action, triple.gamma, q=triple.q)
     if not result:
         raise ValueError(f"action incompatible with the triple: "
@@ -953,72 +909,25 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
                                 delta_ell)
 
 
-def _equiv_agree(tag, *elems):
-    first = elems[0]
-    for other in elems[1:]:
-        keys = sorted(set(first.vals) | set(other.vals))
-        for (i, j) in keys:
-            a = first.value(i, j)
-            b = other.value(i, j)
-            if a != b:
-                labels = first.action.poset.labels
-                return CheckResult.failed(
-                    tag,
-                    witness={"interval": [i, j],
-                             "labels": [labels[i], labels[j]]})
-    return CheckResult.passed()
-
-
 def check_equivariant_theorem(triple, weak_rank, action, kappa):
     """Verify the subdivision identities in the equivariant algebra.
 
     Both routes are exercised: the local invariants are assembled from the
     fixed posets (where each carries its own ordinary proof obligations),
-    and the three identities relating g, f and Z across the carrier split
-    are then checked with the induction/restriction product:
-
-        g on mixed pairs   =  delta_ell * g          =  delta_ell * g|Y
-        f on mixed pairs   = -f * hat(delta_ell)     = -f|X * hat(delta_ell)
-        Z on mixed pairs   = -Z|X * hat(delta_ell) + rev(delta_ell) * Z|Y
-
-    together with delta_ell = (g on mixed pairs) * g^{-1}.
+    and the identities of :func:`klspoly.subdivision.theorem_g_identities`
+    and its f and Z companions are then checked with the
+    induction/restriction product.
     """
     li = equiv_local_invariants(triple, weak_rank, action, kappa)
     g = li.g
     dl = li.delta_ell
-    in_x, in_y = triple.in_x, triple.in_y
-
-    def xy(p):
-        return p.mask(lambda i, j: in_x(i) and in_y(j))
-
-    def xx(p):
-        return p.mask(lambda i, j: in_x(i) and in_x(j))
-
-    def yy(p):
-        return p.mask(lambda i, j: in_y(i) and in_y(j))
-
-    result = _equiv_agree("theorem-g", xy(g), equiv_multiply(dl, g),
-                          equiv_multiply(dl, yy(g)))
+    result = theorem_g_identities(triple, g, equiv_invert(g), dl)
     if not result:
         return result
-
-    result = _equiv_agree("delta-ell-from-g",
-                          dl, equiv_multiply(xy(g), equiv_invert(g)))
-    if not result:
-        return result
-
     f = equiv_solve_f(kappa)
     dl_hat = equiv_hat(dl)
-    result = _equiv_agree("corollary-f", xy(f),
-                          -equiv_multiply(f, dl_hat),
-                          -equiv_multiply(xx(f), dl_hat))
+    result = corollary_f_identity(triple, f, dl_hat)
     if not result:
         return result
-
-    z = equiv_z_function(kappa, g=g, f=f)
-    result = _equiv_agree(
-        "corollary-z", xy(z),
-        -equiv_multiply(xx(z), dl_hat) + equiv_multiply(equiv_rev(dl), yy(z)))
-    if not result:
-        return result
-    return CheckResult.passed()
+    return corollary_z_identity(triple, equiv_z_function(kappa, g=g, f=f),
+                                dl_hat, equiv_rev(dl))

@@ -321,8 +321,8 @@ class EquivFanAction:
         return len(self._by_perm)
 
     @classmethod
-    def from_json(cls, fan, payload, max_group=None):
-        return cls(fan, payload["matrices"], max_group=max_group)
+    def from_json(cls, fan, payload):
+        return cls(fan, payload["matrices"])
 
     def __repr__(self):
         return f"EquivFanAction(|W|={len(self._by_perm)}, {self.fan!r})"

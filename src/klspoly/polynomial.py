@@ -257,14 +257,6 @@ class Poly:
             return Poly([other])
         return NotImplemented
 
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.num:
-            return self
-        return _raw((0,) * k + self.num, self.den)
-
     def __call__(self, x):
         """Evaluate at a rational point (Horner)."""
         acc = Fraction(0)

@@ -187,16 +187,13 @@ class Poset:
             rank[z] = values.pop() + 1
         return tuple(rank)
 
-    def validate_rank(self, rank=None):
+    def validate_rank(self, rank):
         """Check a rank vector: +1 across every cover.
 
         Rank functions are determined up to an overall shift; the natural
         one has value 0 at the unique minimum, but shifted ones are valid
         (and arise when restricting to upper sets).
         """
-        rank = self.rank if rank is None else rank
-        if rank is None:
-            return CheckResult.failed("no-rank", detail="poset carries no rank vector")
         if len(rank) != self.n:
             return CheckResult.failed("bad-length")
         for a, b in self.covers():
@@ -207,21 +204,20 @@ class Poset:
 
     # -- Eulerian structure -------------------------------------------------
 
-    def is_lower_eulerian(self, rank=None):
+    def is_lower_eulerian(self):
         """Unique minimum, valid rank, and Euler alternating-sum zero on all
         strict intervals.  Returns a CheckResult whose witness is the first
         offending interval.
 
-        The result for rank=None (the poset's own rank, else its natural
-        rank) is computed once and kept; an explicit rank is checked afresh.
+        The rank is the poset's own, else its natural rank; the result is
+        computed once and kept.
         """
-        if rank is not None:
-            return self._check_lower_eulerian(rank)
         if self._lower_eulerian is None:
-            self._lower_eulerian = self._check_lower_eulerian(self.rank)
+            self._lower_eulerian = self._check_lower_eulerian()
         return self._lower_eulerian
 
-    def _check_lower_eulerian(self, rank):
+    def _check_lower_eulerian(self):
+        rank = self.rank
         if rank is None:
             try:
                 rank = self.natural_rank()
@@ -246,9 +242,9 @@ class Poset:
                         detail=f"alternating sum {total} on [{self.labels[i]}, {self.labels[j]}]")
         return CheckResult.passed()
 
-    def is_eulerian(self, rank=None):
+    def is_eulerian(self):
         """Lower Eulerian with a unique maximum."""
-        res = self.is_lower_eulerian(rank)
+        res = self.is_lower_eulerian()
         if not res:
             return res
         maxs = self.maximal_elements()

@@ -53,15 +53,6 @@ class DocumentError(ValueError):
     """Raised when a JSON document is malformed or has the wrong schema."""
 
 
-def wrap(tag, payload):
-    """Wrap a payload dict as a versioned document."""
-    if tag not in TAGS:
-        raise DocumentError(f"unknown schema tag {tag!r}")
-    doc = {"schema": tag, "v": VERSION}
-    doc.update(payload)
-    return doc
-
-
 def parse_document(obj, expect=None):
     """Validate a loaded JSON object as a document; return (tag, payload).
 
@@ -84,22 +75,20 @@ def parse_document(obj, expect=None):
     return tag, payload
 
 
-def load_document(path, expect=None):
-    """Read a document from disk; return (tag, payload)."""
+def _read_json(path):
+    """The JSON value in a file; DocumentError when unreadable or invalid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_document(obj, expect=expect)
 
 
-def save_document(path, tag, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(wrap(tag, payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def load_document(path, expect=None):
+    """Read a document from disk; return (tag, payload)."""
+    return parse_document(_read_json(path), expect=expect)
 
 
 def _ranked(poset):
@@ -135,22 +124,21 @@ def build_triple(payload):
         raise DocumentError(f"bad triple payload: {exc}") from exc
 
 
-def build_fan(payload, max_group=None):
+def build_fan(payload):
     """Return (fan, action-or-None) from a fan payload."""
     try:
         fan = LatticeFan.from_json(payload)
         action = None
         if payload.get("action") is not None:
-            action = EquivFanAction.from_json(fan, payload["action"],
-                                              max_group=max_group)
+            action = EquivFanAction.from_json(fan, payload["action"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad fan payload: {exc}") from exc
     return fan, action
 
 
-def build_complex(payload, max_group=None):
+def build_complex(payload):
     try:
-        return LatticeSimplexComplex.from_json(payload, max_group=max_group)
+        return LatticeSimplexComplex.from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad complex payload: {exc}") from exc
 
@@ -171,13 +159,7 @@ def load_kernel_file(path, poset):
     comparable pairs.  Validation of the result is the caller's business
     (the solvers re-check the kernel axioms as they run).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "values" not in obj:
         raise DocumentError("kernel file must be an object with a 'values' list")
     base = eulerian_kernel(poset)

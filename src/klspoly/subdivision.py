@@ -61,9 +61,9 @@ class StrongFormalSubdivision:
     is meaningful.  sigma is stored as a tuple indexed by X elements.
     """
 
-    __slots__ = ("X", "Y", "sigma", "x_embedding", "y_embedding")
+    __slots__ = ("X", "Y", "sigma")
 
-    def __init__(self, X, Y, sigma, x_embedding=None, y_embedding=None):
+    def __init__(self, X, Y, sigma):
         if X.rank is None or Y.rank is None:
             raise SubdivisionError("both posets must carry rank vectors")
         sigma = tuple(int(s) for s in sigma)
@@ -74,10 +74,6 @@ class StrongFormalSubdivision:
         self.X = X
         self.Y = Y
         self.sigma = sigma
-        # embeddings into an ambient cylinder, when this object was split
-        # off a triple; purely informational
-        self.x_embedding = x_embedding
-        self.y_embedding = y_embedding
 
     def __repr__(self):
         return f"StrongFormalSubdivision({self.X!r} -> {self.Y!r})"
@@ -134,9 +130,7 @@ class SubdivisionTriple:
 
     __slots__ = ("gamma", "q", "_sigma_of")
 
-    def __init__(self, gamma, q, rho=None):
-        if rho is not None:
-            gamma = gamma.with_rank(rho)
+    def __init__(self, gamma, q):
         if gamma.rank is None:
             raise SubdivisionError("triple needs a rank function")
         res = gamma.is_lower_eulerian()
@@ -220,8 +214,7 @@ def triple_to_sfs(triple):
     ypos = ypos.with_rank([gamma.rank[z] - 1 for z in yemb])
     yindex = {z: k for k, z in enumerate(yemb)}
     sigma = [yindex[triple.sigma_of(z)] for z in xemb]
-    return StrongFormalSubdivision(xpos, ypos, sigma,
-                                   x_embedding=xemb, y_embedding=yemb)
+    return StrongFormalSubdivision(xpos, ypos, sigma)
 
 
 def mapping_cylinder(sfs):
@@ -381,8 +374,8 @@ def local_invariants(triple, weak_rank, kappa):
 
 
 def _elements_agree(tag, *elems):
-    """CheckResult comparing incidence elements pairwise, with the first
-    differing interval as witness."""
+    """CheckResult comparing incidence elements (ordinary or equivariant)
+    pairwise, with the first differing interval as witness."""
     first = elems[0]
     for other in elems[1:]:
         if other.vals != first.vals:
@@ -395,45 +388,58 @@ def _elements_agree(tag, *elems):
     return CheckResult.passed()
 
 
-def check_theorem_g(triple, kappa):
-    """The mixed block of g equals Delta ell * g (and Delta ell * g|_Y),
-    and Delta ell is recovered as g|_{X/Y} * g^{-1}.
+# The three identities below use only the algebra operations (*, + and
+# unary -) and the triple's masks, so they check ordinary incidence
+# elements and equivariant ones alike.
 
-    kappa is a kernel or its KernelSolution.  Left side: solver output,
-    masked.  Right side: convolutions of the local invariants.  The code
-    paths share nothing but the solver.
-    """
-    li = local_invariants(triple, kappa.weak_rank, kappa)
-    g = li.g
-    lhs = triple.mask_xy(g)
-    rhs_full = convolve(li.delta_ell, g)
-    rhs_y = convolve(li.delta_ell, triple.mask_yy(g))
-    res = _elements_agree("theorem-g", lhs, rhs_full, rhs_y)
+
+def theorem_g_identities(triple, g, g_inv, delta_ell):
+    """The mixed block of g equals Delta ell * g (and Delta ell * g|_Y),
+    and Delta ell is recovered as g|_{X/Y} * g^{-1}."""
+    res = _elements_agree("theorem-g", triple.mask_xy(g), delta_ell * g,
+                          delta_ell * triple.mask_yy(g))
     if not res:
         return res
-    alt = convolve(triple.mask_xy(g), li.solution.g_inv)
-    return _elements_agree("delta-ell-from-g", li.delta_ell, alt)
+    return _elements_agree("delta-ell-from-g", delta_ell,
+                           triple.mask_xy(g) * g_inv)
+
+
+def corollary_f_identity(triple, f, delta_ell_hat):
+    """Mixed block of f equals -f * hat(Delta ell) = -f|_X * hat(Delta ell)."""
+    return _elements_agree("corollary-f", triple.mask_xy(f),
+                           -(f * delta_ell_hat),
+                           -(triple.mask_xx(f) * delta_ell_hat))
+
+
+def corollary_z_identity(triple, z, delta_ell_hat, delta_ell_rev):
+    """Mixed block of Z equals -Z|_X * hat(Delta ell) + rev(Delta ell) * Z|_Y."""
+    return _elements_agree("corollary-z", triple.mask_xy(z),
+                           -(triple.mask_xx(z) * delta_ell_hat)
+                           + delta_ell_rev * triple.mask_yy(z))
+
+
+def check_theorem_g(triple, kappa):
+    """Theorem g on a triple; kappa is a kernel or its KernelSolution.
+
+    Left side: solver output, masked.  Right side: convolutions of the
+    local invariants.  The code paths share nothing but the solver.
+    """
+    li = local_invariants(triple, kappa.weak_rank, kappa)
+    return theorem_g_identities(triple, li.g, li.solution.g_inv,
+                                li.delta_ell)
 
 
 def check_corollary_f(triple, kappa):
-    """Mixed block of f equals -f * hat(Delta ell) = -f|_X * hat(Delta ell)."""
+    """Corollary f on a triple; kappa is a kernel or its KernelSolution."""
     li = local_invariants(triple, kappa.weak_rank, kappa)
-    f = li.solution.f
-    ell_hat = hat(li.delta_ell)
-    lhs = triple.mask_xy(f)
-    rhs_full = -convolve(f, ell_hat)
-    rhs_x = -convolve(triple.mask_xx(f), ell_hat)
-    return _elements_agree("corollary-f", lhs, rhs_full, rhs_x)
+    return corollary_f_identity(triple, li.solution.f, hat(li.delta_ell))
 
 
 def check_corollary_z(triple, kappa):
-    """Mixed block of Z equals -Z|_X * hat(Delta ell) + rev(Delta ell) * Z|_Y."""
+    """Corollary Z on a triple; kappa is a kernel or its KernelSolution."""
     li = local_invariants(triple, kappa.weak_rank, kappa)
-    z = li.solution.z
-    lhs = triple.mask_xy(z)
-    rhs = (-convolve(triple.mask_xx(z), hat(li.delta_ell))
-           + convolve(rev(li.delta_ell), triple.mask_yy(z)))
-    return _elements_agree("corollary-z", lhs, rhs)
+    return corollary_z_identity(triple, li.solution.z, hat(li.delta_ell),
+                                rev(li.delta_ell))
 
 
 # --------------------------------------------------------------------------

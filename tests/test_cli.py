@@ -4,11 +4,16 @@ import json
 
 import pytest
 
-from klspoly import cli
+from klspoly import cli, verify
 from klspoly.ehrhart import ComplexCylinder
+from klspoly.equivariant import AssemblyInconsistent
+from klspoly.incidence import MirrorConstraintViolated
 from klspoly.poset import chain
-from klspoly.schemas import save_document
 from klspoly.verify import load_complex_fixture, load_fixture
+
+
+def write_document(path, tag, payload):
+    path.write_text(json.dumps({"schema": tag, "v": 1, **payload}))
 
 
 def run(capsys, argv):
@@ -25,7 +30,7 @@ def test_check_passes_on_boolean_algebra(capsys):
 
 def test_check_fails_on_a_three_chain_with_witness(capsys, tmp_path):
     path = tmp_path / "chain3.json"
-    save_document(path, "poset", chain(3).to_json())
+    write_document(path, "poset", chain(3).to_json())
     code, out = run(capsys, ["check", str(path)])
     assert code == 1
     assert "(0, 2)" in out
@@ -164,7 +169,7 @@ def test_unimodular_cylinder_headline_matches_hstar(capsys, tmp_path):
     cx = load_complex_fixture("seg2_flip.json")
     cyl = ComplexCylinder(cx)
     path = tmp_path / "cylinder.json"
-    save_document(path, "triple", cyl.triple.to_json())
+    write_document(path, "triple", cyl.triple.to_json())
     code, out = run(capsys, ["local", str(path)])
     assert code == 0
     hline = next(l for l in out.splitlines() if l.startswith("h_sigma"))
@@ -210,7 +215,7 @@ def test_malformed_fan_action_is_an_input_error(capsys, tmp_path, action):
     _tag, payload = load_fixture("square_fan_z4.json", expect="fan")
     payload["action"] = action
     path = tmp_path / "fan.json"
-    save_document(path, "fan", payload)
+    write_document(path, "fan", payload)
     code = cli.main(["check", str(path)])
     captured = capsys.readouterr()
     assert code == 2
@@ -272,7 +277,7 @@ def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
         argv = ["kls", "fixture:boolean3.json", "--what", "g",
                 "--kernel", str(path)]
     else:
-        save_document(path, kind, payload)
+        write_document(path, kind, payload)
         argv = ["check", str(path)]
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -285,9 +290,38 @@ def test_group_size_bound_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("KLS_MAX_GROUP", "2")
     code, out = run(capsys, ["check", "fixture:cone_square_z4.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "fixture:cone_square_z4.json"],
+    ["ehrhart", "fixture:unit_square.json", "--what", "hstar"],
+    ["verify", "--suite", "equivariant"],
+    ["verify", "--suite", "ehrhart-reciprocity"],
+], ids=["check", "ehrhart", "verify-equivariant",
+        "verify-ehrhart-reciprocity"])
+def test_a_bad_group_bound_is_an_input_error(capsys, monkeypatch, argv):
     monkeypatch.setenv("KLS_MAX_GROUP", "not-a-number")
-    code, out = run(capsys, ["check", "fixture:cone_square_z4.json"])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.err == ("error: KLS_MAX_GROUP must be an integer, "
+                            "got 'not-a-number'\n")
+
+
+@pytest.mark.parametrize("failure", [
+    MirrorConstraintViolated("mirror constraint fails", (0, 3)),
+    AssemblyInconsistent("assembled Z is not symmetric"),
+], ids=["mirror-constraint", "assembly"])
+def test_a_failure_inside_a_suite_is_a_verification_failure(
+        capsys, monkeypatch, failure):
+    def broken():
+        raise failure
+
+    monkeypatch.setattr(verify, "suite_composition", broken)
+    code = cli.main(["verify", "--suite", "composition"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"verification failed: {failure}\n"
 
 
 def test_unknown_flags_exit_two():

@@ -3,17 +3,19 @@
 import pytest
 
 from klspoly.equivariant import (ClassPoly, NotAutomorphism, PermAction,
-                                 equiv_constant, equiv_delta,
-                                 equiv_kernel_validate, equiv_multiply,
+                                 check_equivariant_theorem, equiv_constant,
+                                 equiv_invert, equiv_kernel_validate,
+                                 equiv_local_invariants, equiv_multiply,
                                  equiv_rev, equiv_solve_f, equiv_solve_g,
                                  equiv_z_function, ev_w, is_eulerian_action,
-                                 nonintegral_report, perm_inv, perm_mul,
-                                 pullback, validate_action)
-from klspoly.incidence import eulerian_kernel, validate_kernel
+                                 perm_inv, perm_mul, validate_action)
+from klspoly.incidence import delta, eulerian_kernel, validate_kernel
 from klspoly.polynomial import Poly
 from klspoly.poset import boolean_algebra, polygon
 from klspoly.schemas import load_document, build_poset, build_group
-from klspoly.verify import fixture_path, square_fan_setup
+from klspoly.subdivision import theorem_g_identities
+from klspoly.verify import (fixture_path, hexagon_dihedral_setup,
+                            square_fan_setup)
 
 from conftest import (dihedral_polygon_action, natural_weak_rank,
                       random_equiv_element, seeded_rng)
@@ -59,9 +61,15 @@ def test_non_automorphism_rejected():
 def test_validate_action_checks_rank_and_q():
     p = polygon(4)
     act = rotation_polygon_action(4)
-    assert validate_action(act, p, rank=p.rank)
+    assert validate_action(act, p)
     # q = a vertex is moved by the rotation
-    assert not validate_action(act, p, rank=p.rank, q=1)
+    assert not validate_action(act, p, q=1)
+    # the rank is compared with the poset's, and checked at construction
+    lifted = p.with_rank([r + 1 for r in p.rank])
+    assert validate_action(act, lifted).reason == "action-poset-mismatch"
+    uneven = p.with_rank([0, 1, 1, 1, 5, 2, 2, 2, 2, 3])
+    with pytest.raises(NotAutomorphism, match="rank"):
+        PermAction(uneven, act.generators)
 
 
 def test_fixed_posets_of_polygon_rotations():
@@ -117,8 +125,9 @@ def test_rotation_solvers_reduce_per_element():
             assert full == Poly([1, 9, 9, 1])
         else:
             assert full == Poly([1, -3, -3, 1])
-    assert nonintegral_report(g) == []
-    assert nonintegral_report(z) == []
+    # virtual characters: every class value is an integer polynomial
+    assert all(v.den == 1 for elem in (g, z) for cp in elem.vals.values()
+               for v in cp.values.values())
 
 
 def test_solver_mirror_constraints_hold_equivariantly():
@@ -145,22 +154,6 @@ def test_randomized_evaluation_is_multiplicative():
             pw, qw = ev_w(p, w), ev_w(q, w)
             from klspoly.incidence import convolve
             assert left.vals == convolve(pw, qw).vals
-
-
-def test_pullback_to_subgroup():
-    act = dihedral_polygon_action(4)
-    rot = rotation_polygon_action(4)
-    kappa = equiv_constant(rot, eulerian_kernel(act.poset))
-    # rotations form a subgroup of the dihedral action
-    sub = pullback(equiv_constant(rot, eulerian_kernel(act.poset)), rot)
-    assert sub.vals.keys() == kappa.vals.keys()
-    trivial = PermAction(act.poset, [])
-    plain = pullback(kappa, trivial)
-    base = eulerian_kernel(act.poset)
-    for pair, cp in plain.vals.items():
-        assert cp.values[trivial.identity] == base.value(*pair)
-    with pytest.raises(ValueError, match="subgroup"):
-        pullback(pullback(kappa, trivial), act)  # trivial has no D4 inside
 
 
 def test_glued_double_semisuspension_is_refused():
@@ -202,6 +195,17 @@ def test_equiv_delta_is_identity():
     wr = natural_weak_rank(act)
     rng = seeded_rng(99)
     p = random_equiv_element(act, wr, rng)
-    d = equiv_delta(act, wr)
+    d = equiv_constant(act, delta(act.poset, wr))
     assert equiv_multiply(d, p).vals == p.vals
     assert equiv_multiply(p, d).vals == p.vals
+
+
+def test_equivariant_theorem_through_the_ordinary_identity_code():
+    triple, action, kappa = hexagon_dihedral_setup()
+    assert check_equivariant_theorem(triple, kappa.weak_rank, action, kappa)
+    # a wrong Delta ell is caught by the same code, naming an interval
+    li = equiv_local_invariants(triple, kappa.weak_rank, action, kappa)
+    res = theorem_g_identities(triple, li.g, equiv_invert(li.g),
+                               li.delta_ell.scale(Poly([2])))
+    assert not res and res.reason == "theorem-g"
+    assert res.witness in triple.xy_pairs()

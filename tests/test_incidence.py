@@ -189,7 +189,7 @@ def test_weak_rank_validation():
     # non-additive values are rejected at construction
     values = {pair: 1 if pair[0] != pair[1] else 0 for pair in PAIRS3}
     with pytest.raises(ValueError, match="not-additive"):
-        WeakRank.from_values(B3, values)
+        WeakRank(B3, values)
 
 
 SCALED_POSETS = {"boolean3": B3, "pentagon": polygon(5),
