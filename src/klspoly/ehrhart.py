@@ -108,7 +108,7 @@ class LatticeSimplexComplex:
     """
 
     def __init__(self, dim, vertices, faces, covers, matrices=None,
-                 coarse=None, max_group=None):
+                 coarse=None):
         self.dim = dim
         self.vertices = lattice_points(vertices, "vertex", ComplexError)
         for v in self.vertices:
@@ -144,13 +144,13 @@ class LatticeSimplexComplex:
         for z in self.poset.maximal_elements():
             if len(self.faces[z]) != dim + 1:
                 raise ComplexError("maximal faces must be full-dimensional")
-        self._init_action(matrices or [], max_group)
+        self._init_action(matrices or [])
         self._init_coarse(coarse)
         self._box_cache = {}
 
     # -- symmetry -----------------------------------------------------------
 
-    def _init_action(self, matrices, max_group):
+    def _init_action(self, matrices):
         last = identity_matrix(self.dim + 1)[self.dim]
         lifted_permutation = vertex_permutation(self.lifted)
 
@@ -162,7 +162,7 @@ class LatticeSimplexComplex:
 
         self.action, pairs = matrix_action(
             self.poset, self.faces, self.dim + 1, matrices,
-            affine_permutation, max_group=max_group)
+            affine_permutation)
         self.by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
         self.vert_perm = {w: vperm for w, (vperm, _mat) in pairs.items()}
 
@@ -247,13 +247,13 @@ class LatticeSimplexComplex:
         return 2 * (self.dim + 1)
 
     @classmethod
-    def from_json(cls, payload, max_group=None):
+    def from_json(cls, payload):
         action = payload.get("affine_action") or {}
         if not isinstance(action, dict):
             raise ComplexError("affine_action must be an object")
         return cls(payload["dim"], payload["vertices"], payload["faces"],
                    payload["covers"], matrices=action.get("matrices"),
-                   coarse=payload.get("coarse"), max_group=max_group)
+                   coarse=payload.get("coarse"))
 
     def to_json(self):
         out = {"dim": self.dim,

@@ -141,17 +141,15 @@ class PermAction:
     """A finite group of poset automorphisms, given by generators.
 
     Generators are permutations of the element indices.  Each one must
-    preserve the order relation in both directions, preserve the rank
-    function when the poset has one, and preserve ``weak_rank`` when one is
-    supplied.  The full group is generated eagerly (breadth-first) so that
-    stabilizers and conjugacy classes are plain set operations; a size
-    bound (argument, else the KLS_MAX_GROUP environment variable, else
-    10^4) keeps that from exploding.
+    preserve the order relation in both directions and preserve the rank
+    function when the poset has one.  The full group is generated eagerly
+    (breadth-first) so that stabilizers and conjugacy classes are plain
+    set operations; a size bound (argument, else the KLS_MAX_GROUP
+    environment variable, else 10^4) keeps that from exploding.
     """
 
-    def __init__(self, poset, generators, weak_rank=None, max_group=None):
+    def __init__(self, poset, generators, max_group=None):
         self.poset = poset
-        self.weak_rank = weak_rank
         gens = []
         for gen in generators:
             g = tuple(gen)
@@ -200,12 +198,6 @@ class PermAction:
                 if poset.rank[g[i]] != poset.rank[i]:
                     raise NotAutomorphism(
                         f"permutation does not preserve rank at element {i}")
-        if self.weak_rank is not None:
-            for (i, j) in poset.intervals():
-                if self.weak_rank.value(g[i], g[j]) != self.weak_rank.value(i, j):
-                    raise NotAutomorphism(
-                        "permutation does not preserve the weak rank "
-                        f"on interval ({i}, {j})")
 
     def __len__(self):
         return len(self.elements)

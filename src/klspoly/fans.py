@@ -394,7 +394,7 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of,
     return kernel
 
 
-def cylinder_kernel(triple, action, spans, matrix_of, validate=True):
+def cylinder_kernel(triple, action, spans, matrix_of):
     """Kernel of a geometrically realized subdivision cylinder.
 
     Pairs inside either half use plain quotient characteristic
@@ -405,7 +405,7 @@ def cylinder_kernel(triple, action, spans, matrix_of, validate=True):
     weak_rank = WeakRank.natural(triple.gamma)
     return span_kernel(action, weak_rank, spans,
                        lambda i, j: triple.in_x(i) and triple.in_y(j),
-                       matrix_of, validate=validate)
+                       matrix_of)
 
 
 def fan_kernel(fan, faction, validate=True):
@@ -486,7 +486,7 @@ class PolytopeGeometry:
                       for f in self.faces]
         self.in_y = [poset.leq(face_index, z) for z in range(poset.n)]
 
-    def action(self, matrices, max_group=None):
+    def action(self, matrices):
         """Permutation action on the face lattice induced by matrices.
 
         Each matrix must permute the vertices; the face permutation must
@@ -494,8 +494,7 @@ class PolytopeGeometry:
         """
         action, pairs = matrix_action(self.poset, self.faces, self.dim,
                                       matrices,
-                                      vertex_permutation(self.vertices),
-                                      max_group=max_group)
+                                      vertex_permutation(self.vertices))
         by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
         for w in action.generators:
             if w[self.face_index] != self.face_index:

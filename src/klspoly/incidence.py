@@ -25,6 +25,7 @@ from .polynomial import (
     _poly,
     delta_truncate,
     poly_div_t_minus_1,
+    poly_dot,
     poly_rev,
 )
 from .status import CheckResult
@@ -32,6 +33,11 @@ from .status import CheckResult
 
 class CarrierMismatch(ValueError):
     """Two incidence elements live on different posets or weak ranks."""
+
+
+class UnsuitablePoset(ValueError):
+    """The poset lacks a property an operation needs: lower Eulerian,
+    Eulerian, or rank at least 1."""
 
 
 class NotInvertible(ValueError):
@@ -124,6 +130,10 @@ class IncidenceElement:
     Only nonzero values are stored.  All binary operations require both
     operands to share the identical carrier (poset and weak rank); mixing
     carriers raises CarrierMismatch rather than guessing.
+
+    The constructor checks every key and value, for loaded and user data;
+    algebra results are built by :func:`_element`, whose keys and values
+    hold by construction.
     """
 
     __slots__ = ("poset", "weak_rank", "vals")
@@ -153,29 +163,42 @@ class IncidenceElement:
     def support(self):
         return sorted(self.vals)
 
+    def _shares_carrier(self, other):
+        """Equal poset and weak rank; the same objects answer at once."""
+        if self.poset is other.poset and self.weak_rank is other.weak_rank:
+            return True
+        return self.poset == other.poset and self.weak_rank == other.weak_rank
+
     def _same_carrier(self, other):
-        if self.poset != other.poset or self.weak_rank != other.weak_rank:
+        if not self._shares_carrier(other):
             raise CarrierMismatch("incidence elements live on different carriers")
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceElement):
             return NotImplemented
-        return (self.poset == other.poset and self.weak_rank == other.weak_rank
-                and self.vals == other.vals)
+        return self._shares_carrier(other) and self.vals == other.vals
 
     def __add__(self, other):
         self._same_carrier(other)
         out = dict(self.vals)
         for pair, poly in other.vals.items():
-            out[pair] = out.get(pair, ZERO) + poly
-        return IncidenceElement(self.poset, self.weak_rank, out)
+            cur = out.get(pair)
+            if cur is None:
+                out[pair] = poly
+                continue
+            total = cur + poly
+            if total:
+                out[pair] = total
+            else:
+                del out[pair]
+        return _element(self.poset, self.weak_rank, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IncidenceElement(self.poset, self.weak_rank,
-                                {p: -v for p, v in self.vals.items()})
+        return _element(self.poset, self.weak_rank,
+                        {p: -v for p, v in self.vals.items()})
 
     def __mul__(self, other):
         if isinstance(other, IncidenceElement):
@@ -184,13 +207,15 @@ class IncidenceElement:
 
     def scale(self, c):
         c = Poly._lift(c)
-        return IncidenceElement(self.poset, self.weak_rank,
-                                {p: v * c for p, v in self.vals.items()})
+        if not c:
+            return _element(self.poset, self.weak_rank, {})
+        return _element(self.poset, self.weak_rank,
+                        {p: v * c for p, v in self.vals.items()})
 
     def mask(self, pred):
         """Keep only the intervals where pred(i, j) is true."""
-        return IncidenceElement(self.poset, self.weak_rank,
-                                {p: v for p, v in self.vals.items() if pred(*p)})
+        return _element(self.poset, self.weak_rank,
+                        {p: v for p, v in self.vals.items() if pred(*p)})
 
     def __repr__(self):
         return f"IncidenceElement({len(self.vals)} nonzero intervals on {self.poset!r})"
@@ -210,6 +235,24 @@ class IncidenceElement:
         return cls(poset, weak_rank, vals)
 
 
+_new = object.__new__
+
+
+def _element(poset, weak_rank, vals):
+    """The IncidenceElement with ``vals`` {interval: nonzero Poly}, unchecked.
+
+    The dict is taken over as it is: every algebra result (convolution,
+    sums, masks, reversal, the solvers, the inverse) is built here from
+    values on intervals of the carrier, and drops its zero values itself.
+    Data from outside goes through the checking constructor instead.
+    """
+    element = _new(IncidenceElement)
+    element.poset = poset
+    element.weak_rank = weak_rank
+    element.vals = vals
+    return element
+
+
 def delta(poset, weak_rank):
     """The identity of the incidence algebra: 1 on the diagonal."""
     return IncidenceElement(poset, weak_rank,
@@ -218,22 +261,30 @@ def delta(poset, weak_rank):
 
 def convolve(a, b):
     """Incidence product: (a*b)(z,z') = sum over z <= w <= z' of
-    a(z,w) b(w,z')."""
+    a(z,w) b(w,z').
+
+    The keys of a and b are intervals, so i <= w <= j makes (i, j) one;
+    each output interval sums its products in one :func:`poly_dot`.
+    """
     a._same_carrier(b)
     by_first = {}
     for (w, j), poly in b.vals.items():
         by_first.setdefault(w, []).append((j, poly))
-    out = {}
+    terms = {}
     for (i, w), pa in a.vals.items():
         for j, pb in by_first.get(w, ()):
-            if a.poset.leq(i, j):
-                key = (i, j)
-                prod = pa * pb
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-    return IncidenceElement(a.poset, a.weak_rank, out)
+            key = (i, j)
+            products = terms.get(key)
+            if products is None:
+                terms[key] = [(pa, pb)]
+            else:
+                products.append((pa, pb))
+    out = {}
+    for key, products in terms.items():
+        total = poly_dot(products)
+        if total:
+            out[key] = total
+    return _element(a.poset, a.weak_rank, out)
 
 
 def rev(p):
@@ -243,10 +294,9 @@ def rev(p):
     otherwise).  An involution, and multiplicative across convolution
     because weak ranks add along chains.
     """
-    out = {}
-    for (i, j), poly in p.vals.items():
-        out[(i, j)] = poly_rev(poly, p.weak_rank.value(i, j))
-    return IncidenceElement(p.poset, p.weak_rank, out)
+    wr = p.weak_rank
+    return _element(p.poset, wr, {(i, j): poly_rev(poly, wr.value(i, j))
+                                  for (i, j), poly in p.vals.items()})
 
 
 def _natural_rho(poset):
@@ -263,12 +313,13 @@ def hat(p):
     """
     res = p.poset.is_lower_eulerian()
     if not res:
-        raise ValueError(f"hat needs a lower Eulerian carrier: {res.describe()}")
+        raise UnsuitablePoset(
+            f"hat needs a lower Eulerian carrier: {res.describe()}")
     rho = _natural_rho(p.poset)
     out = {}
     for (i, j), poly in p.vals.items():
         out[(i, j)] = poly if (rho[j] - rho[i]) % 2 == 0 else -poly
-    return IncidenceElement(p.poset, p.weak_rank, out)
+    return _element(p.poset, p.weak_rank, out)
 
 
 def delta_op(p):
@@ -276,14 +327,16 @@ def delta_op(p):
 
     Zero on the diagonal by convention.
     """
+    vals = p.vals
     out = {}
     for (i, j) in p.poset.intervals():
-        if i == j:
+        poly = vals.get((i, j))
+        if i == j or poly is None:
             continue
-        v = delta_truncate(p.value(i, j), p.weak_rank.value(i, j))
+        v = delta_truncate(poly, p.weak_rank.value(i, j))
         if v:
             out[(i, j)] = v
-    return IncidenceElement(p.poset, p.weak_rank, out)
+    return _element(p.poset, p.weak_rank, out)
 
 
 def invert(p):
@@ -296,25 +349,27 @@ def invert(p):
             raise NotInvertible(f"diagonal value {d!r} at element {i}")
         diag[i] = d
     order = poset.intervals().by_weak_rank(p.weak_rank)
+    vals = p.vals
     inv = {}
     for (i, j) in order:
         if i == j:
             inv[(i, j)] = diag[i]
             continue
-        acc = ZERO
+        products = []
         for w in poset.elements_between(i, j):
-            if w == j:
-                continue
-            left = inv.get((i, w), ZERO)
-            if left:
-                right = p.value(w, j)
-                if right:
-                    acc = acc + left * right
+            if w != j:
+                left = inv.get((i, w))
+                if left is not None:
+                    right = vals.get((w, j))
+                    if right is not None:
+                        products.append((left, right))
         # q(i,j) p(j,j) = -sum  =>  q(i,j) = -sum * p(j,j)  (p(j,j)^2 = 1)
-        q = -(acc * diag[j])
+        q = poly_dot(products)
+        if diag[j] == ONE:
+            q = -q
         if q:
             inv[(i, j)] = q
-    return IncidenceElement(poset, p.weak_rank, inv)
+    return _element(poset, p.weak_rank, inv)
 
 
 def is_in_truncated(p):
@@ -343,13 +398,14 @@ def validate_kernel(kappa):
     res = is_in_truncated(kappa)
     if not res:
         return res
-    product = convolve(kappa, rev(kappa))
-    ident = delta(kappa.poset, kappa.weak_rank)
+    product = convolve(kappa, rev(kappa)).vals
+    ident = delta(kappa.poset, kappa.weak_rank).vals
     for (i, j) in kappa.poset.intervals():
-        if product.value(i, j) != ident.value(i, j):
+        value = product.get((i, j), ZERO)
+        if value != ident.get((i, j), ZERO):
             return CheckResult.failed(
                 "inverse-reversal", witness=(i, j),
-                detail=f"(kappa * rev kappa)({i},{j}) = {product.value(i, j)!r}")
+                detail=f"(kappa * rev kappa)({i},{j}) = {value!r}")
     return CheckResult.passed()
 
 
@@ -402,7 +458,8 @@ def eulerian_kernel(poset):
     """
     res = poset.is_lower_eulerian()
     if not res:
-        raise ValueError(f"Eulerian kernel needs a lower Eulerian poset: {res.describe()}")
+        raise UnsuitablePoset(
+            f"Eulerian kernel needs a lower Eulerian poset: {res.describe()}")
     rho = _natural_rho(poset)
     wr = WeakRank.natural(poset)
     nmax = max(rho) - min(rho)
@@ -413,7 +470,7 @@ def eulerian_kernel(poset):
     vals = {}
     for (i, j) in poset.intervals():
         vals[(i, j)] = powers[rho[j] - rho[i]]
-    return IncidenceElement(poset, wr, vals)
+    return _element(poset, wr, vals)
 
 
 def _check_solver_preconditions(kappa):
@@ -465,26 +522,27 @@ def solve_g(kappa):
     _check_solver_preconditions(kappa)
     poset = kappa.poset
     order = poset.intervals().by_weak_rank(kappa.weak_rank)
+    vals = kappa.vals
     g = {}
     for (i, j) in order:
         if i == j:
             g[(i, j)] = ONE
             continue
         r = kappa.weak_rank.value(i, j)
-        d = ZERO
+        products = []
         for w in poset.elements_between(i, j):
-            if w == j:
-                continue
-            left = g.get((i, w), ZERO)
-            if left:
-                right = kappa.value(w, j)
-                if right:
-                    d = d + left * right
+            if w != j:
+                left = g.get((i, w))
+                if left is not None:
+                    right = vals.get((w, j))
+                    if right is not None:
+                        products.append((left, right))
+        d = poly_dot(products)
         _mirror_check(d, r, (i, j), poset.labels)
         val = _truncate_below_half(d, r)
         if val:
             g[(i, j)] = val
-    return IncidenceElement(poset, kappa.weak_rank, g)
+    return _element(poset, kappa.weak_rank, g)
 
 
 def solve_f(kappa):
@@ -493,26 +551,27 @@ def solve_f(kappa):
     _check_solver_preconditions(kappa)
     poset = kappa.poset
     order = poset.intervals().by_weak_rank(kappa.weak_rank)
+    vals = kappa.vals
     f = {}
     for (i, j) in order:
         if i == j:
             f[(i, j)] = ONE
             continue
         r = kappa.weak_rank.value(i, j)
-        d = ZERO
+        products = []
         for w in poset.elements_between(i, j):
-            if w == i:
-                continue
-            right = f.get((w, j), ZERO)
-            if right:
-                left = kappa.value(i, w)
-                if left:
-                    d = d + left * right
+            if w != i:
+                right = f.get((w, j))
+                if right is not None:
+                    left = vals.get((i, w))
+                    if left is not None:
+                        products.append((left, right))
+        d = poly_dot(products)
         _mirror_check(d, r, (i, j), poset.labels)
         val = _truncate_below_half(d, r)
         if val:
             f[(i, j)] = val
-    return IncidenceElement(poset, kappa.weak_rank, f)
+    return _element(poset, kappa.weak_rank, f)
 
 
 def z_function(kappa, g=None, f=None):
@@ -544,7 +603,8 @@ def h_polynomial(poset):
     """
     res = poset.is_lower_eulerian()
     if not res:
-        raise ValueError(f"h-polynomial needs a lower Eulerian poset: {res.describe()}")
+        raise UnsuitablePoset(
+            f"h-polynomial needs a lower Eulerian poset: {res.describe()}")
     g = solve_g(eulerian_kernel(poset))
     bot = poset.bottom()
     raw = _natural_rho(poset)
@@ -554,10 +614,9 @@ def h_polynomial(poset):
     powers = [ONE]
     for _ in range(n):
         powers.append(powers[-1] * tm1)
-    acc = ZERO
-    for z in range(poset.n):
-        if poset.leq(bot, z):
-            acc = acc + g.value(bot, z) * powers[n - rho[z]]
+    gv = g.vals
+    acc = poly_dot((gv[(bot, z)], powers[n - rho[z]])
+                   for z in range(poset.n) if (bot, z) in gv)
     return poly_rev(acc, n)
 
 
@@ -569,10 +628,11 @@ def toric_h_boundary(poset):
     """
     res = poset.is_eulerian()
     if not res:
-        raise ValueError(f"boundary h needs an Eulerian poset: {res.describe()}")
+        raise UnsuitablePoset(
+            f"boundary h needs an Eulerian poset: {res.describe()}")
     rho = _natural_rho(poset)
     n = max(rho) - min(rho)
     if n < 1:
-        raise ValueError("boundary h needs rank >= 1")
+        raise UnsuitablePoset("boundary h needs rank >= 1")
     g_top = solve_g(eulerian_kernel(poset)).value(poset.bottom(), poset.top())
     return poly_div_t_minus_1(poly_rev(g_top, n) - g_top)

@@ -94,7 +94,8 @@ def _poly(num, den=1):
 
     Trailing zeros are trimmed and a denominator other than 1 is reduced
     against the numerators.  Every arithmetic result is built here or, when
-    it is already trimmed and reduced, by :func:`_raw`.
+    it is already trimmed and reduced, by :func:`_raw`; a sum of products
+    comes here once, from :func:`poly_dot`.
     """
     while num and not num[-1]:
         num.pop()
@@ -309,6 +310,48 @@ _set_den = Poly.den.__set__
 ZERO = Poly()
 ONE = Poly([1])
 T = Poly([0, 1])
+
+
+def poly_dot(pairs):
+    """The sum of a * b over an iterable of Poly pairs (a, b), reduced once.
+
+    The products' int numerators are accumulated over one running common
+    denominator, which is raised to the lcm (rescaling the accumulated
+    numerators) only when a product's denominator does not divide it.
+    The result goes through :func:`_poly` once, so the sum is canonical;
+    the empty sum is zero.
+    """
+    out = []
+    den = 1
+    for a, b in pairs:
+        an, bn = a.num, b.num
+        if not an or not bn:
+            continue
+        d = a.den * b.den
+        if d != den:
+            if den % d:
+                m = d // gcd(den, d)
+                out = [c * m for c in out]
+                den *= m
+            if d != den:
+                scale = den // d
+                an = [x * scale for x in an]
+        # the shorter factor drives the outer loop
+        if len(an) < len(bn):
+            an, bn = bn, an
+        size = len(an) + len(bn) - 1
+        if len(out) < size:
+            out += [0] * (size - len(out))
+        if len(bn) == 1:
+            y = bn[0]
+            for i, x in enumerate(an):
+                out[i] += x * y
+        else:
+            for k, y in enumerate(bn):
+                if y:
+                    for i, x in enumerate(an, k):
+                        out[i] += x * y
+    return _poly(out, den)
 
 
 def poly_rev(p, r):

@@ -543,12 +543,12 @@ def pyramid(p):
     return direct_product(p, boolean_algebra(1, labels=["base", "apex"]))
 
 
-def adjoin_max(p, label="top"):
-    """Add a new maximum element above everything."""
+def adjoin_max(p):
+    """Add a new maximum element "top" above everything."""
     n = p.n + 1
     top_bit = 1 << (n - 1)
     up = [m | top_bit for m in p.up] + [top_bit]
-    labels = list(p.labels) + [label]
+    labels = list(p.labels) + ["top"]
     rank = None
     if p.rank is not None:
         rank = list(p.rank) + [max(p.rank) + 1]

@@ -31,7 +31,7 @@ once and reads that solution on both of its routes.
 from __future__ import annotations
 
 from .incidence import (
-    IncidenceElement,
+    _element,
     convolve,
     delta_op,
     eulerian_kernel,
@@ -44,13 +44,28 @@ from .incidence import (
     solve_g,
     z_function,
 )
-from .polynomial import ZERO, poly_div_t_minus_1, poly_rev
+from .polynomial import ZERO, poly_div_t_minus_1, poly_dot, poly_rev
 from .poset import Poset, bits, direct_product, segment_subdivision
 from .status import CheckResult
 
 
 class SubdivisionError(ValueError):
     """A subdivision, triple, or local-invariant contract was violated."""
+
+
+class KernelRejected(SubdivisionError):
+    """solve_kernel refused a kernel that lacks a required property.
+
+    ``result`` is the failed check: its reason names the property
+    ("kernel-not-multiplicative", "kernel-not-rank-alternating") and its
+    witness the offending chain or interval.
+    """
+
+    def __init__(self, prop, res):
+        super().__init__(f"kernel is not {prop}: {res.describe()}")
+        self.result = CheckResult.failed(
+            "kernel-not-" + prop.replace(" ", "-"), witness=res.witness,
+            detail=res.detail)
 
 
 class StrongFormalSubdivision:
@@ -158,37 +173,40 @@ class SubdivisionTriple:
         return f"SubdivisionTriple({self.gamma!r}, q={self.gamma.labels[self.q]})"
 
     def in_y(self, z):
-        return self.gamma.leq(self.q, z)
+        return self.gamma.up[self.q] >> z & 1 == 1
 
     def in_x(self, z):
-        return not self.gamma.leq(self.q, z)
+        return self.gamma.up[self.q] >> z & 1 == 0
 
     def sigma_of(self, x):
         """The join x v q, for x in the X part."""
         return self._sigma_of[x]
 
     # -- masks over incidence elements -------------------------------------
+    # Y is the bitmask gamma.up[q]: z is in Y exactly when its bit is set.
 
     def mask_xy(self, p):
         """Restrict to intervals with lower end in X and upper end in Y."""
-        return p.mask(lambda i, j: self.in_x(i) and self.in_y(j))
+        y = self.gamma.up[self.q]
+        return p.mask(lambda i, j: not y >> i & 1 and y >> j & 1)
 
     def mask_xx(self, p):
-        return p.mask(lambda i, j: self.in_x(i) and self.in_x(j))
+        y = self.gamma.up[self.q]
+        return p.mask(lambda i, j: not (y >> i | y >> j) & 1)
 
     def mask_yy(self, p):
-        return p.mask(lambda i, j: self.in_y(i) and self.in_y(j))
+        y = self.gamma.up[self.q]
+        return p.mask(lambda i, j: y >> i & y >> j & 1)
 
     def mask_interior(self, p):
-        """Restrict to the pairs (x, sigma(x))."""
-        return p.mask(lambda i, j: self.in_x(i) and self._sigma_of.get(i) == j)
+        """Restrict to the pairs (x, sigma(x)); only X elements have one."""
+        sigma_of = self._sigma_of
+        return p.mask(lambda i, j: sigma_of.get(i) == j)
 
     def xy_pairs(self):
-        out = []
-        for (i, j) in self.gamma.intervals():
-            if self.in_x(i) and self.in_y(j):
-                out.append((i, j))
-        return out
+        y = self.gamma.up[self.q]
+        return [(i, j) for (i, j) in self.gamma.intervals()
+                if not y >> i & 1 and y >> j & 1]
 
     def to_json(self):
         return {"poset": self.gamma.to_json(), "q": self.q}
@@ -286,17 +304,17 @@ def solve_kernel(kappa):
     """Check and solve a kernel once; a KernelSolution passes through.
 
     kappa must be multiplicative and rank-alternating; otherwise
-    SubdivisionError names the offending chain or interval.
+    KernelRejected names the offending chain or interval.
     MirrorConstraintViolated propagates from the g solver.
     """
     if isinstance(kappa, KernelSolution):
         return kappa
     res = is_multiplicative(kappa)
     if not res:
-        raise SubdivisionError(f"kernel is not multiplicative: {res.describe()}")
+        raise KernelRejected("multiplicative", res)
     res = is_rank_alternating(kappa)
     if not res:
-        raise SubdivisionError(f"kernel is not rank alternating: {res.describe()}")
+        raise KernelRejected("rank alternating", res)
     g = solve_g(kappa)
     return KernelSolution(kappa, g, invert(g))
 
@@ -346,20 +364,21 @@ def local_invariants(triple, weak_rank, kappa):
     h_vals = {}
     for pair, poly in h_raw.vals.items():
         h_vals[pair] = poly_div_t_minus_1(poly)
-    h_sigma = IncidenceElement(gamma, weak_rank, h_vals)
+    h_sigma = _element(gamma, weak_rank, h_vals)
     ell_sigma = convolve(h_sigma, solution.g_inv)
     delta_ell = delta_op(ell_sigma)
 
     wr = weak_rank
+    h_vals, ell_vals, kappa_vals = h_sigma.vals, ell_sigma.vals, kappa.vals
     for (i, j) in triple.xy_pairs():
         r = wr.value(i, j)
-        hv = h_sigma.value(i, j)
-        lv = ell_sigma.value(i, j)
+        hv = h_vals.get((i, j), ZERO)
+        lv = ell_vals.get((i, j), ZERO)
         if hv.degree > r - 1 or lv.degree > r - 1:
             raise SubdivisionError(f"local invariant degree exceeds {r - 1} on ({i}, {j})")
         if poly_rev(lv, r - 1) != lv:
             raise SubdivisionError(f"ell is not symmetric on ({i}, {j}): {lv!r}")
-        kr = kappa.value(i, j).coeff(r)
+        kr = kappa_vals.get((i, j), ZERO).coeff(r)
         if triple.sigma_of(i) == j:
             if hv != lv:
                 raise SubdivisionError(f"h != ell on interior pair ({i}, {j})")
@@ -571,12 +590,14 @@ def check_product_identities(s1, s2):
         x1, x2 = divmod(i, nx2)
         y1, y2 = divmod(j - nxp, ny2)
         sb1, sb2 = s1.sigma[x1], s2.sigma[x2]
-        acc = ZERO
+        products = []
         for yt1 in s1.Y.elements_between(sb1, y1):
             for yt2 in s2.Y.elements_between(sb2, y2):
                 d = lip.delta_ell.value(i, nxp + yt1 * ny2 + yt2)
                 if d:
-                    acc = acc + d * gy1.value(yt1, y1) * gy2.value(yt2, y2)
+                    products.append(
+                        (d, gy1.value(yt1, y1) * gy2.value(yt2, y2)))
+        acc = poly_dot(products)
         if acc != lip.g.value(i, j):
             return CheckResult.failed("product-g-cylinder", witness=(i, j),
                                       detail=f"{lip.g.value(i, j)!r} != {acc!r}")
@@ -624,14 +645,15 @@ def check_composition(s1, s2):
     for (i, j) in tc.xy_pairs():
         x = i
         z = j - nxc
-        acc = ZERO
+        products = []
         for y in range(s1.Y.n):
             if s1.Y.leq(s1.sigma[x], y) and s2.Y.leq(s2.sigma[y], z):
                 a = li1.ell_sigma.value(x, nx1 + y)
                 if a:
                     b = li2.ell_sigma.value(y, nx2 + z)
                     if b:
-                        acc = acc + a * b
+                        products.append((a, b))
+        acc = poly_dot(products)
         if acc != lic.ell_sigma.value(i, j):
             return CheckResult.failed("composition", witness=(i, j),
                                       detail=f"{lic.ell_sigma.value(i, j)!r} != {acc!r}")

@@ -263,11 +263,21 @@ def _set(path, value):
     (lambda: _complex_with(
         _set(["affine_action", "matrices", 0, 0, 0], "1/0")),
      "entry '1/0' has a zero denominator"),
+    (lambda: ("kls", ("fixture:square_fan_z4.json", "toric-h")),
+     "boundary h needs an Eulerian poset"),
+    (lambda: ("kls", (chain(3).to_json(), "g")),
+     "Eulerian kernel needs a lower Eulerian poset"),
+    (lambda: ("kls", (chain(3).to_json(), "h")),
+     "h-polynomial needs a lower Eulerian poset"),
+    (lambda: ("kls", (chain(3).to_json(), "toric-h")),
+     "boundary h needs an Eulerian poset"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
         "vertex-not-integer", "ray-not-integer",
         "kernel-zero-denominator", "kernel-coefficients-not-a-list",
-        "vertex-zero-denominator", "affine-action-zero-denominator"])
+        "vertex-zero-denominator", "affine-action-zero-denominator",
+        "kls-toric-h-of-a-fan", "kls-g-of-a-3-chain", "kls-h-of-a-3-chain",
+        "kls-toric-h-of-a-3-chain"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()
@@ -276,6 +286,12 @@ def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
         path.write_text(json.dumps(payload))
         argv = ["kls", "fixture:boolean3.json", "--what", "g",
                 "--kernel", str(path)]
+    elif kind == "kls":
+        source, what = payload
+        if not isinstance(source, str):
+            write_document(path, "poset", source)
+            source = str(path)
+        argv = ["kls", source, "--what", what]
     else:
         write_document(path, kind, payload)
         argv = ["check", str(path)]
@@ -322,6 +338,29 @@ def test_a_failure_inside_a_suite_is_a_verification_failure(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"verification failed: {failure}\n"
+
+
+@pytest.mark.parametrize("suite", ["theorem-g", "corollary-f", "corollary-z"])
+def test_a_non_multiplicative_kernel_fails_the_triple_check(
+        capsys, tmp_path, suite):
+    # t - 2 on the atom interval (0, 1) of the pentagon triple breaks
+    # kappa(0, 6) = kappa(0, 1) kappa(1, 6)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": [[0, 1, ["-2", "1"]]]}))
+    argv = ["verify", "fixture:polygon_s2.json", "--suite", suite,
+            "--kernel", str(path)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == (
+        f"{suite} on fixture:polygon_s2.json: kernel-not-multiplicative; "
+        "witness=(0, 1, 6)\npassed 0/1\n")
+    code = cli.main(argv + ["--format", "json"])
+    check, = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert check["reason"] == "kernel-not-multiplicative"
+    assert check["witness"] == [0, 1, 6]
 
 
 def test_unknown_flags_exit_two():

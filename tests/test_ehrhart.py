@@ -251,9 +251,11 @@ def test_a_group_that_moves_the_coarsening_is_refused():
 
 
 def test_the_cylinder_honours_the_complex_group_bound(monkeypatch):
-    monkeypatch.setenv("KLS_MAX_GROUP", "2")
     _tag, payload = load_fixture("crosscut_d4.json", expect="complex")
-    cx = LatticeSimplexComplex.from_json(payload, max_group=100)
+    monkeypatch.setenv("KLS_MAX_GROUP", "8")
+    cx = LatticeSimplexComplex.from_json(payload)
+    # the cylinder group is bounded by the complex group, not the variable
+    monkeypatch.setenv("KLS_MAX_GROUP", "2")
     cyl = ComplexCylinder(cx)
     assert len(cyl.action) == len(cx.action) == 8
 

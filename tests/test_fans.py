@@ -245,13 +245,17 @@ def test_an_explicit_max_group_overrides_the_environment(monkeypatch):
     fan, _ = load_fan_fixture("square_fan_z4.json")
     dihedral = [[[0, -1], [1, 0]], [[1, 0], [0, -1]]]
     assert len(EquivFanAction(fan, dihedral, 100).action) == 8
-    verts, faces, covers = hexagon_polytope()
-    _triple, geom = polytope_cone_triple(verts, faces, covers, 13)
-    action, by_perm = geom.action([((1, -1), (1, 0)), ((0, 1), (1, 0))],
-                                  max_group=100)
-    assert len(action) == len(by_perm) == 12
     with pytest.raises(GroupTooLarge):
         EquivFanAction(fan, dihedral)
+    # without an explicit bound, KLS_MAX_GROUP decides
+    verts, faces, covers = hexagon_polytope()
+    _triple, geom = polytope_cone_triple(verts, faces, covers, 13)
+    hexagon = [((1, -1), (1, 0)), ((0, 1), (1, 0))]
+    with pytest.raises(GroupTooLarge):
+        geom.action(hexagon)
+    monkeypatch.setenv("KLS_MAX_GROUP", "12")
+    action, by_perm = geom.action(hexagon)
+    assert len(action) == len(by_perm) == 12
 
 
 def test_fan_json_roundtrip():

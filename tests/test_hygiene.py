@@ -173,6 +173,183 @@ def test_every_package_definition_is_referenced():
     assert stale == [], "stale TEST_ONLY entries:\n" + "\n".join(stale)
 
 
+def _defaulted_parameters(tree):
+    """(owner, callee, name, position, line) for every defaulted parameter.
+
+    ``owner`` is the enclosing class name or None, and ``callee`` the name
+    calls use: the class name for ``__init__``.  Other dunder methods are
+    reached through syntax, not calls, and are skipped.  ``position`` is
+    the index of the parameter among a call's positional arguments (the
+    ``self``/``cls`` slot of a method does not count), or None for a
+    keyword-only parameter.
+    """
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from params(child, owner)
+                yield from visit(child, None)
+            else:
+                yield from visit(child, owner)
+
+    def params(func, owner):
+        name = func.name
+        if name.startswith("__") and name.endswith("__"):
+            if name != "__init__" or owner is None:
+                return
+            name = owner
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in func.decorator_list)
+        shift = 1 if owner is not None and not static else 0
+        args = func.args.posonlyargs + func.args.args
+        first = len(args) - len(func.args.defaults)
+        for k in range(first, len(args)):
+            yield owner, name, args[k].arg, k - shift, func.lineno
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield owner, name, arg.arg, None, func.lineno
+
+    yield from visit(tree, None)
+
+
+def _calls(tree):
+    """(receiver, callee, positional count, keyword names) of every call.
+
+    ``receiver`` is the class a call names explicitly (``C(...)``,
+    ``C.method(...)`` or ``cls(...)`` inside class C), else None.  A
+    ``*args`` or ``**kwargs`` argument counts as setting every position
+    or every keyword.
+    """
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield call(child, owner)
+            yield from visit(child, child.name if isinstance(
+                child, ast.ClassDef) else owner)
+
+    def call(node, owner):
+        func = node.func
+        receiver = None
+        if isinstance(func, ast.Name):
+            callee = func.id
+            if callee == "cls" and owner is not None:
+                callee = receiver = owner
+        elif isinstance(func, ast.Attribute):
+            callee = func.attr
+            if isinstance(func.value, ast.Name):
+                receiver = func.value.id
+        else:
+            callee = None
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            positional = float("inf")
+        else:
+            positional = len(node.args)
+        keywords = {k.arg for k in node.keywords}
+        return receiver, callee, positional, keywords
+
+    yield from visit(tree, None)
+
+
+def unset_defaults(sources, targets, allowed=()):
+    """Defaulted parameters in ``targets`` that no call in ``sources`` sets.
+
+    Calls are matched by name: a call naming a class explicitly reaches
+    only that class's definitions, any other call every definition of
+    that name.  A parameter is set by a call that passes it by keyword or
+    reaches its position.  Results and ``allowed`` name a parameter as
+    "function(name)", "Class(name)" for ``__init__`` and
+    "Class.method(name)"; allowed ones are not reported.
+    """
+    classes = {node.name for tree in sources.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    calls = {}
+    for tree in sources.values():
+        for receiver, callee, positional, keywords in _calls(tree):
+            if receiver not in classes:
+                receiver = None
+            calls.setdefault(callee, []).append(
+                (receiver, positional, keywords))
+    found = []
+    for label, tree in targets.items():
+        for owner, callee, name, position, line in \
+                _defaulted_parameters(tree):
+            key = f"{callee}({name})" if owner in (None, callee) \
+                else f"{owner}.{callee}({name})"
+            if key in allowed:
+                continue
+            if not any(receiver in (None, owner)
+                       and (name in keywords or None in keywords
+                            or (position is not None
+                                and positional > position))
+                       for receiver, positional, keywords
+                       in calls.get(callee, ())):
+                found.append((label, line, key))
+    return sorted(found)
+
+
+#: Defaulted parameters that no package or benchmark call sets, each kept
+#: on purpose.
+DEFAULTS_KEPT = {
+    "EquivFanAction(max_group)":
+        "the acceptance tests bound the group of a fan action",
+    "build_group(max_group)": "the acceptance tests pass a group bound",
+    "relative_g(g)": "the acceptance tests pass a g solved once per lattice",
+    "hstar_via_localh(cylinder)": "the acceptance tests share one cylinder",
+    "hstar_via_localh(invariants)": "... and its local invariants",
+    "localhstar_via_localh(cylinder)": "the acceptance tests share one "
+                                       "cylinder",
+    "localhstar_via_localh(invariants)": "... and its local invariants",
+    "reciprocity_check(hstar)": "a corrupted h* shows that the check fails",
+    "ehr_interior_series(order)": "a TEST_ONLY oracle; tests pick the order",
+}
+
+
+def test_the_scan_finds_an_unset_default():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x, y=0, z=1):\n        pass\n"
+        "    def m(self, a, b=2):\n        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, v, w=3):\n        return cls(v, 1, z=w)\n"
+        "    def __eq__(self, other, deep=False):\n        return True\n"
+        "def f(p, q=None, *, r=1, s=2):\n    pass\n"
+        "def g(p, q=1):\n    pass\n"
+        "A.make(0)\n"
+        "A(0).m(1)\n"
+        "f(0, 1, s=3)\n"
+        "g(*[1, 2])\n")
+    tree = ast.parse(source)
+    assert unset_defaults({"m": tree}, {"m": tree}) == [
+        ("m", 4, "A.m(b)"), ("m", 7, "A.make(w)"), ("m", 11, "f(r)")]
+    assert unset_defaults({"m": tree}, {"m": tree},
+                          {"A.m(b)", "f(r)"}) == [("m", 7, "A.make(w)")]
+    # a call naming another class does not reach A's method; one on an
+    # unknown receiver reaches every method of the name
+    other = ast.parse("class B:\n    pass\nB.m(1, 2)\n")
+    assert unset_defaults({"m": tree, "o": other}, {"m": tree})[0] == (
+        "m", 4, "A.m(b)")
+    other = ast.parse("x.m(1, 2)\n")
+    assert unset_defaults({"m": tree, "o": other}, {"m": tree})[0] == (
+        "m", 7, "A.make(w)")
+    # dropping y from the constructor call leaves it unset
+    tree = ast.parse(source.replace("cls(v, 1, z=w)", "cls(v)"))
+    assert unset_defaults({"m": tree}, {"m": tree})[:2] == [
+        ("m", 2, "A(y)"), ("m", 2, "A(z)")]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    sources = _parse_all(SCANNED)
+    targets = {label: tree for label, tree in sources.items()
+               if label.startswith("src/")}
+    found = [f"{label}:{line}: {key}" for label, line, key
+             in unset_defaults(sources, targets, DEFAULTS_KEPT)]
+    assert found == [], "defaults no call sets:\n" + "\n".join(found)
+    stale = sorted(set(DEFAULTS_KEPT) - {
+        key for _label, _line, key in unset_defaults(sources, targets)})
+    assert stale == [], "stale DEFAULTS_KEPT entries:\n" + "\n".join(stale)
+
+
 def float_uses(source):
     """(line, what) for every float constant and ``float(...)`` call.
 

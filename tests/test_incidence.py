@@ -1,5 +1,6 @@
 """Incidence algebra: convolution, kernels, and the f/g/Z solvers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from klspoly.incidence import (CarrierMismatch, IncidenceElement,
                                MirrorConstraintViolated, NotInvertible,
-                               WeakRank, convolve, delta, eulerian_kernel,
+                               WeakRank, convolve, delta, delta_op,
+                               eulerian_kernel,
                                h_polynomial, hat, invert, is_multiplicative,
                                is_rank_alternating, is_unitriangular, rev,
                                solve_f, solve_g, toric_h_boundary,
@@ -219,3 +221,202 @@ def test_scaled_kernel_scales_g_f_and_z(c, name):
     assert g_c == _scaled(g, c)
     assert f_c == _scaled(f, c)
     assert z_function(kappa_c, g_c, f_c) == _scaled(z_function(kappa, g, f), c)
+
+
+# -- naive Fraction references for the sum-of-products loops -----------------
+# Each reference runs the triple loop i <= w <= j over all elements with
+# Fraction coefficient lists, sharing nothing with the package's arithmetic.
+
+REFERENCE_POSETS = {"boolean3": B3, "pentagon": polygon(5),
+                    "cube3": cube_face_lattice(3)}
+REFERENCE_RANKS = {name: WeakRank.natural(p)
+                   for name, p in REFERENCE_POSETS.items()}
+
+
+def _fr(poly):
+    return [Fraction(c) for c in poly.coeffs]
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+            for k in range(n)]
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _table(element):
+    """Every interval's value as a Fraction list (empty for zero)."""
+    return {pair: _fr(element.vals[pair]) if pair in element.vals else []
+            for pair in element.poset.intervals()}
+
+
+def _by_rank(poset, wr):
+    return sorted(poset.intervals(), key=lambda p: (wr.value(*p), p))
+
+
+def _between(poset, i, j):
+    return [w for w in range(poset.n) if poset.leq(i, w) and poset.leq(w, j)]
+
+
+def ref_convolve(a, b):
+    ta, tb = _table(a), _table(b)
+    out = {}
+    for (i, j) in a.poset.intervals():
+        acc = []
+        for w in _between(a.poset, i, j):
+            acc = _add(acc, _mul(ta[(i, w)], tb[(w, j)]))
+        out[(i, j)] = _trim(acc)
+    return out
+
+
+def ref_invert(p):
+    t = _table(p)
+    poset = p.poset
+    q = {}
+    for (i, j) in _by_rank(poset, p.weak_rank):
+        if i == j:
+            q[(i, j)] = t[(i, i)]
+            continue
+        acc = []
+        for w in _between(poset, i, j):
+            if w != j:
+                acc = _add(acc, _mul(q[(i, w)], t[(w, j)]))
+        q[(i, j)] = [-c * t[(j, j)][0] for c in acc]
+    return {pair: _trim(v) for pair, v in q.items()}
+
+
+def ref_solve(kappa, left):
+    """g (left=True: rev g = g kappa) or f (rev f = kappa f)."""
+    t = _table(kappa)
+    poset, wr = kappa.poset, kappa.weak_rank
+    out = {}
+    for (i, j) in _by_rank(poset, wr):
+        if i == j:
+            out[(i, j)] = [Fraction(1)]
+            continue
+        acc = []
+        for w in _between(poset, i, j):
+            if left and w != j:
+                acc = _add(acc, _mul(out[(i, w)], t[(w, j)]))
+            elif not left and w != i:
+                acc = _add(acc, _mul(t[(i, w)], out[(w, j)]))
+        out[(i, j)] = [-c for c in acc[: (wr.value(i, j) - 1) // 2 + 1]]
+    return {pair: _trim(v) for pair, v in out.items()}
+
+
+def _agrees(element, reference):
+    assert {pair: v.coeffs for pair, v in element.vals.items()} == {
+        pair: v for pair, v in reference.items() if v}
+    return True
+
+
+def _well_formed(element):
+    """Only interval keys and nonzero canonical Poly values."""
+    intervals = element.poset.intervals()
+    for (i, j), v in element.vals.items():
+        assert intervals.contains(i, j)
+        assert type(v) is Poly and v
+        assert v == Poly(v.coeffs)
+    return True
+
+
+def _coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4, 5, 6)))
+
+
+def random_element(poset, wr, rng, diagonal=None):
+    """Random values on about two thirds of the intervals; the diagonal is
+    ``diagonal(rng)`` when given."""
+    vals = {}
+    for (i, j) in poset.intervals():
+        if i == j and diagonal is not None:
+            vals[(i, j)] = Poly([diagonal(rng)])
+        elif rng.random() < 0.65:
+            vals[(i, j)] = Poly([_coefficient(rng)
+                                 for _ in range(rng.randint(1, 3))])
+    return IncidenceElement(poset, wr, vals)
+
+
+def random_kernel(poset, rng):
+    """The Eulerian kernel rescaled by c^r(x, y) phi(y) / phi(x).
+
+    Both factors are multiplicative along chains, so the rescaling is an
+    algebra automorphism commuting with rev, and the result is a kernel
+    whose values carry assorted denominators.
+    """
+    kappa = eulerian_kernel(poset)
+    wr = kappa.weak_rank
+    c = Fraction(rng.choice((-3, -2, 2, 5)), rng.choice((1, 3, 7)))
+    phi = [Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+           for _ in range(poset.n)]
+    return IncidenceElement(poset, wr, {
+        (i, j): Poly([x * c ** wr.value(i, j) * phi[j] / phi[i]
+                      for x in v.coeffs])
+        for (i, j), v in kappa.vals.items()})
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32)
+
+
+@given(st.sampled_from(sorted(REFERENCE_POSETS)), seeds)
+@settings(max_examples=15, deadline=None)
+@example(name="cube3", seed=0)
+def test_convolve_and_invert_match_a_fraction_reference(name, seed):
+    poset, wr = REFERENCE_POSETS[name], REFERENCE_RANKS[name]
+    rng = random.Random(seed)
+    a = random_element(poset, wr, rng)
+    b = random_element(poset, wr, rng)
+    product = convolve(a, b)
+    assert _well_formed(product) and _agrees(product, ref_convolve(a, b))
+    p = random_element(poset, wr, rng, diagonal=lambda r: r.choice((1, -1)))
+    inverse = invert(p)
+    assert _well_formed(inverse) and _agrees(inverse, ref_invert(p))
+
+
+@given(st.sampled_from(sorted(REFERENCE_POSETS)), seeds)
+@settings(max_examples=10, deadline=None)
+@example(name="cube3", seed=0)
+def test_solvers_match_a_fraction_reference(name, seed):
+    kappa = random_kernel(REFERENCE_POSETS[name], random.Random(seed))
+    g, f = solve_g(kappa), solve_f(kappa)
+    assert _well_formed(g) and _agrees(g, ref_solve(kappa, left=True))
+    assert _well_formed(f) and _agrees(f, ref_solve(kappa, left=False))
+    assert rev(g) == convolve(g, kappa) and rev(f) == convolve(kappa, f)
+
+
+@given(st.sampled_from(sorted(REFERENCE_POSETS)), seeds)
+@settings(max_examples=10, deadline=None)
+def test_every_algebra_result_is_well_formed(name, seed):
+    poset, wr = REFERENCE_POSETS[name], REFERENCE_RANKS[name]
+    rng = random.Random(seed)
+    a = random_element(poset, wr, rng)
+    b = random_element(poset, wr, rng)
+    kappa = random_kernel(poset, rng)
+    results = [a + b, a - b, a - a, -a, a * b, a.scale(0), a.scale(Fraction(1, 2)),
+               a.mask(lambda i, j: (i + j) % 2), rev(kappa), hat(kappa),
+               delta_op(kappa), solve_g(kappa), solve_f(kappa),
+               invert(kappa), z_function(kappa)]
+    assert all(_well_formed(e) for e in results)
+    assert (a - a).vals == {} and a.scale(0).vals == {}
+
+
+def test_the_public_constructor_still_checks_its_keys():
+    with pytest.raises(ValueError, match="not an interval"):
+        IncidenceElement(B3, WR3, {(7, 0): Poly([1])})
+    assert IncidenceElement(B3, WR3, {(0, 7): Poly()}).vals == {}

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from klspoly.polynomial import (NEG_INF, DegreeExceedsRank, NotDivisible,
                                 Poly, delta_invert, delta_truncate,
                                 poly_div_t_minus_1, poly_divmod_t_minus_1,
-                                poly_rev)
+                                poly_dot, poly_rev)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 polys = coeffs.map(Poly)
@@ -268,3 +268,29 @@ def test_every_operation_stays_canonical_and_exact(a, b, k, s):
         want = [full[0]] + [full[i] - full[i - 1]
                             for i in range(1, (s - 1) // 2 + 1)]
         assert _matches(delta_truncate(p, s), want)
+
+
+# -- the fused sum of products -----------------------------------------------
+
+half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+
+
+@given(st.lists(st.tuples(mixed_lists, mixed_lists), max_size=5))
+@example(pairs=[])
+@example(pairs=[([], [1, 2]), ([half], []), ([], [])])
+# the second denominator does not divide the first: rescale to 6
+@example(pairs=[([half], [1]), ([third], [1, 1])])
+# the second divides the first: no rescale; then the sum cancels to zero
+@example(pairs=[([sixth], [3]), ([half], [-1])])
+@example(pairs=[([half, 1], [third]), ([1], [-sixth, -third]), ([2], [5])])
+def test_poly_dot_is_the_sum_of_products(pairs):
+    polys = [(Poly(a), Poly(b)) for a, b in pairs]
+    want = Poly()
+    ref = []
+    for (p, q), (a, b) in zip(polys, pairs):
+        want = want + p * q
+        ref = _ref_add(ref, _ref_mul(_ref(a), _ref(b)))
+    got = poly_dot(polys)
+    assert got == want
+    assert _matches(got, ref)
+    assert poly_dot(iter(polys)) == got
