@@ -115,6 +115,8 @@ class WeakRank:
     def __eq__(self, other):
         if not isinstance(other, WeakRank):
             return NotImplemented
+        if self is other:
+            return True
         return self.poset == other.poset and self._values == other._values
 
     def __hash__(self):
@@ -163,20 +165,15 @@ class IncidenceElement:
     def support(self):
         return sorted(self.vals)
 
-    def _shares_carrier(self, other):
-        """Equal poset and weak rank; the same objects answer at once."""
-        if self.poset is other.poset and self.weak_rank is other.weak_rank:
-            return True
-        return self.poset == other.poset and self.weak_rank == other.weak_rank
-
     def _same_carrier(self, other):
-        if not self._shares_carrier(other):
+        if self.poset != other.poset or self.weak_rank != other.weak_rank:
             raise CarrierMismatch("incidence elements live on different carriers")
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceElement):
             return NotImplemented
-        return self._shares_carrier(other) and self.vals == other.vals
+        return (self.poset == other.poset and self.weak_rank == other.weak_rank
+                and self.vals == other.vals)
 
     def __add__(self, other):
         self._same_carrier(other)

@@ -342,15 +342,10 @@ def poly_dot(pairs):
         size = len(an) + len(bn) - 1
         if len(out) < size:
             out += [0] * (size - len(out))
-        if len(bn) == 1:
-            y = bn[0]
-            for i, x in enumerate(an):
-                out[i] += x * y
-        else:
-            for k, y in enumerate(bn):
-                if y:
-                    for i, x in enumerate(an, k):
-                        out[i] += x * y
+        for k, y in enumerate(bn):
+            if y:
+                for i, x in enumerate(an, k):
+                    out[i] += x * y
     return _poly(out, den)
 
 

@@ -134,6 +134,8 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.n == other.n
             and self.up == other.up

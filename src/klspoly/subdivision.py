@@ -173,30 +173,33 @@ class SubdivisionTriple:
         return f"SubdivisionTriple({self.gamma!r}, q={self.gamma.labels[self.q]})"
 
     def in_y(self, z):
-        return self.gamma.up[self.q] >> z & 1 == 1
+        return self.gamma.leq(self.q, z)
 
     def in_x(self, z):
-        return self.gamma.up[self.q] >> z & 1 == 0
+        return not self.gamma.leq(self.q, z)
 
     def sigma_of(self, x):
         """The join x v q, for x in the X part."""
         return self._sigma_of[x]
 
     # -- masks over incidence elements -------------------------------------
-    # Y is the bitmask gamma.up[q]: z is in Y exactly when its bit is set.
+
+    def _y(self):
+        """The Y part (the elements above q) as a set."""
+        return set(bits(self.gamma.up[self.q]))
 
     def mask_xy(self, p):
         """Restrict to intervals with lower end in X and upper end in Y."""
-        y = self.gamma.up[self.q]
-        return p.mask(lambda i, j: not y >> i & 1 and y >> j & 1)
+        y = self._y()
+        return p.mask(lambda i, j: i not in y and j in y)
 
     def mask_xx(self, p):
-        y = self.gamma.up[self.q]
-        return p.mask(lambda i, j: not (y >> i | y >> j) & 1)
+        y = self._y()
+        return p.mask(lambda i, j: i not in y and j not in y)
 
     def mask_yy(self, p):
-        y = self.gamma.up[self.q]
-        return p.mask(lambda i, j: y >> i & y >> j & 1)
+        y = self._y()
+        return p.mask(lambda i, j: i in y and j in y)
 
     def mask_interior(self, p):
         """Restrict to the pairs (x, sigma(x)); only X elements have one."""
@@ -204,9 +207,9 @@ class SubdivisionTriple:
         return p.mask(lambda i, j: sigma_of.get(i) == j)
 
     def xy_pairs(self):
-        y = self.gamma.up[self.q]
+        y = self._y()
         return [(i, j) for (i, j) in self.gamma.intervals()
-                if not y >> i & 1 and y >> j & 1]
+                if i not in y and j in y]
 
     def to_json(self):
         return {"poset": self.gamma.to_json(), "q": self.q}
