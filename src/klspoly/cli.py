@@ -26,6 +26,9 @@ Eulerian where the computation needs one).
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
+
+Each subcommand imports the layers it uses when it runs: importing this
+module loads only the document layer and the incidence algebra below it.
 """
 
 import argparse
@@ -33,35 +36,23 @@ import json
 import sys
 
 from . import schemas
-from . import verify as verify_mod
-from .ehrhart import (ComplexError, HStarData, ehr_series,
-                      hstar_from_subdivision, localhstar_via_localh,
-                      polynomial_action_check, reciprocity_check)
-from .equivariant import (AssemblyInconsistent, GroupBoundError,
-                          GroupTooLarge, NotAutomorphism, classpoly_json,
-                          equiv_constant, equiv_kernel_validate,
-                          equiv_local_invariants, is_eulerian_action,
-                          validate_action)
-from .fans import FanError, fan_kernel
-from .incidence import (MirrorConstraintViolated, UnsuitablePoset,
-                        eulerian_kernel, h_polynomial, solve_f, solve_g,
-                        toric_h_boundary, validate_kernel, z_function)
-from .poset import PosetError
-from .subdivision import (SubdivisionError, local_invariants, mapping_cylinder,
-                          relative_g, triple_to_sfs)
+from .incidence import (MirrorConstraintViolated, eulerian_kernel,
+                        h_polynomial, solve_f, solve_g, toric_h_boundary,
+                        validate_kernel, z_function)
+from .status import CheckResult, InputError, VerificationFailure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-class InputProblem(Exception):
-    """Anything that makes the request unanswerable (exit code 2)."""
+class InputProblem(InputError):
+    """A flag combination or request that cannot be answered (exit 2)."""
 
 
 def _resolve(path):
     if path.startswith("fixture:"):
-        return verify_mod.fixture_path(path[len("fixture:"):])
+        return schemas.fixture_path(path[len("fixture:"):])
     return path
 
 
@@ -99,57 +90,67 @@ def _check_lines(results):
 
 # -- check ------------------------------------------------------------------
 
-def _document_checks(tag, payload):
-    from .status import CheckResult
+def _check_poset(poset):
+    return [("lower-eulerian", poset.is_lower_eulerian())]
 
-    results = []
-    if tag == "poset":
-        poset = schemas.build_poset(payload)
-        results.append(("poset-structure", CheckResult.passed()))
-        results.append(("lower-eulerian", poset.is_lower_eulerian()))
-    elif tag == "sfs":
-        sfs = schemas.build_sfs(payload)
-        results.append(("sfs-structure", CheckResult.passed()))
-        results.append(("strong-formal-subdivision", sfs.validate()))
-    elif tag == "triple":
-        triple = schemas.build_triple(payload)
-        results.append(("triple-structure", CheckResult.passed()))
-        results.append(("lower-eulerian",
-                        triple.gamma.is_lower_eulerian()))
-        results.append(("strong-formal-subdivision",
-                        triple_to_sfs(triple).validate()))
-    elif tag == "fan":
-        fan, faction = schemas.build_fan(payload)
-        results.append(("fan-structure", CheckResult.passed()))
-        results.append(("lower-eulerian",
-                        fan.face_poset.is_lower_eulerian()))
-        if faction is not None:
-            results.append(("action-eulerian",
-                            is_eulerian_action(faction.action)))
-            kappa = fan_kernel(fan, faction, validate=False)
-            results.append(("equivariant-kernel",
-                            equiv_kernel_validate(kappa)))
-    elif tag == "complex":
-        cx = schemas.build_complex(payload)
-        results.append(("complex-structure", CheckResult.passed()))
-        results.append(("action-eulerian", is_eulerian_action(cx.action)))
-        HStarData(cx)
-        results.append(("hstar-data", CheckResult.passed()))
-        if cx.coarse_poset is not None:
-            from .ehrhart import ComplexCylinder
-            ComplexCylinder(cx)
-            results.append(("coarse-cylinder", CheckResult.passed()))
-    elif tag == "group":
-        gens = payload.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise schemas.DocumentError("group document needs generators")
-        sizes = {len(g) for g in gens}
-        okperm = len(sizes) == 1 and all(
-            sorted(g) == list(range(len(g))) for g in gens)
-        results.append(("permutations",
-                        CheckResult.passed() if okperm else
-                        CheckResult.failed("not-a-permutation")))
+
+def _check_sfs(sfs):
+    return [("strong-formal-subdivision", sfs.validate())]
+
+
+def _check_triple(triple):
+    from .subdivision import triple_to_sfs
+
+    return [("lower-eulerian", triple.gamma.is_lower_eulerian()),
+            ("strong-formal-subdivision", triple_to_sfs(triple).validate())]
+
+
+def _check_fan(built):
+    from .equivariant import equiv_kernel_validate, is_eulerian_action
+    from .fans import fan_kernel
+
+    fan, faction = built
+    results = [("lower-eulerian", fan.face_poset.is_lower_eulerian())]
+    if faction is not None:
+        results.append(("action-eulerian",
+                        is_eulerian_action(faction.action)))
+        kappa = fan_kernel(fan, faction, validate=False)
+        results.append(("equivariant-kernel", equiv_kernel_validate(kappa)))
     return results
+
+
+def _check_complex(cx):
+    from .ehrhart import ComplexCylinder, HStarData
+    from .equivariant import is_eulerian_action
+
+    results = [("action-eulerian", is_eulerian_action(cx.action))]
+    HStarData(cx)
+    results.append(("hstar-data", CheckResult.passed()))
+    if cx.coarse_poset is not None:
+        ComplexCylinder(cx)
+        results.append(("coarse-cylinder", CheckResult.passed()))
+    return results
+
+
+def _check_group(gens):
+    okperm = len({len(g) for g in gens}) == 1 and all(
+        sorted(g) == list(range(len(g))) for g in gens)
+    return [("permutations", CheckResult.passed() if okperm else
+             CheckResult.failed("not-a-permutation"))]
+
+
+#: Document tag -> the checks of a built document, after its structure.
+DOCUMENT_CHECKS = {"poset": _check_poset, "sfs": _check_sfs,
+                   "triple": _check_triple, "fan": _check_fan,
+                   "complex": _check_complex, "group": _check_group}
+
+
+def _document_checks(tag, payload):
+    built = schemas.BUILDERS[tag](payload)
+    results = DOCUMENT_CHECKS[tag](built)
+    if tag == "group":
+        return results
+    return [(f"{tag}-structure", CheckResult.passed())] + results
 
 
 def cmd_check(args):
@@ -233,6 +234,8 @@ def cmd_kls(args):
 # -- local --------------------------------------------------------------------
 
 def _load_triple(args):
+    from .subdivision import mapping_cylinder
+
     tag, payload = schemas.load_document(_resolve(args.path),
                                          expect=("triple", "sfs"))
     if tag == "triple":
@@ -257,6 +260,8 @@ def _table_pairs(triple, args):
 
 
 def cmd_local(args):
+    from .subdivision import local_invariants, relative_g
+
     triple = _load_triple(args)
     gamma = triple.gamma
     if args.relative_g:
@@ -270,35 +275,43 @@ def cmd_local(args):
         return EXIT_OK
     kappa = _kernel_for(args, gamma)
     pairs = _table_pairs(triple, args)
-    if args.equivariant is None:
-        res = validate_kernel(kappa)
-        if not res:
-            _emit(args, {"command": "local", "status": "fail",
-                         "reason": res.reason, "witness": res.witness},
-                  [f"kernel rejected: {res.describe()}"])
-            return EXIT_FAIL
-        inv = local_invariants(triple, kappa.weak_rank, kappa)
-        tables = {"h_sigma": inv.h_sigma, "ell_sigma": inv.ell_sigma,
-                  "delta_ell": inv.delta_ell}
-        lines = []
-        values = {}
-        for name in ("h_sigma", "ell_sigma", "delta_ell"):
-            element = tables[name]
-            values[name] = [[z, zp, element.value(z, zp).to_json()]
-                            for z, zp in pairs]
-            if len(pairs) == 1:
-                lines.append(f"{name}: {_poly_str(element.value(*pairs[0]))}")
-            else:
-                lines.append(f"{name}:")
-                lines.extend(f"  {z} {zp}: {_poly_str(element.value(z, zp))}"
-                             for z, zp in pairs)
-        _emit(args, {"command": "local", "status": "ok", "values": values},
-              lines)
-        return EXIT_OK
+    if args.equivariant is not None:
+        return _equivariant_tables(args, triple, kappa, pairs)
+    res = validate_kernel(kappa)
+    if not res:
+        _emit(args, {"command": "local", "status": "fail",
+                     "reason": res.reason, "witness": res.witness},
+              [f"kernel rejected: {res.describe()}"])
+        return EXIT_FAIL
+    inv = local_invariants(triple, kappa.weak_rank, kappa)
+    tables = {"h_sigma": inv.h_sigma, "ell_sigma": inv.ell_sigma,
+              "delta_ell": inv.delta_ell}
+    lines = []
+    values = {}
+    for name in ("h_sigma", "ell_sigma", "delta_ell"):
+        element = tables[name]
+        values[name] = [[z, zp, element.value(z, zp).to_json()]
+                        for z, zp in pairs]
+        if len(pairs) == 1:
+            lines.append(f"{name}: {_poly_str(element.value(*pairs[0]))}")
+        else:
+            lines.append(f"{name}:")
+            lines.extend(f"  {z} {zp}: {_poly_str(element.value(z, zp))}"
+                         for z, zp in pairs)
+    _emit(args, {"command": "local", "status": "ok", "values": values},
+          lines)
+    return EXIT_OK
 
-    # equivariant tables from a permutation group document
-    gtag, gpayload = schemas.load_document(_resolve(args.equivariant),
-                                           expect="group")
+
+def _equivariant_tables(args, triple, kappa, pairs):
+    """``local --equivariant GROUP``: the tables as class functions."""
+    from .equivariant import (classpoly_json, equiv_constant,
+                              equiv_kernel_validate, equiv_local_invariants,
+                              is_eulerian_action, validate_action)
+
+    gamma = triple.gamma
+    _gtag, gpayload = schemas.load_document(_resolve(args.equivariant),
+                                            expect="group")
     action = schemas.build_group(gpayload, gamma)
     res = validate_action(action, gamma, q=triple.q)
     if not res:
@@ -342,70 +355,97 @@ def cmd_local(args):
 
 # -- verify -------------------------------------------------------------------
 
+#: Suite name -> the subdivision check it runs on a triple document.
+TRIPLE_CHECKS = {"theorem-g": "check_theorem_g",
+                 "corollary-f": "check_corollary_f",
+                 "corollary-z": "check_corollary_z"}
+
+
+def _verify_triple(args, path, payload):
+    from . import subdivision
+
+    triple = schemas.build_triple(payload)
+    kappa = _kernel_for(args, triple.gamma)
+    check = getattr(subdivision, TRIPLE_CHECKS[args.suite])
+    try:
+        res = check(triple, kappa)
+    except subdivision.KernelRejected as exc:
+        # a kernel document that loaded but fails the theory's
+        # hypotheses is a failed check, not an input error
+        res = exc.result
+    return [(f"{args.suite} on {path}", res)]
+
+
+def _verify_action(path, tag, payload, group_payload):
+    from .equivariant import is_eulerian_action
+
+    poset = schemas.build_poset(payload["poset"] if tag == "triple"
+                                else payload)
+    action = schemas.build_group(group_payload, poset)
+    return [(f"eulerian-action on {path}", is_eulerian_action(action))]
+
+
+def _verify_fan(path, payload):
+    from .equivariant import equiv_kernel_validate
+    from .fans import fan_kernel
+    from .verify import solver_crosscheck
+
+    fan, faction = schemas.build_fan(payload)
+    if faction is None:
+        raise InputProblem(f"{path} carries no action")
+    kappa = fan_kernel(fan, faction, validate=False)
+    return [(f"kernel on {path}", equiv_kernel_validate(kappa)),
+            (f"solvers on {path}", solver_crosscheck(kappa))]
+
+
+def _verify_complex(path, payload):
+    from .ehrhart import polynomial_action_check, reciprocity_check
+
+    cx = schemas.build_complex(payload)
+    results = [(f"counting vs assembled h* on {path}",
+                polynomial_action_check(cx))]
+    for w in sorted(cx.action.elements):
+        results.append((f"reciprocity w={list(w)} on {path}",
+                        reciprocity_check(cx, w, order=6)))
+    return results
+
+
+def _verify_kernel(args, path, payload):
+    poset = schemas.build_poset(payload)
+    kappa = _kernel_for(args, poset)
+    res = validate_kernel(kappa)
+    results = [(f"kernel axioms on {path}", res)]
+    if res:
+        try:
+            solve_g(kappa)
+            solve_f(kappa)
+            results.append((f"solvers on {path}", CheckResult.passed()))
+        except MirrorConstraintViolated as exc:
+            results.append((f"solvers on {path}",
+                            CheckResult.failed("mirror-constraint",
+                                               detail=str(exc))))
+    return results
+
+
 def _verify_paths(args):
     """Checks for explicitly supplied documents, dispatched on schema."""
-    from .status import CheckResult
-
     docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
     results = []
-    triple_checks = {"theorem-g": "check_theorem_g",
-                     "corollary-f": "check_corollary_f",
-                     "corollary-z": "check_corollary_z"}
-    group_doc = next(((p, pay) for p, t, pay in docs if t == "group"), None)
+    group_doc = next((pay for _p, t, pay in docs if t == "group"), None)
     for path, tag, payload in docs:
         if tag == "group":
             continue
-        if tag == "triple" and args.suite in triple_checks:
-            from . import subdivision
-            triple = schemas.build_triple(payload)
-            kappa = _kernel_for(args, triple.gamma)
-            check = getattr(subdivision, triple_checks[args.suite])
-            try:
-                res = check(triple, kappa)
-            except subdivision.KernelRejected as exc:
-                # a kernel document that loaded but fails the theory's
-                # hypotheses is a failed check, not an input error
-                res = exc.result
-            results.append((f"{args.suite} on {path}", res))
+        if tag == "triple" and args.suite in TRIPLE_CHECKS:
+            results.extend(_verify_triple(args, path, payload))
         elif tag in ("poset", "triple") and args.suite == "equivariant" \
                 and group_doc is not None:
-            poset = schemas.build_poset(payload["poset"]) if tag == "triple" \
-                else schemas.build_poset(payload)
-            action = schemas.build_group(group_doc[1], poset)
-            results.append((f"eulerian-action on {path}",
-                            is_eulerian_action(action)))
+            results.extend(_verify_action(path, tag, payload, group_doc))
         elif tag == "fan" and args.suite == "equivariant":
-            fan, faction = schemas.build_fan(payload)
-            if faction is None:
-                raise InputProblem(f"{path} carries no action")
-            kappa = fan_kernel(fan, faction, validate=False)
-            results.append((f"kernel on {path}",
-                            equiv_kernel_validate(kappa)))
-            results.append((f"solvers on {path}",
-                            verify_mod.solver_crosscheck(kappa)))
+            results.extend(_verify_fan(path, payload))
         elif tag == "complex" and args.suite == "ehrhart-reciprocity":
-            cx = schemas.build_complex(payload)
-            results.append((f"counting vs assembled h* on {path}",
-                            polynomial_action_check(cx)))
-            for w in sorted(cx.action.elements):
-                results.append((f"reciprocity w={list(w)} on {path}",
-                                reciprocity_check(cx, w, order=6)))
+            results.extend(_verify_complex(path, payload))
         elif tag == "poset" and args.kernel != "eulerian":
-            poset = schemas.build_poset(payload)
-            kappa = _kernel_for(args, poset)
-            res = validate_kernel(kappa)
-            results.append((f"kernel axioms on {path}", res))
-            if res:
-                try:
-                    solve_g(kappa)
-                    solve_f(kappa)
-                    results.append((f"solvers on {path}",
-                                    CheckResult.passed()))
-                except MirrorConstraintViolated as exc:
-                    results.append((
-                        f"solvers on {path}",
-                        CheckResult.failed("mirror-constraint",
-                                           detail=str(exc))))
+            results.extend(_verify_kernel(args, path, payload))
         else:
             raise InputProblem(
                 f"don't know how to verify a {tag} document under suite "
@@ -416,10 +456,12 @@ def _verify_paths(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
+
     if args.paths:
         results = _verify_paths(args)
     else:
-        results = verify_mod.run_suite(args.suite)
+        results = run_suite(args.suite)
     ok, lines, checks = _check_lines(results)
     passed = sum(1 for _n, r in results if r)
     lines.append(f"passed {passed}/{len(results)}")
@@ -433,12 +475,17 @@ def cmd_verify(args):
 # -- ehrhart ------------------------------------------------------------------
 
 def _class_lines(action, cp):
+    from .equivariant import classpoly_json
+
     data = classpoly_json(action, cp)
     return [f"w{wid}: {','.join(coeffs) if coeffs else '0'}"
             for wid, coeffs in data["values"]], data
 
 
 def cmd_ehrhart(args):
+    from .ehrhart import (ehr_series, hstar_from_subdivision,
+                          localhstar_via_localh, reciprocity_check)
+
     tag, payload = schemas.load_document(_resolve(args.path),
                                          expect="complex")
     cx = schemas.build_complex(payload)
@@ -488,22 +535,35 @@ def cmd_ehrhart(args):
 
 # -- parser -------------------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="klspoly",
-        description="Kazhdan-Lusztig-Stanley polynomials, subdivisions, "
-                    "and equivariant Ehrhart series over exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses.
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    ``declare(parser)`` adds them, so building the whole parser loads no
+    layer of the package: the verify suite names, for one, come from
+    :mod:`klspoly.verify`, which only ``verify`` loads.
+    """
 
-    p = sub.add_parser("check", help="validate a document")
+    def __init__(self, *args, declare, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            self._declare(self)
+            self._declare = None
+        return super().parse_known_args(args, namespace)
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _check_arguments(p):
     p.add_argument("path")
-    add_format(p)
-    p.set_defaults(func=cmd_check)
+    _add_format(p)
 
-    p = sub.add_parser("kls", help="kernel solvers and h-polynomials")
+
+def _kls_arguments(p):
     p.add_argument("path")
     p.add_argument("--kernel", default="eulerian",
                    help="'eulerian' or a kernel file path")
@@ -512,10 +572,10 @@ def build_parser():
     p.add_argument("--interval", nargs=2, type=int, metavar=("Z", "ZP"))
     p.add_argument("--all", action="store_true",
                    help="print every interval")
-    add_format(p)
-    p.set_defaults(func=cmd_kls)
+    _add_format(p)
 
-    p = sub.add_parser("local", help="local invariants of a subdivision")
+
+def _local_arguments(p):
     p.add_argument("path")
     p.add_argument("--kernel", default="eulerian")
     p.add_argument("--equivariant", metavar="GROUP",
@@ -524,25 +584,51 @@ def build_parser():
                    help="print the relative g-polynomial of (poset, q)")
     p.add_argument("--all", action="store_true",
                    help="full tables instead of the top interval")
-    add_format(p)
-    p.set_defaults(func=cmd_local)
+    _add_format(p)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+
+def _verify_arguments(p):
+    from .verify import SUITES
+
     p.add_argument("paths", nargs="*",
                    help="documents to verify; bundled corpus when omitted")
-    p.add_argument("--suite", default="all", choices=verify_mod.SUITES)
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     p.add_argument("--kernel", default="eulerian")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    _add_format(p)
 
-    p = sub.add_parser("ehrhart", help="equivariant lattice point counting")
+
+def _ehrhart_arguments(p):
     p.add_argument("path")
     p.add_argument("--what", required=True,
                    choices=("hstar", "local-hstar", "series", "reciprocity"))
     p.add_argument("--order", type=int, default=None,
                    help="truncation order (default 2(dim+1))")
-    add_format(p)
-    p.set_defaults(func=cmd_ehrhart)
+    _add_format(p)
+
+
+#: Subcommand -> (help line, argument declaration, handler).
+COMMANDS = {
+    "check": ("validate a document", _check_arguments, cmd_check),
+    "kls": ("kernel solvers and h-polynomials", _kls_arguments, cmd_kls),
+    "local": ("local invariants of a subdivision", _local_arguments,
+              cmd_local),
+    "verify": ("run a named verification suite", _verify_arguments,
+               cmd_verify),
+    "ehrhart": ("equivariant lattice point counting", _ehrhart_arguments,
+                cmd_ehrhart),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="klspoly",
+        description="Kazhdan-Lusztig-Stanley polynomials, subdivisions, "
+                    "and equivariant Ehrhart series over exact arithmetic.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    for name, (summary, declare, handler) in COMMANDS.items():
+        sub.add_parser(name, help=summary,
+                       declare=declare).set_defaults(func=handler)
     return parser
 
 
@@ -551,12 +637,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MirrorConstraintViolated, AssemblyInconsistent) as exc:
+    except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InputProblem, schemas.DocumentError, GroupBoundError,
-            GroupTooLarge, NotAutomorphism, PosetError, SubdivisionError,
-            ComplexError, FanError, UnsuitablePoset) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

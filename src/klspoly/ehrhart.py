@@ -20,7 +20,7 @@ from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
 from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
-from .status import CheckResult
+from .status import CheckResult, InputError
 from .equivariant import (
     ClassPoly,
     EquivIncidenceElement,
@@ -45,7 +45,7 @@ from .fans import (
 from .subdivision import StrongFormalSubdivision, mapping_cylinder
 
 
-class ComplexError(ValueError):
+class ComplexError(InputError):
     pass
 
 

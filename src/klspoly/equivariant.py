@@ -31,7 +31,8 @@ from .incidence import (
     validate_kernel,
     z_function,
 )
-from .status import CheckResult
+from .status import (CheckResult, GroupBoundError, InputError,
+                     VerificationFailure)
 from .subdivision import (SubdivisionTriple, corollary_f_identity,
                           corollary_z_identity, local_invariants,
                           theorem_g_identities)
@@ -39,23 +40,15 @@ from .subdivision import (SubdivisionTriple, corollary_f_identity,
 DEFAULT_MAX_GROUP = 10_000
 
 
-class GroupTooLarge(ValueError):
+class GroupTooLarge(InputError):
     """Generated group exceeded the configured size bound."""
 
 
-class NotAutomorphism(ValueError):
+class NotAutomorphism(InputError):
     """A generator fails to be an order/rank-preserving bijection."""
 
 
-class GroupBoundError(Exception):
-    """KLS_MAX_GROUP is set to something other than an integer.
-
-    Not a ValueError, so document builders do not report it as a malformed
-    document.
-    """
-
-
-class AssemblyInconsistent(ValueError):
+class AssemblyInconsistent(VerificationFailure):
     """Per-element values do not glue into an equivariant element.
 
     Raised when values computed on the fixed posets B^w fail class

@@ -37,9 +37,11 @@ from .equivariant import (
     _group_bound,
     perm_mul,
 )
+from .status import InputError
+from .subdivision import SubdivisionTriple
 
 
-class FanError(ValueError):
+class FanError(InputError):
     pass
 
 
@@ -519,8 +521,6 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
     (checked exactly).  Returns (triple, geometry) where the triple is the
     face lattice with the designated face as its carrier split point.
     """
-    from .subdivision import SubdivisionTriple
-
     faces = [frozenset(f) for f in faces]
     n = len(faces)
     labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in faces]

@@ -28,14 +28,14 @@ from .polynomial import (
     poly_dot,
     poly_rev,
 )
-from .status import CheckResult
+from .status import CheckResult, InputError, VerificationFailure
 
 
 class CarrierMismatch(ValueError):
     """Two incidence elements live on different posets or weak ranks."""
 
 
-class UnsuitablePoset(ValueError):
+class UnsuitablePoset(InputError):
     """The poset lacks a property an operation needs: lower Eulerian,
     Eulerian, or rank at least 1."""
 
@@ -44,7 +44,7 @@ class NotInvertible(ValueError):
     """An incidence element has a diagonal value other than 1 or -1."""
 
 
-class MirrorConstraintViolated(ValueError):
+class MirrorConstraintViolated(VerificationFailure):
     """The forced low-degree solution cannot be completed symmetrically.
 
     Raised by the f/g solvers; equivalent to the kernel failing the
@@ -203,11 +203,14 @@ class IncidenceElement:
         return NotImplemented
 
     def scale(self, c):
-        c = Poly._lift(c)
-        if not c:
+        factor = Poly._lift(c)
+        if factor is NotImplemented:
+            raise TypeError(f"cannot scale an incidence element by a "
+                            f"{type(c).__name__}")
+        if not factor:
             return _element(self.poset, self.weak_rank, {})
         return _element(self.poset, self.weak_rank,
-                        {p: v * c for p, v in self.vals.items()})
+                        {p: v * factor for p, v in self.vals.items()})
 
     def mask(self, pred):
         """Keep only the intervals where pred(i, j) is true."""

@@ -219,7 +219,10 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not Poly:

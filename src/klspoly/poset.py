@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 
-from .status import CheckResult
+from .status import CheckResult, InputError
 
 
-class PosetError(ValueError):
+class PosetError(InputError):
     """Structural problem with a poset, rank function, or builder input."""
 
 
@@ -309,6 +309,8 @@ class Poset:
 
     @classmethod
     def from_json(cls, payload):
+        if not isinstance(payload, dict):
+            raise PosetError("a poset payload must be a JSON object")
         labels = payload.get("labels")
         covers = payload.get("covers")
         if labels is None or covers is None:

@@ -28,6 +28,11 @@ Recognized tags:
     A permutation group on the elements of some other document's poset;
     payload is ``{"generators": [[...], ...]}``.
 
+:data:`BUILDERS` maps each tag to the function that turns a payload into
+its object; a group document builds to its list of generators, since the
+poset it acts on comes from another document.  Each builder imports the
+layer it needs when it runs, so reading a poset loads no geometry.
+
 Separately from documents, a *kernel file* is a bare JSON object
 ``{"values": [[z, zp, [c0, c1, ...]], ...]}`` listing the coefficient
 vectors of an incidence-algebra kernel on the comparable pairs of a poset
@@ -36,21 +41,24 @@ kernel's values, so a kernel file can record a sparse override.
 """
 
 import json
+import os
+from contextlib import contextmanager
 
-from .equivariant import PermAction
-from .ehrhart import LatticeSimplexComplex
-from .fans import EquivFanAction, LatticeFan
 from .incidence import IncidenceElement, WeakRank, eulerian_kernel
 from .polynomial import Poly
 from .poset import Poset
-from .subdivision import StrongFormalSubdivision, SubdivisionTriple
+from .status import GroupBoundError, InputError
 
-TAGS = ("poset", "sfs", "triple", "fan", "complex", "group")
 VERSION = 1
 
 
-class DocumentError(ValueError):
+class DocumentError(InputError):
     """Raised when a JSON document is malformed or has the wrong schema."""
+
+
+def fixture_path(name):
+    """Filesystem path of a bundled fixture."""
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)
 
 
 def parse_document(obj, expect=None):
@@ -91,6 +99,23 @@ def load_document(path, expect=None):
     return parse_document(_read_json(path), expect=expect)
 
 
+def load_fixture(name, expect=None):
+    """Load a bundled fixture document; return (tag, payload)."""
+    return load_document(fixture_path(name), expect=expect)
+
+
+@contextmanager
+def _payload(kind):
+    """Report an error raised while building a ``kind`` payload as a
+    DocumentError; document and environment errors pass unchanged."""
+    try:
+        yield
+    except (DocumentError, GroupBoundError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentError(f"bad {kind} payload: {exc}") from exc
+
+
 def _ranked(poset):
     if poset.rank is None:
         return poset.with_rank(poset.natural_rank())
@@ -98,58 +123,68 @@ def _ranked(poset):
 
 
 def build_poset(payload):
-    try:
+    with _payload("poset"):
         return _ranked(Poset.from_json(payload))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        raise DocumentError(f"bad poset payload: {exc}") from exc
 
 
 def build_sfs(payload):
-    try:
+    from .subdivision import StrongFormalSubdivision
+
+    with _payload("sfs"):
         x = _ranked(Poset.from_json(payload["x"]))
         y = _ranked(Poset.from_json(payload["y"]))
         return StrongFormalSubdivision(x, y, tuple(payload["sigma"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        raise DocumentError(f"bad sfs payload: {exc}") from exc
 
 
 def build_triple(payload):
-    try:
+    from .subdivision import SubdivisionTriple
+
+    with _payload("triple"):
         return SubdivisionTriple.from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad triple payload: {exc}") from exc
 
 
 def build_fan(payload):
     """Return (fan, action-or-None) from a fan payload."""
-    try:
+    from .fans import EquivFanAction, LatticeFan
+
+    with _payload("fan"):
         fan = LatticeFan.from_json(payload)
         action = None
         if payload.get("action") is not None:
             action = EquivFanAction.from_json(fan, payload["action"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad fan payload: {exc}") from exc
     return fan, action
 
 
 def build_complex(payload):
-    try:
+    from .ehrhart import LatticeSimplexComplex
+
+    with _payload("complex"):
         return LatticeSimplexComplex.from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad complex payload: {exc}") from exc
+
+
+def group_generators(payload):
+    """The generators of a group document, as tuples of integers."""
+    gens = payload.get("generators")
+    if not isinstance(gens, list) or not gens:
+        raise DocumentError("group document needs generators")
+    if not all(isinstance(g, list) and all(type(v) is int for v in g)
+               for g in gens):
+        raise DocumentError("group generators must be lists of integers")
+    return [tuple(g) for g in gens]
 
 
 def build_group(payload, poset, max_group=None):
     """Instantiate a group document as a PermAction on ``poset``."""
-    try:
-        gens = [tuple(int(v) for v in g) for g in payload["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad group payload: {exc}") from exc
-    return PermAction(poset, gens, max_group=max_group)
+    from .equivariant import PermAction
+
+    return PermAction(poset, group_generators(payload), max_group=max_group)
+
+
+#: Document tag -> builder of the object a payload describes.
+BUILDERS = {"poset": build_poset, "sfs": build_sfs, "triple": build_triple,
+            "fan": build_fan, "complex": build_complex,
+            "group": group_generators}
+TAGS = tuple(BUILDERS)
 
 
 def load_kernel_file(path, poset):

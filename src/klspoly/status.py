@@ -1,11 +1,34 @@
-"""Tiny result type for validation routines that report witnesses.
+"""Check results and the two error bases the command line sorts by.
 
 Validators in this package return a CheckResult rather than a bare bool, so
 callers (and the command line) can surface *where* a property failed, not
 just that it failed.
+
+Every error that makes a request unanswerable derives from InputError (the
+command line exits 2), and every verification that fails while computing
+raises a VerificationFailure (exit 1).  Both live here, in a module every
+layer already imports, so the command line catches two bases instead of
+importing each layer's error classes.
 """
 
 from __future__ import annotations
+
+
+class InputError(ValueError):
+    """Malformed input, an impossible request, or an object that lacks a
+    property the computation needs."""
+
+
+class VerificationFailure(ValueError):
+    """An identity or consistency check failed during a computation."""
+
+
+class GroupBoundError(InputError):
+    """KLS_MAX_GROUP is set to something other than an integer.
+
+    Document builders report other input errors as a malformed document;
+    this one names the environment, so they pass it on unchanged.
+    """
 
 
 class CheckResult:

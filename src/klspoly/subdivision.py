@@ -46,10 +46,10 @@ from .incidence import (
 )
 from .polynomial import ZERO, poly_div_t_minus_1, poly_dot, poly_rev
 from .poset import Poset, bits, direct_product, segment_subdivision
-from .status import CheckResult
+from .status import CheckResult, InputError
 
 
-class SubdivisionError(ValueError):
+class SubdivisionError(InputError):
     """A subdivision, triple, or local-invariant contract was violated."""
 
 

@@ -33,52 +33,28 @@ Suites:
     matches the counting series per element.
 ``all``
     Everything above.
+
+:data:`SUITES` maps each name to its suite.  A suite imports the layers it
+checks when it runs, so the corpus suites load no geometry.
 """
 
-import json
-from importlib import resources
-
-from .ehrhart import (LatticeSimplexComplex, polynomial_action_check,
-                      reciprocity_check)
-from .equivariant import (equiv_kernel_validate, equiv_multiply, equiv_rev,
-                          equiv_solve_f, equiv_solve_g, equiv_z_function,
-                          is_eulerian_action)
-from .fans import fan_kernel, polytope_cone_triple
 from .incidence import (MirrorConstraintViolated, eulerian_kernel,
                         h_polynomial, solve_g)
 from .poset import (boolean_algebra, cross_polytope_face_lattice,
                     cube_face_lattice, direct_product, polygon, pyramid,
                     segment_subdivision)
-from .schemas import build_fan, build_group, build_poset, load_kernel_file, parse_document
+from .schemas import (build_complex, build_fan, build_group, build_poset,
+                      fixture_path, load_fixture, load_kernel_file)
 from .status import CheckResult
-from .subdivision import (SubdivisionError, SubdivisionTriple,
-                          check_composition, check_corollary_f,
-                          check_corollary_z, check_product_identities,
-                          check_theorem_g, segment_refinement_sfs,
-                          segment_subdivision_sfs, solve_kernel)
-
-SUITES = ("theorem-g", "corollary-f", "corollary-z", "composition",
-          "products", "equivariant", "ehrhart-reciprocity", "all")
 
 COMPLEX_FIXTURES = ("seg1_flip.json", "seg2_flip.json", "seg3_flip.json",
                     "seg4_flip.json", "unit_square.json", "unit_cube.json",
                     "crosscut_d4.json")
 
 
-def fixture_path(name):
-    """Filesystem path of a bundled fixture."""
-    return str(resources.files(__package__).joinpath("fixtures", name))
-
-
-def load_fixture(name, expect=None):
-    """Load a bundled fixture document; return (tag, payload)."""
-    text = resources.files(__package__).joinpath("fixtures", name).read_text()
-    return parse_document(json.loads(text), expect=expect)
-
-
 def load_complex_fixture(name):
     _tag, payload = load_fixture(name, expect="complex")
-    return LatticeSimplexComplex.from_json(payload)
+    return build_complex(payload)
 
 
 def builder_corpus():
@@ -101,6 +77,8 @@ def builder_corpus():
 
 def admissible_triples(poset):
     """All (q, triple) pairs for which (poset, q) is a subdivision triple."""
+    from .subdivision import SubdivisionError, SubdivisionTriple
+
     bot = poset.bottom()
     for q in range(poset.n):
         if q == bot:
@@ -115,6 +93,8 @@ def _corpus_suite(check):
     """Run check on every admissible triple of the corpus, with the
     Eulerian kernel of each poset solved once and dropped after its
     triples."""
+    from .subdivision import solve_kernel
+
     out = []
     for name, poset in builder_corpus():
         triples = list(admissible_triples(poset))
@@ -143,16 +123,22 @@ def _corrupted_kernel_guard():
 
 
 def suite_theorem_g():
+    from .subdivision import check_theorem_g
+
     out = _corpus_suite(check_theorem_g)
     out.append(("guard corrupted-kernel", _corrupted_kernel_guard()))
     return out
 
 
 def suite_corollary_f():
+    from .subdivision import check_corollary_f
+
     return _corpus_suite(check_corollary_f)
 
 
 def suite_corollary_z():
+    from .subdivision import check_corollary_z
+
     return _corpus_suite(check_corollary_z)
 
 
@@ -162,6 +148,8 @@ def composition_pairs():
     The first map keeps a subset of the interior points, the second
     collapses the rest onto the plain segment; they share the middle poset.
     """
+    from .subdivision import segment_refinement_sfs, segment_subdivision_sfs
+
     pairs = []
     for fine, mid in ((3, (2,)), (3, (1, 3)), (2, (2,)), (4, (2, 4))):
         s1 = segment_refinement_sfs(fine, mid)
@@ -171,11 +159,15 @@ def composition_pairs():
 
 
 def suite_composition():
+    from .subdivision import check_composition
+
     return [(name, check_composition(s1, s2))
             for name, s1, s2 in composition_pairs()]
 
 
 def product_pairs():
+    from .subdivision import segment_refinement_sfs, segment_subdivision_sfs
+
     s_seg2 = segment_subdivision_sfs(2)
     s_seg1 = segment_subdivision_sfs(1)
     s_ref = segment_refinement_sfs(3, (2,))
@@ -198,6 +190,8 @@ def _h_product_check():
 
 
 def suite_products():
+    from .subdivision import check_product_identities
+
     out = [(name, check_product_identities(s1, s2))
            for name, s1, s2 in product_pairs()]
     out.append(("h of direct products", _h_product_check()))
@@ -223,6 +217,8 @@ def hexagon_polytope():
 
 
 def hexagon_dihedral_setup():
+    from .fans import polytope_cone_triple
+
     verts, faces, covers = hexagon_polytope()
     triple, geom = polytope_cone_triple(verts, faces, covers, 13)
     rot = ((1, -1), (1, 0))
@@ -233,6 +229,8 @@ def hexagon_dihedral_setup():
 
 
 def square_fan_setup():
+    from .fans import fan_kernel
+
     _tag, payload = load_fixture("square_fan_z4.json", expect="fan")
     fan, faction = build_fan(payload)
     kappa = fan_kernel(fan, faction, validate=False)
@@ -248,6 +246,9 @@ def solver_crosscheck(kappa):
     induction/restriction product, which never looks at fixed posets.
     Finally Z = g * kappa * f must be symmetric under rev.
     """
+    from .equivariant import (equiv_multiply, equiv_rev, equiv_solve_f,
+                              equiv_solve_g, equiv_z_function)
+
     g = equiv_solve_g(kappa)
     if equiv_rev(g) != equiv_multiply(g, kappa):
         return CheckResult.failed("g-direct-identity")
@@ -262,6 +263,8 @@ def solver_crosscheck(kappa):
 
 def _refusal_guard():
     """The glued double-semisuspension swap must be refused, naming w."""
+    from .equivariant import is_eulerian_action
+
     _tag, payload = load_fixture("glued_semisuspension.json", expect="poset")
     poset = build_poset(payload)
     _tag, gpayload = load_fixture("glued_swap.json", expect="group")
@@ -279,6 +282,8 @@ def _refusal_guard():
 
 
 def suite_equivariant():
+    from .equivariant import check_equivariant_theorem, equiv_kernel_validate
+
     out = []
     _fan, _faction, kappa = square_fan_setup()
     out.append(("square-fan quarter-turn kernel",
@@ -288,7 +293,6 @@ def suite_equivariant():
     triple, action, hkappa = hexagon_dihedral_setup()
     out.append(("hexagon dihedral kernel", equiv_kernel_validate(hkappa)))
     out.append(("hexagon dihedral solvers", solver_crosscheck(hkappa)))
-    from .equivariant import check_equivariant_theorem
     out.append(("hexagon dihedral subdivision identities",
                 check_equivariant_theorem(triple, hkappa.weak_rank, action,
                                           hkappa)))
@@ -297,6 +301,8 @@ def suite_equivariant():
 
 
 def suite_ehrhart_reciprocity():
+    from .ehrhart import polynomial_action_check, reciprocity_check
+
     out = []
     for name in COMPLEX_FIXTURES:
         cx = load_complex_fixture(name)
@@ -308,24 +314,24 @@ def suite_ehrhart_reciprocity():
     return out
 
 
+#: Suite name -> function returning its [(label, CheckResult)].
+SUITES = {
+    "theorem-g": suite_theorem_g,
+    "corollary-f": suite_corollary_f,
+    "corollary-z": suite_corollary_z,
+    "composition": suite_composition,
+    "products": suite_products,
+    "equivariant": suite_equivariant,
+    "ehrhart-reciprocity": suite_ehrhart_reciprocity,
+}
+
+
 def run_suite(name):
     """Run one named suite (or 'all'); returns [(label, CheckResult)]."""
-    table = {
-        "theorem-g": suite_theorem_g,
-        "corollary-f": suite_corollary_f,
-        "corollary-z": suite_corollary_z,
-        "composition": suite_composition,
-        "products": suite_products,
-        "equivariant": suite_equivariant,
-        "ehrhart-reciprocity": suite_ehrhart_reciprocity,
-    }
     if name == "all":
-        out = []
-        for key in table:
-            out.extend((f"{key}: {label}", res)
-                       for label, res in table[key]())
-        return out
-    if name not in table:
+        return [(f"{key}: {label}", res)
+                for key, suite in SUITES.items() for label, res in suite()]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{', '.join(SUITES)}")
-    return table[name]()
+                         f"{', '.join(SUITES)}, all")
+    return SUITES[name]()

@@ -271,13 +271,18 @@ def _set(path, value):
      "h-polynomial needs a lower Eulerian poset"),
     (lambda: ("kls", (chain(3).to_json(), "toric-h")),
      "boundary h needs an Eulerian poset"),
+    (lambda: ("group", {"generators": [[0, "x", 2]]}),
+     "group generators must be lists of integers"),
+    (lambda: ("triple", {"poset": 1.5, "q": 1}),
+     "a poset payload must be a JSON object"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
         "vertex-not-integer", "ray-not-integer",
         "kernel-zero-denominator", "kernel-coefficients-not-a-list",
         "vertex-zero-denominator", "affine-action-zero-denominator",
         "kls-toric-h-of-a-fan", "kls-g-of-a-3-chain", "kls-h-of-a-3-chain",
-        "kls-toric-h-of-a-3-chain"])
+        "kls-toric-h-of-a-3-chain", "group-generator-not-an-integer",
+        "triple-poset-not-an-object"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()
@@ -333,7 +338,7 @@ def test_a_failure_inside_a_suite_is_a_verification_failure(
     def broken():
         raise failure
 
-    monkeypatch.setattr(verify, "suite_composition", broken)
+    monkeypatch.setitem(verify.SUITES, "composition", broken)
     code = cli.main(["verify", "--suite", "composition"])
     captured = capsys.readouterr()
     assert code == 1

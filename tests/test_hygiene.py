@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, no unreferenced definitions, no floats."""
+"""Source hygiene: no unused or scattered imports, no unreferenced
+definitions, no floats."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,75 @@ def test_no_module_imports_an_unused_name():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == [], "unused imports:\n" + "\n".join(found)
+
+
+def _own_nodes(func):
+    """Every node in a function's body, not entering nested definitions."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def scattered_imports(source):
+    """(line, function) of every import in a function body that is not in
+    the function's leading block of imports, right after its docstring.
+
+    A layer a function needs is imported where a reader looks first, not
+    in a branch or halfway down.
+    """
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = func.body
+        k = int(isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str))
+        while k < len(body) and isinstance(body[k],
+                                           (ast.Import, ast.ImportFrom)):
+            k += 1
+        leading = {id(node) for node in body[:k]}
+        found.extend((node.lineno, func.name) for node in _own_nodes(func)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and id(node) not in leading)
+    return sorted(found)
+
+
+def test_the_scan_finds_a_scattered_import():
+    source = ('def leading():\n'
+              '    """Doc."""\n'
+              '    import os\n'
+              '    from math import gcd\n'
+              '    return os, gcd\n'
+              'def late():\n'
+              '    x = 1\n'
+              '    import os\n'
+              '    return x, os\n'
+              'def branch(flag):\n'
+              '    if flag:\n'
+              '        from math import gcd\n'
+              '        return gcd\n'
+              'def outer():\n'
+              '    import os\n'
+              '    def inner():\n'
+              '        y = 2\n'
+              '        from math import lcm\n'
+              '        return y, lcm\n'
+              '    return os, inner\n')
+    assert scattered_imports(source) == [(8, "late"), (12, "branch"),
+                                         (18, "inner")]
+
+
+def test_no_function_imports_outside_its_leading_block():
+    found = [f"{path.name}:{line}: in {func}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, func in scattered_imports(
+                 path.read_text(encoding="utf-8"))]
+    assert found == [], "scattered imports:\n" + "\n".join(found)
 
 
 ROOT = PACKAGE.parents[1]

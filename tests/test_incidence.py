@@ -416,6 +416,15 @@ def test_every_algebra_result_is_well_formed(name, seed):
     assert (a - a).vals == {} and a.scale(0).vals == {}
 
 
+def test_scaling_by_an_unsupported_type_names_the_type():
+    a = eulerian_kernel(B3)
+    with pytest.raises(TypeError, match="by a str$"):
+        a.scale("1/2")
+    with pytest.raises(TypeError, match="by a float$"):
+        a.scale(0.5)
+    assert a.scale(Poly([2])) == a.scale(2)
+
+
 def test_the_public_constructor_still_checks_its_keys():
     with pytest.raises(ValueError, match="not an interval"):
         IncidenceElement(B3, WR3, {(7, 0): Poly([1])})

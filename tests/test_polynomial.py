@@ -123,6 +123,17 @@ def test_arithmetic_basics():
     assert Poly(p.coeffs[:1]) == Poly([1])
 
 
+@pytest.mark.parametrize("other", [1.5, "a", None],
+                         ids=["float", "str", "none"])
+def test_mixing_an_unsupported_type_is_a_type_error(other):
+    p = Poly([1])
+    for op in (lambda: other - p, lambda: p - other, lambda: other + p,
+               lambda: p * other, lambda: other * p):
+        with pytest.raises(TypeError):
+            op()
+    assert 2 - p == Poly([1]) and Fraction(1, 2) - p == Poly([Fraction(-1, 2)])
+
+
 @given(polys, polys)
 def test_addition_and_multiplication_commute(p, q):
     assert p + q == q + p

@@ -1,0 +1,128 @@
+"""Mutated bundled documents: ``check`` answers 0, 1 or 2, never a traceback.
+
+Each example takes one bundled document and breaks it in one way: drops a
+key, puts a value of the wrong type somewhere, puts an index out of range,
+or adds the reverse of a cover relation (a cycle in the order).  The
+command line must then exit 0 (the document still holds), 1 (a check
+fails) or 2 with an ``error:`` message, and must not raise.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from klspoly import cli
+from klspoly.schemas import fixture_path
+
+FIXTURES = ("boolean3.json", "cone_square_z4.json", "crosscut_d4.json",
+            "cube3_facet.json", "glued_swap.json", "polygon_s2.json",
+            "polygon_s3_rotation.json", "seg2_flip.json",
+            "square_fan_z4.json", "unit_square.json")
+
+
+def _document(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+DOCUMENTS = {name: _document(name) for name in FIXTURES}
+
+#: Keys whose integers index elements, vertices, rays or cones.
+INDEX_KEYS = ("covers", "faces", "cones", "sigma", "q", "generators")
+WRONG_TYPES = (None, True, 1.5, "x", [], {}, [[]], -1)
+OUT_OF_RANGE = (-1, 1000)
+
+
+def _paths(node, prefix=()):
+    """Every path (keys and indices) from the document root to a node."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _pick(draw, paths):
+    """One of ``paths``: a depth first, then a path of that depth, so that
+    the few top-level keys are hit as often as the many deep entries."""
+    depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+    return draw(st.sampled_from([p for p in paths if len(p) == depth]))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _drop(doc, draw):
+    paths = [p for p in _paths(doc) if p and isinstance(p[-1], str)]
+    path = _pick(draw, paths)
+    del _at(doc, path[:-1])[path[-1]]
+
+
+def _retype(doc, draw):
+    path = _pick(draw, [p for p in _paths(doc) if p])
+    _at(doc, path[:-1])[path[-1]] = copy.deepcopy(
+        draw(st.sampled_from(WRONG_TYPES)))
+
+
+def _out_of_range(doc, draw):
+    paths = [p for p in _paths(doc)
+             if type(_at(doc, p)) is int and any(k in p for k in INDEX_KEYS)]
+    path = _pick(draw, paths)
+    _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(OUT_OF_RANGE))
+
+
+def _reversed_cover(doc, draw):
+    paths = [p for p in _paths(doc) if p and p[-1] == "covers"
+             and _at(doc, p)]
+    covers = _at(doc, _pick(draw, paths))
+    a, b = draw(st.sampled_from(covers))
+    covers.append([b, a])
+
+
+def _has_covers(doc):
+    return any(p and p[-1] == "covers" for p in _paths(doc))
+
+
+@st.composite
+def mutated_documents(draw):
+    name = draw(st.sampled_from(FIXTURES))
+    doc = copy.deepcopy(DOCUMENTS[name])
+    mutations = [_drop, _retype, _out_of_range]
+    if _has_covers(doc):
+        mutations.append(_reversed_cover)
+    draw(st.sampled_from(mutations))(doc, draw)
+    return doc
+
+
+def check_exit(path):
+    """(exit code, stderr) of ``klspoly check PATH`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    return code, err.getvalue()
+
+
+def test_every_fixture_of_the_fuzz_checks_clean():
+    for name in FIXTURES:
+        assert check_exit(fixture_path(name)) == (0, ""), name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_documents())
+def test_a_mutated_document_exits_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    code, err = check_exit(path)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:"), err
