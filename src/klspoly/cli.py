@@ -386,28 +386,21 @@ def _verify_action(path, tag, payload, group_payload):
 
 
 def _verify_fan(path, payload):
-    from .equivariant import equiv_kernel_validate
     from .fans import fan_kernel
-    from .verify import solver_crosscheck
+    from .verify import kernel_checks
 
     fan, faction = schemas.build_fan(payload)
     if faction is None:
         raise InputProblem(f"{path} carries no action")
     kappa = fan_kernel(fan, faction, validate=False)
-    return [(f"kernel on {path}", equiv_kernel_validate(kappa)),
-            (f"solvers on {path}", solver_crosscheck(kappa))]
+    return [(f"{label} on {path}", res) for label, res in kernel_checks(kappa)]
 
 
 def _verify_complex(path, payload):
-    from .ehrhart import polynomial_action_check, reciprocity_check
+    from .verify import complex_checks
 
     cx = schemas.build_complex(payload)
-    results = [(f"counting vs assembled h* on {path}",
-                polynomial_action_check(cx))]
-    for w in sorted(cx.action.elements):
-        results.append((f"reciprocity w={list(w)} on {path}",
-                        reciprocity_check(cx, w, order=6)))
-    return results
+    return [(f"{label} on {path}", res) for label, res in complex_checks(cx)]
 
 
 def _verify_kernel(args, path, payload):
@@ -483,8 +476,9 @@ def _class_lines(action, cp):
 
 
 def cmd_ehrhart(args):
-    from .ehrhart import (ehr_series, hstar_from_subdivision,
+    from .ehrhart import (ComplexCylinder, ehr_series, hstar_from_subdivision,
                           localhstar_via_localh, reciprocity_check)
+    from .equivariant import equiv_local_invariants
 
     tag, payload = schemas.load_document(_resolve(args.path),
                                          expect="complex")
@@ -492,6 +486,8 @@ def cmd_ehrhart(args):
     action = cx.action
     elements = [list(w) for w in sorted(action.elements)]
     order = args.order if args.order is not None else cx.default_order()
+    if order < 0 and args.what in ("series", "reciprocity"):
+        raise InputProblem(f"--order must be nonnegative, not {order}")
     if args.what == "hstar":
         cp = hstar_from_subdivision(cx)
         lines, data = _class_lines(action, cp)
@@ -502,7 +498,10 @@ def cmd_ehrhart(args):
         if cx.coarse_poset is None:
             raise InputProblem("local-hstar needs a complex with a coarse "
                                "face structure")
-        cp = localhstar_via_localh(cx)
+        cyl = ComplexCylinder(cx)
+        inv = equiv_local_invariants(cyl.triple, cyl.weak_rank, cyl.action,
+                                     cyl.kappa)
+        cp = localhstar_via_localh(cx, cyl, inv)
         lines, data = _class_lines(action, cp)
         _emit(args, {"command": "ehrhart", "what": "local-hstar",
                      "status": "ok", "elements": elements,
@@ -522,10 +521,11 @@ def cmd_ehrhart(args):
               lines)
         return EXIT_OK
     # reciprocity
+    hstar = hstar_from_subdivision(cx)
     results = []
     for rep in action.stabilizer().reps:
         results.append((f"reciprocity w{action.element_id(rep)}",
-                        reciprocity_check(cx, rep, order=order)))
+                        reciprocity_check(cx, rep, order, hstar)))
     ok, lines, checks = _check_lines(results)
     _emit(args, {"command": "ehrhart", "what": "reciprocity",
                  "status": "ok" if ok else "fail", "order": order,

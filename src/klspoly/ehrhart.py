@@ -14,6 +14,7 @@ a polytope face enters the linear picture as the cone over the face
 placed at height one.
 """
 
+import itertools
 from fractions import Fraction
 
 from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
@@ -28,10 +29,10 @@ from .equivariant import (
     PermAction,
     _classpoly,
     equiv_invert,
-    equiv_local_invariants,
     equiv_multiply,
     equiv_rev,
     equiv_solve_g,
+    perm_cycles,
 )
 from .fans import (
     conv_contains,
@@ -57,42 +58,33 @@ def _lift(v):
     return tuple(v) + (1,)
 
 
-def box_points(span, strictness, m):
-    """Lattice points in the (half-open or open) box of a simplex.
+def box_points(span):
+    """The half-open box of a simplex, at every height.
 
     The simplex is given by the factored span of its lifted vertices
-    (v_i, 1); returned points are the lattice vectors sum lambda_i (v_i, 1)
-    with all lambda in [0,1) ("half-open") or (0,1) ("open") and total
-    lambda equal to m.  Each bounding-box candidate is one integer
-    coordinate query, lambda_i * den, against the one factorization.
-    Raises NotASimplex when the vertices are affinely dependent.
+    (v_i, 1).  Returns, sorted, the lattice vectors sum lambda_i (v_i, 1)
+    with every lambda_i in [0, 1), each paired with its integer
+    coordinates lambda_i * den; the last entry of a point is its height
+    sum lambda_i.  The open box is the points whose coordinates are all
+    positive.  Each bounding-box candidate is one integer coordinate query
+    against the one factorization.  Raises NotASimplex when the vertices
+    are affinely dependent.
     """
-    if strictness not in ("half-open", "open"):
-        raise ValueError("strictness must be 'half-open' or 'open'")
     lifted = span.basis
     if not lifted:
         raise NotASimplex("a simplex needs at least one vertex")
     if not span.independent:
         raise NotASimplex("vertices are affinely dependent")
     den = span.den
-    low = 0 if strictness == "half-open" else 1
-    dim1 = len(lifted[0])
-    lo = [sum(min(0, u[c]) for u in lifted) for c in range(dim1)]
-    hi = [sum(max(0, u[c]) for u in lifted) for c in range(dim1)]
+    ranges = [range(sum(min(0, u[c]) for u in lifted),
+                    sum(max(0, u[c]) for u in lifted) + 1)
+              for c in range(len(lifted[0]) - 1)]
     out = []
-
-    def rec(c, point):
-        if c == dim1 - 1:
-            candidate = tuple(point) + (m,)
-            coords = span.coords(candidate)
-            if coords is not None and all(low <= x < den for x in coords):
-                out.append(candidate)
-            return
-        for x in range(lo[c], hi[c] + 1):
-            rec(c + 1, point + [x])
-
-    rec(0, [])
-    return sorted(out)
+    for candidate in itertools.product(*ranges, range(len(lifted))):
+        coords = span.coords(candidate)
+        if coords is not None and all(0 <= x < den for x in coords):
+            out.append((candidate, coords))
+    return out
 
 
 class LatticeSimplexComplex:
@@ -105,6 +97,11 @@ class LatticeSimplexComplex:
     polytope itself) by vertex sets and cover pairs over the same vertex
     list; it is required by the operations that localize along the map to
     the coarsening.
+
+    Each face's box is enumerated once, here: ``box[z]`` lists the
+    half-open box points of face z at every height and ``open_box[z]``
+    those of its open box; the empty face's box is the origin.
+    ``interior`` lists the faces off the boundary of the polytope.
     """
 
     def __init__(self, dim, vertices, faces, covers, matrices=None,
@@ -146,7 +143,14 @@ class LatticeSimplexComplex:
                 raise ComplexError("maximal faces must be full-dimensional")
         self._init_action(matrices or [])
         self._init_coarse(coarse)
-        self._box_cache = {}
+        self.interior = interior_faces(self)
+        origin = (0,) * (dim + 1)
+        self.box = []
+        self.open_box = []
+        for f, span in zip(self.faces, self.spans):
+            box = box_points(span) if f else [(origin, ())]
+            self.box.append([u for u, _lam in box])
+            self.open_box.append([u for u, lam in box if all(lam)])
 
     # -- symmetry -----------------------------------------------------------
 
@@ -227,22 +231,6 @@ class LatticeSimplexComplex:
 
     # -- basic accessors ------------------------------------------------------
 
-    def boxes(self, z, strictness):
-        """All box points of face z at every height, cached."""
-        key = (z, strictness)
-        if key not in self._box_cache:
-            k = len(self.faces[z])
-            if k == 0:
-                pts = {0: [tuple([0] * (self.dim + 1))]}
-            else:
-                pts = {}
-                for m in range(0, k):
-                    found = box_points(self.spans[z], strictness, m)
-                    if found:
-                        pts[m] = found
-            self._box_cache[key] = pts
-        return self._box_cache[key]
-
     def default_order(self):
         return 2 * (self.dim + 1)
 
@@ -284,39 +272,30 @@ def _vertex_sets(faces, nverts, what):
     return out
 
 
-def _fixed_count(points, matrix):
-    return sum(1 for u in points if tuple(mat_vec(matrix, u)) == u)
+def _fixed_by_height(points, matrix, k):
+    """How many box points the matrix fixes at each height 0..k-1 (just
+    height 0 for the empty face, k = 0)."""
+    counts = [0] * (k or 1)
+    for u in points:
+        if tuple(mat_vec(matrix, u)) == u:
+            counts[u[-1]] += 1
+    return counts
 
 
-def _char_from_boxes(cx, z, strictness):
+def _box_character(cx, z, points):
+    """Counting polynomial of box points of face z: the coefficient of t^m
+    is the permutation character of the stabilizer of z on the points at
+    height m."""
     stab = cx.action.stabilizer(z)
-    boxes = cx.boxes(z, strictness)
-    values = {}
-    for w in stab.reps:
-        mat = cx.by_perm[w]
-        coeffs = [0] * (len(cx.faces[z]) or 1)
-        for m, pts in boxes.items():
-            coeffs[m] = _fixed_count(pts, mat)
-        values[w] = Poly(coeffs)
-    return _classpoly(stab, values)
-
-
-def simplex_hstar(cx, z):
-    """Counting polynomial of the half-open box of face z.
-
-    The coefficient of t^m is the permutation character of the stabilizer
-    of z on the box points at height m.
-    """
-    return _char_from_boxes(cx, z, "half-open")
-
-
-def simplex_local_hstar(cx, z):
-    """Counting polynomial of the open box of face z."""
-    return _char_from_boxes(cx, z, "open")
+    k = len(cx.faces[z])
+    return _classpoly(stab, {
+        w: Poly(_fixed_by_height(points, cx.by_perm[w], k))
+        for w in stab.reps})
 
 
 class HStarData:
-    """Per-face box-counting polynomials of a complex.
+    """Per-face box-counting polynomials of a complex: ``hstar`` of the
+    half-open boxes and ``local`` of the open boxes.
 
     Validates on construction that every open-box polynomial is symmetric
     with center (dim F + 1)/2 and that identity evaluations are honest
@@ -324,13 +303,12 @@ class HStarData:
     """
 
     def __init__(self, cx):
-        self.cx = cx
         self.hstar = {}
         self.local = {}
         ident = cx.action.identity
         for z in range(cx.poset.n):
-            h = simplex_hstar(cx, z)
-            l = simplex_local_hstar(cx, z)
+            h = _box_character(cx, z, cx.box[z])
+            l = _box_character(cx, z, cx.open_box[z])
             if l.rev(len(cx.faces[z])) != l:
                 raise ComplexError(
                     f"open-box polynomial of face {cx.poset.labels[z]} "
@@ -341,15 +319,9 @@ class HStarData:
             self.hstar[z] = h
             self.local[z] = l
 
-    def element(self):
-        """The box-count polynomials as an incidence element on (bottom, z)."""
-        return _bottom_row_element(self.cx, self.hstar)
-
-    def local_element(self):
-        return _bottom_row_element(self.cx, self.local)
-
 
 def _bottom_row_element(cx, per_face):
+    """Per-face polynomials as an incidence element on the (bottom, z)."""
     bottom = cx.poset.bottom()
     weak_rank = WeakRank.natural(cx.poset)
     vals = {}
@@ -378,8 +350,8 @@ def check_hl_relation(cx):
     """
     data = HStarData(cx)
     g = equiv_solve_g(face_kernel(cx))
-    h_elem = data.element()
-    l_elem = data.local_element()
+    h_elem = _bottom_row_element(cx, data.hstar)
+    l_elem = _bottom_row_element(cx, data.local)
     expected = equiv_multiply(h_elem, equiv_invert(g))
     if l_elem != expected:
         return CheckResult.failed("open-box-from-half-open",
@@ -415,29 +387,6 @@ def interior_faces(cx):
     return [z for z in range(cx.poset.n) if z not in boundary]
 
 
-def _orbit_sizes(perm, points):
-    """Cycle lengths of a permutation restricted to an invariant set."""
-    todo = set(points)
-    sizes = []
-    while todo:
-        k = min(todo)
-        size = 0
-        cur = k
-        while True:
-            size += 1
-            cur = perm[cur]
-            if cur == k:
-                break
-        orbit = {k}
-        cur = perm[k]
-        while cur != k:
-            orbit.add(cur)
-            cur = perm[cur]
-        todo -= orbit
-        sizes.append(size)
-    return sizes
-
-
 def _invariant_combo_counts(sizes, order):
     """counts[j] = number of orbitwise-constant nonnegative integer
     combinations with total weight j, for j = 0..order."""
@@ -467,11 +416,9 @@ def _series_counts(cx, w, order, face_filter):
         if w[z] != z:
             continue
         k = len(cx.faces[z])
-        vperm = cx.vert_perm[w]
-        sizes = _orbit_sizes(vperm, cx.faces[z]) if k else []
+        sizes = [len(c) for c in perm_cycles(cx.vert_perm[w], cx.faces[z])]
         combos = _invariant_combo_counts(sizes, order)
-        for hh, pts in cx.boxes(z, "half-open").items():
-            fixed = _fixed_count(pts, mat)
+        for hh, fixed in enumerate(_fixed_by_height(cx.box[z], mat, k)):
             if not fixed:
                 continue
             h = k - hh
@@ -480,7 +427,7 @@ def _series_counts(cx, w, order, face_filter):
     return totals
 
 
-def ehr_series(cx, w, order=None):
+def ehr_series(cx, w, order):
     """Counts of w-fixed lattice points at heights 0..order in the cone
     over the polytope, as a polynomial truncation.
 
@@ -490,14 +437,12 @@ def ehr_series(cx, w, order=None):
     vertices; a point is w-fixed exactly when the box part is fixed and
     the combination is constant on vertex orbits.
     """
-    order = cx.default_order() if order is None else order
     return Poly(_series_counts(cx, w, order, range(cx.poset.n)))
 
 
-def ehr_interior_series(cx, w, order=None):
+def ehr_interior_series(cx, w, order):
     """Counts of w-fixed interior lattice points at heights 0..order."""
-    order = cx.default_order() if order is None else order
-    return Poly(_series_counts(cx, w, order, interior_faces(cx)))
+    return Poly(_series_counts(cx, w, order, cx.interior))
 
 
 # -- assembly formulas --------------------------------------------------------
@@ -512,11 +457,10 @@ def hstar_from_subdivision(cx):
     ambient space by the face's span.
     """
     data = HStarData(cx)
-    interior = interior_faces(cx)
     group = cx.action.stabilizer()
     total = ClassPoly.constant(group, ZERO)
     ambient = identity_matrix(cx.dim + 1)
-    for z in cx.action.orbit_reps(interior):
+    for z in cx.action.orbit_reps(cx.interior):
         stab = cx.action.stabilizer(z)
         # the face's span completed to the ambient space, factored once
         full = cx.spans[z].extend(ambient)
@@ -532,15 +476,15 @@ def hstar_from_subdivision(cx):
     return total
 
 
-def polynomial_action_check(cx):
-    """Certify the assembled counting polynomial against direct counts.
+def polynomial_action_check(cx, hstar):
+    """Certify the assembled counting polynomial ``hstar`` (from
+    :func:`hstar_from_subdivision`) against direct counts.
 
     For every group element, the point-count series truncated at the
     default order 2(dim+1) times det(I - wt) must reproduce the assembled
     polynomial, with nothing beyond its degree.
     """
     order = cx.default_order()
-    hstar = hstar_from_subdivision(cx)
     for w in cx.action.elements:
         det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
         series = ehr_series(cx, w, order)
@@ -576,20 +520,18 @@ def _series_div(num, den, order):
     return [Fraction(c, a * b ** j) for j, c in enumerate(u)]
 
 
-def reciprocity_check(cx, w, order=None, hstar=None):
+def reciprocity_check(cx, w, order, hstar):
     """Interior counts versus the reflected counting polynomial.
 
-    Expands t^(dim+1) h*(1/t) / det(I - wt) as a power series and
-    compares it with direct w-fixed interior point counts order by
-    order.
+    Expands t^(dim+1) h*(1/t) / det(I - wt), with ``hstar`` the assembled
+    counting polynomial, as a power series and compares it with direct
+    w-fixed interior point counts order by order.
     """
-    order = cx.default_order() if order is None else order
     w = tuple(w)
-    hstar = hstar_from_subdivision(cx) if hstar is None else hstar
     numer = poly_rev(hstar.ev(w), cx.dim + 1)
     det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
     series = _series_div(numer, det, order)
-    direct = _series_counts(cx, w, order, interior_faces(cx))
+    direct = _series_counts(cx, w, order, cx.interior)
     for m in range(order + 1):
         if series[m] != direct[m]:
             return CheckResult.failed(
@@ -662,13 +604,10 @@ def _cylinder_bottom_row(cyl, per_face):
     return EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
 
 
-def _via_localh(cx, cylinder, invariants, field):
+def _via_localh(cx, cyl, inv, field):
     """The open-box element of the fine faces times the ``field`` row of
-    the local invariants, read at (bottom, top) and moved to the complex's
-    group."""
-    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
-    inv = invariants if invariants is not None else equiv_local_invariants(
-        cyl.triple, cyl.weak_rank, cyl.action, cyl.kappa)
+    the local invariants ``inv`` of the cylinder ``cyl``, read at
+    (bottom, top) and moved to the complex's group."""
     lstar = _cylinder_bottom_row(cyl, HStarData(cx).local)
     product = equiv_multiply(lstar, getattr(inv, field))
     out = product.value(cyl.triple.gamma.bottom(), cyl.top())
@@ -676,34 +615,35 @@ def _via_localh(cx, cylinder, invariants, field):
                       {cyl.fine_of(w): v for w, v in out.values.items()})
 
 
-def hstar_via_localh(cx, cylinder=None, invariants=None):
+def hstar_via_localh(cx, cylinder, invariants):
     """Counting polynomial of the polytope from local subdivision data.
 
-    Sums, over fine faces, the open-box polynomial times the local h of
-    the fine-to-coarse map at (face, top); with a unimodular triangulation
-    this collapses to the local h at the bottom interval.
+    ``invariants`` are the equivariant local invariants of ``cylinder``,
+    the complex's :class:`ComplexCylinder`.  Sums, over fine faces, the
+    open-box polynomial times the local h of the fine-to-coarse map at
+    (face, top); with a unimodular triangulation this collapses to the
+    local h at the bottom interval.
     """
     return _via_localh(cx, cylinder, invariants, "h_sigma")
 
 
-def localhstar_via_localh(cx, cylinder=None, invariants=None):
+def localhstar_via_localh(cx, cylinder, invariants):
     """Open-box polynomial of the polytope from local subdivision data."""
     return _via_localh(cx, cylinder, invariants, "ell_sigma")
 
 
-def coarse_hstar(cx, cylinder=None, data=None):
+def coarse_hstar(cx, cylinder, data):
     """Counting polynomials of the coarse faces, by exact division.
 
-    (t-1) h*(coarse face) equals the sum of fine box polynomials times
-    the crossing kernel values; the division must be exact, which is the
-    computational content of the coarsened action staying polynomial.
+    ``data`` is the complex's :class:`HStarData`.  (t-1) h*(coarse face)
+    equals the sum of fine box polynomials times the crossing kernel
+    values; the division must be exact, which is the computational content
+    of the coarsened action staying polynomial.
     """
-    cyl = cylinder if cylinder is not None else ComplexCylinder(cx)
-    data = data if data is not None else HStarData(cx)
-    hstar_x = _cylinder_bottom_row(cyl, data.hstar)
-    crossing = cyl.triple.mask_interior(cyl.kappa)
+    hstar_x = _cylinder_bottom_row(cylinder, data.hstar)
+    crossing = cylinder.triple.mask_interior(cylinder.kappa)
     product = equiv_multiply(hstar_x, crossing)
-    gamma = cyl.triple.gamma
+    gamma = cylinder.triple.gamma
     bottom = gamma.bottom()
     nx = cx.poset.n
     out = {}

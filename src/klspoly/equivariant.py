@@ -70,6 +70,27 @@ def perm_inv(a):
     return tuple(inv)
 
 
+def perm_cycles(perm, points):
+    """The cycles of a permutation on an invariant set of points.
+
+    Each cycle starts at its smallest point and follows the permutation;
+    the cycles come in increasing order of that point.
+    """
+    cycles = []
+    seen = set()
+    for k in sorted(points):
+        if k in seen:
+            continue
+        cycle = [k]
+        cur = perm[k]
+        while cur != k:
+            cycle.append(cur)
+            cur = perm[cur]
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 def _group_bound(max_group):
     """The group size bound: the argument, else KLS_MAX_GROUP, else 10^4."""
     if max_group is not None:
@@ -417,17 +438,20 @@ class EquivIncidenceElement:
     the stabilizer of the pair.  Two conditions make such data equivariant:
     each value is a class function on its stabilizer (which a ClassPoly is
     by construction), and values on intervals in the same orbit determine
-    each other by conjugation; ``validate_definition`` checks the latter and
-    constructors used on untrusted data run it.
+    each other by conjugation; ``validate_definition`` checks the latter.
+
+    The constructor checks every key, carrier and the conjugation
+    compatibility, for assembled and outside data; algebra results are
+    built by :func:`_equiv_element`, whose data hold by construction.
     """
 
     __slots__ = ("action", "weak_rank", "vals")
 
-    def __init__(self, action, weak_rank, vals=None, validate=True):
+    def __init__(self, action, weak_rank, vals):
         self.action = action
         self.weak_rank = weak_rank
         self.vals = {}
-        for (i, j), cp in (vals or {}).items():
+        for (i, j), cp in vals.items():
             if not action.poset.leq(i, j):
                 raise ValueError(f"({i}, {j}) is not an interval")
             if cp.group != action.stabilizer(i, j):
@@ -435,10 +459,9 @@ class EquivIncidenceElement:
                     f"value on ({i}, {j}) does not live on the stabilizer")
             if not cp.is_zero:
                 self.vals[(i, j)] = cp
-        if validate:
-            result = self.validate_definition()
-            if not result:
-                raise AssemblyInconsistent(result.describe())
+        result = self.validate_definition()
+        if not result:
+            raise AssemblyInconsistent(result.describe())
 
     def validate_definition(self):
         """Check conjugation compatibility across interval orbits.
@@ -483,10 +506,6 @@ class EquivIncidenceElement:
             return ClassPoly.constant(self.action.stabilizer(i, j), ZERO)
         return cp
 
-    @property
-    def support(self):
-        return sorted(self.vals)
-
     def _same_carrier(self, other):
         if self.action is not other.action or self.weak_rank != other.weak_rank:
             raise ValueError("elements live on different carriers")
@@ -502,37 +521,55 @@ class EquivIncidenceElement:
         out = dict(self.vals)
         for key, cp in other.vals.items():
             cur = out.get(key)
-            out[key] = cp if cur is None else cur + cp
-        return EquivIncidenceElement(self.action, self.weak_rank, out,
-                                     validate=False)
+            if cur is None:
+                out[key] = cp
+                continue
+            total = cur + cp
+            if total.is_zero:
+                del out[key]
+            else:
+                out[key] = total
+        return _equiv_element(self.action, self.weak_rank, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return EquivIncidenceElement(
-            self.action, self.weak_rank,
-            {key: -cp for key, cp in self.vals.items()}, validate=False)
+        return _equiv_element(self.action, self.weak_rank,
+                              {key: -cp for key, cp in self.vals.items()})
 
     def __mul__(self, other):
         return equiv_multiply(self, other)
 
     def mask(self, pred):
-        return EquivIncidenceElement(
+        return _equiv_element(
             self.action, self.weak_rank,
-            {(i, j): cp for (i, j), cp in self.vals.items() if pred(i, j)},
-            validate=False)
+            {(i, j): cp for (i, j), cp in self.vals.items() if pred(i, j)})
 
     def scale(self, c):
         """Multiply every value by a fixed polynomial or scalar."""
-        return EquivIncidenceElement(
-            self.action, self.weak_rank,
-            {key: cp.scale(c) for key, cp in self.vals.items()},
-            validate=False)
+        scaled = ((key, cp.scale(c)) for key, cp in self.vals.items())
+        return _equiv_element(self.action, self.weak_rank,
+                              {key: cp for key, cp in scaled
+                               if not cp.is_zero})
 
     def __repr__(self):
         return (f"EquivIncidenceElement(n={self.action.poset.n}, "
                 f"support={len(self.vals)})")
+
+
+def _equiv_element(action, weak_rank, vals):
+    """The EquivIncidenceElement with ``vals`` {interval: nonzero
+    ClassPoly on its stabilizer}, unchecked.
+
+    The dict is taken over as it is: every algebra result is built here
+    and drops its zero values itself.
+    """
+    element = object.__new__(EquivIncidenceElement)
+    element.action = action
+    element.weak_rank = weak_rank
+    element.vals = vals
+    return element
 
 
 def equiv_constant(action, p):
@@ -552,7 +589,7 @@ def equiv_constant(action, p):
                     f"values on the orbit of ({i}, {j}) differ; "
                     "element is not invariant")
         vals[(i, j)] = ClassPoly.constant(action.stabilizer(i, j), poly)
-    return EquivIncidenceElement(action, p.weak_rank, vals, validate=False)
+    return _equiv_element(action, p.weak_rank, vals)
 
 
 def ev_w(p, w):
@@ -602,14 +639,14 @@ def equiv_multiply(p, q):
             total = _multiply_at(p, q, i, j, candidates)
             if not total.is_zero:
                 out[(i, j)] = total
-    return EquivIncidenceElement(p.action, p.weak_rank, out, validate=False)
+    return _equiv_element(p.action, p.weak_rank, out)
 
 
 def equiv_rev(p):
     """Reverse each value at the weak rank of its interval."""
     vals = {(i, j): cp.rev(p.weak_rank.value(i, j))
             for (i, j), cp in p.vals.items()}
-    return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
+    return _equiv_element(p.action, p.weak_rank, vals)
 
 
 def equiv_hat(p):
@@ -636,7 +673,7 @@ def equiv_hat(p):
             ranks = rank_of[w]
             signs[w] = -1 if (ranks[pos[j]] - ranks[pos[i]]) % 2 else 1
         vals[(i, j)] = cp.twist(signs)
-    return EquivIncidenceElement(p.action, p.weak_rank, vals, validate=False)
+    return _equiv_element(p.action, p.weak_rank, vals)
 
 
 def is_eulerian_action(action):
@@ -881,10 +918,9 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
                    if triple.in_x(i) and triple.in_y(j)
                    and triple.sigma_of(i) == j}
     masked = kappa.mask(lambda i, j: (i, j) in is_interior)
-    lhs = EquivIncidenceElement(
+    lhs = _equiv_element(
         action, weak_rank,
-        {key: cp.scale(T - ONE) for key, cp in h_sigma.vals.items()},
-        validate=False)
+        {key: cp.scale(T - ONE) for key, cp in h_sigma.vals.items()})
     if lhs != equiv_multiply(g, masked):
         raise AssemblyInconsistent(
             "(t-1)h does not match g * masked kernel equivariantly")

@@ -35,6 +35,7 @@ from .equivariant import (
     equiv_rev,
     _classpoly,
     _group_bound,
+    perm_cycles,
     perm_mul,
 )
 from .status import InputError
@@ -439,17 +440,8 @@ def fixed_fan(fan, faction, w):
     ray_index = {}
     new_cones = []
     for z in emb:
-        rays_of_cone = sorted(fan.cones[z])
-        todo = set(rays_of_cone)
         cone = set()
-        while todo:
-            k = min(todo)
-            orbit = [k]
-            cur = rperm[k]
-            while cur != k:
-                orbit.append(cur)
-                cur = rperm[cur]
-            todo -= set(orbit)
+        for orbit in perm_cycles(rperm, fan.cones[z]):
             total = tuple(sum(fan.rays[o][c] for o in orbit)
                           for c in range(fan.dim))
             if not any(total):

@@ -261,6 +261,15 @@ def solver_crosscheck(kappa):
     return CheckResult.passed()
 
 
+def kernel_checks(kappa):
+    """The checks of an equivariant kernel, under bare labels: its
+    validation and the solver cross-check."""
+    from .equivariant import equiv_kernel_validate
+
+    return [("kernel", equiv_kernel_validate(kappa)),
+            ("solvers", solver_crosscheck(kappa))]
+
+
 def _refusal_guard():
     """The glued double-semisuspension swap must be refused, naming w."""
     from .equivariant import is_eulerian_action
@@ -282,17 +291,14 @@ def _refusal_guard():
 
 
 def suite_equivariant():
-    from .equivariant import check_equivariant_theorem, equiv_kernel_validate
+    from .equivariant import check_equivariant_theorem
 
-    out = []
     _fan, _faction, kappa = square_fan_setup()
-    out.append(("square-fan quarter-turn kernel",
-                equiv_kernel_validate(kappa)))
-    out.append(("square-fan quarter-turn solvers", solver_crosscheck(kappa)))
-
+    out = [(f"square-fan quarter-turn {label}", res)
+           for label, res in kernel_checks(kappa)]
     triple, action, hkappa = hexagon_dihedral_setup()
-    out.append(("hexagon dihedral kernel", equiv_kernel_validate(hkappa)))
-    out.append(("hexagon dihedral solvers", solver_crosscheck(hkappa)))
+    out.extend((f"hexagon dihedral {label}", res)
+               for label, res in kernel_checks(hkappa))
     out.append(("hexagon dihedral subdivision identities",
                 check_equivariant_theorem(triple, hkappa.weak_rank, action,
                                           hkappa)))
@@ -300,18 +306,27 @@ def suite_equivariant():
     return out
 
 
-def suite_ehrhart_reciprocity():
-    from .ehrhart import polynomial_action_check, reciprocity_check
+def complex_checks(cx):
+    """The checks of a lattice complex, under bare labels.
 
-    out = []
-    for name in COMPLEX_FIXTURES:
-        cx = load_complex_fixture(name)
-        out.append((f"{name} counting vs assembled h*",
-                    polynomial_action_check(cx)))
-        for w in sorted(cx.action.elements):
-            out.append((f"{name} reciprocity w={list(w)}",
-                        reciprocity_check(cx, w, order=6)))
+    The counting polynomial is assembled once; the point-count series of
+    every group element must reproduce it, and the interior counts of
+    every element must match its reflection up to order 6.
+    """
+    from .ehrhart import (hstar_from_subdivision, polynomial_action_check,
+                          reciprocity_check)
+
+    hstar = hstar_from_subdivision(cx)
+    out = [("counting vs assembled h*", polynomial_action_check(cx, hstar))]
+    for w in sorted(cx.action.elements):
+        out.append((f"reciprocity w={list(w)}",
+                    reciprocity_check(cx, w, 6, hstar)))
     return out
+
+
+def suite_ehrhart_reciprocity():
+    return [(f"{name} {label}", res) for name in COMPLEX_FIXTURES
+            for label, res in complex_checks(load_complex_fixture(name))]
 
 
 #: Suite name -> function returning its [(label, CheckResult)].

@@ -163,6 +163,12 @@ def test_ehrhart_reciprocity_passes(capsys):
     assert "reciprocity w0: ok" in out
 
 
+def test_hstar_reads_no_order(capsys):
+    code, out = run(capsys, ["ehrhart", "fixture:seg2_flip.json",
+                             "--what", "hstar", "--order", "-1"])
+    assert code == 0
+
+
 def test_unimodular_cylinder_headline_matches_hstar(capsys, tmp_path):
     # for the flip-symmetric [0,2] segment, the h* polynomial equals the
     # h_sigma of its fine-to-coarse mapping cylinder
@@ -275,6 +281,9 @@ def _set(path, value):
      "group generators must be lists of integers"),
     (lambda: ("triple", {"poset": 1.5, "q": 1}),
      "a poset payload must be a JSON object"),
+    (lambda: ("ehrhart", ("series", "-1")), "--order must be nonnegative"),
+    (lambda: ("ehrhart", ("reciprocity", "-2")),
+     "--order must be nonnegative"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
         "vertex-not-integer", "ray-not-integer",
@@ -282,7 +291,8 @@ def _set(path, value):
         "vertex-zero-denominator", "affine-action-zero-denominator",
         "kls-toric-h-of-a-fan", "kls-g-of-a-3-chain", "kls-h-of-a-3-chain",
         "kls-toric-h-of-a-3-chain", "group-generator-not-an-integer",
-        "triple-poset-not-an-object"])
+        "triple-poset-not-an-object", "ehrhart-series-negative-order",
+        "ehrhart-reciprocity-negative-order"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()
@@ -297,6 +307,10 @@ def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
             write_document(path, "poset", source)
             source = str(path)
         argv = ["kls", source, "--what", what]
+    elif kind == "ehrhart":
+        what, order = payload
+        argv = ["ehrhart", "fixture:unit_square.json", "--what", what,
+                "--order", order]
     else:
         write_document(path, kind, payload)
         argv = ["check", str(path)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from klspoly import cli, ehrhart
 from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              LatticeSimplexComplex, NotASimplex, _series_div,
                              box_points,
@@ -12,35 +13,34 @@ from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              coarse_hstar, ehr_interior_series, ehr_series,
                              hstar_from_subdivision, hstar_via_localh,
                              interior_faces, localhstar_via_localh,
-                             polynomial_action_check, reciprocity_check,
-                             simplex_hstar, simplex_local_hstar)
-from klspoly.equivariant import ClassPoly, NotAutomorphism, classpoly_json
+                             polynomial_action_check, reciprocity_check)
+from klspoly.equivariant import (ClassPoly, NotAutomorphism, classpoly_json,
+                                 equiv_local_invariants)
 from klspoly.linalg import Span
 from klspoly.polynomial import Poly
 from klspoly.verify import (COMPLEX_FIXTURES, load_complex_fixture,
-                            load_fixture)
+                            load_fixture, run_suite)
 
 
-def _box(vertices, strictness, m):
-    return box_points(Span(tuple(v) + (1,) for v in vertices), strictness, m)
+def _box(vertices):
+    """The half-open and the open box of a simplex, as point lists."""
+    box = box_points(Span(tuple(v) + (1,) for v in vertices))
+    return [u for u, _lam in box], [u for u, lam in box if all(lam)]
 
 
 def test_box_points_of_small_simplices():
-    # unimodular triangle: the half-open box contains only the origin
-    tri = [(0, 0), (1, 0), (0, 1)]
-    assert _box(tri, "half-open", 0) == [(0, 0, 0)]
-    assert _box(tri, "half-open", 1) == []
-    assert _box(tri, "open", 1) == []
-    # segment of length two: one box point at height one
-    seg = [(0,), (2,)]
-    assert _box(seg, "half-open", 1) == [(1, 1)]
-    assert _box(seg, "open", 1) == [(1, 1)]
-    assert _box(seg, "half-open", 0) == [(0, 0)]
-    assert _box(seg, "open", 0) == []
+    # unimodular triangle: the half-open box holds only the origin, the
+    # open box nothing
+    assert _box([(0, 0), (1, 0), (0, 1)]) == ([(0, 0, 0)], [])
+    # segment of length two: the origin, and the midpoint at height one,
+    # which is also the open box
+    assert _box([(0,), (2,)]) == ([(0, 0), (1, 1)], [(1, 1)])
+    span = Span([(0, 1), (2, 1)])
+    assert [(u, tuple(Fraction(x, span.den) for x in lam))
+            for u, lam in box_points(span)] == [
+        ((0, 0), (0, 0)), ((1, 1), (Fraction(1, 2), Fraction(1, 2)))]
     with pytest.raises(NotASimplex, match="vertices are affinely dependent"):
-        _box([(0, 0), (1, 0), (2, 0)], "half-open", 1)
-    with pytest.raises(ValueError, match="strictness"):
-        _box(seg, "closed", 0)
+        _box([(0, 0), (1, 0), (2, 0)])
 
 
 def _det(m):
@@ -66,13 +66,14 @@ def test_box_points_count_the_normalized_volume(vertices):
     volume = abs(_det(lifted))
     assume(volume)
     k = len(vertices)
-    half_open = [_box(vertices, "half-open", m) for m in range(k + 1)]
+    half_open, open_box = _box(vertices)
     # the half-open box is a set of coset representatives of the lattice
     # generated by the lifted vertices, so it has |det| points
-    assert sum(map(len, half_open)) == volume
-    assert half_open[0] == [(0,) * k] and half_open[k] == []
+    assert len(half_open) == volume
+    assert [u for u in half_open if u[-1] == 0] == [(0,) * k]
+    assert all(u[-1] < k for u in half_open)
     # lambda -> 1 - lambda maps the open box at height m onto height k - m
-    open_counts = [len(_box(vertices, "open", m)) for m in range(k + 1)]
+    open_counts = [sum(u[-1] == m for u in open_box) for m in range(k + 1)]
     assert open_counts == open_counts[::-1]
 
 
@@ -112,15 +113,23 @@ def test_hstar_oracles():
         "on": [0, 1], "values": [[0, ["1", "3"]], [1, ["1", "1"]]]}
 
 
+def _local_data(cx):
+    """The complex's cylinder and its equivariant local invariants."""
+    cyl = ComplexCylinder(cx)
+    return cyl, equiv_local_invariants(cyl.triple, cyl.weak_rank, cyl.action,
+                                       cyl.kappa)
+
+
 def test_local_hstar_oracles():
     crosscut = load_complex_fixture("crosscut_d4.json")
-    assert classpoly_json(crosscut.action, localhstar_via_localh(crosscut)) \
-        == {"on": list(range(8)),
-            "values": [[0, ["0", "1", "1"]], [1, ["0", "1", "1"]],
-                       [2, ["0", "1", "1"]], [3, ["0", "1", "1"]],
-                       [5, ["0", "1", "1"]]]}
+    local = localhstar_via_localh(crosscut, *_local_data(crosscut))
+    assert classpoly_json(crosscut.action, local) == {
+        "on": list(range(8)),
+        "values": [[0, ["0", "1", "1"]], [1, ["0", "1", "1"]],
+                   [2, ["0", "1", "1"]], [3, ["0", "1", "1"]],
+                   [5, ["0", "1", "1"]]]}
     sq = load_complex_fixture("unit_square.json")
-    lh = localhstar_via_localh(sq)
+    lh = localhstar_via_localh(sq, *_local_data(sq))
     assert not any(lh.values.values())
 
 
@@ -133,8 +142,9 @@ def test_hstar_data_validates_and_exposes_per_face_polynomials():
         assert all(c >= 0 and c == int(c) for c in h.coeffs)
         assert data.local[z].ev(ident).coeff(0) == 0 or \
             len(cx.faces[z]) == 0
-    # a maximal triangle of area 1/2 with a boundary midpoint is unimodular
-    assert simplex_hstar(cx, cx.poset.n - 1).ev(ident) is not None
+    # a maximal triangle of the crosscut square is unimodular: its
+    # half-open box holds only the origin
+    assert data.hstar[cx.poset.n - 1].ev(ident) == Poly([1])
 
 
 def test_interior_faces_of_the_crosscut_square():
@@ -149,7 +159,7 @@ def test_interior_faces_of_the_crosscut_square():
 def test_two_counting_routes_agree_on_every_fixture():
     for name in COMPLEX_FIXTURES:
         cx = load_complex_fixture(name)
-        assert polynomial_action_check(cx)
+        assert polynomial_action_check(cx, hstar_from_subdivision(cx))
 
 
 def test_reciprocity_and_its_failure_mode():
@@ -176,7 +186,7 @@ def test_cylinder_routes_match_direct_assembly():
     for name in ("seg3_flip.json", "unit_square.json", "unit_cube.json"):
         cx = load_complex_fixture(name)
         direct = hstar_from_subdivision(cx)
-        via_local = hstar_via_localh(cx)
+        via_local = hstar_via_localh(cx, *_local_data(cx))
         assert classpoly_json(cx.action, direct) == \
             classpoly_json(cx.action, via_local)
 
@@ -184,7 +194,7 @@ def test_cylinder_routes_match_direct_assembly():
 def test_coarse_hstar_of_the_cube():
     cube = load_complex_fixture("unit_cube.json")
     cyl = ComplexCylinder(cube)
-    per_face = coarse_hstar(cube, cylinder=cyl)
+    per_face = coarse_hstar(cube, cylinder=cyl, data=HStarData(cube))
     top = cube.coarse_poset.top()
     bottom = cube.coarse_poset.bottom()
     fine = hstar_from_subdivision(cube)
@@ -269,3 +279,33 @@ def test_series_division_on_rational_numerators_and_denominators():
         [Fraction(2 * j + 1, 3) for j in range(5)]
     with pytest.raises(ValueError, match="constant term 1"):
         _series_div(Poly([1]), Poly([2, 1]), 3)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``ehrhart.NAME``; returns the list its calls are appended to."""
+    calls = []
+    original = getattr(ehrhart, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ehrhart, name, counted)
+    return calls
+
+
+def test_each_box_is_scanned_and_each_hstar_assembled_once(monkeypatch,
+                                                           capsys):
+    faces = sum(1 for name in COMPLEX_FIXTURES
+                for f in load_complex_fixture(name).faces if f)
+    assert faces == 119
+    scans = _count_calls(monkeypatch, "box_points")
+    assembled = _count_calls(monkeypatch, "hstar_from_subdivision")
+    results = run_suite("ehrhart-reciprocity")
+    assert all(res for _label, res in results)
+    assert (len(scans), len(assembled)) == (faces, len(COMPLEX_FIXTURES))
+    del assembled[:]
+    assert cli.main(["ehrhart", "fixture:unit_cube.json",
+                     "--what", "reciprocity"]) == 0
+    assert "reciprocity w0: ok" in capsys.readouterr().out
+    assert len(assembled) == 1

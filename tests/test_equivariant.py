@@ -2,9 +2,11 @@
 
 import pytest
 
-from klspoly.equivariant import (ClassPoly, NotAutomorphism, PermAction,
+from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
+                                 NotAutomorphism, PermAction,
                                  check_equivariant_theorem, equiv_constant,
-                                 equiv_invert, equiv_kernel_validate,
+                                 equiv_hat, equiv_invert,
+                                 equiv_kernel_validate,
                                  equiv_local_invariants, equiv_multiply,
                                  equiv_rev, equiv_solve_f, equiv_solve_g,
                                  equiv_z_function, ev_w, is_eulerian_action,
@@ -209,3 +211,22 @@ def test_equivariant_theorem_through_the_ordinary_identity_code():
                                li.delta_ell.scale(Poly([2])))
     assert not res and res.reason == "theorem-g"
     assert res.witness in triple.xy_pairs()
+
+
+def test_every_algebra_result_is_well_formed():
+    # algebra results are built unchecked: each must hold only nonzero
+    # values and pass the checking constructor unchanged
+    action = dihedral_polygon_action(4)
+    wr = natural_weak_rank(action)
+    rng = seeded_rng(5)
+    a = random_equiv_element(action, wr, rng)
+    b = random_equiv_element(action, wr, rng)
+    kappa = equiv_constant(action, eulerian_kernel(action.poset))
+    results = [a + b, a - b, a - a, -a, a * b, a.scale(Poly([0])),
+               a.scale(Poly([1, -1])), a.mask(lambda i, j: i == 0), kappa,
+               equiv_rev(kappa), equiv_hat(kappa), equiv_invert(kappa)]
+    for e in results:
+        assert not any(cp.is_zero for cp in e.vals.values())
+        assert EquivIncidenceElement(e.action, e.weak_rank, e.vals).vals \
+            == e.vals
+    assert (a - a).vals == {} and a.scale(Poly([0])).vals == {}

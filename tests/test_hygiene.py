@@ -365,13 +365,6 @@ DEFAULTS_KEPT = {
         "the acceptance tests bound the group of a fan action",
     "build_group(max_group)": "the acceptance tests pass a group bound",
     "relative_g(g)": "the acceptance tests pass a g solved once per lattice",
-    "hstar_via_localh(cylinder)": "the acceptance tests share one cylinder",
-    "hstar_via_localh(invariants)": "... and its local invariants",
-    "localhstar_via_localh(cylinder)": "the acceptance tests share one "
-                                       "cylinder",
-    "localhstar_via_localh(invariants)": "... and its local invariants",
-    "reciprocity_check(hstar)": "a corrupted h* shows that the check fails",
-    "ehr_interior_series(order)": "a TEST_ONLY oracle; tests pick the order",
 }
 
 

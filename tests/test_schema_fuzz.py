@@ -1,9 +1,12 @@
-"""Mutated bundled documents: ``check`` answers 0, 1 or 2, never a traceback.
+"""Mutated bundled documents: the commands answer 0, 1 or 2, never a
+traceback.
 
 Each example takes one bundled document and breaks it in one way: drops a
 key, puts a value of the wrong type somewhere, puts an index out of range,
-or adds the reverse of a cover relation (a cycle in the order).  The
-command line must then exit 0 (the document still holds), 1 (a check
+or adds the reverse of a cover relation (a cycle in the order).  It then
+runs ``check`` on it, or one of the commands the document's kind feeds:
+the ``ehrhart`` counts on a complex, the ``local`` tables on a triple.
+The command line must exit 0 (the document still holds), 1 (a check
 fails) or 2 with an ``error:`` message, and must not raise.
 """
 
@@ -30,6 +33,14 @@ def _document(name):
 
 
 DOCUMENTS = {name: _document(name) for name in FIXTURES}
+
+EHRHART = [("ehrhart", "--what", what)
+           for what in ("hstar", "local-hstar", "series", "reciprocity")]
+LOCAL = [("local",), ("local", "--relative-g")]
+#: Every fixture's mutations drive ``check``, and these commands too.
+COMMANDS = {"crosscut_d4.json": EHRHART, "seg2_flip.json": EHRHART,
+            "unit_square.json": EHRHART, "cube3_facet.json": LOCAL,
+            "polygon_s2.json": LOCAL}
 
 #: Keys whose integers index elements, vertices, rays or cones.
 INDEX_KEYS = ("covers", "faces", "cones", "sigma", "q", "generators")
@@ -92,37 +103,46 @@ def _has_covers(doc):
     return any(p and p[-1] == "covers" for p in _paths(doc))
 
 
+def _argv(command, path):
+    return [command[0], str(path), *command[1:]]
+
+
 @st.composite
 def mutated_documents(draw):
+    """(mutated document, a command it drives)."""
     name = draw(st.sampled_from(FIXTURES))
     doc = copy.deepcopy(DOCUMENTS[name])
     mutations = [_drop, _retype, _out_of_range]
     if _has_covers(doc):
         mutations.append(_reversed_cover)
     draw(st.sampled_from(mutations))(doc, draw)
-    return doc
+    command = draw(st.sampled_from([("check",)] + COMMANDS.get(name, [])))
+    return doc, command
 
 
-def check_exit(path):
-    """(exit code, stderr) of ``klspoly check PATH`` run in this process."""
+def exit_of(argv):
+    """(exit code, stderr) of ``klspoly ARGV`` run in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", str(path)])
+        code = cli.main(argv)
     return code, err.getvalue()
 
 
 def test_every_fixture_of_the_fuzz_checks_clean():
     for name in FIXTURES:
-        assert check_exit(fixture_path(name)) == (0, ""), name
+        for command in [("check",)] + COMMANDS.get(name, []):
+            argv = _argv(command, fixture_path(name))
+            assert exit_of(argv) == (0, ""), argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(doc=mutated_documents())
-def test_a_mutated_document_exits_cleanly(tmp_path_factory, doc):
+@given(case=mutated_documents())
+def test_a_mutated_document_exits_cleanly(tmp_path_factory, case):
+    doc, command = case
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    code, err = check_exit(path)
+    code, err = exit_of(_argv(command, path))
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error:"), err
