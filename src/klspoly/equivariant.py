@@ -8,23 +8,28 @@ between stabilizers.  Evaluating every class function at a fixed group
 element w collapses an equivariant element to an ordinary incidence element
 on the fixed poset B^w, and this evaluation is an algebra homomorphism.
 
-That homomorphism is also the computational workhorse here: kernels are
-validated on every fixed poset B^w, the f/g/Z solvers run on the fixed
-posets of the class representatives of each interval stabilizer (values
-are class functions, stored once per conjugacy class), and the per-w
-answers are reassembled into class-function form.  Assembly
-is then validated against the conjugation-compatibility condition that
-defines the equivariant algebra, and one interval of each solve is
-re-verified through the induction/restriction product so that the two
-computation paths stay honest against each other.
+That homomorphism is also the computational workhorse here.  Fixed
+posets of conjugate elements are isomorphic, so a kernel is validated on
+B^w for one representative w of each conjugacy class of the group (behind
+checks that it is conjugation compatible and that the group preserves its
+weak rank), and the f/g/Z solvers run once per such class.  Values are
+class functions, stored once per conjugacy class of each interval
+stabilizer and once per interval; the per-w answers are read on one
+interval per orbit of the group and transported to the rest of the orbit
+through the conjugating element, and products are summed the same way,
+so results are conjugation compatible by construction.  Each assembly
+compares one transported interval with a direct read, and one interval of
+each solve is re-verified through the induction/restriction product, so
+that the two computation paths stay honest against each other.
 """
 
 import os
 
 from .polynomial import ONE, T, ZERO, Poly, _poly, poly_rev
-from .poset import PosetError
+from .poset import PosetError, bits
 from .incidence import (
     IncidenceElement,
+    _element,
     invert,
     solve_f,
     solve_g,
@@ -51,9 +56,10 @@ class NotAutomorphism(InputError):
 class AssemblyInconsistent(VerificationFailure):
     """Per-element values do not glue into an equivariant element.
 
-    Raised when values computed on the fixed posets B^w fail class
-    constancy or conjugation compatibility, or when an assembled solution
-    fails its product cross-check.  For the solvers this signals that the
+    Raised when data from outside fail conjugation compatibility, when a
+    transported value disagrees with the value read directly off the
+    fixed posets, or when an assembled solution fails its product
+    cross-check.  For the solvers this signals that the
     input was not actually an equivariant kernel.
     """
 
@@ -113,20 +119,34 @@ class Subgroup:
     every element to the representative of its class, and ``size`` maps a
     representative to the size of its class.  Iteration, ``len`` and
     ``<=`` act on the elements.
+
+    Built by :meth:`PermAction.stabilizer` from element ids and the
+    conjugation maps of a generating set (``conj[k]`` is the id of h e h^-1
+    for the element e of id k): each class is the closure of its smallest
+    element under those maps.
     """
 
     __slots__ = ("elements", "reps", "class_of", "size")
 
-    def __init__(self, elements):
-        self.elements = frozenset(elements)
-        pairs = [(x, perm_inv(x)) for x in self.elements]
+    def __init__(self, action, ids, conj):
+        elements = action.elements
+        self.elements = frozenset(elements[k] for k in ids)
         self.class_of = {}
         self.size = {}
-        for w in sorted(self.elements):
-            if w not in self.class_of:
-                cls = {perm_mul(perm_mul(x, w), xi) for x, xi in pairs}
-                self.class_of.update(dict.fromkeys(cls, w))
-                self.size[w] = len(cls)
+        for k in ids:
+            rep = elements[k]
+            if rep in self.class_of:
+                continue
+            cls = {k}
+            queue = [k]
+            for e in queue:
+                for table in conj:
+                    c = table[e]
+                    if c not in cls:
+                        cls.add(c)
+                        queue.append(c)
+            self.class_of.update((elements[c], rep) for c in cls)
+            self.size[rep] = len(cls)
         self.reps = tuple(self.size)
 
     def __iter__(self):
@@ -157,9 +177,13 @@ class PermAction:
     Generators are permutations of the element indices.  Each one must
     preserve the order relation in both directions and preserve the rank
     function when the poset has one.  The full group is generated eagerly
-    (breadth-first) so that stabilizers and conjugacy classes are plain
-    set operations; a size bound (argument, else the KLS_MAX_GROUP
-    environment variable, else 10^4) keeps that from exploding.
+    (breadth-first) under a size bound (argument, else the KLS_MAX_GROUP
+    environment variable, else 10^4), and tables are built once, indexed
+    by element id (the position in ``elements``): the inverse and the
+    fixed-point bitmask of every element, and the conjugation map of every
+    generator.  Stabilizers test one mask per element, and conjugacy
+    classes, interval orbits and transport read the tables; no |G|^2
+    multiplication table is built.
     """
 
     def __init__(self, poset, generators, max_group=None):
@@ -187,26 +211,41 @@ class PermAction:
                         seen.add(b)
                         nxt.append(b)
             frontier = nxt
-        self.elements = tuple(sorted(seen))
+        self.elements = elements = tuple(sorted(seen))
         self.identity = ident
-        self._index = {w: k for k, w in enumerate(self.elements)}
+        self._index = index = {w: k for k, w in enumerate(elements)}
+        self._inverse = [index[perm_inv(w)] for w in elements]
+        self._fixed = [sum(1 << z for z, y in enumerate(w) if y == z)
+                       for w in elements]
+        # _conj[g][k] is the id of g e g^-1 for the element e of id k
+        self._conj = {}
+        for g in self.generators:
+            ginv = elements[self._inverse[index[g]]]
+            self._conj[g] = [index[tuple(g[w[y]] for y in ginv)]
+                             for w in elements]
         self._stab_cache = {}
         self._subgroups = {}
         self._fixed_cache = {}
+        self._class_data = None
+        self._orbits = None
 
     def _check_automorphism(self, g):
+        """Compare the image of the cover relation with itself, O(covers);
+        only a failure scans up-sets to name the first bad element."""
         poset = self.poset
         n = poset.n
         if sorted(g) != list(range(n)):
             raise NotAutomorphism(f"not a permutation of 0..{n - 1}: {g}")
-        for i in range(n):
-            image = 0
-            for j in range(n):
-                if (poset.up[i] >> j) & 1:
+        covers = set(poset.covers())
+        if {(g[a], g[b]) for a, b in covers} != covers:
+            for i in range(n):
+                image = 0
+                for j in bits(poset.up[i]):
                     image |= 1 << g[j]
-            if image != poset.up[g[i]]:
-                raise NotAutomorphism(
-                    f"permutation does not preserve the order at element {i}")
+                if image != poset.up[g[i]]:
+                    raise NotAutomorphism(
+                        f"permutation does not preserve the order at "
+                        f"element {i}")
         if poset.rank is not None:
             for i in range(n):
                 if poset.rank[g[i]] != poset.rank[i]:
@@ -228,13 +267,112 @@ class PermAction:
         """
         cached = self._stab_cache.get(points)
         if cached is None:
-            elements = frozenset(
-                w for w in self.elements if all(w[z] == z for z in points))
-            cached = self._subgroups.get(elements)
+            mask = 0
+            for z in points:
+                mask |= 1 << z
+            ids = tuple(k for k, fixed in enumerate(self._fixed)
+                        if fixed & mask == mask)
+            cached = self._subgroups.get(ids)
             if cached is None:
-                cached = self._subgroups[elements] = Subgroup(elements)
+                if len(ids) == len(self.elements):
+                    conj = list(self._conj.values())
+                else:
+                    conj = self._conjugations(ids)
+                cached = self._subgroups[ids] = Subgroup(self, ids, conj)
             self._stab_cache[points] = cached
         return cached
+
+    def _conjugations(self, ids):
+        """Conjugation maps, on the subgroup ``ids``, of a few of its
+        elements that generate it, picked greedily in increasing order."""
+        elements, index = self.elements, self._index
+        span = {ids[0]}
+        gens = []
+        for k in ids:
+            if k in span:
+                continue
+            gens.append(elements[k])
+            queue = list(span)
+            for a in queue:
+                for g in gens:
+                    b = index[perm_mul(g, elements[a])]
+                    if b not in span:
+                        span.add(b)
+                        queue.append(b)
+        conj = []
+        for h in gens:
+            hinv = elements[self._inverse[index[h]]]
+            table = {}
+            for k in ids:
+                e = elements[k]
+                table[k] = index[tuple(h[e[y]] for y in hinv)]
+            conj.append(table)
+        return conj
+
+    def class_conjugator(self, u):
+        """(r, x^-1) with r the representative of the conjugacy class of u
+        in the whole group and u = x r x^-1, so that x^-1 maps the fixed
+        poset of u onto that of r."""
+        if self._class_data is None:
+            elements = self.elements
+            inverses = [(table, elements[self._inverse[self._index[g]]])
+                        for g, table in self._conj.items()]
+            rep = [None] * len(elements)
+            back = [None] * len(elements)
+            for k in range(len(elements)):
+                if rep[k] is not None:
+                    continue
+                rep[k], back[k] = k, self.identity
+                queue = [k]
+                for e in queue:
+                    for table, ginv in inverses:
+                        c = table[e]
+                        if rep[c] is None:
+                            # g e g^-1 = (g x) r (g x)^-1
+                            rep[c], back[c] = k, perm_mul(back[e], ginv)
+                            queue.append(c)
+            self._class_data = [(elements[r], x) for r, x in zip(rep, back)]
+        return self._class_data[self._index[u]]
+
+    def interval_orbits(self):
+        """The orbits of the group on the intervals of the poset.
+
+        Each orbit is (rep, steps): rep is its first interval in index
+        order, and each step (child, parent, g) reaches a new interval
+        child = g parent from one already listed, breadth-first over the
+        generators.
+        """
+        if self._orbits is None:
+            seen = set()
+            self._orbits = []
+            for pair in self.poset.intervals():
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                steps = []
+                queue = [pair]
+                for (i, j) in queue:
+                    for g in self.generators:
+                        image = (g[i], g[j])
+                        if image not in seen:
+                            seen.add(image)
+                            steps.append((image, (i, j), g))
+                            queue.append(image)
+                self._orbits.append((pair, steps))
+        return self._orbits
+
+    def transport(self, vals, steps):
+        """Fill the intervals of ``steps`` in ``vals`` from their parents:
+        the value on g (i, j) at g v g^-1 is the value on (i, j) at v, and
+        conjugation by g maps the classes of one stabilizer onto the
+        other's."""
+        elements, index = self.elements, self._index
+        for child, parent, g in steps:
+            table = self._conj[g]
+            stab = self.stabilizer(*child)
+            moved = {stab.class_of[elements[table[index[v]]]]: value
+                     for v, value in vals[parent].values.items()}
+            vals[child] = _classpoly(stab, {u: moved[u] for u in stab.reps})
 
     def conjugacy_classes(self):
         """Conjugacy classes of the group, each as a frozenset.
@@ -390,8 +528,12 @@ class ClassPoly:
                                        for r, v in self.values.items()})
 
     def scale(self, c):
-        c = _as_poly(c)
-        return _classpoly(self.group, {r: v * c
+        """Multiply every value by a fixed polynomial or scalar."""
+        factor = Poly._lift(c)
+        if factor is NotImplemented:
+            raise TypeError(f"cannot scale a class polynomial by a "
+                            f"{type(c).__name__}")
+        return _classpoly(self.group, {r: v * factor
                                        for r, v in self.values.items()})
 
     def twist(self, signs):
@@ -441,8 +583,9 @@ class EquivIncidenceElement:
     each other by conjugation; ``validate_definition`` checks the latter.
 
     The constructor checks every key, carrier and the conjugation
-    compatibility, for assembled and outside data; algebra results are
-    built by :func:`_equiv_element`, whose data hold by construction.
+    compatibility, for data from outside; algebra results and assemblies
+    are built by :func:`_equiv_element`, whose data hold by construction,
+    and so are span kernels, which :func:`equiv_kernel_validate` checks.
     """
 
     __slots__ = ("action", "weak_rank", "vals")
@@ -486,13 +629,14 @@ class EquivIncidenceElement:
                         pairs.add(image)
                         step.append(image)
             frontier = step
+        elements, index = action.elements, action._index
         for (i, j) in sorted(pairs):
             cp = self.value(i, j)
             for w in action.generators:
                 other = self.value(w[i], w[j])
-                winv = perm_inv(w)
+                table = action._conj[w]
                 for u in cp.group.reps:
-                    conj = perm_mul(perm_mul(w, u), winv)
+                    conj = elements[table[index[u]]]
                     if cp.values[u] != other.ev(conj):
                         return CheckResult.failed(
                             "conjugation-compatibility",
@@ -596,7 +740,9 @@ def ev_w(p, w):
     """Evaluate at a group element, landing on the fixed poset.
 
     All class functions are evaluated at w and the result is an ordinary
-    incidence element on B^w carrying the restricted weak rank.
+    incidence element on B^w carrying the restricted weak rank.  It is
+    built unchecked: B^w is an induced subposet, so its intervals are
+    intervals of B, and the restriction of a weak rank is one.
     """
     w = tuple(w)
     action = p.action
@@ -608,7 +754,7 @@ def ev_w(p, w):
             poly = cp.ev(w)
             if poly:
                 vals[(pos[i], pos[j])] = poly
-    return IncidenceElement(sub, wr, vals)
+    return _element(sub, wr, vals)
 
 
 def equiv_multiply(p, q):
@@ -618,28 +764,26 @@ def equiv_multiply(p, q):
     stabilizer orbits on [i, j], the induction to W_{i,j} of the product of
     the two restrictions to the three-point stabilizer W_{i,z,j}.  Grouping
     an orbit into one induced term is what keeps all coefficients rational
-    without dividing by orbit sizes.
+    without dividing by orbit sizes.  The sum runs on one interval per
+    orbit of the group; the product is equivariant, so the rest of the
+    orbit is filled by transport through the conjugating element.
     """
     p._same_carrier(q)
-    poset = p.action.poset
+    action = p.action
+    poset = action.poset
     out = {}
     by_first = {}
     for (i, z) in p.vals:
         by_first.setdefault(i, []).append(z)
-    for i in range(poset.n):
-        firsts = by_first.get(i)
-        if not firsts:
+    for (i, j), steps in action.interval_orbits():
+        candidates = [z for z in by_first.get(i, ()) if poset.leq(z, j)]
+        if not candidates:
             continue
-        for j in range(poset.n):
-            if not poset.leq(i, j):
-                continue
-            candidates = [z for z in firsts if poset.leq(z, j)]
-            if not candidates:
-                continue
-            total = _multiply_at(p, q, i, j, candidates)
-            if not total.is_zero:
-                out[(i, j)] = total
-    return _equiv_element(p.action, p.weak_rank, out)
+        total = _multiply_at(p, q, i, j, candidates)
+        if not total.is_zero:
+            out[(i, j)] = total
+            action.transport(out, steps)
+    return _equiv_element(action, p.weak_rank, out)
 
 
 def equiv_rev(p):
@@ -658,9 +802,16 @@ def equiv_hat(p):
     """
     action = p.action
     rank_of = {}
-    for w in action.elements:
-        try:
+
+    def ranks(w):
+        if w not in rank_of:
             rank_of[w] = action.fixed_poset(w)[0].natural_rank()
+        return rank_of[w]
+
+    # fixed posets of conjugate elements are isomorphic
+    for w in action.stabilizer().reps:
+        try:
+            ranks(w)
         except PosetError as exc:
             raise ValueError(
                 f"fixed poset of {w} is not graded; hat is undefined: {exc}"
@@ -670,8 +821,8 @@ def equiv_hat(p):
         signs = {}
         for w in cp.group.reps:
             _sub, _emb, pos = action.fixed_poset(w)
-            ranks = rank_of[w]
-            signs[w] = -1 if (ranks[pos[j]] - ranks[pos[i]]) % 2 else 1
+            rank = ranks(w)
+            signs[w] = -1 if (rank[pos[j]] - rank[pos[i]]) % 2 else 1
         vals[(i, j)] = cp.twist(signs)
     return _equiv_element(p.action, p.weak_rank, vals)
 
@@ -702,8 +853,14 @@ def equiv_kernel_validate(kappa):
     """Validate an equivariant kernel by reduction to fixed posets.
 
     Checks the defining conditions of the equivariant algebra on the
-    element itself, then validates the evaluation at every group element
-    as an ordinary kernel on its fixed poset.
+    element itself (conjugation compatibility, a unit diagonal) and that
+    the generators preserve the weak rank.  Then a conjugate u = x w x^-1
+    has the fixed poset x B^w, and x carries the evaluation at w, values
+    and restricted weak rank alike, onto the evaluation at u; so the
+    evaluation is validated as an ordinary kernel at one representative
+    of each conjugacy class of the group.  The representatives are the
+    smallest elements of their classes, so the witness is the smallest
+    group element whose evaluation fails.
     """
     defn = kappa.validate_definition()
     if not defn:
@@ -713,7 +870,14 @@ def equiv_kernel_validate(kappa):
         if kappa.value(z, z) != ClassPoly.constant(action.stabilizer(z, z),
                                                    ONE):
             return CheckResult.failed("diagonal-not-one", witness={"z": z})
-    for w in action.elements:
+    weak_rank = kappa.weak_rank
+    for (i, j) in action.poset.intervals():
+        for g in action.generators:
+            if weak_rank.value(g[i], g[j]) != weak_rank.value(i, j):
+                return CheckResult.failed(
+                    "weak-rank-not-invariant",
+                    witness={"interval": [i, j], "w": list(g)})
+    for w in action.stabilizer().reps:
         result = validate_kernel(ev_w(kappa, w))
         if not result:
             return CheckResult.failed(
@@ -725,45 +889,58 @@ def equiv_kernel_validate(kappa):
 def _assemble(action, weak_rank, solve_at):
     """Glue per-fixed-poset incidence elements into class-function form.
 
-    ``solve_at(w)`` is an incidence element on the fixed poset of w.  The
-    value on (i, j) reads, at each class representative w of the
-    stabilizer of the pair, the per-w value at the corresponding
-    fixed-poset interval; ``solve_at`` runs once per distinct
-    representative, since fixed posets of conjugate elements are
-    isomorphic and the other elements of a class carry nothing new.
-    Conjugation compatibility of the collected data is exactly what makes
-    the input consistent, so it is validated and a failure raises
-    AssemblyInconsistent.
+    ``solve_at(r)`` is an incidence element on the fixed poset of r, and
+    runs once per conjugacy class r of the whole group that is needed: an
+    element u = x r x^-1 fixes exactly x B^r, so its value on (i, j) is
+    the per-r value on (x^-1 i, x^-1 j).  That read is made on one
+    interval per orbit, at each class representative of its stabilizer,
+    and the value is transported to the rest of the orbit; the result is
+    conjugation compatible by construction.  The deepest transported
+    interval is then read directly too: a mismatch means the per-element
+    values do not glue into an equivariant element (the input was not
+    equivariant) and raises AssemblyInconsistent naming the interval.
     """
     solved = {}
-    vals = {}
-    for (i, j) in action.poset.intervals():
+
+    def read(i, j):
         stab = action.stabilizer(i, j)
         values = {}
-        for w in stab.reps:
-            if w not in solved:
-                solved[w] = solve_at(w)
-            _sub, _emb, pos = action.fixed_poset(w)
-            values[w] = solved[w].value(pos[i], pos[j])
-        cp = _classpoly(stab, values)
+        for u in stab.reps:
+            r, xinv = action.class_conjugator(u)
+            if r not in solved:
+                solved[r] = solve_at(r)
+            _sub, _emb, pos = action.fixed_poset(r)
+            values[u] = solved[r].value(pos[xinv[i]], pos[xinv[j]])
+        return _classpoly(stab, values)
+
+    vals = {}
+    for (i, j), steps in action.interval_orbits():
+        cp = read(i, j)
         if not cp.is_zero:
             vals[(i, j)] = cp
-    return EquivIncidenceElement(action, weak_rank, vals)
+            action.transport(vals, steps)
+    element = _equiv_element(action, weak_rank, vals)
+    moved = _deepest(weak_rank, [child for _rep, steps in
+                                 action.interval_orbits()
+                                 for child, _parent, _g in steps])
+    if moved is not None:
+        i, j = moved
+        if element.value(i, j) != read(i, j):
+            raise AssemblyInconsistent(
+                f"per-element values are not conjugation compatible on "
+                f"interval ({i}, {j})")
+    return element
 
 
-def _crosscheck_interval(p):
-    """Deterministic interval for solver cross-checks.
+def _deepest(weak_rank, pairs):
+    """Deterministic interval for cross-checks, or None without pairs.
 
-    The interval of maximal weak rank, ties broken by smallest index pair:
-    the deepest interval exercises the longest recursion, and determinism
+    The pair of maximal weak rank, ties broken by smallest index pair: the
+    deepest interval exercises the longest recursion, and determinism
     keeps failures reproducible.
     """
-    best = None
-    for (i, j) in p.action.poset.intervals():
-        key = (p.weak_rank.value(i, j), (-i, -j))
-        if best is None or key > best[0]:
-            best = (key, (i, j))
-    return best[1]
+    return max(pairs, default=None,
+               key=lambda p: (weak_rank.value(*p), (-p[0], -p[1])))
 
 
 def _multiply_at(p, q, i, j, candidates):
@@ -794,7 +971,7 @@ def _equiv_solve(kappa, solver, name, left):
     interval through the induction/restriction product."""
     action = kappa.action
     x = _assemble(action, kappa.weak_rank, lambda w: solver(ev_w(kappa, w)))
-    i, j = _crosscheck_interval(kappa)
+    i, j = _deepest(kappa.weak_rank, action.poset.intervals())
     p, q = (x, kappa) if left else (kappa, x)
     if equiv_rev(x).value(i, j) != _multiply_at(
             p, q, i, j, action.poset.elements_between(i, j)):
@@ -830,7 +1007,7 @@ def equiv_z_function(kappa, g=None, f=None):
                                        f=ev_w(f, w)))
     if z != equiv_rev(z):
         raise AssemblyInconsistent("assembled Z is not symmetric")
-    i, j = _crosscheck_interval(kappa)
+    i, j = _deepest(kappa.weak_rank, action.poset.intervals())
     if _multiply_at(equiv_rev(g), f, i, j,
                     action.poset.elements_between(i, j)) != z.value(i, j):
         raise AssemblyInconsistent(
@@ -881,8 +1058,8 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     """Equivariant h, local-h and half-degree data of a subdivision.
 
     The action must fix q, preserve the cylinder rank, and have lower
-    Eulerian fixed posets.  On the fixed poset of each class
-    representative of an interval stabilizer the element q cuts out the
+    Eulerian fixed posets.  On the fixed poset of one representative of
+    each conjugacy class of the group the element q cuts out the
     fixed subdivision, whose ordinary local invariants are computed with
     the restricted weak rank and evaluated kernel; the per-element answers
     are assembled into class-function form.  Two defining identities are

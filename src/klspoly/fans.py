@@ -26,7 +26,6 @@ from .linalg import (
     mat_vec,
 )
 from .equivariant import (
-    EquivIncidenceElement,
     GroupTooLarge,
     NotAutomorphism,
     PermAction,
@@ -34,6 +33,7 @@ from .equivariant import (
     equiv_kernel_validate,
     equiv_rev,
     _classpoly,
+    _equiv_element,
     _group_bound,
     perm_cycles,
     perm_mul,
@@ -370,7 +370,10 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of,
     and every stabilizer class rep is read off that one factorization.
     ``crossing`` is a predicate on pairs that receives an extra factor of
     (t - 1); ``matrix_of`` maps each group element to its matrix.  The
-    result is validated as an equivariant kernel unless told otherwise.
+    kernel is built unchecked and validated once, by
+    :func:`equiv_kernel_validate` (conjugation compatibility included),
+    here unless told otherwise; a caller that passes ``validate=False``
+    runs that validation itself.
     """
     poset = action.poset
     tm1 = T - ONE
@@ -386,7 +389,7 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of,
                 p = p * tm1
             values[w] = p
         vals[(i, j)] = _classpoly(stab, values)
-    kernel = EquivIncidenceElement(action, weak_rank, vals)
+    kernel = _equiv_element(action, weak_rank, vals)
     if validate:
         result = equiv_kernel_validate(kernel)
         if not result:

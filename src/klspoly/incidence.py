@@ -106,11 +106,17 @@ class WeakRank:
         return cls(poset, vals)
 
     def restrict(self, subposet, embedding):
-        """Weak rank induced on a subposet via its embedding."""
-        vals = {}
-        for (a, b) in subposet.intervals():
-            vals[(a, b)] = self._values[(embedding[a], embedding[b])]
-        return WeakRank(subposet, vals)
+        """Weak rank induced on an induced subposet via its embedding.
+
+        Built unchecked: every interval of an induced subposet is one of
+        the ambient poset, and the chains inside it are ambient chains, so
+        the restriction is a weak rank by construction.
+        """
+        wr = _new(WeakRank)
+        wr.poset = subposet
+        wr._values = {(a, b): self._values[(embedding[a], embedding[b])]
+                      for (a, b) in subposet.intervals()}
+        return wr
 
     def __eq__(self, other):
         if not isinstance(other, WeakRank):

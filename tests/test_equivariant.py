@@ -1,9 +1,14 @@
 """Group actions on posets and the equivariant incidence algebra."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
-from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
-                                 NotAutomorphism, PermAction,
+from klspoly import cli, equivariant, fans
+from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
+                                 EquivIncidenceElement,
+                                 NotAutomorphism, PermAction, _equiv_element,
                                  check_equivariant_theorem, equiv_constant,
                                  equiv_hat, equiv_invert,
                                  equiv_kernel_validate,
@@ -11,10 +16,12 @@ from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
                                  equiv_rev, equiv_solve_f, equiv_solve_g,
                                  equiv_z_function, ev_w, is_eulerian_action,
                                  perm_inv, perm_mul, validate_action)
-from klspoly.incidence import delta, eulerian_kernel, validate_kernel
+from klspoly.incidence import (WeakRank, delta, eulerian_kernel,
+                               validate_kernel)
 from klspoly.polynomial import Poly
 from klspoly.poset import boolean_algebra, polygon
-from klspoly.schemas import load_document, build_poset, build_group
+from klspoly.schemas import (build_group, build_poset, build_triple,
+                             load_document)
 from klspoly.subdivision import theorem_g_identities
 from klspoly.verify import (fixture_path, hexagon_dihedral_setup,
                             square_fan_setup)
@@ -230,3 +237,195 @@ def test_every_algebra_result_is_well_formed():
         assert EquivIncidenceElement(e.action, e.weak_rank, e.vals).vals \
             == e.vals
     assert (a - a).vals == {} and a.scale(Poly([0])).vals == {}
+
+
+def _square_kernel():
+    action = dihedral_polygon_action(4)
+    return action, equiv_constant(action, eulerian_kernel(action.poset))
+
+
+def test_a_class_function_that_is_not_conjugation_compatible_is_named():
+    # the value on (empty, v0) changes at the identity only: still a class
+    # function on the stabilizer of the pair, but no longer the conjugate
+    # of the value on (empty, v1)
+    action, kappa = _square_kernel()
+    vals = dict(kappa.vals)
+    stab = action.stabilizer(0, 1)
+    vals[(0, 1)] = ClassPoly(stab, {w: Poly([5]) if w == action.identity
+                                    else kappa.value(0, 1).ev(w)
+                                    for w in stab.reps})
+    broken = _equiv_element(action, kappa.weak_rank, vals)
+    res = equiv_kernel_validate(broken)
+    assert not res and res.reason == "conjugation-compatibility"
+    rotation = (0, 2, 3, 4, 1, 6, 7, 8, 5, 9)
+    reflection = (0, 1, 4, 3, 2, 8, 7, 6, 5, 9)
+    assert res.witness == {"interval": [0, 1], "w": list(rotation),
+                           "u": list(action.identity)}
+    assert reflection < rotation  # the reflection fixes (0, 1): no witness
+    with pytest.raises(AssemblyInconsistent, match="conjugation-compat"):
+        EquivIncidenceElement(action, kappa.weak_rank, vals)
+    # per-element inverses of the broken data do not glue either, and the
+    # assembly names an interval
+    with pytest.raises(AssemblyInconsistent,
+                       match=r"conjugation.*interval.*\d+, \d+"):
+        equiv_invert(broken)
+
+
+def test_a_kernel_wrong_only_at_a_non_identity_class_is_named():
+    # (t-1)^3 + 1 at the half-turn on (empty, top) of the rotated square:
+    # the half-turn is its own conjugacy class and fixes only the empty
+    # face and the top, where the value must be antisymmetric under reversal
+    action = rotation_polygon_action(4)
+    kappa = equiv_constant(action, eulerian_kernel(action.poset))
+    assert equiv_kernel_validate(kappa)
+    half_turn = (0, 3, 4, 1, 2, 7, 8, 5, 6, 9)
+    whole = action.stabilizer(0, 9)
+    assert whole == action.stabilizer() and half_turn in whole.reps
+    vals = dict(kappa.vals)
+    vals[(0, 9)] = ClassPoly(whole, {
+        w: kappa.value(0, 9).ev(w) + (Poly([1]) if w == half_turn
+                                      else Poly([]))
+        for w in whole.reps})
+    broken = EquivIncidenceElement(action, kappa.weak_rank, vals)
+    res = equiv_kernel_validate(broken)
+    assert not res and res.reason == "fixed-poset-kernel"
+    assert res.witness == {"w": list(half_turn)}
+    assert validate_kernel(ev_w(broken, action.identity))
+
+
+def test_a_weak_rank_the_action_moves_is_refused_with_an_interval():
+    # heights lifted by 2 above v0: additive and of the same parity as the
+    # rank, but the rotation no longer preserves it
+    action, kappa = _square_kernel()
+    poset = action.poset
+    height = [r + (2 if poset.leq(1, z) else 0)
+              for z, r in enumerate(poset.rank)]
+    moved = WeakRank(poset, {(i, j): height[j] - height[i]
+                             for (i, j) in poset.intervals()})
+    assert any(moved.value(i, j) != moved.value(w[i], w[j])
+               for (i, j) in poset.intervals() for w in action.generators)
+    broken = EquivIncidenceElement(action, moved, kappa.vals)
+    res = equiv_kernel_validate(broken)
+    assert not res
+    named = re.search(r"[\[(](\d+), (\d+)[\])]", res.describe())
+    assert named is not None, res.describe()
+    assert poset.leq(int(named.group(1)), int(named.group(2)))
+
+
+def _record(monkeypatch, owner, name):
+    """Wrap ``owner.NAME``; returns the list of (args, result) of its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["crosscut_d4.json", "square_fan_z4.json"])
+def test_each_span_kernel_is_validated_once(monkeypatch, capsys, fixture):
+    built = _record(monkeypatch, fans, "span_kernel")
+    checked = _record(monkeypatch, EquivIncidenceElement,
+                      "validate_definition")
+    assert cli.main(["check", f"fixture:{fixture}"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    kernels = [id(kernel) for _args, kernel in built]
+    assert len(kernels) == 1
+    assert [id(args[0]) for args, _result in checked] == kernels
+
+
+def test_kernels_are_validated_once_per_whole_group_class(monkeypatch):
+    _triple, action, kappa = hexagon_dihedral_setup()
+    calls = _record(monkeypatch, equivariant, "validate_kernel")
+    assert equiv_kernel_validate(kappa)
+    assert len(calls) == len(action.stabilizer().reps) == 6 < len(action)
+    assert sorted(tuple(args[0].poset.up) for args, _ in calls) == sorted(
+        tuple(action.fixed_poset(w)[0].up) for w in action.stabilizer().reps)
+
+
+def test_a_product_is_summed_once_per_interval_orbit(monkeypatch):
+    action, kappa = _square_kernel()
+    calls = _record(monkeypatch, equivariant, "_multiply_at")
+    product = equiv_multiply(kappa, kappa)
+    orbits = action.interval_orbits()
+    assert len(calls) == len(orbits) < len(action.poset.intervals())
+    assert len(product.vals) == len(action.poset.intervals())
+
+
+def _direct_product(p, q):
+    """p * q by the character formula, summed over every interval and every
+    element of its stabilizer: (p q)(i, j) at u adds p(i, z) q(z, j) at u
+    over the z in [i, j] that u fixes."""
+    poset = p.action.poset
+    out = {}
+    for (i, j) in poset.intervals():
+        stab = p.action.stabilizer(i, j)
+        values = {}
+        for u in stab:
+            total = Poly([])
+            for z in poset.elements_between(i, j):
+                if u[z] == z:
+                    total = total + p.value(i, z).ev(u) * q.value(z, j).ev(u)
+            values[u] = total
+        cp = ClassPoly(stab, values)
+        if not cp.is_zero:
+            out[(i, j)] = cp
+    return out
+
+
+def _oracle_cases():
+    square = dihedral_polygon_action(4)
+    _tag, triple = load_document(fixture_path("polygon_s3_top.json"),
+                                 "triple")
+    _tag, group = load_document(fixture_path("polygon_s3_rotation.json"),
+                                "group")
+    rotation = build_group(group, build_triple(triple).gamma)
+    _fan, faction, kappa = square_fan_setup()
+    return {"dihedral square": (square, None),
+            "polygon_s3_rotation": (rotation, None),
+            "square_fan_z4": (faction.action, kappa)}
+
+
+@pytest.mark.parametrize("name", ["dihedral square", "polygon_s3_rotation",
+                                  "square_fan_z4"])
+def test_the_product_matches_a_direct_sum_over_every_interval(name):
+    action, kappa = _oracle_cases()[name]
+    rng = seeded_rng(31)
+    wr = natural_weak_rank(action) if kappa is None else kappa.weak_rank
+    p = random_equiv_element(action, wr, rng)
+    q = kappa if kappa is not None else random_equiv_element(action, wr, rng)
+    for left, right in ((p, q), (q, p), (p, p)):
+        assert equiv_multiply(left, right).vals == _direct_product(left,
+                                                                   right)
+
+
+def test_class_polynomials_scale_by_scalars_and_polynomials():
+    whole = dihedral_polygon_action(4).stabilizer()
+    cp = ClassPoly.constant(whole, Poly([1, 2]))
+    assert cp.scale(2) == ClassPoly.constant(whole, Poly([2, 4]))
+    assert cp.scale(Fraction(1, 2)) == ClassPoly.constant(
+        whole, Poly([Fraction(1, 2), 1]))
+    assert cp.scale(Poly([0, 1])) == ClassPoly.constant(whole, Poly([0, 1, 2]))
+    with pytest.raises(TypeError, match="by a str"):
+        cp.scale("2")
+
+
+def test_the_identity_under_a_moved_weak_rank_is_no_equivariant_kernel():
+    # delta is a kernel for every weak rank, so each fixed poset accepts
+    # it; only the invariance check sees that the rotation moves the rank
+    action = rotation_polygon_action(4)
+    poset = action.poset
+    height = [r + (2 if poset.leq(1, z) else 0)
+              for z, r in enumerate(poset.rank)]
+    moved = WeakRank(poset, {(i, j): height[j] - height[i]
+                             for (i, j) in poset.intervals()})
+    unit = equiv_constant(action, delta(poset, moved))
+    assert all(validate_kernel(ev_w(unit, w)) for w in action.elements)
+    res = equiv_kernel_validate(unit)
+    assert not res and res.reason == "weak-rank-not-invariant"
+    (i, j), w = res.witness["interval"], res.witness["w"]
+    assert moved.value(w[i], w[j]) != moved.value(i, j)

@@ -5,7 +5,9 @@ Each example takes one bundled document and breaks it in one way: drops a
 key, puts a value of the wrong type somewhere, puts an index out of range,
 or adds the reverse of a cover relation (a cycle in the order).  It then
 runs ``check`` on it, or one of the commands the document's kind feeds:
-the ``ehrhart`` counts on a complex, the ``local`` tables on a triple.
+the ``ehrhart`` counts on a complex, the ``local`` tables on a triple,
+``verify --suite equivariant`` on a fan, and ``local --equivariant`` with
+a group.
 The command line must exit 0 (the document still holds), 1 (a check
 fails) or 2 with an ``error:`` message, and must not raise.
 """
@@ -34,13 +36,19 @@ def _document(name):
 
 DOCUMENTS = {name: _document(name) for name in FIXTURES}
 
-EHRHART = [("ehrhart", "--what", what)
+#: Where the fuzzed document goes on a command line.
+DOC = object()
+CHECK = ("check", DOC)
+EHRHART = [("ehrhart", DOC, "--what", what)
            for what in ("hstar", "local-hstar", "series", "reciprocity")]
-LOCAL = [("local",), ("local", "--relative-g")]
+LOCAL = [("local", DOC), ("local", DOC, "--relative-g")]
+FAN = [("verify", DOC, "--suite", "equivariant")]
+GROUP = [("local", "fixture:polygon_s3_top.json", "--equivariant", DOC)]
 #: Every fixture's mutations drive ``check``, and these commands too.
 COMMANDS = {"crosscut_d4.json": EHRHART, "seg2_flip.json": EHRHART,
             "unit_square.json": EHRHART, "cube3_facet.json": LOCAL,
-            "polygon_s2.json": LOCAL}
+            "polygon_s2.json": LOCAL, "cone_square_z4.json": FAN,
+            "square_fan_z4.json": FAN, "polygon_s3_rotation.json": GROUP}
 
 #: Keys whose integers index elements, vertices, rays or cones.
 INDEX_KEYS = ("covers", "faces", "cones", "sigma", "q", "generators")
@@ -104,7 +112,7 @@ def _has_covers(doc):
 
 
 def _argv(command, path):
-    return [command[0], str(path), *command[1:]]
+    return [str(path) if arg is DOC else arg for arg in command]
 
 
 @st.composite
@@ -116,7 +124,7 @@ def mutated_documents(draw):
     if _has_covers(doc):
         mutations.append(_reversed_cover)
     draw(st.sampled_from(mutations))(doc, draw)
-    command = draw(st.sampled_from([("check",)] + COMMANDS.get(name, [])))
+    command = draw(st.sampled_from([CHECK] + COMMANDS.get(name, [])))
     return doc, command
 
 
@@ -130,12 +138,12 @@ def exit_of(argv):
 
 def test_every_fixture_of_the_fuzz_checks_clean():
     for name in FIXTURES:
-        for command in [("check",)] + COMMANDS.get(name, []):
+        for command in [CHECK] + COMMANDS.get(name, []):
             argv = _argv(command, fixture_path(name))
             assert exit_of(argv) == (0, ""), argv
 
 
-@settings(max_examples=500, deadline=None, derandomize=True,
+@settings(max_examples=700, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_documents())
 def test_a_mutated_document_exits_cleanly(tmp_path_factory, case):
