@@ -293,15 +293,19 @@ def test_a_kernel_wrong_only_at_a_non_identity_class_is_named():
     assert validate_kernel(ev_w(broken, action.identity))
 
 
-def test_a_weak_rank_the_action_moves_is_refused_with_an_interval():
-    # heights lifted by 2 above v0: additive and of the same parity as the
-    # rank, but the rotation no longer preserves it
-    action, kappa = _square_kernel()
-    poset = action.poset
+def _moved_weak_rank(poset):
+    """Heights lifted by 2 above v0: additive and of the same parity as the
+    rank, but no rotation of the polygon preserves it."""
     height = [r + (2 if poset.leq(1, z) else 0)
               for z, r in enumerate(poset.rank)]
-    moved = WeakRank(poset, {(i, j): height[j] - height[i]
-                             for (i, j) in poset.intervals()})
+    return WeakRank(poset, {(i, j): height[j] - height[i]
+                            for (i, j) in poset.intervals()})
+
+
+def test_a_weak_rank_the_action_moves_is_refused_with_an_interval():
+    action, kappa = _square_kernel()
+    poset = action.poset
+    moved = _moved_weak_rank(poset)
     assert any(moved.value(i, j) != moved.value(w[i], w[j])
                for (i, j) in poset.intervals() for w in action.generators)
     broken = EquivIncidenceElement(action, moved, kappa.vals)
@@ -418,12 +422,8 @@ def test_the_identity_under_a_moved_weak_rank_is_no_equivariant_kernel():
     # delta is a kernel for every weak rank, so each fixed poset accepts
     # it; only the invariance check sees that the rotation moves the rank
     action = rotation_polygon_action(4)
-    poset = action.poset
-    height = [r + (2 if poset.leq(1, z) else 0)
-              for z, r in enumerate(poset.rank)]
-    moved = WeakRank(poset, {(i, j): height[j] - height[i]
-                             for (i, j) in poset.intervals()})
-    unit = equiv_constant(action, delta(poset, moved))
+    moved = _moved_weak_rank(action.poset)
+    unit = equiv_constant(action, delta(action.poset, moved))
     assert all(validate_kernel(ev_w(unit, w)) for w in action.elements)
     res = equiv_kernel_validate(unit)
     assert not res and res.reason == "weak-rank-not-invariant"
