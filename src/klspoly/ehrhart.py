@@ -17,7 +17,8 @@ placed at height one.
 import itertools
 from fractions import Fraction
 
-from .polynomial import Poly, ZERO, poly_divmod_t_minus_1, poly_rev
+from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
+                         poly_rev)
 from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
@@ -651,12 +652,12 @@ def coarse_hstar(cx, cylinder, data):
         cp = product.value(bottom, y)
         values = {}
         for w, num in cp.values.items():
-            div, rem = poly_divmod_t_minus_1(num)
-            if rem != 0:
+            try:
+                values[w] = poly_div_t_minus_1(num)
+            except NotDivisible:
                 raise ComplexError(
                     f"coarse face {gamma.labels[y]} has a non-polynomial "
-                    f"count at some group element")
-            values[w] = div
+                    f"count at some group element") from None
         out[y - nx] = _classpoly(cp.group, values)
     return out
 

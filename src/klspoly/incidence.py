@@ -14,6 +14,12 @@ computed here by truncation: the low coefficients are forced, and the high
 coefficients must satisfy mirror constraints which are asserted on every
 interval (their failure is exactly a failure of the kernel property, and
 raises MirrorConstraintViolated naming the interval).
+
+g, f and the inverse of an element all come from one triangular recursion,
+:func:`_triangular_solve`, over the intervals in weak-rank order: g and the
+inverse sum their products on the left, f on the right.  Division by (t-1)
+goes through :func:`klspoly.polynomial.poly_div_t_minus_1`, the one such
+division in the package.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ class WeakRank:
     @classmethod
     def natural(cls, poset):
         """Differences of the rank vector (computed if not attached)."""
-        rho = poset.rank if poset.rank is not None else poset.natural_rank()
+        rho = _natural_rho(poset)
         vals = {(i, j): rho[j] - rho[i] for (i, j) in poset.intervals()}
         return cls(poset, vals)
 
@@ -306,6 +312,7 @@ def rev(p):
 
 
 def _natural_rho(poset):
+    """The poset's own rank vector, else its natural rank."""
     if poset.rank is not None:
         return poset.rank
     return poset.natural_rank()
@@ -345,37 +352,60 @@ def delta_op(p):
     return _element(p.poset, p.weak_rank, out)
 
 
+def _triangular_solve(p, diagonal, on_left, finish):
+    """The element x with x(i,i) = diagonal[i] and, off the diagonal,
+    x(i,j) = finish(d, i, j) for the sum d of one side's products.
+
+    Intervals are visited by increasing weak rank, so every value a sum
+    reads is already set.  With ``on_left`` the sum is that of
+    x(i,w) p(w,j) over i <= w < j (the inverse and g); otherwise it is that
+    of p(i,w) x(w,j) over i < w <= j (f).  Each sum is one
+    :func:`poly_dot`.
+    """
+    poset = p.poset
+    vals = p.vals
+    x = {}
+    for (i, j) in poset.intervals().by_weak_rank(p.weak_rank):
+        if i == j:
+            x[(i, j)] = diagonal[i]
+            continue
+        products = []
+        if on_left:
+            for w in poset.elements_between(i, j):
+                if w != j:
+                    a = x.get((i, w))
+                    if a is not None:
+                        b = vals.get((w, j))
+                        if b is not None:
+                            products.append((a, b))
+        else:
+            for w in poset.elements_between(i, j):
+                if w != i:
+                    b = x.get((w, j))
+                    if b is not None:
+                        a = vals.get((i, w))
+                        if a is not None:
+                            products.append((a, b))
+        value = finish(poly_dot(products), i, j)
+        if value:
+            x[(i, j)] = value
+    return _element(poset, p.weak_rank, x)
+
+
 def invert(p):
     """Two-sided inverse; exists iff every diagonal value is 1 or -1."""
-    poset = p.poset
-    diag = {}
-    for i in range(poset.n):
+    diag = []
+    for i in range(p.poset.n):
         d = p.value(i, i)
         if d != ONE and d != Poly([-1]):
             raise NotInvertible(f"diagonal value {d!r} at element {i}")
-        diag[i] = d
-    order = poset.intervals().by_weak_rank(p.weak_rank)
-    vals = p.vals
-    inv = {}
-    for (i, j) in order:
-        if i == j:
-            inv[(i, j)] = diag[i]
-            continue
-        products = []
-        for w in poset.elements_between(i, j):
-            if w != j:
-                left = inv.get((i, w))
-                if left is not None:
-                    right = vals.get((w, j))
-                    if right is not None:
-                        products.append((left, right))
-        # q(i,j) p(j,j) = -sum  =>  q(i,j) = -sum * p(j,j)  (p(j,j)^2 = 1)
-        q = poly_dot(products)
-        if diag[j] == ONE:
-            q = -q
-        if q:
-            inv[(i, j)] = q
-    return _element(poset, p.weak_rank, inv)
+        diag.append(d)
+
+    # q(i,j) p(j,j) = -d  =>  q(i,j) = -d * p(j,j)  (p(j,j)^2 = 1)
+    def finish(d, i, j):
+        return -d if diag[j] == ONE else d
+
+    return _triangular_solve(p, diag, on_left=True, finish=finish)
 
 
 def is_in_truncated(p):
@@ -456,6 +486,11 @@ def is_rank_alternating(kappa):
     return CheckResult.failed("rank-alternating")
 
 
+def _t_minus_1_powers(n):
+    """[1, t-1, (t-1)^2, ..., (t-1)^n]."""
+    return [Poly([-1, 1]) ** k for k in range(n + 1)]
+
+
 def eulerian_kernel(poset):
     """The kernel (t-1)^(rank difference) with the natural weak rank.
 
@@ -468,15 +503,9 @@ def eulerian_kernel(poset):
             f"Eulerian kernel needs a lower Eulerian poset: {res.describe()}")
     rho = _natural_rho(poset)
     wr = WeakRank.natural(poset)
-    nmax = max(rho) - min(rho)
-    powers = [ONE]
-    tm1 = Poly([-1, 1])
-    for _ in range(nmax):
-        powers.append(powers[-1] * tm1)
-    vals = {}
-    for (i, j) in poset.intervals():
-        vals[(i, j)] = powers[rho[j] - rho[i]]
-    return _element(poset, wr, vals)
+    powers = _t_minus_1_powers(max(rho) - min(rho))
+    return _element(poset, wr, {(i, j): powers[rho[j] - rho[i]]
+                                for (i, j) in poset.intervals()})
 
 
 def _check_solver_preconditions(kappa):
@@ -517,6 +546,24 @@ def _truncate_below_half(d_poly, r):
     return _poly([-c for c in d_poly.num[: (r - 1) // 2 + 1]], d_poly.den)
 
 
+def _solve_half_degree(kappa, on_left):
+    """The unit-diagonal solution below half the weak rank, on one side.
+
+    The defect d on each interval must pass the mirror constraints; the
+    value is -d below degree r/2.
+    """
+    _check_solver_preconditions(kappa)
+    weak_rank = kappa.weak_rank.value
+    labels = kappa.poset.labels
+
+    def finish(d, i, j):
+        r = weak_rank(i, j)
+        _mirror_check(d, r, (i, j), labels)
+        return _truncate_below_half(d, r)
+
+    return _triangular_solve(kappa, [ONE] * kappa.poset.n, on_left, finish)
+
+
 def solve_g(kappa):
     """The unique g with unit diagonal, deg < r/2 off-diagonal and
     rev(g) = g * kappa.
@@ -525,59 +572,13 @@ def solve_g(kappa):
     constraints are asserted interval by interval and raise
     MirrorConstraintViolated when kappa is not actually a kernel.
     """
-    _check_solver_preconditions(kappa)
-    poset = kappa.poset
-    order = poset.intervals().by_weak_rank(kappa.weak_rank)
-    vals = kappa.vals
-    g = {}
-    for (i, j) in order:
-        if i == j:
-            g[(i, j)] = ONE
-            continue
-        r = kappa.weak_rank.value(i, j)
-        products = []
-        for w in poset.elements_between(i, j):
-            if w != j:
-                left = g.get((i, w))
-                if left is not None:
-                    right = vals.get((w, j))
-                    if right is not None:
-                        products.append((left, right))
-        d = poly_dot(products)
-        _mirror_check(d, r, (i, j), poset.labels)
-        val = _truncate_below_half(d, r)
-        if val:
-            g[(i, j)] = val
-    return _element(poset, kappa.weak_rank, g)
+    return _solve_half_degree(kappa, on_left=True)
 
 
 def solve_f(kappa):
     """The unique f with unit diagonal, deg < r/2 off-diagonal and
     rev(f) = kappa * f."""
-    _check_solver_preconditions(kappa)
-    poset = kappa.poset
-    order = poset.intervals().by_weak_rank(kappa.weak_rank)
-    vals = kappa.vals
-    f = {}
-    for (i, j) in order:
-        if i == j:
-            f[(i, j)] = ONE
-            continue
-        r = kappa.weak_rank.value(i, j)
-        products = []
-        for w in poset.elements_between(i, j):
-            if w != i:
-                right = f.get((w, j))
-                if right is not None:
-                    left = vals.get((i, w))
-                    if left is not None:
-                        products.append((left, right))
-        d = poly_dot(products)
-        _mirror_check(d, r, (i, j), poset.labels)
-        val = _truncate_below_half(d, r)
-        if val:
-            f[(i, j)] = val
-    return _element(poset, kappa.weak_rank, f)
+    return _solve_half_degree(kappa, on_left=False)
 
 
 def z_function(kappa, g=None, f=None):
@@ -616,10 +617,7 @@ def h_polynomial(poset):
     raw = _natural_rho(poset)
     rho = [r - raw[bot] for r in raw]
     n = max(rho)
-    tm1 = Poly([-1, 1])
-    powers = [ONE]
-    for _ in range(n):
-        powers.append(powers[-1] * tm1)
+    powers = _t_minus_1_powers(n)
     gv = g.vals
     acc = poly_dot((gv[(bot, z)], powers[n - rho[z]])
                    for z in range(poset.n) if (bot, z) in gv)

@@ -373,11 +373,10 @@ def poly_rev(p, r):
     return _raw((0,) * (r + 1 - len(num)) + tuple(out), p.den)
 
 
-def poly_divmod_t_minus_1(p):
-    """Quotient and remainder of p by (t - 1).
+def poly_div_t_minus_1(p):
+    """Exact division by (t - 1); raises NotDivisible when p(1) != 0.
 
-    Returns (q, r) with p = (t - 1) q + r; the remainder r = p(1) is a
-    number (int or Fraction), not a Poly.
+    The remainder p(1) is attached to the error as a constant Poly.
     """
     # synthetic division by root 1 on the numerators, highest degree first
     out = []
@@ -386,17 +385,12 @@ def poly_divmod_t_minus_1(p):
         acc += c
         out.append(acc)
     rem = out.pop() if out else 0
+    if rem:
+        rem = _exact(rem, p.den)
+        raise NotDivisible(f"remainder {rem} after division by (t - 1)",
+                           Poly([rem]))
     out.reverse()
-    den = p.den
-    return _poly(out, den), (rem if den == 1 else _exact(rem, den))
-
-
-def poly_div_t_minus_1(p):
-    """Exact division by (t - 1); raises NotDivisible when p(1) != 0."""
-    quotient, rem = poly_divmod_t_minus_1(p)
-    if rem != 0:
-        raise NotDivisible(f"remainder {rem} after division by (t - 1)", Poly([rem]))
-    return quotient
+    return _poly(out, p.den)
 
 
 def delta_truncate(p, r):

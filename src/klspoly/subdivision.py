@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from .incidence import (
     _element,
+    _natural_rho,
     convolve,
     delta_op,
     eulerian_kernel,
@@ -490,7 +491,7 @@ def relative_g(face_lattice, face, g=None):
     g = solution.g if g is None else g
     rel = {}
     above = bits(face_lattice.up[face])
-    rho = face_lattice.rank if face_lattice.rank is not None else face_lattice.natural_rank()
+    rho = _natural_rho(face_lattice)
     for e in sorted(above, key=lambda z: rho[z]):
         acc = g.value(bot, e)
         for e2 in face_lattice.elements_between(face, e):

@@ -143,15 +143,19 @@ def test_boolean_solvers_are_trivial():
 
 
 def test_solver_mirror_constraint_names_interval():
+    # perturb two intervals of weak rank 2; the first in weak-rank order,
+    # [{}, {1,3}], is named by both the left and the right solver
     kappa = eulerian_kernel(B3)
     vals = dict(kappa.vals)
-    vals[(0, 3)] = Poly([2, -2, 1])  # perturb one strict interval
+    vals[(2, 7)] = Poly([2, -2, 1])
+    vals[(0, 5)] = Poly([1, -3, 1])
     bad = IncidenceElement(B3, WR3, vals)
-    with pytest.raises(MirrorConstraintViolated) as err:
-        solve_g(bad)
-    assert err.value.interval in set(PAIRS3)
-    z, zp = err.value.interval
-    assert B3.labels[z] in str(err.value) and B3.labels[zp] in str(err.value)
+    for solver in (solve_g, solve_f):
+        with pytest.raises(MirrorConstraintViolated) as err:
+            solver(bad)
+        assert err.value.interval == (0, 5)
+        assert str(err.value) == ("mirror constraint fails on interval "
+                                  "[{}, {1,3}] at middle degree 1: -1 != 0")
 
 
 def test_polygon_and_cube_g_values():

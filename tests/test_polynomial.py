@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from klspoly.polynomial import (NEG_INF, DegreeExceedsRank, NotDivisible,
                                 Poly, delta_invert, delta_truncate,
-                                poly_div_t_minus_1, poly_divmod_t_minus_1,
-                                poly_dot, poly_rev)
+                                poly_div_t_minus_1, poly_dot, poly_rev)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 polys = coeffs.map(Poly)
@@ -95,21 +94,30 @@ def test_arithmetic_agrees_with_a_fraction_reference(a, b, r):
         rev = poly_rev(p, r)
         assert rev.coeffs == _ref_trim(reversed(padded))
         assert all(_exact(c) for c in rev.coeffs)
-    # (t - 1) * p divided back, and p itself divided with remainder p(1)
+    # (t - 1) * p divided back; p itself leaves the remainder p(1), and
+    # p - p(1) divides with p = (t - 1) q + p(1)
     tm1 = [Fraction(-1), Fraction(1)]
     quotient = poly_div_t_minus_1(Poly(_ref_mul(a, tm1)))
     assert quotient.coeffs == _ref_trim(a)
     assert all(_exact(c) for c in quotient.coeffs)
-    quotient, rem = poly_divmod_t_minus_1(p)
-    assert rem == sum(a, Fraction(0))
-    assert Poly(_ref_add(_ref_mul(list(quotient.coeffs), tm1), [rem])) == p
+    value = sum(a, Fraction(0))
+    if value:
+        with pytest.raises(NotDivisible) as err:
+            poly_div_t_minus_1(p)
+        assert err.value.remainder == value
+    quotient = poly_div_t_minus_1(p - value)
+    assert Poly(_ref_add(_ref_mul(list(quotient.coeffs), tm1), [value])) == p
 
 
-def test_divmod_by_t_minus_1_examples():
-    assert poly_divmod_t_minus_1(Poly()) == (Poly(), 0)
-    assert poly_divmod_t_minus_1(Poly([5])) == (Poly(), 5)
-    assert poly_divmod_t_minus_1(Poly([1, 1])) == (Poly([1]), 2)
-    assert poly_divmod_t_minus_1(Poly([-1, 0, 1])) == (Poly([1, 1]), 0)
+def test_division_by_t_minus_1_examples():
+    assert poly_div_t_minus_1(Poly()) == Poly()
+    assert poly_div_t_minus_1(Poly([-1, 0, 1])) == Poly([1, 1])
+    for p, quotient, value in ((Poly([5]), Poly(), 5),
+                               (Poly([1, 1]), Poly([1]), 2)):
+        with pytest.raises(NotDivisible) as err:
+            poly_div_t_minus_1(p)
+        assert err.value.remainder == value
+        assert poly_div_t_minus_1(p - value) == quotient
 
 
 def test_arithmetic_basics():
@@ -269,10 +277,14 @@ def test_every_operation_stays_canonical_and_exact(a, b, k, s):
     r = len(trimmed) + s
     padded = trimmed + [Fraction(0)] * (r + 1 - len(trimmed))
     assert _matches(poly_rev(p, r), list(reversed(padded)))
-    quotient, rem = poly_divmod_t_minus_1(p)
-    assert _canonical(quotient) and _exact(rem)
-    assert rem == sum(_ref(a), Fraction(0))
-    back = _ref_add(_ref_mul(list(quotient.coeffs), [Fraction(-1), 1]), [rem])
+    value = sum(_ref(a), Fraction(0))
+    if value:
+        with pytest.raises(NotDivisible) as err:
+            poly_div_t_minus_1(p)
+        assert _matches(err.value.remainder, [value])
+    quotient = poly_div_t_minus_1(p - value)
+    assert _canonical(quotient)
+    back = _ref_add(_ref_mul(list(quotient.coeffs), [Fraction(-1), 1]), [value])
     assert _ref_trim(back) == _ref_trim(_ref(a))
     if s:
         full = trimmed + [Fraction(0)] * s
