@@ -690,6 +690,12 @@ class EquivIncidenceElement:
             self.action, self.weak_rank,
             {(i, j): cp for (i, j), cp in self.vals.items() if pred(i, j)})
 
+    def select(self, pairs):
+        """Keep only the values on the given intervals."""
+        vals = self.vals
+        return _equiv_element(self.action, self.weak_rank,
+                              {p: vals[p] for p in pairs if p in vals})
+
     def scale(self, c):
         """Multiply every value by a fixed polynomial or scalar."""
         scaled = ((key, cp.scale(c)) for key, cp in self.vals.items())
@@ -1091,10 +1097,7 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     ell_sigma = _assemble(action, weak_rank, lambda w: local_at(w).ell_sigma)
     delta_ell = _assemble(action, weak_rank, lambda w: local_at(w).delta_ell)
 
-    is_interior = {(i, j) for (i, j) in triple.gamma.intervals()
-                   if triple.in_x(i) and triple.in_y(j)
-                   and triple.sigma_of(i) == j}
-    masked = kappa.mask(lambda i, j: (i, j) in is_interior)
+    masked = triple.mask_interior(kappa)
     lhs = _equiv_element(
         action, weak_rank,
         {key: cp.scale(T - ONE) for key, cp in h_sigma.vals.items()})

@@ -17,12 +17,17 @@ raises MirrorConstraintViolated naming the interval).
 
 g, f and the inverse of an element all come from one triangular recursion,
 :func:`_triangular_solve`, over the intervals in weak-rank order: g and the
-inverse sum their products on the left, f on the right.  Division by (t-1)
-goes through :func:`klspoly.polynomial.poly_div_t_minus_1`, the one such
-division in the package.
+inverse sum their products on the left, f on the right, each interval's sum
+in one :func:`klspoly.polynomial.poly_dot`.  The product :func:`convolve`
+is the batched form of that sum: one common denominator per operand, every
+product added in place, one reduction per output interval.  Division by
+(t-1) goes through :func:`klspoly.polynomial.poly_div_t_minus_1`, the one
+such division in the package.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .polynomial import (
     ONE,
@@ -88,7 +93,6 @@ class WeakRank:
             raise ValueError(f"({i}, {j}) is not an interval") from None
 
     def validate(self):
-        p = self.poset
         for (i, j), r in self._values.items():
             if i == j:
                 if r != 0:
@@ -96,8 +100,9 @@ class WeakRank:
             elif r <= 0:
                 return CheckResult.failed("not-positive", witness=(i, j),
                                           detail=f"value {r} on strict interval")
+        between = self.poset.intervals().between()
         for (i, j), r in self._values.items():
-            for z in p.elements_between(i, j):
+            for z in between[(i, j)]:
                 if self._values[(i, z)] + self._values[(z, j)] != r:
                     return CheckResult.failed(
                         "not-additive", witness=(i, z, j),
@@ -106,10 +111,16 @@ class WeakRank:
 
     @classmethod
     def natural(cls, poset):
-        """Differences of the rank vector (computed if not attached)."""
+        """Differences of the rank vector (computed if not attached).
+
+        Unchecked when the rank steps +1 across every cover: its differences
+        are then positive and additive by construction.  Any other rank goes
+        through the checking constructor."""
         rho = _natural_rho(poset)
         vals = {(i, j): rho[j] - rho[i] for (i, j) in poset.intervals()}
-        return cls(poset, vals)
+        if not poset.validate_rank(rho):
+            return cls(poset, vals)
+        return _weak_rank(poset, vals)
 
     def restrict(self, subposet, embedding):
         """Weak rank induced on an induced subposet via its embedding.
@@ -118,11 +129,9 @@ class WeakRank:
         the ambient poset, and the chains inside it are ambient chains, so
         the restriction is a weak rank by construction.
         """
-        wr = _new(WeakRank)
-        wr.poset = subposet
-        wr._values = {(a, b): self._values[(embedding[a], embedding[b])]
-                      for (a, b) in subposet.intervals()}
-        return wr
+        return _weak_rank(subposet, {
+            (a, b): self._values[(embedding[a], embedding[b])]
+            for (a, b) in subposet.intervals()})
 
     def __eq__(self, other):
         if not isinstance(other, WeakRank):
@@ -229,6 +238,12 @@ class IncidenceElement:
         return _element(self.poset, self.weak_rank,
                         {p: v for p, v in self.vals.items() if pred(*p)})
 
+    def select(self, pairs):
+        """Keep only the values on the given intervals."""
+        vals = self.vals
+        return _element(self.poset, self.weak_rank,
+                        {p: vals[p] for p in pairs if p in vals})
+
     def __repr__(self):
         return f"IncidenceElement({len(self.vals)} nonzero intervals on {self.poset!r})"
 
@@ -248,6 +263,15 @@ class IncidenceElement:
 
 
 _new = object.__new__
+
+
+def _weak_rank(poset, values):
+    """The WeakRank with ``values`` {interval: int}, unchecked; for values
+    that are a weak rank by construction."""
+    wr = _new(WeakRank)
+    wr.poset = poset
+    wr._values = values
+    return wr
 
 
 def _element(poset, weak_rank, vals):
@@ -275,25 +299,62 @@ def convolve(a, b):
     """Incidence product: (a*b)(z,z') = sum over z <= w <= z' of
     a(z,w) b(w,z').
 
-    The keys of a and b are intervals, so i <= w <= j makes (i, j) one;
-    each output interval sums its products in one :func:`poly_dot`.
+    The batched form of :func:`poly_dot`: each operand is lifted once to
+    the lcm D of its denominators (1 for integer data), every product's int
+    numerators are added in place into its interval's sum, and each sum is
+    reduced once over D_a D_b.  Keys are intervals, so i <= w <= j makes
+    (i, j) one.
     """
     a._same_carrier(b)
+    den_a = lcm(*{p.den for p in a.vals.values()})
+    den_b = lcm(*{p.den for p in b.vals.values()})
     by_first = {}
     for (w, j), poly in b.vals.items():
-        by_first.setdefault(w, []).append((j, poly))
-    terms = {}
-    for (i, w), pa in a.vals.items():
-        for j, pb in by_first.get(w, ()):
-            key = (i, j)
-            products = terms.get(key)
-            if products is None:
-                terms[key] = [(pa, pb)]
-            else:
-                products.append((pa, pb))
+        bn = poly.num
+        if poly.den != den_b:
+            bn = [c * (den_b // poly.den) for c in bn]
+        by_first.setdefault(w, []).append((j, bn))
+    sums = {}
+    for (i, w), poly in a.vals.items():
+        row = by_first.get(w)
+        if row is None:
+            continue
+        an = poly.num
+        if poly.den != den_a:
+            an = [c * (den_a // poly.den) for c in an]
+        if len(an) == 1:
+            x = an[0]
+            for j, bn in row:
+                out = sums.get((i, j))
+                if out is None:
+                    sums[(i, j)] = [x * y for y in bn]
+                elif len(bn) == 1:
+                    out[0] += x * bn[0]
+                else:
+                    if len(out) < len(bn):
+                        out += [0] * (len(bn) - len(out))
+                    for k, y in enumerate(bn):
+                        out[k] += x * y
+            continue
+        for j, bn in row:
+            out = sums.get((i, j))
+            if out is None:
+                if len(bn) == 1:
+                    y = bn[0]
+                    sums[(i, j)] = [x * y for x in an]
+                    continue
+                out = sums[(i, j)] = []
+            size = len(an) + len(bn) - 1
+            if len(out) < size:
+                out += [0] * (size - len(out))
+            for k, y in enumerate(bn):
+                if y:
+                    for m, x in enumerate(an, k):
+                        out[m] += x * y
+    den = den_a * den_b
     out = {}
-    for key, products in terms.items():
-        total = poly_dot(products)
+    for key, num in sums.items():
+        total = _poly(num, den)
         if total:
             out[key] = total
     return _element(a.poset, a.weak_rank, out)
@@ -329,10 +390,9 @@ def hat(p):
         raise UnsuitablePoset(
             f"hat needs a lower Eulerian carrier: {res.describe()}")
     rho = _natural_rho(p.poset)
-    out = {}
-    for (i, j), poly in p.vals.items():
-        out[(i, j)] = poly if (rho[j] - rho[i]) % 2 == 0 else -poly
-    return _element(p.poset, p.weak_rank, out)
+    return _element(p.poset, p.weak_rank, {
+        (i, j): poly if (rho[j] - rho[i]) % 2 == 0 else -poly
+        for (i, j), poly in p.vals.items()})
 
 
 def delta_op(p):
@@ -340,15 +400,13 @@ def delta_op(p):
 
     Zero on the diagonal by convention.
     """
-    vals = p.vals
+    weak_rank = p.weak_rank.value
     out = {}
-    for (i, j) in p.poset.intervals():
-        poly = vals.get((i, j))
-        if i == j or poly is None:
-            continue
-        v = delta_truncate(poly, p.weak_rank.value(i, j))
-        if v:
-            out[(i, j)] = v
+    for (i, j), poly in p.vals.items():
+        if i != j:
+            v = delta_truncate(poly, weak_rank(i, j))
+            if v:
+                out[(i, j)] = v
     return _element(p.poset, p.weak_rank, out)
 
 
@@ -364,14 +422,16 @@ def _triangular_solve(p, diagonal, on_left, finish):
     """
     poset = p.poset
     vals = p.vals
+    index = poset.intervals()
+    between = index.between()
     x = {}
-    for (i, j) in poset.intervals().by_weak_rank(p.weak_rank):
+    for (i, j) in index.by_weak_rank(p.weak_rank):
         if i == j:
             x[(i, j)] = diagonal[i]
             continue
         products = []
         if on_left:
-            for w in poset.elements_between(i, j):
+            for w in between[(i, j)]:
                 if w != j:
                     a = x.get((i, w))
                     if a is not None:
@@ -379,7 +439,7 @@ def _triangular_solve(p, diagonal, on_left, finish):
                         if b is not None:
                             products.append((a, b))
         else:
-            for w in poset.elements_between(i, j):
+            for w in between[(i, j)]:
                 if w != i:
                     b = x.get((w, j))
                     if b is not None:

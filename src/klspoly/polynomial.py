@@ -95,7 +95,8 @@ def _poly(num, den=1):
     Trailing zeros are trimmed and a denominator other than 1 is reduced
     against the numerators.  Every arithmetic result is built here or, when
     it is already trimmed and reduced, by :func:`_raw`; a sum of products
-    comes here once, from :func:`poly_dot`.
+    comes here once, from :func:`poly_dot` or, for every interval of an
+    incidence product at once, from ``incidence.convolve``.
     """
     while num and not num[-1]:
         num.pop()

@@ -232,16 +232,16 @@ class Poset:
         ok = self.validate_rank(rank)
         if not ok:
             return ok
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            for j in bits(strict):
-                total = 0
-                for z in self.elements_between(i, j):
-                    total += 1 if rank[z] % 2 == 0 else -1
-                if total != 0:
-                    return CheckResult.failed(
-                        "euler-sum", witness=(i, j),
-                        detail=f"alternating sum {total} on [{self.labels[i]}, {self.labels[j]}]")
+        for (i, j), zs in self.intervals().between().items():
+            if i == j:
+                continue
+            total = 0
+            for z in zs:
+                total += 1 if rank[z] % 2 == 0 else -1
+            if total != 0:
+                return CheckResult.failed(
+                    "euler-sum", witness=(i, j),
+                    detail=f"alternating sum {total} on [{self.labels[i]}, {self.labels[j]}]")
         return CheckResult.passed()
 
     def is_eulerian(self):
@@ -323,11 +323,11 @@ class Poset:
 class IntervalIndex:
     """Flat enumeration of the intervals (comparable pairs) of a poset.
 
-    Provides an O(1) membership test for a pair, and deterministic
-    iteration orders for solvers.
+    Provides an O(1) membership test for a pair, deterministic iteration
+    orders for solvers, and each interval's elements, listed once.
     """
 
-    __slots__ = ("poset", "pairs", "_slot")
+    __slots__ = ("poset", "pairs", "_slot", "_between")
 
     def __init__(self, poset):
         self.poset = poset
@@ -337,6 +337,7 @@ class IntervalIndex:
                 pairs.append((i, j))
         self.pairs = tuple(pairs)
         self._slot = {p: k for k, p in enumerate(pairs)}
+        self._between = None
 
     def __len__(self):
         return len(self.pairs)
@@ -346,6 +347,14 @@ class IntervalIndex:
 
     def contains(self, i, j):
         return (i, j) in self._slot
+
+    def between(self):
+        """{(i, j): the elements z with i <= z <= j, ascending}, in pair
+        order; built on first use and kept, as the poset is immutable."""
+        if self._between is None:
+            between = self.poset.elements_between
+            self._between = {(i, j): between(i, j) for (i, j) in self.pairs}
+        return self._between
 
     def by_weak_rank(self, weak_rank):
         """Pairs sorted by increasing weak rank, then lexicographically."""

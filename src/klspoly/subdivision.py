@@ -144,7 +144,7 @@ class SubdivisionTriple:
     sigma(x) = x v q, is available through accessors.
     """
 
-    __slots__ = ("gamma", "q", "_sigma_of")
+    __slots__ = ("gamma", "q", "_sigma_of", "_y")
 
     def __init__(self, gamma, q):
         if gamma.rank is None:
@@ -169,6 +169,7 @@ class SubdivisionTriple:
         self.gamma = gamma
         self.q = q
         self._sigma_of = sigma_of
+        self._y = frozenset(bits(gamma.up[q]))
 
     def __repr__(self):
         return f"SubdivisionTriple({self.gamma!r}, q={self.gamma.labels[self.q]})"
@@ -184,31 +185,27 @@ class SubdivisionTriple:
         return self._sigma_of[x]
 
     # -- masks over incidence elements -------------------------------------
-
-    def _y(self):
-        """The Y part (the elements above q) as a set."""
-        return set(bits(self.gamma.up[self.q]))
+    # Each mask works on ordinary and equivariant elements alike.
 
     def mask_xy(self, p):
         """Restrict to intervals with lower end in X and upper end in Y."""
-        y = self._y()
+        y = self._y
         return p.mask(lambda i, j: i not in y and j in y)
 
     def mask_xx(self, p):
-        y = self._y()
+        y = self._y
         return p.mask(lambda i, j: i not in y and j not in y)
 
     def mask_yy(self, p):
-        y = self._y()
+        y = self._y
         return p.mask(lambda i, j: i in y and j in y)
 
     def mask_interior(self, p):
         """Restrict to the pairs (x, sigma(x)); only X elements have one."""
-        sigma_of = self._sigma_of
-        return p.mask(lambda i, j: sigma_of.get(i) == j)
+        return p.select(self._sigma_of.items())
 
     def xy_pairs(self):
-        y = self._y()
+        y = self._y
         return [(i, j) for (i, j) in self.gamma.intervals()
                 if i not in y and j in y]
 

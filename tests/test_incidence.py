@@ -420,6 +420,53 @@ def test_every_algebra_result_is_well_formed(name, seed):
     assert (a - a).vals == {} and a.scale(0).vals == {}
 
 
+def test_convolve_mixes_integer_and_rational_operands():
+    rng = random.Random(7)
+    for name in ("boolean3", "cube3"):
+        poset, wr = REFERENCE_POSETS[name], REFERENCE_RANKS[name]
+        integer = eulerian_kernel(poset)
+        rational = random_element(poset, wr, rng)
+        assert any(v.den != 1 for v in rational.vals.values())
+        for a, b in ((integer, rational), (rational, integer)):
+            product = convolve(a, b)
+            assert _well_formed(product) and _agrees(product, ref_convolve(a, b))
+
+
+def test_convolve_drops_cancelled_sums_and_reduces_the_rest():
+    # in B3, {1} = 1 and {2} = 2 are the two elements of [{}, {1,2}] = [0, 3]
+    b = IncidenceElement(B3, WR3, {(1, 1): Poly([1]), (2, 2): Poly([1]),
+                                   (1, 3): Poly([1]), (2, 3): Poly([3])})
+    cancel = IncidenceElement(B3, WR3, {(0, 1): Poly([0, "1/2"]),
+                                        (0, 2): Poly([0, "-1/6"])})
+    product = convolve(cancel, b)
+    assert product.vals == {(0, 1): Poly([0, "1/2"]), (0, 2): Poly([0, "-1/6"])}
+    halves = IncidenceElement(B3, WR3, {(0, 1): Poly(["1/2"]),
+                                        (0, 2): Poly(["1/6"])})
+    product = convolve(halves, b)
+    one = product.vals[(0, 3)]
+    assert one == Poly([1]) and one.num == (1,) and one.den == 1
+    for a in (cancel, halves):
+        assert _well_formed(convolve(a, b))
+        assert _agrees(convolve(a, b), ref_convolve(a, b))
+
+
+def test_natural_weak_rank_equals_the_checked_construction():
+    for poset in (B3, polygon(5), cube_face_lattice(3)):
+        rho = poset.rank
+        checked = WeakRank(poset, {(i, j): rho[j] - rho[i]
+                                   for (i, j) in poset.intervals()})
+        assert WeakRank.natural(poset) == checked
+    # a strictly increasing rank that skips a step is still checked
+    skipping = from_covers(3, [(0, 1), (1, 2)], rank=[0, 2, 3])
+    assert not skipping.validate_rank(skipping.rank)
+    assert WeakRank.natural(skipping).value(0, 2) == 3
+    flat = from_covers(3, [(0, 1), (1, 2)], rank=[0, 1, 1])
+    with pytest.raises(ValueError) as err:
+        WeakRank.natural(flat)
+    assert str(err.value) == ("invalid weak rank: not-positive; "
+                              "witness=(1, 2); value 0 on strict interval")
+
+
 def test_scaling_by_an_unsupported_type_names_the_type():
     a = eulerian_kernel(B3)
     with pytest.raises(TypeError, match="by a str$"):
