@@ -114,7 +114,7 @@ def _check_fan(built):
     if faction is not None:
         results.append(("action-eulerian",
                         is_eulerian_action(faction.action)))
-        kappa = fan_kernel(fan, faction, validate=False)
+        kappa = fan_kernel(fan, faction)
         results.append(("equivariant-kernel", equiv_kernel_validate(kappa)))
     return results
 
@@ -392,7 +392,7 @@ def _verify_fan(path, payload):
     fan, faction = schemas.build_fan(payload)
     if faction is None:
         raise InputProblem(f"{path} carries no action")
-    kappa = fan_kernel(fan, faction, validate=False)
+    kappa = fan_kernel(fan, faction)
     return [(f"{label} on {path}", res) for label, res in kernel_checks(kappa)]
 
 

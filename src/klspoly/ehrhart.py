@@ -36,6 +36,7 @@ from .equivariant import (
     perm_cycles,
 )
 from .fans import (
+    checked_kernel,
     conv_contains,
     cylinder_kernel,
     face_permutation,
@@ -339,8 +340,9 @@ def face_kernel(cx):
     one.
     """
     weak_rank = WeakRank.natural(cx.poset)
-    return span_kernel(cx.action, weak_rank, cx.spans, lambda i, j: False,
-                       lambda w: cx.by_perm[w])
+    return checked_kernel(span_kernel(cx.action, weak_rank, cx.spans,
+                                      lambda i, j: False,
+                                      lambda w: cx.by_perm[w]))
 
 
 def check_hl_relation(cx):

@@ -21,6 +21,14 @@ so results are conjugation compatible by construction.  Each assembly
 compares one transported interval with a direct read, and one interval of
 each solve is re-verified through the induction/restriction product, so
 that the two computation paths stay honest against each other.
+
+Equivariant elements share one algebra base with ordinary ones,
+:class:`klspoly.incidence.AlgebraElement`: value lookup, equality, sums,
+negation, scaling, masks and selection are the same code, with class
+polynomials in place of polynomials through a small hook per value type.
+The reversal is :func:`klspoly.incidence.rev` too, imported here as
+``equiv_rev``.  Products, the sign twist and the inverse stay separate,
+because their arithmetic differs.
 """
 
 import os
@@ -28,9 +36,10 @@ import os
 from .polynomial import ONE, T, ZERO, Poly, _poly, poly_rev
 from .poset import PosetError, bits
 from .incidence import (
+    AlgebraElement,
     IncidenceElement,
-    _element,
     invert,
+    rev as equiv_rev,
     solve_f,
     solve_g,
     validate_kernel,
@@ -496,10 +505,6 @@ class ClassPoly:
     def is_zero(self):
         return not any(self.values.values())
 
-    @property
-    def degree(self):
-        return max(v.degree for v in self.values.values())
-
     def _same_carrier(self, other):
         if self.group != other.group:
             raise ValueError("class polynomials live on different carriers")
@@ -573,7 +578,7 @@ class ClassPoly:
         return f"ClassPoly(|carrier|={len(self.group)})"
 
 
-class EquivIncidenceElement:
+class EquivIncidenceElement(AlgebraElement):
     """Incidence element whose interval values are class polynomials.
 
     ``vals`` maps a comparable pair (i, j) to a ClassPoly whose carrier is
@@ -584,14 +589,17 @@ class EquivIncidenceElement:
 
     The constructor checks every key, carrier and the conjugation
     compatibility, for data from outside; algebra results and assemblies
-    are built by :func:`_equiv_element`, whose data hold by construction,
-    and so are span kernels, which :func:`equiv_kernel_validate` checks.
+    are built unchecked, and so are span kernels, which
+    :func:`equiv_kernel_validate` checks.
     """
 
-    __slots__ = ("action", "weak_rank", "vals")
+    __slots__ = ()
+
+    _times = staticmethod(ClassPoly.scale)
+    _reverse = staticmethod(ClassPoly.rev)
 
     def __init__(self, action, weak_rank, vals):
-        self.action = action
+        self.carrier = action
         self.weak_rank = weak_rank
         self.vals = {}
         for (i, j), cp in vals.items():
@@ -605,6 +613,17 @@ class EquivIncidenceElement:
         result = self.validate_definition()
         if not result:
             raise AssemblyInconsistent(result.describe())
+
+    @property
+    def action(self):
+        return self.carrier
+
+    @staticmethod
+    def _nonzero(cp):
+        return not cp.is_zero
+
+    def _zero_at(self, i, j):
+        return ClassPoly.constant(self.action.stabilizer(i, j), ZERO)
 
     def validate_definition(self):
         """Check conjugation compatibility across interval orbits.
@@ -644,82 +663,12 @@ class EquivIncidenceElement:
                                      "u": list(u)})
         return CheckResult.passed()
 
-    def value(self, i, j):
-        cp = self.vals.get((i, j))
-        if cp is None:
-            return ClassPoly.constant(self.action.stabilizer(i, j), ZERO)
-        return cp
-
-    def _same_carrier(self, other):
-        if self.action is not other.action or self.weak_rank != other.weak_rank:
-            raise ValueError("elements live on different carriers")
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivIncidenceElement):
-            return NotImplemented
-        self._same_carrier(other)
-        return self.vals == other.vals
-
-    def __add__(self, other):
-        self._same_carrier(other)
-        out = dict(self.vals)
-        for key, cp in other.vals.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = cp
-                continue
-            total = cur + cp
-            if total.is_zero:
-                del out[key]
-            else:
-                out[key] = total
-        return _equiv_element(self.action, self.weak_rank, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _equiv_element(self.action, self.weak_rank,
-                              {key: -cp for key, cp in self.vals.items()})
-
     def __mul__(self, other):
         return equiv_multiply(self, other)
-
-    def mask(self, pred):
-        return _equiv_element(
-            self.action, self.weak_rank,
-            {(i, j): cp for (i, j), cp in self.vals.items() if pred(i, j)})
-
-    def select(self, pairs):
-        """Keep only the values on the given intervals."""
-        vals = self.vals
-        return _equiv_element(self.action, self.weak_rank,
-                              {p: vals[p] for p in pairs if p in vals})
-
-    def scale(self, c):
-        """Multiply every value by a fixed polynomial or scalar."""
-        scaled = ((key, cp.scale(c)) for key, cp in self.vals.items())
-        return _equiv_element(self.action, self.weak_rank,
-                              {key: cp for key, cp in scaled
-                               if not cp.is_zero})
 
     def __repr__(self):
         return (f"EquivIncidenceElement(n={self.action.poset.n}, "
                 f"support={len(self.vals)})")
-
-
-def _equiv_element(action, weak_rank, vals):
-    """The EquivIncidenceElement with ``vals`` {interval: nonzero
-    ClassPoly on its stabilizer}, unchecked.
-
-    The dict is taken over as it is: every algebra result is built here
-    and drops its zero values itself.
-    """
-    element = object.__new__(EquivIncidenceElement)
-    element.action = action
-    element.weak_rank = weak_rank
-    element.vals = vals
-    return element
 
 
 def equiv_constant(action, p):
@@ -727,7 +676,7 @@ def equiv_constant(action, p):
 
     The value on every interval becomes the constant class polynomial, so
     the input must take equal values on intervals in the same orbit; a
-    CarrierMismatch-style ValueError is raised otherwise.
+    ValueError naming a non-invariant orbit is raised otherwise.
     """
     if p.poset is not action.poset and not p.poset.same_order(action.poset):
         raise ValueError("element lives on a different poset than the action")
@@ -739,7 +688,7 @@ def equiv_constant(action, p):
                     f"values on the orbit of ({i}, {j}) differ; "
                     "element is not invariant")
         vals[(i, j)] = ClassPoly.constant(action.stabilizer(i, j), poly)
-    return _equiv_element(action, p.weak_rank, vals)
+    return EquivIncidenceElement._unchecked(action, p.weak_rank, vals)
 
 
 def ev_w(p, w):
@@ -760,7 +709,7 @@ def ev_w(p, w):
             poly = cp.ev(w)
             if poly:
                 vals[(pos[i], pos[j])] = poly
-    return _element(sub, wr, vals)
+    return IncidenceElement._unchecked(sub, wr, vals)
 
 
 def equiv_multiply(p, q):
@@ -789,14 +738,7 @@ def equiv_multiply(p, q):
         if not total.is_zero:
             out[(i, j)] = total
             action.transport(out, steps)
-    return _equiv_element(action, p.weak_rank, out)
-
-
-def equiv_rev(p):
-    """Reverse each value at the weak rank of its interval."""
-    vals = {(i, j): cp.rev(p.weak_rank.value(i, j))
-            for (i, j), cp in p.vals.items()}
-    return _equiv_element(p.action, p.weak_rank, vals)
+    return EquivIncidenceElement._unchecked(action, p.weak_rank, out)
 
 
 def equiv_hat(p):
@@ -830,7 +772,7 @@ def equiv_hat(p):
             rank = ranks(w)
             signs[w] = -1 if (rank[pos[j]] - rank[pos[i]]) % 2 else 1
         vals[(i, j)] = cp.twist(signs)
-    return _equiv_element(p.action, p.weak_rank, vals)
+    return EquivIncidenceElement._unchecked(p.action, p.weak_rank, vals)
 
 
 def is_eulerian_action(action):
@@ -925,7 +867,7 @@ def _assemble(action, weak_rank, solve_at):
         if not cp.is_zero:
             vals[(i, j)] = cp
             action.transport(vals, steps)
-    element = _equiv_element(action, weak_rank, vals)
+    element = EquivIncidenceElement._unchecked(action, weak_rank, vals)
     moved = _deepest(weak_rank, [child for _rep, steps in
                                  action.interval_orbits()
                                  for child, _parent, _g in steps])
@@ -1098,10 +1040,7 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     delta_ell = _assemble(action, weak_rank, lambda w: local_at(w).delta_ell)
 
     masked = triple.mask_interior(kappa)
-    lhs = _equiv_element(
-        action, weak_rank,
-        {key: cp.scale(T - ONE) for key, cp in h_sigma.vals.items()})
-    if lhs != equiv_multiply(g, masked):
+    if h_sigma.scale(T - ONE) != equiv_multiply(g, masked):
         raise AssemblyInconsistent(
             "(t-1)h does not match g * masked kernel equivariantly")
     if equiv_multiply(ell_sigma, g) != h_sigma:

@@ -26,6 +26,7 @@ from .linalg import (
     mat_vec,
 )
 from .equivariant import (
+    EquivIncidenceElement,
     GroupTooLarge,
     NotAutomorphism,
     PermAction,
@@ -33,7 +34,6 @@ from .equivariant import (
     equiv_kernel_validate,
     equiv_rev,
     _classpoly,
-    _equiv_element,
     _group_bound,
     perm_cycles,
     perm_mul,
@@ -361,8 +361,7 @@ def induced_charpoly(matrix, full, sub_rank):
                  cp.den * den ** size)
 
 
-def span_kernel(action, weak_rank, spans, crossing, matrix_of,
-                validate=True):
+def span_kernel(action, weak_rank, spans, crossing, matrix_of):
     """Kernel from span data: quotient characteristic polynomials.
 
     ``spans`` gives the factored span of each poset element; on [i, j] the
@@ -370,10 +369,9 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of,
     and every stabilizer class rep is read off that one factorization.
     ``crossing`` is a predicate on pairs that receives an extra factor of
     (t - 1); ``matrix_of`` maps each group element to its matrix.  The
-    kernel is built unchecked and validated once, by
-    :func:`equiv_kernel_validate` (conjugation compatibility included),
-    here unless told otherwise; a caller that passes ``validate=False``
-    runs that validation itself.
+    kernel is built unchecked, and each caller validates it once: by
+    :func:`checked_kernel`, or by :func:`equiv_kernel_validate` where the
+    result is reported rather than raised.
     """
     poset = action.poset
     tm1 = T - ONE
@@ -389,14 +387,19 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of,
                 p = p * tm1
             values[w] = p
         vals[(i, j)] = _classpoly(stab, values)
-    kernel = _equiv_element(action, weak_rank, vals)
-    if validate:
-        result = equiv_kernel_validate(kernel)
-        if not result:
-            raise FanError(f"span data does not produce a kernel: "
-                           f"{result.describe()}")
-        if equiv_rev(kernel) != equiv_hat(kernel):
-            raise FanError("span kernel is not rank alternating")
+    return EquivIncidenceElement._unchecked(action, weak_rank, vals)
+
+
+def checked_kernel(kernel):
+    """A span kernel after its one validation, which raises FanError:
+    :func:`equiv_kernel_validate` (conjugation compatibility included),
+    then rank alternation, reversal equal to the sign twist."""
+    result = equiv_kernel_validate(kernel)
+    if not result:
+        raise FanError(f"span data does not produce a kernel: "
+                       f"{result.describe()}")
+    if equiv_rev(kernel) != equiv_hat(kernel):
+        raise FanError("span kernel is not rank alternating")
     return kernel
 
 
@@ -409,12 +412,12 @@ def cylinder_kernel(triple, action, spans, matrix_of):
     rank of the cylinder.
     """
     weak_rank = WeakRank.natural(triple.gamma)
-    return span_kernel(action, weak_rank, spans,
-                       lambda i, j: triple.in_x(i) and triple.in_y(j),
-                       matrix_of)
+    return checked_kernel(span_kernel(
+        action, weak_rank, spans,
+        lambda i, j: triple.in_x(i) and triple.in_y(j), matrix_of))
 
 
-def fan_kernel(fan, faction, validate=True):
+def fan_kernel(fan, faction):
     """The equivariant kernel of a fan action.
 
     On [z,z'] and group element w this is the characteristic polynomial of
@@ -425,7 +428,7 @@ def fan_kernel(fan, faction, validate=True):
     weak_rank = WeakRank.natural(fan.face_poset)
     spans = [fan.span(z) for z in range(fan.n)]
     return span_kernel(action, weak_rank, spans, lambda i, j: False,
-                       faction.matrix_of, validate=validate)
+                       faction.matrix_of)
 
 
 def fixed_fan(fan, faction, w):
@@ -499,12 +502,12 @@ class PolytopeGeometry:
                                       "face")
         return action, by_perm
 
-    def kernel(self, action, by_perm, validate=True):
+    def kernel(self, action, by_perm):
         weak_rank = WeakRank.natural(self.poset)
         return span_kernel(
             action, weak_rank, self.spans,
             lambda i, j: self.in_y[j] and not self.in_y[i],
-            lambda w: by_perm[tuple(w)], validate=validate)
+            lambda w: by_perm[tuple(w)])
 
 
 def polytope_cone_triple(vertices, faces, covers, face_index):

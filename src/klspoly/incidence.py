@@ -3,6 +3,11 @@
 An incidence element assigns a polynomial to every interval of a carrier
 poset.  A weak rank function bounds degrees interval by interval; it is a
 first-class object and is never silently assumed to be the natural rank.
+The operations that do not depend on the value type (lookup, equality,
+sums, negation, scaling, masks, selection and the reversal :func:`rev`)
+live once on :class:`AlgebraElement`, the base that the equivariant
+elements of :mod:`klspoly.equivariant` share; a small hook per value type
+supplies the rest.
 
 The central objects are kernels: elements kappa with unit diagonal,
 deg kappa(z,z') <= r(z,z'), whose inverse equals their degree-r reversal.
@@ -147,24 +152,124 @@ class WeakRank:
         return f"WeakRank(on {self.poset!r})"
 
 
-class IncidenceElement:
-    """A polynomial for every interval of a poset, with a weak rank handle.
+class AlgebraElement:
+    """Values on the intervals of a carrier, with a weak rank handle.
 
-    Only nonzero values are stored.  All binary operations require both
-    operands to share the identical carrier (poset and weak rank); mixing
-    carriers raises CarrierMismatch rather than guessing.
+    The operations that do not depend on the value type, shared by
+    :class:`IncidenceElement` (polynomials on the intervals of a poset) and
+    :class:`klspoly.equivariant.EquivIncidenceElement` (class polynomials
+    on the interval stabilizers of a group action).  Only nonzero values
+    are stored.  All binary operations require both operands to share the
+    identical carrier and weak rank; mixing carriers raises CarrierMismatch
+    rather than guessing.
 
-    The constructor checks every key and value, for loaded and user data;
-    algebra results are built by :func:`_element`, whose keys and values
-    hold by construction.
+    A subclass fixes the value type through four hooks: ``_nonzero(v)``;
+    ``_zero_at(i, j)``, the value on an interval with nothing stored;
+    ``_times(v, factor)``, for a factor lifted by ``Poly._lift``; and
+    ``_reverse(v, r)``, the degree-r reversal.
+
+    Algebra results are built by :meth:`_unchecked`, whose keys and values
+    hold by construction; the subclass constructors check data from
+    outside.
     """
 
-    __slots__ = ("poset", "weak_rank", "vals")
+    __slots__ = ("carrier", "weak_rank", "vals")
+
+    @classmethod
+    def _unchecked(cls, carrier, weak_rank, vals):
+        """The element with ``vals`` {interval: nonzero value}, unchecked.
+
+        The dict is taken over as it is: every algebra result (products,
+        sums, masks, reversal, the solvers, the inverse, the assemblies) is
+        built here from values on intervals of the carrier, and drops its
+        zero values itself.
+        """
+        element = _new(cls)
+        element.carrier = carrier
+        element.weak_rank = weak_rank
+        element.vals = vals
+        return element
+
+    def value(self, i, j):
+        v = self.vals.get((i, j))
+        return self._zero_at(i, j) if v is None else v
+
+    def _same_carrier(self, other):
+        if self.carrier != other.carrier or self.weak_rank != other.weak_rank:
+            raise CarrierMismatch("incidence elements live on different carriers")
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return (self.carrier == other.carrier
+                and self.weak_rank == other.weak_rank
+                and self.vals == other.vals)
+
+    def __add__(self, other):
+        self._same_carrier(other)
+        nonzero = self._nonzero
+        out = dict(self.vals)
+        for pair, v in other.vals.items():
+            cur = out.get(pair)
+            if cur is None:
+                out[pair] = v
+                continue
+            total = cur + v
+            if nonzero(total):
+                out[pair] = total
+            else:
+                del out[pair]
+        return self._unchecked(self.carrier, self.weak_rank, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._unchecked(self.carrier, self.weak_rank,
+                               {p: -v for p, v in self.vals.items()})
+
+    def scale(self, c):
+        """Multiply every value by a fixed polynomial or scalar."""
+        factor = Poly._lift(c)
+        if factor is NotImplemented:
+            raise TypeError(f"cannot scale an incidence element by a "
+                            f"{type(c).__name__}")
+        if not factor:
+            return self._unchecked(self.carrier, self.weak_rank, {})
+        times = self._times
+        return self._unchecked(self.carrier, self.weak_rank,
+                               {p: times(v, factor)
+                                for p, v in self.vals.items()})
+
+    def mask(self, pred):
+        """Keep only the intervals where pred(i, j) is true."""
+        return self._unchecked(self.carrier, self.weak_rank,
+                               {p: v for p, v in self.vals.items()
+                                if pred(*p)})
+
+    def select(self, pairs):
+        """Keep only the values on the given intervals."""
+        vals = self.vals
+        return self._unchecked(self.carrier, self.weak_rank,
+                               {p: vals[p] for p in pairs if p in vals})
+
+
+class IncidenceElement(AlgebraElement):
+    """A polynomial for every interval of a poset, with a weak rank handle.
+
+    The constructor checks every key and value, for loaded and user data.
+    """
+
+    __slots__ = ()
+
+    _nonzero = staticmethod(Poly.__bool__)
+    _times = staticmethod(Poly.__mul__)
+    _reverse = staticmethod(poly_rev)
 
     def __init__(self, poset, weak_rank, values=None):
         if weak_rank.poset != poset:
             raise CarrierMismatch("weak rank lives on a different poset")
-        self.poset = poset
+        self.carrier = poset
         self.weak_rank = weak_rank
         idx = poset.intervals()
         vals = {}
@@ -178,71 +283,22 @@ class IncidenceElement:
                     vals[pair] = poly
         self.vals = vals
 
-    def value(self, i, j):
-        if not self.poset.intervals().contains(i, j):
+    @property
+    def poset(self):
+        return self.carrier
+
+    def _zero_at(self, i, j):
+        if not self.carrier.intervals().contains(i, j):
             raise ValueError(f"({i}, {j}) is not an interval")
-        return self.vals.get((i, j), ZERO)
+        return ZERO
 
     def support(self):
         return sorted(self.vals)
-
-    def _same_carrier(self, other):
-        if self.poset != other.poset or self.weak_rank != other.weak_rank:
-            raise CarrierMismatch("incidence elements live on different carriers")
-
-    def __eq__(self, other):
-        if not isinstance(other, IncidenceElement):
-            return NotImplemented
-        return (self.poset == other.poset and self.weak_rank == other.weak_rank
-                and self.vals == other.vals)
-
-    def __add__(self, other):
-        self._same_carrier(other)
-        out = dict(self.vals)
-        for pair, poly in other.vals.items():
-            cur = out.get(pair)
-            if cur is None:
-                out[pair] = poly
-                continue
-            total = cur + poly
-            if total:
-                out[pair] = total
-            else:
-                del out[pair]
-        return _element(self.poset, self.weak_rank, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _element(self.poset, self.weak_rank,
-                        {p: -v for p, v in self.vals.items()})
 
     def __mul__(self, other):
         if isinstance(other, IncidenceElement):
             return convolve(self, other)
         return NotImplemented
-
-    def scale(self, c):
-        factor = Poly._lift(c)
-        if factor is NotImplemented:
-            raise TypeError(f"cannot scale an incidence element by a "
-                            f"{type(c).__name__}")
-        if not factor:
-            return _element(self.poset, self.weak_rank, {})
-        return _element(self.poset, self.weak_rank,
-                        {p: v * factor for p, v in self.vals.items()})
-
-    def mask(self, pred):
-        """Keep only the intervals where pred(i, j) is true."""
-        return _element(self.poset, self.weak_rank,
-                        {p: v for p, v in self.vals.items() if pred(*p)})
-
-    def select(self, pairs):
-        """Keep only the values on the given intervals."""
-        vals = self.vals
-        return _element(self.poset, self.weak_rank,
-                        {p: vals[p] for p in pairs if p in vals})
 
     def __repr__(self):
         return f"IncidenceElement({len(self.vals)} nonzero intervals on {self.poset!r})"
@@ -272,21 +328,6 @@ def _weak_rank(poset, values):
     wr.poset = poset
     wr._values = values
     return wr
-
-
-def _element(poset, weak_rank, vals):
-    """The IncidenceElement with ``vals`` {interval: nonzero Poly}, unchecked.
-
-    The dict is taken over as it is: every algebra result (convolution,
-    sums, masks, reversal, the solvers, the inverse) is built here from
-    values on intervals of the carrier, and drops its zero values itself.
-    Data from outside goes through the checking constructor instead.
-    """
-    element = _new(IncidenceElement)
-    element.poset = poset
-    element.weak_rank = weak_rank
-    element.vals = vals
-    return element
 
 
 def delta(poset, weak_rank):
@@ -357,7 +398,7 @@ def convolve(a, b):
         total = _poly(num, den)
         if total:
             out[key] = total
-    return _element(a.poset, a.weak_rank, out)
+    return IncidenceElement._unchecked(a.poset, a.weak_rank, out)
 
 
 def rev(p):
@@ -365,11 +406,13 @@ def rev(p):
 
     Requires deg p(z,z') <= r(z,z') everywhere (DegreeExceedsRank
     otherwise).  An involution, and multiplicative across convolution
-    because weak ranks add along chains.
+    because weak ranks add along chains.  One body for both element kinds:
+    each value is reversed by its type's ``_reverse`` hook.
     """
     wr = p.weak_rank
-    return _element(p.poset, wr, {(i, j): poly_rev(poly, wr.value(i, j))
-                                  for (i, j), poly in p.vals.items()})
+    reverse = p._reverse
+    return p._unchecked(p.carrier, wr, {(i, j): reverse(v, wr.value(i, j))
+                                        for (i, j), v in p.vals.items()})
 
 
 def _natural_rho(poset):
@@ -390,7 +433,7 @@ def hat(p):
         raise UnsuitablePoset(
             f"hat needs a lower Eulerian carrier: {res.describe()}")
     rho = _natural_rho(p.poset)
-    return _element(p.poset, p.weak_rank, {
+    return IncidenceElement._unchecked(p.poset, p.weak_rank, {
         (i, j): poly if (rho[j] - rho[i]) % 2 == 0 else -poly
         for (i, j), poly in p.vals.items()})
 
@@ -407,7 +450,7 @@ def delta_op(p):
             v = delta_truncate(poly, weak_rank(i, j))
             if v:
                 out[(i, j)] = v
-    return _element(p.poset, p.weak_rank, out)
+    return IncidenceElement._unchecked(p.poset, p.weak_rank, out)
 
 
 def _triangular_solve(p, diagonal, on_left, finish):
@@ -449,7 +492,7 @@ def _triangular_solve(p, diagonal, on_left, finish):
         value = finish(poly_dot(products), i, j)
         if value:
             x[(i, j)] = value
-    return _element(poset, p.weak_rank, x)
+    return IncidenceElement._unchecked(poset, p.weak_rank, x)
 
 
 def invert(p):
@@ -517,19 +560,21 @@ def is_multiplicative(kappa):
     smaller interval [a, j], and kappa(i,a) kappa(a,j) = kappa(i,j) by the
     check on [i, j]; so kappa(i,w) kappa(w,j) = kappa(i,j).
 
-    The witness is the first failing chain (i, w, j).
+    The witness is the first failing chain (i, w, j).  Values are read
+    off the stored dict: every pair looked up is an interval.
     """
     poset = kappa.poset
-    unit = [kappa.value(i, i) == ONE for i in range(poset.n)]
+    value = kappa.vals.get
+    unit = [value((i, i), ZERO) == ONE for i in range(poset.n)]
     upper_covers = [[] for _ in range(poset.n)]
     for a, b in poset.covers():
         upper_covers[a].append(b)
     for (i, j) in poset.intervals():
         middle = [a for a in upper_covers[i] if a != j and poset.leq(a, j)]
         ends = [w for w in {i, j} if not unit[w]]
-        target = kappa.value(i, j)
+        target = value((i, j), ZERO)
         for w in sorted(ends + middle):
-            if kappa.value(i, w) * kappa.value(w, j) != target:
+            if value((i, w), ZERO) * value((w, j), ZERO) != target:
                 return CheckResult.failed("multiplicative", witness=(i, w, j))
     return CheckResult.passed()
 
@@ -564,8 +609,9 @@ def eulerian_kernel(poset):
     rho = _natural_rho(poset)
     wr = WeakRank.natural(poset)
     powers = _t_minus_1_powers(max(rho) - min(rho))
-    return _element(poset, wr, {(i, j): powers[rho[j] - rho[i]]
-                                for (i, j) in poset.intervals()})
+    return IncidenceElement._unchecked(
+        poset, wr, {(i, j): powers[rho[j] - rho[i]]
+                    for (i, j) in poset.intervals()})
 
 
 def _check_solver_preconditions(kappa):

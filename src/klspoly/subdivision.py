@@ -31,7 +31,7 @@ once and reads that solution on both of its routes.
 from __future__ import annotations
 
 from .incidence import (
-    _element,
+    IncidenceElement,
     _natural_rho,
     convolve,
     delta_op,
@@ -365,7 +365,7 @@ def local_invariants(triple, weak_rank, kappa):
     h_vals = {}
     for pair, poly in h_raw.vals.items():
         h_vals[pair] = poly_div_t_minus_1(poly)
-    h_sigma = _element(gamma, weak_rank, h_vals)
+    h_sigma = IncidenceElement._unchecked(gamma, weak_rank, h_vals)
     ell_sigma = convolve(h_sigma, solution.g_inv)
     delta_ell = delta_op(ell_sigma)
 

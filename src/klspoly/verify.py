@@ -224,7 +224,7 @@ def hexagon_dihedral_setup():
     rot = ((1, -1), (1, 0))
     ref = ((0, 1), (1, 0))
     action, by_perm = geom.action([rot, ref])
-    kappa = geom.kernel(action, by_perm, validate=False)
+    kappa = geom.kernel(action, by_perm)
     return triple, action, kappa
 
 
@@ -233,7 +233,7 @@ def square_fan_setup():
 
     _tag, payload = load_fixture("square_fan_z4.json", expect="fan")
     fan, faction = build_fan(payload)
-    kappa = fan_kernel(fan, faction, validate=False)
+    kappa = fan_kernel(fan, faction)
     return fan, faction, kappa
 
 

@@ -8,7 +8,7 @@ import pytest
 from klspoly import cli, equivariant, fans
 from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
                                  EquivIncidenceElement,
-                                 NotAutomorphism, PermAction, _equiv_element,
+                                 NotAutomorphism, PermAction,
                                  check_equivariant_theorem, equiv_constant,
                                  equiv_hat, equiv_invert,
                                  equiv_kernel_validate,
@@ -16,9 +16,9 @@ from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
                                  equiv_rev, equiv_solve_f, equiv_solve_g,
                                  equiv_z_function, ev_w, is_eulerian_action,
                                  perm_inv, perm_mul, validate_action)
-from klspoly.incidence import (WeakRank, delta, eulerian_kernel,
-                               validate_kernel)
-from klspoly.polynomial import Poly
+from klspoly.incidence import (CarrierMismatch, WeakRank, delta,
+                               eulerian_kernel, rev, validate_kernel)
+from klspoly.polynomial import Poly, poly_rev
 from klspoly.poset import boolean_algebra, polygon
 from klspoly.schemas import (build_group, build_poset, build_triple,
                              load_document)
@@ -239,6 +239,74 @@ def test_every_algebra_result_is_well_formed():
     assert (a - a).vals == {} and a.scale(Poly([0])).vals == {}
 
 
+def _pointwise(f, *elems):
+    """{interval: f(values)} over the union of the supports, zeros dropped:
+    an operation worked out on the value dicts, without element code."""
+    keys = set().union(*(e.vals for e in elems))
+    vals = {k: f(*(e.vals.get(k, Poly()) for e in elems)) for k in keys}
+    return {k: v for k, v in vals.items() if v}
+
+
+def test_ev_w_commutes_with_the_shared_operations():
+    # each operation both element kinds share, at every group element: the
+    # evaluation of the equivariant result equals the plain result on the
+    # fixed poset, and both equal the values worked out directly
+    action = dihedral_polygon_action(4)
+    wr = natural_weak_rank(action)
+    rng = seeded_rng(11)
+    a = random_equiv_element(action, wr, rng)
+    # b is zero on the intervals starting at the bottom 0, which every w
+    # fixes, so sums meet keys stored on one side only
+    b = random_equiv_element(action, wr, rng).mask(lambda i, j: i != 0)
+    kappa = equiv_constant(action, eulerian_kernel(action.poset))
+    # constant values times a kernel keep every degree within the weak rank
+    low = random_equiv_element(action, wr, rng, max_deg=0) * kappa
+    pairs = sorted(action.poset.intervals())[::3]
+
+    def pred(i, j):
+        return (i + j) % 2 == 0
+
+    for w in action.elements:
+        _sub, emb, pos = action.fixed_poset(w)
+        ea, eb, elow = ev_w(a, w), ev_w(b, w), ev_w(low, w)
+        fixed = [(pos[i], pos[j]) for (i, j) in pairs
+                 if w[i] == i and w[j] == j]
+        cases = [
+            (a + b, ea + eb, _pointwise(lambda x, y: x + y, ea, eb)),
+            (b - a, eb - ea, _pointwise(lambda x, y: x - y, eb, ea)),
+            (-a, -ea, _pointwise(lambda x: -x, ea)),
+            (a.select(pairs), ea.select(fixed),
+             {k: v for k, v in ea.vals.items() if k in fixed}),
+            (a.mask(pred), ea.mask(lambda i, j: pred(emb[i], emb[j])),
+             {(i, j): v for (i, j), v in ea.vals.items()
+              if pred(emb[i], emb[j])}),
+            (equiv_rev(low), rev(elow),
+             {(i, j): poly_rev(v, elow.weak_rank.value(i, j))
+              for (i, j), v in elow.vals.items()})]
+        cases += [(a.scale(c), ea.scale(c), _pointwise(lambda x: x * c, ea))
+                  for c in (3, Fraction(-2, 5), Poly([1, -1]), 0)]
+        for equivariant_result, plain, expected in cases:
+            assert ev_w(equivariant_result, w) == plain
+            assert plain.vals == expected
+    assert low.vals and equiv_rev is rev
+
+
+def test_both_element_kinds_refuse_to_mix_carriers():
+    # plain elements on two posets and equivariant ones under two actions
+    # on one poset: sums and products raise, equality is False
+    square = polygon(4)
+    plain = (eulerian_kernel(square), eulerian_kernel(polygon(5)))
+    kappa = eulerian_kernel(square)
+    equiv = (equiv_constant(dihedral_polygon_action(4), kappa),
+             equiv_constant(rotation_polygon_action(4), kappa))
+    for p, q in (plain, equiv):
+        for op in (lambda: p + q, lambda: p - q, lambda: p * q):
+            with pytest.raises(CarrierMismatch,
+                               match="live on different carriers"):
+                op()
+        assert not p == q and p != q and p == p
+
+
 def _square_kernel():
     action = dihedral_polygon_action(4)
     return action, equiv_constant(action, eulerian_kernel(action.poset))
@@ -254,7 +322,7 @@ def test_a_class_function_that_is_not_conjugation_compatible_is_named():
     vals[(0, 1)] = ClassPoly(stab, {w: Poly([5]) if w == action.identity
                                     else kappa.value(0, 1).ev(w)
                                     for w in stab.reps})
-    broken = _equiv_element(action, kappa.weak_rank, vals)
+    broken = EquivIncidenceElement._unchecked(action, kappa.weak_rank, vals)
     res = equiv_kernel_validate(broken)
     assert not res and res.reason == "conjugation-compatibility"
     rotation = (0, 2, 3, 4, 1, 6, 7, 8, 5, 9)
