@@ -106,8 +106,8 @@ def _check_triple(triple):
 
 
 def _check_fan(built):
-    from .equivariant import equiv_kernel_validate, is_eulerian_action
-    from .fans import fan_kernel
+    from .equivariant import is_eulerian_action
+    from .fans import fan_kernel, validate_span_kernel
 
     fan, faction = built
     results = [("lower-eulerian", fan.face_poset.is_lower_eulerian())]
@@ -115,7 +115,7 @@ def _check_fan(built):
         results.append(("action-eulerian",
                         is_eulerian_action(faction.action)))
         kappa = fan_kernel(fan, faction)
-        results.append(("equivariant-kernel", equiv_kernel_validate(kappa)))
+        results.append(("equivariant-kernel", validate_span_kernel(kappa)))
     return results
 
 
@@ -256,7 +256,7 @@ def _table_pairs(triple, args):
         pair = _headline_pair(triple)
         if pair is not None:
             return [pair]
-    return sorted(triple.xy_pairs())
+    return triple.xy_pairs()
 
 
 def cmd_local(args):

@@ -340,8 +340,7 @@ def face_kernel(cx):
     one.
     """
     weak_rank = WeakRank.natural(cx.poset)
-    return checked_kernel(span_kernel(cx.action, weak_rank, cx.spans,
-                                      lambda i, j: False,
+    return checked_kernel(span_kernel(cx.action, weak_rank, cx.spans, (),
                                       lambda w: cx.by_perm[w]))
 
 

@@ -24,7 +24,7 @@ that the two computation paths stay honest against each other.
 
 Equivariant elements share one algebra base with ordinary ones,
 :class:`klspoly.incidence.AlgebraElement`: value lookup, equality, sums,
-negation, scaling, masks and selection are the same code, with class
+negation, scaling and selection are the same code, with class
 polynomials in place of polynomials through a small hook per value type.
 The reversal is :func:`klspoly.incidence.rev` too, imported here as
 ``equiv_rev``.  Products, the sign twist and the inverse stay separate,

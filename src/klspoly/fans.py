@@ -39,7 +39,7 @@ from .equivariant import (
     perm_mul,
 )
 from .status import InputError
-from .subdivision import SubdivisionTriple
+from .subdivision import SubdivisionTriple, _elements_agree
 
 
 class FanError(InputError):
@@ -367,13 +367,15 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of):
     ``spans`` gives the factored span of each poset element; on [i, j] the
     basis of spans[i] is extended greedily by the basis of spans[j], once,
     and every stabilizer class rep is read off that one factorization.
-    ``crossing`` is a predicate on pairs that receives an extra factor of
-    (t - 1); ``matrix_of`` maps each group element to its matrix.  The
-    kernel is built unchecked, and each caller validates it once: by
-    :func:`checked_kernel`, or by :func:`equiv_kernel_validate` where the
-    result is reported rather than raised.
+    ``crossing`` is the set of intervals that receive an extra factor of
+    (t - 1), a subdivision triple's X x Y block or none; ``matrix_of`` maps
+    each group element to its matrix.  The kernel is built unchecked, and
+    each caller validates it once through :func:`validate_span_kernel`:
+    by :func:`checked_kernel`, or where the result is reported rather than
+    raised.
     """
     poset = action.poset
+    crossing = frozenset(crossing)
     tm1 = T - ONE
     vals = {}
     for (i, j) in poset.intervals():
@@ -383,23 +385,34 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of):
         values = {}
         for w in stab.reps:
             p = induced_charpoly(matrix_of(w), full, sub.rank)
-            if crossing(i, j):
+            if (i, j) in crossing:
                 p = p * tm1
             values[w] = p
         vals[(i, j)] = _classpoly(stab, values)
     return EquivIncidenceElement._unchecked(action, weak_rank, vals)
 
 
-def checked_kernel(kernel):
-    """A span kernel after its one validation, which raises FanError:
+def validate_span_kernel(kernel):
+    """The one validation of a span kernel, as a CheckResult:
     :func:`equiv_kernel_validate` (conjugation compatibility included),
-    then rank alternation, reversal equal to the sign twist."""
+    then rank alternation, reversal equal to the sign twist, failing as
+    "rank-alternating" with the first differing interval as witness."""
     result = equiv_kernel_validate(kernel)
+    if not result:
+        return result
+    return _elements_agree("rank-alternating", equiv_rev(kernel),
+                           equiv_hat(kernel))
+
+
+def checked_kernel(kernel):
+    """A span kernel after :func:`validate_span_kernel`, which raises
+    FanError on a failure."""
+    result = validate_span_kernel(kernel)
+    if result.reason == "rank-alternating":
+        raise FanError("span kernel is not rank alternating")
     if not result:
         raise FanError(f"span data does not produce a kernel: "
                        f"{result.describe()}")
-    if equiv_rev(kernel) != equiv_hat(kernel):
-        raise FanError("span kernel is not rank alternating")
     return kernel
 
 
@@ -412,9 +425,8 @@ def cylinder_kernel(triple, action, spans, matrix_of):
     rank of the cylinder.
     """
     weak_rank = WeakRank.natural(triple.gamma)
-    return checked_kernel(span_kernel(
-        action, weak_rank, spans,
-        lambda i, j: triple.in_x(i) and triple.in_y(j), matrix_of))
+    return checked_kernel(span_kernel(action, weak_rank, spans,
+                                      triple.xy_pairs(), matrix_of))
 
 
 def fan_kernel(fan, faction):
@@ -427,8 +439,7 @@ def fan_kernel(fan, faction):
     action = faction.action
     weak_rank = WeakRank.natural(fan.face_poset)
     spans = [fan.span(z) for z in range(fan.n)]
-    return span_kernel(action, weak_rank, spans, lambda i, j: False,
-                       faction.matrix_of)
+    return span_kernel(action, weak_rank, spans, (), faction.matrix_of)
 
 
 def fixed_fan(fan, faction, w):
@@ -471,20 +482,18 @@ class PolytopeGeometry:
 
     Holds the vertex coordinates, the per-face spans (spans of the faces'
     vertex vectors, once the origin sits in the designated face's relative
-    interior), and which faces contain the designated face.  Provides the
-    matrix group actions and the kernel whose crossing pairs pick up the
-    (t - 1) factor.
+    interior), and the triple of the face lattice split at the designated
+    face.  Provides the matrix group actions and the kernel whose crossing
+    pairs, the triple's X x Y block, pick up the (t - 1) factor.
     """
 
-    def __init__(self, vertices, faces, poset, face_index):
+    def __init__(self, vertices, faces, triple):
         self.vertices = lattice_points(vertices, "vertex", FanError)
         self.faces = tuple(frozenset(f) for f in faces)
-        self.poset = poset
-        self.face_index = face_index
+        self.triple = triple
         self.dim = len(self.vertices[0]) if self.vertices else 0
         self.spans = [Span(self.vertices[k] for k in sorted(f))
                       for f in self.faces]
-        self.in_y = [poset.leq(face_index, z) for z in range(poset.n)]
 
     def action(self, matrices):
         """Permutation action on the face lattice induced by matrices.
@@ -492,22 +501,22 @@ class PolytopeGeometry:
         Each matrix must permute the vertices; the face permutation must
         be faithful so kernels can evaluate matrices at permutations.
         """
-        action, pairs = matrix_action(self.poset, self.faces, self.dim,
+        triple = self.triple
+        action, pairs = matrix_action(triple.gamma, self.faces, self.dim,
                                       matrices,
                                       vertex_permutation(self.vertices))
         by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
         for w in action.generators:
-            if w[self.face_index] != self.face_index:
+            if w[triple.q] != triple.q:
                 raise NotAutomorphism("action does not fix the designated "
                                       "face")
         return action, by_perm
 
     def kernel(self, action, by_perm):
-        weak_rank = WeakRank.natural(self.poset)
-        return span_kernel(
-            action, weak_rank, self.spans,
-            lambda i, j: self.in_y[j] and not self.in_y[i],
-            lambda w: by_perm[tuple(w)])
+        weak_rank = WeakRank.natural(self.triple.gamma)
+        return span_kernel(action, weak_rank, self.spans,
+                           self.triple.xy_pairs(),
+                           lambda w: by_perm[tuple(w)])
 
 
 def polytope_cone_triple(vertices, faces, covers, face_index):
@@ -529,7 +538,8 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
         if not faces[i] <= faces[j]:
             raise FanError(f"face relation {i} <= {j} inconsistent with "
                            "vertex sets")
-    geometry = PolytopeGeometry(vertices, faces, poset, face_index)
+    triple = SubdivisionTriple(poset, face_index)
+    geometry = PolytopeGeometry(vertices, faces, triple)
     face_points = [geometry.vertices[k] for k in sorted(faces[face_index])]
     if not face_points:
         raise FanError("designated face has no vertices")
@@ -538,11 +548,10 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
         raise FanError("origin is not in the relative interior of the "
                        "designated face")
     for z in range(n):
-        expected = rank[z] - (1 if geometry.in_y[z] else 0)
+        expected = rank[z] - (1 if poset.leq(face_index, z) else 0)
         actual = geometry.spans[z].rank
         if actual != expected:
             raise FanError(
                 f"span dimension of face {labels[z]} is {actual}, "
                 f"inconsistent with its rank")
-    triple = SubdivisionTriple(poset, face_index)
     return triple, geometry

@@ -4,7 +4,7 @@ An incidence element assigns a polynomial to every interval of a carrier
 poset.  A weak rank function bounds degrees interval by interval; it is a
 first-class object and is never silently assumed to be the natural rank.
 The operations that do not depend on the value type (lookup, equality,
-sums, negation, scaling, masks, selection and the reversal :func:`rev`)
+sums, negation, scaling, selection and the reversal :func:`rev`)
 live once on :class:`AlgebraElement`, the base that the equivariant
 elements of :mod:`klspoly.equivariant` share; a small hook per value type
 supplies the rest.
@@ -76,7 +76,7 @@ class WeakRank:
     """An integer on every interval: nonnegative, zero exactly on the
     diagonal, and additive along chains."""
 
-    __slots__ = ("poset", "_values")
+    __slots__ = ("poset", "_values", "_order")
 
     def __init__(self, poset, values):
         self.poset = poset
@@ -87,6 +87,7 @@ class WeakRank:
                 raise ValueError(f"weak rank missing on interval {pair}")
             vals[pair] = int(values[pair])
         self._values = vals
+        self._order = None
         res = self.validate()
         if not res:
             raise ValueError(f"invalid weak rank: {res.describe()}")
@@ -96,6 +97,14 @@ class WeakRank:
             return self._values[(i, j)]
         except KeyError:
             raise ValueError(f"({i}, {j}) is not an interval") from None
+
+    def order(self):
+        """The intervals by weak rank, then pair: the order of the
+        triangular solves, sorted on first use and kept."""
+        if self._order is None:
+            rank = self._values
+            self._order = tuple(sorted(rank, key=lambda p: (rank[p], p)))
+        return self._order
 
     def validate(self):
         for (i, j), r in self._values.items():
@@ -180,7 +189,7 @@ class AlgebraElement:
         """The element with ``vals`` {interval: nonzero value}, unchecked.
 
         The dict is taken over as it is: every algebra result (products,
-        sums, masks, reversal, the solvers, the inverse, the assemblies) is
+        sums, selections, reversal, the solvers, the inverse, the assemblies) is
         built here from values on intervals of the carrier, and drops its
         zero values itself.
         """
@@ -240,12 +249,6 @@ class AlgebraElement:
         return self._unchecked(self.carrier, self.weak_rank,
                                {p: times(v, factor)
                                 for p, v in self.vals.items()})
-
-    def mask(self, pred):
-        """Keep only the intervals where pred(i, j) is true."""
-        return self._unchecked(self.carrier, self.weak_rank,
-                               {p: v for p, v in self.vals.items()
-                                if pred(*p)})
 
     def select(self, pairs):
         """Keep only the values on the given intervals."""
@@ -327,6 +330,7 @@ def _weak_rank(poset, values):
     wr = _new(WeakRank)
     wr.poset = poset
     wr._values = values
+    wr._order = None
     return wr
 
 
@@ -465,10 +469,9 @@ def _triangular_solve(p, diagonal, on_left, finish):
     """
     poset = p.poset
     vals = p.vals
-    index = poset.intervals()
-    between = index.between()
+    between = poset.intervals().between()
     x = {}
-    for (i, j) in index.by_weak_rank(p.weak_rank):
+    for (i, j) in p.weak_rank.order():
         if i == j:
             x[(i, j)] = diagonal[i]
             continue

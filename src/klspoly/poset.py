@@ -323,8 +323,8 @@ class Poset:
 class IntervalIndex:
     """Flat enumeration of the intervals (comparable pairs) of a poset.
 
-    Provides an O(1) membership test for a pair, deterministic iteration
-    orders for solvers, and each interval's elements, listed once.
+    Provides an O(1) membership test for a pair, a deterministic iteration
+    order, and each interval's elements, listed once.
     """
 
     __slots__ = ("poset", "pairs", "_slot", "_between")
@@ -355,10 +355,6 @@ class IntervalIndex:
             between = self.poset.elements_between
             self._between = {(i, j): between(i, j) for (i, j) in self.pairs}
         return self._between
-
-    def by_weak_rank(self, weak_rank):
-        """Pairs sorted by increasing weak rank, then lexicographically."""
-        return sorted(self.pairs, key=lambda p: (weak_rank.value(*p), p))
 
 
 def from_covers(n, covers, labels=None, rank=None):

@@ -6,6 +6,9 @@ satisfy a signed-count condition.  Such maps correspond bijectively to
 triples (Gamma, rho, q): Gamma a lower Eulerian poset, rho a rank function,
 q a join-admissible element above the minimum.  The cylinder direction
 glues X below Y along sigma; the inverse direction splits Gamma at q.
+A triple makes that split once: it holds the intervals of its X x X,
+X x Y and Y x Y blocks, and every mask over an incidence element is a
+``select`` over one of them.
 
 Given a kernel kappa on the cylinder, the local h-polynomial h_sigma and
 local invariant ell_sigma of the subdivision are defined on mixed
@@ -139,12 +142,13 @@ class SubdivisionTriple:
     """(Gamma, rho, q): a ranked lower Eulerian poset with a distinguished
     non-minimal element whose join with every element exists.
 
-    All invariants are enforced at construction.  The split into
-    X = elements not above q and Y = elements above q, with
-    sigma(x) = x v q, is available through accessors.
+    All invariants are enforced at construction.  X = elements not above q,
+    Y = elements above q, sigma(x) = x v q; the triple holds the intervals
+    of its X x X, X x Y and Y x Y blocks in interval order, and every mask
+    is a ``select`` over one of them.
     """
 
-    __slots__ = ("gamma", "q", "_sigma_of", "_y")
+    __slots__ = ("gamma", "q", "_sigma_of", "_xx", "_xy", "_yy")
 
     def __init__(self, gamma, q):
         if gamma.rank is None:
@@ -166,19 +170,19 @@ class SubdivisionTriple:
                 raise SubdivisionError(f"q is not join-admissible: no join of "
                                        f"{gamma.labels[z]} and {gamma.labels[q]}")
             sigma_of[z] = j
+        # X, the key set of sigma_of, is a lower set: (i, j) lies in X x X
+        # when j is in X, and in Y x Y when i is in Y
+        pairs = gamma.intervals()
+        self._xx = tuple(p for p in pairs if p[1] in sigma_of)
+        self._xy = tuple(p for p in pairs
+                         if p[0] in sigma_of and p[1] not in sigma_of)
+        self._yy = tuple(p for p in pairs if p[0] not in sigma_of)
         self.gamma = gamma
         self.q = q
         self._sigma_of = sigma_of
-        self._y = frozenset(bits(gamma.up[q]))
 
     def __repr__(self):
         return f"SubdivisionTriple({self.gamma!r}, q={self.gamma.labels[self.q]})"
-
-    def in_y(self, z):
-        return self.gamma.leq(self.q, z)
-
-    def in_x(self, z):
-        return not self.gamma.leq(self.q, z)
 
     def sigma_of(self, x):
         """The join x v q, for x in the X part."""
@@ -189,25 +193,21 @@ class SubdivisionTriple:
 
     def mask_xy(self, p):
         """Restrict to intervals with lower end in X and upper end in Y."""
-        y = self._y
-        return p.mask(lambda i, j: i not in y and j in y)
+        return p.select(self._xy)
 
     def mask_xx(self, p):
-        y = self._y
-        return p.mask(lambda i, j: i not in y and j not in y)
+        return p.select(self._xx)
 
     def mask_yy(self, p):
-        y = self._y
-        return p.mask(lambda i, j: i in y and j in y)
+        return p.select(self._yy)
 
     def mask_interior(self, p):
         """Restrict to the pairs (x, sigma(x)); only X elements have one."""
         return p.select(self._sigma_of.items())
 
     def xy_pairs(self):
-        y = self._y
-        return [(i, j) for (i, j) in self.gamma.intervals()
-                if i not in y and j in y]
+        """The X x Y intervals, in the poset's interval order."""
+        return self._xy
 
     def to_json(self):
         return {"poset": self.gamma.to_json(), "q": self.q}
@@ -563,23 +563,16 @@ def check_product_identities(s1, s2):
     _, li2 = _cylinder_data(s2)
     tp, lip = _cylinder_data(sp)
 
-    nx1, ny1 = s1.X.n, s1.Y.n
-    nx2, ny2 = s2.X.n, s2.Y.n
+    # a cylinder lists X first, then Y shifted by |X|
+    nx1, nx2, ny2 = s1.X.n, s2.X.n, s2.Y.n
     nxp = sp.X.n
-
-    def cyl1(z, is_y):
-        return nx1 + z if is_y else z
-
-    def cyl2(z, is_y):
-        return nx2 + z if is_y else z
-
     # ell of product = product of ells, on every mixed pair
     for (i, j) in tp.xy_pairs():
         x1, x2 = divmod(i, nx2)
         y1, y2 = divmod(j - nxp, ny2)
         lhs = lip.ell_sigma.value(i, j)
-        rhs = (li1.ell_sigma.value(cyl1(x1, False), cyl1(y1, True))
-               * li2.ell_sigma.value(cyl2(x2, False), cyl2(y2, True)))
+        rhs = (li1.ell_sigma.value(x1, nx1 + y1)
+               * li2.ell_sigma.value(x2, nx2 + y2))
         if lhs != rhs:
             return CheckResult.failed("product-ell", witness=(i, j),
                                       detail=f"{lhs!r} != {rhs!r}")
@@ -612,13 +605,12 @@ def check_product_identities(s1, s2):
         b1, x2 = divmod(i, nx2)
         b2, y2 = divmod(j - nxi, ny2)
         h_lhs = liid.h_sigma.value(i, j)
-        h_rhs = gy1.value(b1, b2) * li2.h_sigma.value(cyl2(x2, False), cyl2(y2, True))
+        h_rhs = gy1.value(b1, b2) * li2.h_sigma.value(x2, nx2 + y2)
         if h_lhs != h_rhs:
             return CheckResult.failed("id-factor-h", witness=(i, j),
                                       detail=f"{h_lhs!r} != {h_rhs!r}")
         l_lhs = liid.ell_sigma.value(i, j)
-        l_rhs = (li2.ell_sigma.value(cyl2(x2, False), cyl2(y2, True))
-                 if b1 == b2 else ZERO)
+        l_rhs = li2.ell_sigma.value(x2, nx2 + y2) if b1 == b2 else ZERO
         if l_lhs != l_rhs:
             return CheckResult.failed("id-factor-ell", witness=(i, j),
                                       detail=f"{l_lhs!r} != {l_rhs!r}")

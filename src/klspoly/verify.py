@@ -262,11 +262,11 @@ def solver_crosscheck(kappa):
 
 
 def kernel_checks(kappa):
-    """The checks of an equivariant kernel, under bare labels: its
-    validation and the solver cross-check."""
-    from .equivariant import equiv_kernel_validate
+    """The checks of an equivariant span kernel, under bare labels: its
+    validation, rank alternation included, and the solver cross-check."""
+    from .fans import validate_span_kernel
 
-    return [("kernel", equiv_kernel_validate(kappa)),
+    return [("kernel", validate_span_kernel(kappa)),
             ("solvers", solver_crosscheck(kappa))]
 
 

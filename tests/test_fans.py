@@ -4,19 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from klspoly.equivariant import (GroupTooLarge, NotAutomorphism,
-                                 classpoly_json, equiv_kernel_validate,
+from klspoly.equivariant import (GroupTooLarge, NotAutomorphism, PermAction,
+                                 classpoly_json, equiv_constant,
+                                 equiv_kernel_validate,
                                  equiv_local_invariants, equiv_rev,
                                  equiv_multiply, equiv_solve_f, equiv_solve_g,
                                  equiv_z_function, ev_w)
 from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
-                          cone_contains, conv_contains, fan_kernel,
-                          fixed_fan, polytope_cone_triple, primitive_vector,
-                          relint_contains)
+                          checked_kernel, cone_contains, conv_contains,
+                          fan_kernel, fixed_fan, polytope_cone_triple,
+                          primitive_vector, relint_contains)
+from klspoly.incidence import IncidenceElement, WeakRank, validate_kernel
 from klspoly.linalg import Span, charpoly, identity_matrix
 from klspoly.polynomial import Poly, poly_rev
+from klspoly.poset import boolean_algebra
 from klspoly.schemas import load_document
-from klspoly.verify import fixture_path, hexagon_polytope
+from klspoly.verify import fixture_path, hexagon_polytope, kernel_checks
 
 
 def load_fan_fixture(name):
@@ -169,6 +172,26 @@ def test_finite_order_charpoly_mirror_identity():
         moved = Span(tuple(x - y for x, y in zip(row, irow))
                      for row, irow in zip(m, identity_matrix(d))).rank
         assert det == (-1) ** moved
+
+
+def test_a_kernel_that_is_not_rank_alternating_fails_validation():
+    # t - 1 on the four covers of the square B2 and 2 - 2t on (0, 3):
+    # kappa * rev(kappa) = delta, but rev(kappa)(0, 3) = 2t^2 - 2t is not
+    # the sign twist 2 - 2t
+    square = boolean_algebra(2)
+    values = {(z, z): [1] for z in range(4)}
+    values.update({pair: [-1, 1] for pair in ((0, 1), (0, 2), (1, 3),
+                                              (2, 3))})
+    values[(0, 3)] = [2, -2]
+    kappa = IncidenceElement(square, WeakRank.natural(square), values)
+    assert validate_kernel(kappa)
+    trivial = equiv_constant(PermAction(square, [tuple(range(4))]), kappa)
+    checks = dict(kernel_checks(trivial))
+    assert not checks["kernel"]
+    assert checks["kernel"].reason == "rank-alternating"
+    assert checks["kernel"].witness == (0, 3)
+    with pytest.raises(FanError, match="not rank alternating"):
+        checked_kernel(trivial)
 
 
 def test_polytope_triple_at_the_full_face():

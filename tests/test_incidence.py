@@ -413,7 +413,8 @@ def test_every_algebra_result_is_well_formed(name, seed):
     b = random_element(poset, wr, rng)
     kappa = random_kernel(poset, rng)
     results = [a + b, a - b, a - a, -a, a * b, a.scale(0), a.scale(Fraction(1, 2)),
-               a.mask(lambda i, j: (i + j) % 2), rev(kappa), hat(kappa),
+               a.select([(i, j) for (i, j) in poset.intervals() if (i + j) % 2]),
+               rev(kappa), hat(kappa),
                delta_op(kappa), solve_g(kappa), solve_f(kappa),
                invert(kappa), z_function(kappa)]
     assert all(_well_formed(e) for e in results)

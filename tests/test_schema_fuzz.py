@@ -5,9 +5,10 @@ Each example takes one bundled document and breaks it in one way: drops a
 key, puts a value of the wrong type somewhere, puts an index out of range,
 or adds the reverse of a cover relation (a cycle in the order).  It then
 runs ``check`` on it, or one of the commands the document's kind feeds:
-the ``ehrhart`` counts on a complex, the ``local`` tables on a triple,
-``verify --suite equivariant`` on a fan, and ``local --equivariant`` with
-a group.
+the ``kls`` solvers on a poset, the ``ehrhart`` counts on a complex, the
+``local`` tables on a triple, ``verify --suite equivariant`` on a fan, and
+``local --equivariant`` with a group.  The bundled kernel file is broken
+the same ways and fed to ``kls --kernel``.
 The command line must exit 0 (the document still holds), 1 (a check
 fails) or 2 with an ``error:`` message, and must not raise.
 """
@@ -34,24 +35,41 @@ def _document(name):
         return json.load(fh)
 
 
-DOCUMENTS = {name: _document(name) for name in FIXTURES}
-
 #: Where the fuzzed document goes on a command line.
 DOC = object()
 CHECK = ("check", DOC)
+KLS = [("kls", DOC, "--what", what)
+       for what in ("f", "g", "z", "h", "toric-h")]
 EHRHART = [("ehrhart", DOC, "--what", what)
            for what in ("hstar", "local-hstar", "series", "reciprocity")]
 LOCAL = [("local", DOC), ("local", DOC, "--relative-g")]
 FAN = [("verify", DOC, "--suite", "equivariant")]
 GROUP = [("local", "fixture:polygon_s3_top.json", "--equivariant", DOC)]
 #: Every fixture's mutations drive ``check``, and these commands too.
-COMMANDS = {"crosscut_d4.json": EHRHART, "seg2_flip.json": EHRHART,
-            "unit_square.json": EHRHART, "cube3_facet.json": LOCAL,
-            "polygon_s2.json": LOCAL, "cone_square_z4.json": FAN,
-            "square_fan_z4.json": FAN, "polygon_s3_rotation.json": GROUP}
+COMMANDS = {"boolean3.json": KLS, "crosscut_d4.json": EHRHART,
+            "seg2_flip.json": EHRHART, "unit_square.json": EHRHART,
+            "cube3_facet.json": LOCAL, "polygon_s2.json": LOCAL,
+            "cone_square_z4.json": FAN, "square_fan_z4.json": FAN,
+            "polygon_s3_rotation.json": GROUP}
+#: A kernel file is no schema document, so ``check`` does not take it and
+#: its mutations drive these commands only.  The bundled one is corrupted:
+#: unmutated, ``kls`` rejects it with exit 1.
+KERNEL_FILES = {"corrupted_kernel_b3.json": [
+    ("kls", "fixture:boolean3.json", "--what", what, "--all", "--kernel", DOC)
+    for what in ("g", "z")]}
+NAMES = FIXTURES + tuple(KERNEL_FILES)
+DOCUMENTS = {name: _document(name) for name in NAMES}
+
+
+def _commands(name):
+    if name in KERNEL_FILES:
+        return KERNEL_FILES[name]
+    return [CHECK] + COMMANDS.get(name, [])
+
 
 #: Keys whose integers index elements, vertices, rays or cones.
-INDEX_KEYS = ("covers", "faces", "cones", "sigma", "q", "generators")
+INDEX_KEYS = ("covers", "faces", "cones", "sigma", "q", "generators",
+              "values")
 WRONG_TYPES = (None, True, 1.5, "x", [], {}, [[]], -1)
 OUT_OF_RANGE = (-1, 1000)
 
@@ -118,13 +136,13 @@ def _argv(command, path):
 @st.composite
 def mutated_documents(draw):
     """(mutated document, a command it drives)."""
-    name = draw(st.sampled_from(FIXTURES))
+    name = draw(st.sampled_from(NAMES))
     doc = copy.deepcopy(DOCUMENTS[name])
     mutations = [_drop, _retype, _out_of_range]
     if _has_covers(doc):
         mutations.append(_reversed_cover)
     draw(st.sampled_from(mutations))(doc, draw)
-    command = draw(st.sampled_from([CHECK] + COMMANDS.get(name, [])))
+    command = draw(st.sampled_from(_commands(name)))
     return doc, command
 
 
@@ -137,10 +155,11 @@ def exit_of(argv):
 
 
 def test_every_fixture_of_the_fuzz_checks_clean():
-    for name in FIXTURES:
-        for command in [CHECK] + COMMANDS.get(name, []):
+    for name in NAMES:
+        code = 1 if name in KERNEL_FILES else 0
+        for command in _commands(name):
             argv = _argv(command, fixture_path(name))
-            assert exit_of(argv) == (0, ""), argv
+            assert exit_of(argv) == (code, ""), argv
 
 
 @settings(max_examples=700, deadline=None, derandomize=True,

@@ -1,9 +1,13 @@
 """Strong formal subdivisions, mapping cylinders, and local invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klspoly.incidence import eulerian_kernel
+from klspoly.equivariant import PermAction
+from klspoly.fans import polytope_cone_triple
+from klspoly.incidence import IncidenceElement, WeakRank, eulerian_kernel
 from klspoly.polynomial import Poly
 from klspoly.poset import (boolean_algebra, cube_face_lattice, from_covers,
                            polygon, segment_subdivision)
@@ -16,6 +20,10 @@ from klspoly.subdivision import (StrongFormalSubdivision, SubdivisionError,
                                  segment_refinement_sfs,
                                  segment_subdivision_sfs, solve_kernel,
                                  triple_to_sfs)
+from klspoly.verify import (admissible_triples, builder_corpus,
+                            hexagon_dihedral_setup)
+
+from conftest import random_equiv_element
 
 
 def test_segment_subdivision_sfs_validates():
@@ -245,3 +253,60 @@ def test_a_shared_solution_matches_a_raw_kernel_at_every_q(poset):
         assert check_corollary_z(triple, solution)
         seen += 1
     assert seen > 0
+
+
+def _split_cases():
+    """(name, triple, action): every corpus triple under the trivial
+    action, and the two polytope triples under their symmetry groups."""
+    for name, poset in builder_corpus():
+        trivial = PermAction(poset, [tuple(range(poset.n))])
+        for q, triple in admissible_triples(poset):
+            yield f"{name} q={q}", triple, trivial
+    hexagon, action, _kappa = hexagon_dihedral_setup()
+    yield "hexagon", hexagon, action
+    # a square with the origin at its vertex 0, the swap of the axes
+    verts = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    faces = [[], [0], [1], [2], [3], [0, 1], [0, 2], [1, 3], [2, 3],
+             [0, 1, 2, 3]]
+    covers = [(0, k) for k in (1, 2, 3, 4)]
+    covers += [(1, 5), (2, 5), (1, 6), (3, 6), (2, 7), (4, 7), (3, 8), (4, 8)]
+    covers += [(k, 9) for k in (5, 6, 7, 8)]
+    square, geom = polytope_cone_triple(verts, faces, covers, 1)
+    action, _by_perm = geom.action([[[0, 1], [1, 0]]])
+    yield "square at a vertex", square, action
+
+
+def test_a_triple_splits_its_intervals_into_three_blocks():
+    # the blocks are the X x X, X x Y and Y x Y filters of the intervals,
+    # in interval order, and cover each interval once; each mask keeps
+    # exactly its filter's values of plain and equivariant elements
+    rng = random.Random(17)
+    cases = 0
+    for name, triple, action in _split_cases():
+        gamma, q = triple.gamma, triple.q
+        intervals = tuple(gamma.intervals())
+
+        def in_y(z):
+            return gamma.leq(q, z)
+
+        filters = {
+            triple.mask_xx: lambda i, j: not in_y(i) and not in_y(j),
+            triple.mask_xy: lambda i, j: not in_y(i) and in_y(j),
+            triple.mask_yy: lambda i, j: in_y(i) and in_y(j)}
+        blocks = (triple._xx, triple.xy_pairs(), triple._yy)
+        for block, keep in zip(blocks, filters.values()):
+            assert block == tuple(p for p in intervals if keep(*p)), name
+        assert sum(map(len, blocks)) == len(intervals), name
+        wr = WeakRank.natural(gamma)
+        plain = IncidenceElement(gamma, wr, {
+            p: Poly([rng.randint(1, 3)]) for p in intervals
+            if rng.random() < 0.7})
+        equiv = random_equiv_element(action, wr, rng, max_deg=0)
+        for mask, keep in filters.items():
+            for element in (plain, equiv):
+                masked = mask(element)
+                assert masked.carrier is element.carrier, name
+                assert masked.vals == {p: v for p, v in element.vals.items()
+                                       if keep(*p)}, name
+        cases += 1
+    assert cases > 100
