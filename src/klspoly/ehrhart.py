@@ -559,19 +559,18 @@ class ComplexCylinder:
                                f"subdivision: {res.describe()}")
         self.triple = mapping_cylinder(sfs)
         nx = cx.poset.n
-        gamma_gens = []
-        for fp in (cx.action.generators or [cx.action.identity]):
-            cp = cx.coarse_perm[fp]
-            gamma_gens.append(tuple(fp) + tuple(c + nx for c in cp))
-        self.action = PermAction(self.triple.gamma, gamma_gens,
-                                 max_group=len(cx.action))
-        self._to_fine = {}
-        for fp in cx.action.elements:
-            cp = cx.coarse_perm[fp]
-            self._to_fine[tuple(fp) + tuple(c + nx for c in cp)] = fp
-        if set(self._to_fine) != set(self.action.elements):
-            raise ComplexError("cylinder symmetries disagree with the "
-                               "complex symmetries")
+
+        def lift(fp):
+            return tuple(fp) + tuple(c + nx for c in cx.coarse_perm[fp])
+
+        # the coarse permutations follow the vertex permutations, so the
+        # lifts of the complex's group are the group the lifted
+        # generators generate, already closed
+        self._to_fine = {lift(fp): fp for fp in cx.action.elements}
+        self.action = PermAction._closed(
+            self.triple.gamma,
+            [lift(fp) for fp in cx.action.generators or [cx.action.identity]],
+            self._to_fine)
         spans = list(cx.spans) + list(cx.coarse_spans)
         self.kappa = cylinder_kernel(
             self.triple, self.action, spans,

@@ -14,11 +14,14 @@ B^w for one representative w of each conjugacy class of the group (behind
 checks that it is conjugation compatible and that the group preserves its
 weak rank), and the f/g/Z solvers run once per such class.  Values are
 class functions, stored once per conjugacy class of each interval
-stabilizer and once per interval; the per-w answers are read on one
-interval per orbit of the group and transported to the rest of the orbit
-through the conjugating element, and products are summed the same way,
-so results are conjugation compatible by construction.  Each assembly
-compares one transported interval with a direct read, and one interval of
+stabilizer and once per interval.  One orbit assembly, :func:`_assemble`,
+builds every computed element from a read of its values: the per-w
+answers of the solvers and the quotient characteristic polynomials of the
+span kernels in :mod:`klspoly.fans` alike are read on one interval per
+orbit of the group and transported to the rest of the orbit through the
+conjugating element, and products are summed the same way, so results
+are conjugation compatible by construction.  Each assembly re-reads the
+deepest transported interval of every orbit directly, and one interval of
 each solve is re-verified through the induction/restriction product, so
 that the two computation paths stay honest against each other.
 
@@ -66,10 +69,10 @@ class AssemblyInconsistent(VerificationFailure):
     """Per-element values do not glue into an equivariant element.
 
     Raised when data from outside fail conjugation compatibility, when a
-    transported value disagrees with the value read directly off the
-    fixed posets, or when an assembled solution fails its product
-    cross-check.  For the solvers this signals that the
-    input was not actually an equivariant kernel.
+    transported value disagrees with the value read directly (off the
+    fixed posets or the spans), or when an assembled solution fails its
+    product cross-check.  For the solvers this signals that the input was
+    not actually an equivariant kernel.
     """
 
 
@@ -180,6 +183,27 @@ class Subgroup:
                 f"classes={len(self.reps)})")
 
 
+def _closure(generators, n, bound):
+    """The group generated by permutations of 0..n-1, as a set, closed
+    breadth-first; GroupTooLarge once it would exceed ``bound`` elements."""
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                b = perm_mul(g, a)
+                if b not in seen:
+                    if len(seen) >= bound:
+                        raise GroupTooLarge(
+                            f"group closure exceeds bound {bound}")
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
 class PermAction:
     """A finite group of poset automorphisms, given by generators.
 
@@ -192,10 +216,31 @@ class PermAction:
     fixed-point bitmask of every element, and the conjugation map of every
     generator.  Stabilizers test one mask per element, and conjugacy
     classes, interval orbits and transport read the tables; no |G|^2
-    multiplication table is built.
+    multiplication table is built.  A caller that has closed the group
+    already builds the action with :meth:`_closed`.
     """
 
     def __init__(self, poset, generators, max_group=None):
+        self._set_generators(poset, generators)
+        self._set_tables(_closure(self.generators, poset.n,
+                                  _group_bound(max_group)))
+
+    @classmethod
+    def _closed(cls, poset, generators, elements):
+        """The action whose group ``elements`` the caller has closed.
+
+        The generators are checked as by the constructor and the tables
+        are built, but the breadth-first closure is skipped: ``elements``
+        must be exactly the group the generators generate, as the matrix
+        closure of :func:`klspoly.fans.matrix_action` and the complex
+        symmetries moved onto a cylinder are.
+        """
+        action = object.__new__(cls)
+        action._set_generators(poset, generators)
+        action._set_tables(elements)
+        return action
+
+    def _set_generators(self, poset, generators):
         self.poset = poset
         gens = []
         for gen in generators:
@@ -204,24 +249,10 @@ class PermAction:
             if g not in gens:
                 gens.append(g)
         self.generators = tuple(sorted(gens))
-        bound = _group_bound(max_group)
-        ident = tuple(range(poset.n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = perm_mul(g, a)
-                    if b not in seen:
-                        if len(seen) >= bound:
-                            raise GroupTooLarge(
-                                f"group closure exceeds bound {bound}")
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        self.elements = elements = tuple(sorted(seen))
-        self.identity = ident
+
+    def _set_tables(self, group):
+        self.elements = elements = tuple(sorted(group))
+        self.identity = tuple(range(self.poset.n))
         self._index = index = {w: k for k, w in enumerate(elements)}
         self._inverse = [index[perm_inv(w)] for w in elements]
         self._fixed = [sum(1 << z for z, y in enumerate(w) if y == z)
@@ -588,9 +619,9 @@ class EquivIncidenceElement(AlgebraElement):
     each other by conjugation; ``validate_definition`` checks the latter.
 
     The constructor checks every key, carrier and the conjugation
-    compatibility, for data from outside; algebra results and assemblies
-    are built unchecked, and so are span kernels, which
-    :func:`equiv_kernel_validate` checks.
+    compatibility, for data from outside; algebra results and assemblies,
+    span kernels among them, are built unchecked, and
+    :func:`equiv_kernel_validate` still checks a kernel's compatibility.
     """
 
     __slots__ = ()
@@ -834,19 +865,42 @@ def equiv_kernel_validate(kappa):
     return CheckResult.passed()
 
 
-def _assemble(action, weak_rank, solve_at):
-    """Glue per-fixed-poset incidence elements into class-function form.
+def _assemble(action, weak_rank, read):
+    """The equivariant element whose values ``read`` gives, read once per
+    interval orbit.
+
+    ``read(i, j)`` returns the ClassPoly on the stabilizer of (i, j).  It
+    is called on the first interval of each orbit of
+    :meth:`PermAction.interval_orbits`, and the value is transported to
+    the rest of the orbit, so the result is conjugation compatible by
+    construction.  The deepest transported interval of each orbit is then
+    read directly too, the independent route: a mismatch means the read
+    values do not glue into an equivariant element (the input was not
+    equivariant) and raises AssemblyInconsistent naming the interval.
+    """
+    vals = {}
+    element = EquivIncidenceElement._unchecked(action, weak_rank, vals)
+    for (i, j), steps in action.interval_orbits():
+        cp = read(i, j)
+        if not cp.is_zero:
+            vals[(i, j)] = cp
+            action.transport(vals, steps)
+        moved = _deepest(weak_rank, [child for child, _parent, _g in steps])
+        if moved is not None and element.value(*moved) != read(*moved):
+            raise AssemblyInconsistent(
+                f"per-element values are not conjugation compatible on "
+                f"interval {moved}")
+    return element
+
+
+def _fixed_poset_read(action, solve_at):
+    """The read of :func:`_assemble` for answers solved on fixed posets.
 
     ``solve_at(r)`` is an incidence element on the fixed poset of r, and
     runs once per conjugacy class r of the whole group that is needed: an
     element u = x r x^-1 fixes exactly x B^r, so its value on (i, j) is
-    the per-r value on (x^-1 i, x^-1 j).  That read is made on one
-    interval per orbit, at each class representative of its stabilizer,
-    and the value is transported to the rest of the orbit; the result is
-    conjugation compatible by construction.  The deepest transported
-    interval is then read directly too: a mismatch means the per-element
-    values do not glue into an equivariant element (the input was not
-    equivariant) and raises AssemblyInconsistent naming the interval.
+    the per-r value on (x^-1 i, x^-1 j), read at each class
+    representative u of the stabilizer of (i, j).
     """
     solved = {}
 
@@ -861,23 +915,7 @@ def _assemble(action, weak_rank, solve_at):
             values[u] = solved[r].value(pos[xinv[i]], pos[xinv[j]])
         return _classpoly(stab, values)
 
-    vals = {}
-    for (i, j), steps in action.interval_orbits():
-        cp = read(i, j)
-        if not cp.is_zero:
-            vals[(i, j)] = cp
-            action.transport(vals, steps)
-    element = EquivIncidenceElement._unchecked(action, weak_rank, vals)
-    moved = _deepest(weak_rank, [child for _rep, steps in
-                                 action.interval_orbits()
-                                 for child, _parent, _g in steps])
-    if moved is not None:
-        i, j = moved
-        if element.value(i, j) != read(i, j):
-            raise AssemblyInconsistent(
-                f"per-element values are not conjugation compatible on "
-                f"interval ({i}, {j})")
-    return element
+    return read
 
 
 def _deepest(weak_rank, pairs):
@@ -918,7 +956,8 @@ def _equiv_solve(kappa, solver, name, left):
     rev(x) = x * kappa (``left``) or kappa * x on one deterministic
     interval through the induction/restriction product."""
     action = kappa.action
-    x = _assemble(action, kappa.weak_rank, lambda w: solver(ev_w(kappa, w)))
+    x = _assemble(action, kappa.weak_rank, _fixed_poset_read(
+        action, lambda w: solver(ev_w(kappa, w))))
     i, j = _deepest(kappa.weak_rank, action.poset.intervals())
     p, q = (x, kappa) if left else (kappa, x)
     if equiv_rev(x).value(i, j) != _multiply_at(
@@ -950,9 +989,9 @@ def equiv_z_function(kappa, g=None, f=None):
     action = kappa.action
     g = g if g is not None else equiv_solve_g(kappa)
     f = f if f is not None else equiv_solve_f(kappa)
-    z = _assemble(action, kappa.weak_rank,
-                  lambda w: z_function(ev_w(kappa, w), g=ev_w(g, w),
-                                       f=ev_w(f, w)))
+    z = _assemble(action, kappa.weak_rank, _fixed_poset_read(
+        action, lambda w: z_function(ev_w(kappa, w), g=ev_w(g, w),
+                                     f=ev_w(f, w))))
     if z != equiv_rev(z):
         raise AssemblyInconsistent("assembled Z is not symmetric")
     i, j = _deepest(kappa.weak_rank, action.poset.intervals())
@@ -966,7 +1005,8 @@ def equiv_z_function(kappa, g=None, f=None):
 def equiv_invert(p):
     """Inverse, computed on the fixed posets and reassembled."""
     action = p.action
-    return _assemble(action, p.weak_rank, lambda w: invert(ev_w(p, w)))
+    return _assemble(action, p.weak_rank, _fixed_poset_read(
+        action, lambda w: invert(ev_w(p, w))))
 
 
 def classpoly_json(action, cp):
@@ -1034,10 +1074,14 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
             per[w] = local_invariants(triple_w, wr_w, kw)
         return per[w]
 
-    g = _assemble(action, weak_rank, lambda w: local_at(w).g)
-    h_sigma = _assemble(action, weak_rank, lambda w: local_at(w).h_sigma)
-    ell_sigma = _assemble(action, weak_rank, lambda w: local_at(w).ell_sigma)
-    delta_ell = _assemble(action, weak_rank, lambda w: local_at(w).delta_ell)
+    def assemble(field):
+        return _assemble(action, weak_rank, _fixed_poset_read(
+            action, lambda w: getattr(local_at(w), field)))
+
+    g = assemble("g")
+    h_sigma = assemble("h_sigma")
+    ell_sigma = assemble("ell_sigma")
+    delta_ell = assemble("delta_ell")
 
     masked = triple.mask_interior(kappa)
     if h_sigma.scale(T - ONE) != equiv_multiply(g, masked):

@@ -26,13 +26,13 @@ from .linalg import (
     mat_vec,
 )
 from .equivariant import (
-    EquivIncidenceElement,
     GroupTooLarge,
     NotAutomorphism,
     PermAction,
     equiv_hat,
     equiv_kernel_validate,
     equiv_rev,
+    _assemble,
     _classpoly,
     _group_bound,
     perm_cycles,
@@ -69,10 +69,13 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     ``point_perm`` maps a dim x dim exact matrix (int entries, Fraction only
     where an entry is not an integer) to the permutation it
     induces on the points (raising loudly when it has none).  The matrix
-    group is closed eagerly, keyed on face permutations: if two distinct
-    matrices induce the same face permutation the action is not faithful
-    and the failure is loud, so a kernel can evaluate one well-defined
-    matrix at each poset permutation.  Returns (PermAction,
+    group is closed eagerly, once, keyed on face permutations: if two
+    distinct matrices induce the same face permutation the action is not
+    faithful and the failure is loud, so a kernel can evaluate one
+    well-defined matrix at each poset permutation.  The closed face
+    permutations are the group of the PermAction, handed over through
+    :meth:`PermAction._closed`, which checks the generators but does not
+    close the group a second time.  Returns (PermAction,
     {face perm: (point perm, matrix)}).
     """
     gens = []
@@ -108,12 +111,8 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
                         "action is not faithful: two distinct group elements "
                         "induce the same permutation")
         frontier = nxt
-    action = PermAction(poset, [g[0] for g in gens] or [ident],
-                        max_group=max_group)
-    if len(action) != len(seen):
-        raise NotAutomorphism("permutation closure disagrees with the "
-                              "matrix closure")
-    return action, seen
+    return PermAction._closed(poset, [g[0] for g in gens] or [ident],
+                              seen), seen
 
 
 def primitive_vector(v):
@@ -364,21 +363,23 @@ def induced_charpoly(matrix, full, sub_rank):
 def span_kernel(action, weak_rank, spans, crossing, matrix_of):
     """Kernel from span data: quotient characteristic polynomials.
 
-    ``spans`` gives the factored span of each poset element; on [i, j] the
-    basis of spans[i] is extended greedily by the basis of spans[j], once,
-    and every stabilizer class rep is read off that one factorization.
-    ``crossing`` is the set of intervals that receive an extra factor of
-    (t - 1), a subdivision triple's X x Y block or none; ``matrix_of`` maps
-    each group element to its matrix.  The kernel is built unchecked, and
-    each caller validates it once through :func:`validate_span_kernel`:
-    by :func:`checked_kernel`, or where the result is reported rather than
-    raised.
+    ``spans`` gives the factored span of each poset element; ``crossing``
+    is the set of intervals that receive an extra factor of (t - 1), a
+    subdivision triple's X x Y block or none; ``matrix_of`` maps each group
+    element to its matrix.  The kernel is the :func:`_assemble` of one read:
+    on [i, j] the basis of spans[i] is extended greedily by the basis of
+    spans[j], once, and every stabilizer class rep is read off that one
+    factorization.  The read runs on the first interval of each interval
+    orbit, and again on the orbit's deepest transported interval; the
+    rest of each orbit is filled by transport, so the kernel is
+    conjugation compatible by construction.  Each caller validates it once
+    through :func:`validate_span_kernel`: by :func:`checked_kernel`, or
+    where the result is reported rather than raised.
     """
-    poset = action.poset
     crossing = frozenset(crossing)
     tm1 = T - ONE
-    vals = {}
-    for (i, j) in poset.intervals():
+
+    def read(i, j):
         stab = action.stabilizer(i, j)
         sub = spans[i]
         full = sub.extend(spans[j].basis)
@@ -388,8 +389,9 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of):
             if (i, j) in crossing:
                 p = p * tm1
             values[w] = p
-        vals[(i, j)] = _classpoly(stab, values)
-    return EquivIncidenceElement._unchecked(action, weak_rank, vals)
+        return _classpoly(stab, values)
+
+    return _assemble(action, weak_rank, read)
 
 
 def validate_span_kernel(kernel):

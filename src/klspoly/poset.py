@@ -232,12 +232,13 @@ class Poset:
         ok = self.validate_rank(rank)
         if not ok:
             return ok
-        for (i, j), zs in self.intervals().between().items():
+        even = sum(1 << z for z in range(self.n) if rank[z] % 2 == 0)
+        for (i, j) in self.intervals():
             if i == j:
                 continue
-            total = 0
-            for z in zs:
-                total += 1 if rank[z] % 2 == 0 else -1
+            inside = self.up[i] & self.down[j]
+            # (number of even ranks) - (number of odd ranks) on [i, j]
+            total = 2 * (inside & even).bit_count() - inside.bit_count()
             if total != 0:
                 return CheckResult.failed(
                     "euler-sum", witness=(i, j),

@@ -244,18 +244,28 @@ def solver_crosscheck(kappa):
     time on fixed posets; the defining equations ``rev(g) = g * kappa`` and
     ``rev(f) = kappa * f`` are then re-verified with the
     induction/restriction product, which never looks at fixed posets.
-    Finally Z = g * kappa * f must be symmetric under rev.
+    Finally Z = g * kappa * f must be symmetric under rev.  A solve that
+    raises, as it may on a kernel that fails its validation, is reported
+    as "mirror-constraint": its message is the detail, and the
+    fixed-poset interval of a violated mirror constraint is the witness.
     """
-    from .equivariant import (equiv_multiply, equiv_rev, equiv_solve_f,
-                              equiv_solve_g, equiv_z_function)
+    from .equivariant import (AssemblyInconsistent, equiv_multiply,
+                              equiv_rev, equiv_solve_f, equiv_solve_g,
+                              equiv_z_function)
 
-    g = equiv_solve_g(kappa)
+    try:
+        g = equiv_solve_g(kappa)
+        f = equiv_solve_f(kappa)
+        z = equiv_z_function(kappa, g=g, f=f)
+    except MirrorConstraintViolated as exc:
+        return CheckResult.failed("mirror-constraint", witness=exc.interval,
+                                  detail=str(exc))
+    except AssemblyInconsistent as exc:
+        return CheckResult.failed("mirror-constraint", detail=str(exc))
     if equiv_rev(g) != equiv_multiply(g, kappa):
         return CheckResult.failed("g-direct-identity")
-    f = equiv_solve_f(kappa)
     if equiv_rev(f) != equiv_multiply(kappa, f):
         return CheckResult.failed("f-direct-identity")
-    z = equiv_z_function(kappa, g=g, f=f)
     if equiv_rev(z) != z:
         return CheckResult.failed("z-not-symmetric")
     return CheckResult.passed()

@@ -1,6 +1,10 @@
-"""Shared helpers: group actions and random equivariant elements."""
+"""Shared helpers: group actions, random equivariant elements, and the
+benchmark's input modules."""
 
+import importlib
 import random
+import sys
+from pathlib import Path
 
 from klspoly.equivariant import (ClassPoly, EquivIncidenceElement, PermAction,
                                  perm_inv, perm_mul)
@@ -67,3 +71,19 @@ def natural_weak_rank(action):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """A module of ``bench/``, imported with bytecode writing off, so that
+    nothing under ``bench/`` is written."""
+    sys.path.insert(0, str(BENCH))
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+        sys.path.remove(str(BENCH))

@@ -12,27 +12,17 @@ run.  The answers do not depend on the hash seed.  Nothing under
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from klspoly import cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import bench_module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    sys.path.insert(0, str(BENCH))
-    writes_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        import workloads
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-        sys.path.remove(str(BENCH))
-    return workloads
+    return bench_module("workloads")
 
 
 def _run(argv):

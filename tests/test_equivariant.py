@@ -344,6 +344,26 @@ def test_a_class_function_that_is_not_conjugation_compatible_is_named():
         equiv_invert(broken)
 
 
+def test_a_read_that_does_not_glue_is_named_at_its_interval():
+    _fan, _faction, kappa = square_fan_setup()
+    action, weak_rank = kappa.action, kappa.weak_rank
+    assert equivariant._assemble(action, weak_rank, kappa.value) == kappa
+    rep, steps = max(action.interval_orbits(), key=lambda orbit: len(orbit[1]))
+    moved = equivariant._deepest(weak_rank,
+                                 [child for child, _parent, _g in steps])
+    assert moved != rep
+
+    def read(i, j):
+        cp = kappa.value(i, j)
+        if (i, j) == moved:
+            return cp + ClassPoly.constant(cp.group, Poly([1]))
+        return cp
+
+    with pytest.raises(AssemblyInconsistent,
+                       match=re.escape(f"on interval {moved}")):
+        equivariant._assemble(action, weak_rank, read)
+
+
 def test_a_kernel_wrong_only_at_a_non_identity_class_is_named():
     # (t-1)^3 + 1 at the half-turn on (empty, top) of the rotated square:
     # the half-turn is its own conjugacy class and fixes only the empty

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from klspoly.equivariant import (GroupTooLarge, NotAutomorphism, PermAction,
+from klspoly import ehrhart, equivariant, fans
+from klspoly.ehrhart import ComplexCylinder, face_kernel
+from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
+                                 GroupTooLarge, NotAutomorphism, PermAction,
                                  classpoly_json, equiv_constant,
                                  equiv_kernel_validate,
                                  equiv_local_invariants, equiv_rev,
@@ -12,14 +15,19 @@ from klspoly.equivariant import (GroupTooLarge, NotAutomorphism, PermAction,
                                  equiv_z_function, ev_w)
 from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
                           checked_kernel, cone_contains, conv_contains,
-                          fan_kernel, fixed_fan, polytope_cone_triple,
-                          primitive_vector, relint_contains)
+                          fan_kernel, fixed_fan, induced_charpoly,
+                          polytope_cone_triple, primitive_vector,
+                          relint_contains)
 from klspoly.incidence import IncidenceElement, WeakRank, validate_kernel
 from klspoly.linalg import Span, charpoly, identity_matrix
-from klspoly.polynomial import Poly, poly_rev
+from klspoly.polynomial import ONE, T, Poly, poly_rev
 from klspoly.poset import boolean_algebra
-from klspoly.schemas import load_document
-from klspoly.verify import fixture_path, hexagon_polytope, kernel_checks
+from klspoly.schemas import build_fan, load_document
+from klspoly.verify import (COMPLEX_FIXTURES, fixture_path,
+                            hexagon_dihedral_setup, hexagon_polytope,
+                            kernel_checks, load_complex_fixture, load_fixture)
+
+from conftest import bench_module
 
 
 def load_fan_fixture(name):
@@ -174,24 +182,99 @@ def test_finite_order_charpoly_mirror_identity():
         assert det == (-1) ** moved
 
 
-def test_a_kernel_that_is_not_rank_alternating_fails_validation():
-    # t - 1 on the four covers of the square B2 and 2 - 2t on (0, 3):
-    # kappa * rev(kappa) = delta, but rev(kappa)(0, 3) = 2t^2 - 2t is not
-    # the sign twist 2 - 2t
+def _square_kernel(top):
+    """t - 1 on the four covers of the square B2 and ``top`` on (0, 3)."""
     square = boolean_algebra(2)
     values = {(z, z): [1] for z in range(4)}
     values.update({pair: [-1, 1] for pair in ((0, 1), (0, 2), (1, 3),
                                               (2, 3))})
-    values[(0, 3)] = [2, -2]
-    kappa = IncidenceElement(square, WeakRank.natural(square), values)
+    values[(0, 3)] = top
+    return IncidenceElement(square, WeakRank.natural(square), values)
+
+
+def test_a_kernel_that_is_not_rank_alternating_fails_validation():
+    # with 2 - 2t on (0, 3), kappa * rev(kappa) = delta, but
+    # rev(kappa)(0, 3) = 2t^2 - 2t is not the sign twist 2 - 2t
+    kappa = _square_kernel([2, -2])
     assert validate_kernel(kappa)
-    trivial = equiv_constant(PermAction(square, [tuple(range(4))]), kappa)
+    trivial = equiv_constant(
+        PermAction(kappa.poset, [tuple(range(4))]), kappa)
     checks = dict(kernel_checks(trivial))
     assert not checks["kernel"]
     assert checks["kernel"].reason == "rank-alternating"
     assert checks["kernel"].witness == (0, 3)
     with pytest.raises(FanError, match="not rank alternating"):
         checked_kernel(trivial)
+
+
+def test_a_solver_that_cannot_finish_is_reported_with_its_interval():
+    # with 2 - 2t + t^2 on (0, 3) the kernel fails, and no g completes the
+    # mirror constraint on (0, 3): both checks fail, and neither raises
+    kappa = _square_kernel([2, -2, 1])
+    trivial = equiv_constant(
+        PermAction(kappa.poset, [tuple(range(4))]), kappa)
+    checks = dict(kernel_checks(trivial))
+    assert not checks["kernel"]
+    assert not checks["solvers"]
+    assert checks["solvers"].reason == "mirror-constraint"
+    assert checks["solvers"].witness == (0, 3)
+
+
+def _direct_span_kernel(action, weak_rank, spans, crossing, matrix_of):
+    """The oracle of a span kernel: every interval read directly, at each
+    class representative of its stabilizer, with no transport."""
+    crossing = frozenset(crossing)
+    vals = {}
+    for (i, j) in action.poset.intervals():
+        stab = action.stabilizer(i, j)
+        sub = spans[i]
+        full = sub.extend(spans[j].basis)
+        factor = T - ONE if (i, j) in crossing else ONE
+        vals[(i, j)] = ClassPoly(stab, {
+            w: induced_charpoly(matrix_of(w), full, sub.rank) * factor
+            for w in stab.reps})
+    return EquivIncidenceElement._unchecked(action, weak_rank, vals)
+
+
+def test_every_span_kernel_equals_a_direct_read_of_every_interval(
+        monkeypatch):
+    built = []
+    span_kernel = fans.span_kernel
+
+    def recorded(*args):
+        kernel = span_kernel(*args)
+        built.append((kernel, args))
+        return kernel
+
+    monkeypatch.setattr(fans, "span_kernel", recorded)
+    monkeypatch.setattr(ehrhart, "span_kernel", recorded)
+    for make in bench_module("inputs").B3_FANS.values():
+        fan_kernel(*build_fan(make()))
+    for name in ("square_fan_z4.json", "cone_square_z4.json"):
+        fan_kernel(*build_fan(load_fixture(name, expect="fan")[1]))
+    for name in COMPLEX_FIXTURES:
+        cx = load_complex_fixture(name)
+        face_kernel(cx)
+        ComplexCylinder(cx)
+    hexagon_dihedral_setup()
+    assert len(built) == 4 + 2 * len(COMPLEX_FIXTURES) + 1
+    for kernel, args in built:
+        assert kernel == _direct_span_kernel(*args)
+
+
+def test_matrix_groups_and_cylinders_are_closed_once(monkeypatch):
+    def second_closure(*_args):
+        raise AssertionError("the group was closed a second time")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(equivariant, "_closure", second_closure)
+        _fan, faction = build_fan(bench_module("inputs").cube_fan())
+        cx = load_complex_fixture("crosscut_d4.json")
+        cyl = ComplexCylinder(cx)
+    assert (len(faction.action), len(cyl.action)) == (48, 8)
+    for action in (faction.action, cx.action, cyl.action):
+        again = PermAction(action.poset, action.generators)
+        assert action.elements == again.elements
 
 
 def test_polytope_triple_at_the_full_face():
@@ -242,9 +325,12 @@ def test_polytope_triple_at_a_vertex():
 
 def test_matrix_action_rejections():
     fan, _ = load_fan_fixture("square_fan_z4.json")
-    with pytest.raises(NotAutomorphism):
+    # twice the identity induces the identity permutation
+    with pytest.raises(NotAutomorphism, match="action is not faithful: two "
+                       "distinct group elements induce the same "
+                       "permutation"):
         EquivFanAction(fan, [[[2, 0], [0, 2]]], 10_000)
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(GroupTooLarge, match="matrix group exceeds bound 2"):
         EquivFanAction(fan, [[[0, -1], [1, 0]]], 2)
 
 
