@@ -416,6 +416,7 @@ def _verify_kernel(args, path, payload):
         except MirrorConstraintViolated as exc:
             results.append((f"solvers on {path}",
                             CheckResult.failed("mirror-constraint",
+                                               witness=exc.interval,
                                                detail=str(exc))))
     return results
 

@@ -25,6 +25,11 @@ deepest transported interval of every orbit directly, and one interval of
 each solve is re-verified through the induction/restriction product, so
 that the two computation paths stay honest against each other.
 
+One breadth-first walk, :func:`_orbit`, finds every orbit the group layer
+needs: the group itself (over matrices too, in
+:func:`klspoly.fans.matrix_action`), stabilizers, conjugacy classes with
+their conjugators along its Schreier tree, and the interval orbits.
+
 Equivariant elements share one algebra base with ordinary ones,
 :class:`klspoly.incidence.AlgebraElement`: value lookup, equality, sums,
 negation, scaling and selection are the same code, with class
@@ -72,8 +77,12 @@ class AssemblyInconsistent(VerificationFailure):
     transported value disagrees with the value read directly (off the
     fixed posets or the spans), or when an assembled solution fails its
     product cross-check.  For the solvers this signals that the input was
-    not actually an equivariant kernel.
+    not actually an equivariant kernel.  Whole-element checks name no
+    interval.
     """
+
+    def __init__(self, message, interval=None):
+        super().__init__(message, interval)
 
 
 def perm_mul(a, b):
@@ -109,6 +118,30 @@ def perm_cycles(perm, points):
     return cycles
 
 
+def _orbit(starts, moves):
+    """Walk breadth-first from ``starts``, yielding (point, parent, label).
+
+    ``moves(x)`` yields (label, image) pairs.  Every point reached is
+    yielded once: the starts first, with parent and label None, then each
+    new image with the point it was first reached from and the label of
+    that move, so the parents form a Schreier tree.  The walk is lazy, so
+    a caller can stop early.
+    """
+    seen = set()
+    queue = []
+    for x in starts:
+        if x not in seen:
+            seen.add(x)
+            queue.append(x)
+            yield x, None, None
+    for x in queue:
+        for label, image in moves(x):
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+                yield image, x, label
+
+
 def _group_bound(max_group):
     """The group size bound: the argument, else KLS_MAX_GROUP, else 10^4."""
     if max_group is not None:
@@ -134,7 +167,7 @@ class Subgroup:
 
     Built by :meth:`PermAction.stabilizer` from element ids and the
     conjugation maps of a generating set (``conj[k]`` is the id of h e h^-1
-    for the element e of id k): each class is the closure of its smallest
+    for the element e of id k): each class is the orbit of its smallest
     element under those maps.
     """
 
@@ -149,14 +182,8 @@ class Subgroup:
             rep = elements[k]
             if rep in self.class_of:
                 continue
-            cls = {k}
-            queue = [k]
-            for e in queue:
-                for table in conj:
-                    c = table[e]
-                    if c not in cls:
-                        cls.add(c)
-                        queue.append(c)
+            cls = [c for c, _e, _t in _orbit(
+                [k], lambda e: ((t, t[e]) for t in conj))]
             self.class_of.update((elements[c], rep) for c in cls)
             self.size[rep] = len(cls)
         self.reps = tuple(self.size)
@@ -186,22 +213,14 @@ class Subgroup:
 def _closure(generators, n, bound):
     """The group generated by permutations of 0..n-1, as a set, closed
     breadth-first; GroupTooLarge once it would exceed ``bound`` elements."""
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                b = perm_mul(g, a)
-                if b not in seen:
-                    if len(seen) >= bound:
-                        raise GroupTooLarge(
-                            f"group closure exceeds bound {bound}")
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
+    group = set()
+    for w, parent, _g in _orbit(
+            [tuple(range(n))],
+            lambda a: ((g, perm_mul(g, a)) for g in generators)):
+        if parent is not None and len(group) >= bound:
+            raise GroupTooLarge(f"group closure exceeds bound {bound}")
+        group.add(w)
+    return group
 
 
 class PermAction:
@@ -209,12 +228,12 @@ class PermAction:
 
     Generators are permutations of the element indices.  Each one must
     preserve the order relation in both directions and preserve the rank
-    function when the poset has one.  The full group is generated eagerly
-    (breadth-first) under a size bound (argument, else the KLS_MAX_GROUP
-    environment variable, else 10^4), and tables are built once, indexed
-    by element id (the position in ``elements``): the inverse and the
-    fixed-point bitmask of every element, and the conjugation map of every
-    generator.  Stabilizers test one mask per element, and conjugacy
+    function when the poset has one.  The full group is generated eagerly,
+    as the orbit of the identity, under a size bound (argument, else the
+    KLS_MAX_GROUP environment variable, else 10^4), and tables are built
+    once, indexed by element id (the position in ``elements``): the inverse
+    and the fixed-point bitmask of every element, and the conjugation map of
+    every generator.  Stabilizers test one mask per element, and conjugacy
     classes, interval orbits and transport read the tables; no |G|^2
     multiplication table is built.  A caller that has closed the group
     already builds the action with :meth:`_closed`.
@@ -329,16 +348,10 @@ class PermAction:
         span = {ids[0]}
         gens = []
         for k in ids:
-            if k in span:
-                continue
-            gens.append(elements[k])
-            queue = list(span)
-            for a in queue:
-                for g in gens:
-                    b = index[perm_mul(g, elements[a])]
-                    if b not in span:
-                        span.add(b)
-                        queue.append(b)
+            if k not in span:
+                gens.append(elements[k])
+                span = {b for b, _a, _g in _orbit(span, lambda a: (
+                    (g, index[perm_mul(g, elements[a])]) for g in gens))}
         conj = []
         for h in gens:
             hinv = elements[self._inverse[index[h]]]
@@ -352,7 +365,8 @@ class PermAction:
     def class_conjugator(self, u):
         """(r, x^-1) with r the representative of the conjugacy class of u
         in the whole group and u = x r x^-1, so that x^-1 maps the fixed
-        poset of u onto that of r."""
+        poset of u onto that of r; along the orbit walk of each class, x^-1
+        is the parent's times the inverse of the move."""
         if self._class_data is None:
             elements = self.elements
             inverses = [(table, elements[self._inverse[self._index[g]]])
@@ -362,15 +376,12 @@ class PermAction:
             for k in range(len(elements)):
                 if rep[k] is not None:
                     continue
-                rep[k], back[k] = k, self.identity
-                queue = [k]
-                for e in queue:
-                    for table, ginv in inverses:
-                        c = table[e]
-                        if rep[c] is None:
-                            # g e g^-1 = (g x) r (g x)^-1
-                            rep[c], back[c] = k, perm_mul(back[e], ginv)
-                            queue.append(c)
+                for c, e, ginv in _orbit([k], lambda x: (
+                        (gi, table[x]) for table, gi in inverses)):
+                    # g e g^-1 = (g x) r (g x)^-1
+                    rep[c] = k
+                    back[c] = (self.identity if e is None
+                               else perm_mul(back[e], ginv))
             self._class_data = [(elements[r], x) for r, x in zip(rep, back)]
         return self._class_data[self._index[u]]
 
@@ -378,27 +389,19 @@ class PermAction:
         """The orbits of the group on the intervals of the poset.
 
         Each orbit is (rep, steps): rep is its first interval in index
-        order, and each step (child, parent, g) reaches a new interval
-        child = g parent from one already listed, breadth-first over the
-        generators.
+        order, and the steps (child, parent, g), the Schreier tree of its
+        :func:`_orbit` walk minus the root, reach each new interval
+        child = g parent from one already listed.
         """
         if self._orbits is None:
             seen = set()
             self._orbits = []
             for pair in self.poset.intervals():
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                steps = []
-                queue = [pair]
-                for (i, j) in queue:
-                    for g in self.generators:
-                        image = (g[i], g[j])
-                        if image not in seen:
-                            seen.add(image)
-                            steps.append((image, (i, j), g))
-                            queue.append(image)
-                self._orbits.append((pair, steps))
+                if pair not in seen:
+                    tree = list(_orbit([pair], lambda p: (
+                        (g, (g[p[0]], g[p[1]])) for g in self.generators)))
+                    seen.update(point for point, _parent, _g in tree)
+                    self._orbits.append((pair, tree[1:]))
         return self._orbits
 
     def transport(self, vals, steps):
@@ -662,23 +665,18 @@ class EquivIncidenceElement(AlgebraElement):
         The value on (i, j) evaluated at u must equal the value on
         (w i, w j) evaluated at w u w^{-1}.  Checking generators suffices:
         the condition for a product of generators follows step by step,
-        provided the checked pairs cover whole interval orbits.  Checking
-        class representatives u suffices too, since both sides are class
-        functions and conjugation by w maps classes to classes.
+        provided the checked pairs cover whole interval orbits, so the
+        pairs checked, in sorted order, are those of every orbit of
+        :meth:`PermAction.interval_orbits` that meets the support.
+        Checking class representatives u suffices too, since both sides are
+        class functions and conjugation by w maps classes to classes.
         """
         action = self.action
-        # close the support under the generators: breadth-first orbits
-        pairs = set(self.vals)
-        frontier = list(pairs)
-        while frontier:
-            step = []
-            for (i, j) in frontier:
-                for w in action.generators:
-                    image = (w[i], w[j])
-                    if image not in pairs:
-                        pairs.add(image)
-                        step.append(image)
-            frontier = step
+        pairs = []
+        for rep, steps in action.interval_orbits():
+            orbit = [rep] + [child for child, _parent, _g in steps]
+            if any(pair in self.vals for pair in orbit):
+                pairs.extend(orbit)
         elements, index = action.elements, action._index
         for (i, j) in sorted(pairs):
             cp = self.value(i, j)
@@ -889,7 +887,7 @@ def _assemble(action, weak_rank, read):
         if moved is not None and element.value(*moved) != read(*moved):
             raise AssemblyInconsistent(
                 f"per-element values are not conjugation compatible on "
-                f"interval {moved}")
+                f"interval {moved}", moved)
     return element
 
 
@@ -965,7 +963,7 @@ def _equiv_solve(kappa, solver, name, left):
         product = f"{name}*kernel" if left else f"kernel*{name}"
         raise AssemblyInconsistent(
             f"solved {name} fails rev({name}) = {product} on interval "
-            f"({i}, {j})")
+            f"({i}, {j})", (i, j))
     return x
 
 
@@ -998,7 +996,8 @@ def equiv_z_function(kappa, g=None, f=None):
     if _multiply_at(equiv_rev(g), f, i, j,
                     action.poset.elements_between(i, j)) != z.value(i, j):
         raise AssemblyInconsistent(
-            f"assembled Z disagrees with rev(g)*f on interval ({i}, {j})")
+            f"assembled Z disagrees with rev(g)*f on interval ({i}, {j})",
+            (i, j))
     return z
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .polynomial import ONE, T, _poly
 from .poset import from_covers
-from .incidence import WeakRank
+from .incidence import WeakRank, _elements_agree
 from .linalg import (
     Span,
     charpoly,
@@ -35,11 +35,12 @@ from .equivariant import (
     _assemble,
     _classpoly,
     _group_bound,
+    _orbit,
     perm_cycles,
     perm_mul,
 )
 from .status import InputError
-from .subdivision import SubdivisionTriple, _elements_agree
+from .subdivision import SubdivisionTriple
 
 
 class FanError(InputError):
@@ -69,8 +70,9 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     ``point_perm`` maps a dim x dim exact matrix (int entries, Fraction only
     where an entry is not an integer) to the permutation it
     induces on the points (raising loudly when it has none).  The matrix
-    group is closed eagerly, once, keyed on face permutations: if two
-    distinct matrices induce the same face permutation the action is not
+    group is closed eagerly, once, as the :func:`_orbit` of the identity
+    over (face permutation, point permutation, matrix) triples: if one face
+    permutation is reached by two distinct triples the action is not
     faithful and the failure is loud, so a kernel can evaluate one
     well-defined matrix at each poset permutation.  The closed face
     permutations are the group of the PermAction, handed over through
@@ -91,28 +93,24 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     bound = _group_bound(max_group)
     ident = tuple(range(poset.n))
     ident_mat = identity_matrix(dim)
-    seen = {ident: (point_perm(ident_mat), ident_mat)}
-    frontier = list(seen.items())
-    while frontier:
-        nxt = []
-        for (fperm, (pperm, mat)) in frontier:
-            for (gf, gp, gm) in gens:
-                new = perm_mul(gf, fperm)
-                value = (perm_mul(gp, pperm), mat_mul(gm, mat))
-                known = seen.get(new)
-                if known is None:
-                    if len(seen) >= bound:
-                        raise GroupTooLarge(
-                            f"matrix group exceeds bound {bound}")
-                    seen[new] = value
-                    nxt.append((new, value))
-                elif known != value:
-                    raise NotAutomorphism(
-                        "action is not faithful: two distinct group elements "
-                        "induce the same permutation")
-        frontier = nxt
+
+    def moves(element):
+        fperm, pperm, mat = element
+        return ((None, (perm_mul(gf, fperm), perm_mul(gp, pperm),
+                        mat_mul(gm, mat))) for gf, gp, gm in gens)
+
+    by_perm = {}
+    for (fperm, pperm, mat), parent, _g in _orbit(
+            [(ident, point_perm(ident_mat), ident_mat)], moves):
+        if fperm in by_perm:
+            raise NotAutomorphism(
+                "action is not faithful: two distinct group elements "
+                "induce the same permutation")
+        if parent is not None and len(by_perm) >= bound:
+            raise GroupTooLarge(f"matrix group exceeds bound {bound}")
+        by_perm[fperm] = (pperm, mat)
     return PermAction._closed(poset, [g[0] for g in gens] or [ident],
-                              seen), seen
+                              by_perm), by_perm
 
 
 def primitive_vector(v):

@@ -67,10 +67,6 @@ class MirrorConstraintViolated(VerificationFailure):
     inverse-equals-reversal property on the reported interval.
     """
 
-    def __init__(self, message, interval):
-        super().__init__(message)
-        self.interval = interval
-
 
 class WeakRank:
     """An integer on every interval: nonnegative, zero exactly on the
@@ -582,16 +578,24 @@ def is_multiplicative(kappa):
     return CheckResult.passed()
 
 
+def _elements_agree(tag, *elems):
+    """CheckResult comparing incidence elements (ordinary or equivariant)
+    pairwise, with the first differing interval as witness."""
+    first = elems[0]
+    for other in elems[1:]:
+        if other.vals != first.vals:
+            keys = sorted(set(first.vals) | set(other.vals))
+            for pair in keys:
+                if first.value(*pair) != other.value(*pair):
+                    return CheckResult.failed(
+                        tag, witness=pair,
+                        detail=f"{first.value(*pair)!r} != {other.value(*pair)!r}")
+    return CheckResult.passed()
+
+
 def is_rank_alternating(kappa):
     """Reversal equals the natural-rank sign twist."""
-    r = rev(kappa)
-    h = hat(kappa)
-    if r == h:
-        return CheckResult.passed()
-    for (i, j) in kappa.poset.intervals():
-        if r.value(i, j) != h.value(i, j):
-            return CheckResult.failed("rank-alternating", witness=(i, j))
-    return CheckResult.failed("rank-alternating")
+    return _elements_agree("rank-alternating", rev(kappa), hat(kappa))
 
 
 def _t_minus_1_powers(n):

@@ -20,7 +20,14 @@ class InputError(ValueError):
 
 
 class VerificationFailure(ValueError):
-    """An identity or consistency check failed during a computation."""
+    """An identity or consistency check failed during a computation.
+
+    ``interval`` is the interval (i, j) the failure is found on, or None.
+    """
+
+    def __init__(self, message, interval):
+        super().__init__(message)
+        self.interval = interval
 
 
 class GroupBoundError(InputError):

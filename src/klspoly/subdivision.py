@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from .incidence import (
     IncidenceElement,
+    _elements_agree,
     _natural_rho,
     convolve,
     delta_op,
@@ -391,21 +392,6 @@ def local_invariants(triple, weak_rank, kappa):
         if hv.coeff(0) != kr:
             raise SubdivisionError(f"h constant term != kernel top on ({i}, {j})")
     return LocalInvariants(triple, solution, h_sigma, ell_sigma, delta_ell)
-
-
-def _elements_agree(tag, *elems):
-    """CheckResult comparing incidence elements (ordinary or equivariant)
-    pairwise, with the first differing interval as witness."""
-    first = elems[0]
-    for other in elems[1:]:
-        if other.vals != first.vals:
-            keys = sorted(set(first.vals) | set(other.vals))
-            for pair in keys:
-                if first.value(*pair) != other.value(*pair):
-                    return CheckResult.failed(
-                        tag, witness=pair,
-                        detail=f"{first.value(*pair)!r} != {other.value(*pair)!r}")
-    return CheckResult.passed()
 
 
 # The three identities below use only the algebra operations (*, + and

@@ -359,6 +359,24 @@ def test_a_failure_inside_a_suite_is_a_verification_failure(
     assert captured.err == f"verification failed: {failure}\n"
 
 
+def test_verify_kernel_names_the_interval_of_a_mirror_violation(
+        capsys, monkeypatch, tmp_path):
+    def violated(_kappa):
+        raise MirrorConstraintViolated("mirror constraint fails", (0, 3))
+
+    monkeypatch.setattr(cli, "solve_g", violated)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": []}))
+    code = cli.main(["verify", "fixture:boolean3.json", "--kernel", str(path),
+                     "--format", "json"])
+    axioms, solvers = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert axioms["ok"]
+    assert solvers == {"name": "solvers on fixture:boolean3.json",
+                       "ok": False, "reason": "mirror-constraint",
+                       "witness": [0, 3], "detail": "mirror constraint fails"}
+
+
 @pytest.mark.parametrize("suite", ["theorem-g", "corollary-f", "corollary-z"])
 def test_a_non_multiplicative_kernel_fails_the_triple_check(
         capsys, tmp_path, suite):

@@ -7,7 +7,7 @@ import pytest
 
 from klspoly import cli, equivariant, fans
 from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
-                                 EquivIncidenceElement,
+                                 EquivIncidenceElement, GroupTooLarge,
                                  NotAutomorphism, PermAction,
                                  check_equivariant_theorem, equiv_constant,
                                  equiv_hat, equiv_invert,
@@ -45,6 +45,56 @@ def test_group_closure_and_conjugacy_classes():
     rot = rotation_polygon_action(6)
     assert len(rot.elements) == 6
     assert len(rot.conjugacy_classes()) == 6  # abelian
+
+
+def test_the_orbit_walk_yields_a_schreier_tree_from_its_starts():
+    action = dihedral_polygon_action(5)
+    gens = action.generators
+
+    def moves(w):
+        return ((g, perm_mul(g, w)) for g in gens)
+
+    starts = [action.identity, gens[0], action.identity]
+    walk = list(equivariant._orbit(starts, moves))
+    points = [point for point, _parent, _g in walk]
+    assert len(points) == len(set(points))
+    assert set(points) == set(action.elements)
+    assert walk[:2] == [(action.identity, None, None), (gens[0], None, None)]
+    seen = set(points[:2])
+    for point, parent, g in walk[2:]:
+        assert parent in seen and point == perm_mul(g, parent)
+        seen.add(point)
+
+
+def test_interval_orbits_partition_the_intervals():
+    action = dihedral_polygon_action(5)
+    listed = []
+    for rep, steps in action.interval_orbits():
+        orbit = [rep] + [child for child, _parent, _g in steps]
+        for child, (i, j), g in steps:
+            assert child == (g[i], g[j])
+        assert set(orbit) == {(w[rep[0]], w[rep[1]]) for w in action.elements}
+        assert rep == min(orbit)
+        listed.extend(orbit)
+    assert sorted(listed) == sorted(action.poset.intervals())
+
+
+def test_a_closure_past_its_bound_stops_walking(monkeypatch):
+    yielded = []
+    orbit = equivariant._orbit
+
+    def counted(starts, moves):
+        for step in orbit(starts, moves):
+            yielded.append(step)
+            yield step
+
+    monkeypatch.setattr(equivariant, "_orbit", counted)
+    quarter_turn = (1, 2, 3, 0)
+    assert len(equivariant._closure([quarter_turn], 4, 4)) == 4
+    yielded.clear()
+    with pytest.raises(GroupTooLarge, match="group closure exceeds bound 2"):
+        equivariant._closure([quarter_turn], 4, 2)
+    assert len(yielded) <= 3
 
 
 def test_stabilizers():

@@ -6,7 +6,8 @@ import pytest
 
 from klspoly import ehrhart, equivariant, fans
 from klspoly.ehrhart import ComplexCylinder, face_kernel
-from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
+from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
+                                 EquivIncidenceElement,
                                  GroupTooLarge, NotAutomorphism, PermAction,
                                  classpoly_json, equiv_constant,
                                  equiv_kernel_validate,
@@ -18,7 +19,8 @@ from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
                           fan_kernel, fixed_fan, induced_charpoly,
                           polytope_cone_triple, primitive_vector,
                           relint_contains)
-from klspoly.incidence import IncidenceElement, WeakRank, validate_kernel
+from klspoly.incidence import (IncidenceElement, WeakRank, hat,
+                               is_rank_alternating, rev, validate_kernel)
 from klspoly.linalg import Span, charpoly, identity_matrix
 from klspoly.polynomial import ONE, T, Poly, poly_rev
 from klspoly.poset import boolean_algebra
@@ -197,6 +199,11 @@ def test_a_kernel_that_is_not_rank_alternating_fails_validation():
     # rev(kappa)(0, 3) = 2t^2 - 2t is not the sign twist 2 - 2t
     kappa = _square_kernel([2, -2])
     assert validate_kernel(kappa)
+    plain = is_rank_alternating(kappa)
+    assert (plain.ok, plain.reason, plain.witness) == (
+        False, "rank-alternating", (0, 3))
+    assert plain.detail == (f"{rev(kappa).value(0, 3)!r} != "
+                            f"{hat(kappa).value(0, 3)!r}")
     trivial = equiv_constant(
         PermAction(kappa.poset, [tuple(range(4))]), kappa)
     checks = dict(kernel_checks(trivial))
@@ -218,6 +225,21 @@ def test_a_solver_that_cannot_finish_is_reported_with_its_interval():
     assert not checks["solvers"]
     assert checks["solvers"].reason == "mirror-constraint"
     assert checks["solvers"].witness == (0, 3)
+
+
+def test_an_assembly_failure_is_reported_with_its_interval(monkeypatch):
+    def inconsistent(_kappa):
+        raise AssemblyInconsistent("values do not glue on (0, 3)", (0, 3))
+
+    monkeypatch.setattr(equivariant, "equiv_solve_g", inconsistent)
+    kappa = _square_kernel([1, -2, 1])
+    trivial = equiv_constant(
+        PermAction(kappa.poset, [tuple(range(4))]), kappa)
+    checks = dict(kernel_checks(trivial))
+    assert checks["kernel"]
+    assert (checks["solvers"].reason, checks["solvers"].witness) == (
+        "mirror-constraint", (0, 3))
+    assert checks["solvers"].detail == "values do not glue on (0, 3)"
 
 
 def _direct_span_kernel(action, weak_rank, spans, crossing, matrix_of):
