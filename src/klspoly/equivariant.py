@@ -42,10 +42,11 @@ because their arithmetic differs.
 import os
 
 from .polynomial import ONE, T, ZERO, Poly, _poly, poly_rev
-from .poset import PosetError, bits
+from .poset import bits
 from .incidence import (
     AlgebraElement,
     IncidenceElement,
+    _elements_agree,
     invert,
     rev as equiv_rev,
     solve_f,
@@ -77,12 +78,9 @@ class AssemblyInconsistent(VerificationFailure):
     transported value disagrees with the value read directly (off the
     fixed posets or the spans), or when an assembled solution fails its
     product cross-check.  For the solvers this signals that the input was
-    not actually an equivariant kernel.  Whole-element checks name no
-    interval.
+    not actually an equivariant kernel.  Every check names the interval
+    it fails on, as ``interval``.
     """
-
-    def __init__(self, message, interval=None):
-        super().__init__(message, interval)
 
 
 def perm_mul(a, b):
@@ -646,7 +644,8 @@ class EquivIncidenceElement(AlgebraElement):
                 self.vals[(i, j)] = cp
         result = self.validate_definition()
         if not result:
-            raise AssemblyInconsistent(result.describe())
+            raise AssemblyInconsistent(result.describe(),
+                                       tuple(result.witness["interval"]))
 
     @property
     def action(self):
@@ -778,27 +777,19 @@ def equiv_hat(p):
     fixed poset; it requires each B^w to be graded (an Eulerian action).
     """
     action = p.action
-    rank_of = {}
-
-    def ranks(w):
-        if w not in rank_of:
-            rank_of[w] = action.fixed_poset(w)[0].natural_rank()
-        return rank_of[w]
-
     # fixed posets of conjugate elements are isomorphic
     for w in action.stabilizer().reps:
-        try:
-            ranks(w)
-        except PosetError as exc:
+        sub = action.fixed_poset(w)[0]
+        if sub.rank is None:
             raise ValueError(
-                f"fixed poset of {w} is not graded; hat is undefined: {exc}"
-            ) from exc
+                f"fixed poset of {w} is not graded; hat is undefined: "
+                f"{sub.is_lower_eulerian().detail}")
     vals = {}
     for (i, j), cp in p.vals.items():
         signs = {}
         for w in cp.group.reps:
-            _sub, _emb, pos = action.fixed_poset(w)
-            rank = ranks(w)
+            sub, _emb, pos = action.fixed_poset(w)
+            rank = sub.rank
             signs[w] = -1 if (rank[pos[j]] - rank[pos[i]]) % 2 else 1
         vals[(i, j)] = cp.twist(signs)
     return EquivIncidenceElement._unchecked(p.action, p.weak_rank, vals)
@@ -812,13 +803,7 @@ def is_eulerian_action(action):
     group element.
     """
     for w in action.stabilizer().reps:
-        sub, _emb, _pos = action.fixed_poset(w)
-        try:
-            result = sub.is_lower_eulerian()
-        except PosetError as exc:
-            return CheckResult.failed(
-                "fixed-poset-not-graded", witness={"w": list(w)},
-                detail=str(exc))
+        result = action.fixed_poset(w)[0].is_lower_eulerian()
         if not result:
             return CheckResult.failed(
                 "fixed-poset-not-lower-eulerian", witness={"w": list(w)},
@@ -927,6 +912,15 @@ def _deepest(weak_rank, pairs):
                key=lambda p: (weak_rank.value(*p), (-p[0], -p[1])))
 
 
+def _agree_or_raise(message, p, q):
+    """Compare two equivariant elements; on a difference raise
+    AssemblyInconsistent naming the first interval where they differ."""
+    res = _elements_agree("assembly", p, q)
+    if not res:
+        raise AssemblyInconsistent(f"{message} on interval {res.witness}",
+                                   res.witness)
+
+
 def _multiply_at(p, q, i, j, candidates):
     """The value of p * q on [i, j], summed over middle elements z.
 
@@ -990,8 +984,7 @@ def equiv_z_function(kappa, g=None, f=None):
     z = _assemble(action, kappa.weak_rank, _fixed_poset_read(
         action, lambda w: z_function(ev_w(kappa, w), g=ev_w(g, w),
                                      f=ev_w(f, w))))
-    if z != equiv_rev(z):
-        raise AssemblyInconsistent("assembled Z is not symmetric")
+    _agree_or_raise("assembled Z is not symmetric", z, equiv_rev(z))
     i, j = _deepest(kappa.weak_rank, action.poset.intervals())
     if _multiply_at(equiv_rev(g), f, i, j,
                     action.poset.elements_between(i, j)) != z.value(i, j):
@@ -1066,11 +1059,9 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     def local_at(w):
         if w not in per:
             sub, emb, pos = action.fixed_poset(w)
-            graded = sub.with_rank(sub.natural_rank())
-            triple_w = SubdivisionTriple(graded, pos[triple.q])
-            wr_w = weak_rank.restrict(graded, emb)
-            kw = IncidenceElement(graded, wr_w, ev_w(kappa, w).vals)
-            per[w] = local_invariants(triple_w, wr_w, kw)
+            per[w] = local_invariants(SubdivisionTriple(sub, pos[triple.q]),
+                                      weak_rank.restrict(sub, emb),
+                                      ev_w(kappa, w))
         return per[w]
 
     def assemble(field):
@@ -1082,12 +1073,11 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     ell_sigma = assemble("ell_sigma")
     delta_ell = assemble("delta_ell")
 
-    masked = triple.mask_interior(kappa)
-    if h_sigma.scale(T - ONE) != equiv_multiply(g, masked):
-        raise AssemblyInconsistent(
-            "(t-1)h does not match g * masked kernel equivariantly")
-    if equiv_multiply(ell_sigma, g) != h_sigma:
-        raise AssemblyInconsistent("ell * g does not match h equivariantly")
+    _agree_or_raise("(t-1)h does not match g * masked kernel equivariantly",
+                    h_sigma.scale(T - ONE),
+                    equiv_multiply(g, triple.mask_interior(kappa)))
+    _agree_or_raise("ell * g does not match h equivariantly",
+                    equiv_multiply(ell_sigma, g), h_sigma)
     return EquivLocalInvariants(triple, action, kappa, g, h_sigma, ell_sigma,
                                 delta_ell)
 

@@ -532,8 +532,6 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
     n = len(faces)
     labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in faces]
     poset = from_covers(n, covers, labels=labels)
-    rank = poset.natural_rank()
-    poset = poset.with_rank(rank)
     for (i, j) in poset.intervals():
         if not faces[i] <= faces[j]:
             raise FanError(f"face relation {i} <= {j} inconsistent with "
@@ -548,7 +546,7 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
         raise FanError("origin is not in the relative interior of the "
                        "designated face")
     for z in range(n):
-        expected = rank[z] - (1 if poset.leq(face_index, z) else 0)
+        expected = poset.rank[z] - (1 if poset.leq(face_index, z) else 0)
         actual = geometry.spans[z].rank
         if actual != expected:
             raise FanError(

@@ -52,8 +52,8 @@ class CarrierMismatch(ValueError):
 
 
 class UnsuitablePoset(InputError):
-    """The poset lacks a property an operation needs: lower Eulerian,
-    Eulerian, or rank at least 1."""
+    """The poset lacks a property an operation needs: graded, lower
+    Eulerian, Eulerian, or rank at least 1."""
 
 
 class NotInvertible(ValueError):
@@ -121,12 +121,16 @@ class WeakRank:
 
     @classmethod
     def natural(cls, poset):
-        """Differences of the rank vector (computed if not attached).
+        """Differences of the poset's rank vector; UnsuitablePoset when the
+        poset is not graded.
 
         Unchecked when the rank steps +1 across every cover: its differences
         are then positive and additive by construction.  Any other rank goes
         through the checking constructor."""
-        rho = _natural_rho(poset)
+        rho = poset.rank
+        if rho is None:
+            raise UnsuitablePoset(f"natural weak rank needs a graded poset: "
+                                  f"{poset.is_lower_eulerian().detail}")
         vals = {(i, j): rho[j] - rho[i] for (i, j) in poset.intervals()}
         if not poset.validate_rank(rho):
             return cls(poset, vals)
@@ -415,13 +419,6 @@ def rev(p):
                                         for (i, j), v in p.vals.items()})
 
 
-def _natural_rho(poset):
-    """The poset's own rank vector, else its natural rank."""
-    if poset.rank is not None:
-        return poset.rank
-    return poset.natural_rank()
-
-
 def hat(p):
     """Sign twist by the natural rank: p(z,z') -> (-1)^{rho(z')-rho(z)} p(z,z').
 
@@ -432,7 +429,7 @@ def hat(p):
     if not res:
         raise UnsuitablePoset(
             f"hat needs a lower Eulerian carrier: {res.describe()}")
-    rho = _natural_rho(p.poset)
+    rho = p.poset.rank
     return IncidenceElement._unchecked(p.poset, p.weak_rank, {
         (i, j): poly if (rho[j] - rho[i]) % 2 == 0 else -poly
         for (i, j), poly in p.vals.items()})
@@ -613,7 +610,7 @@ def eulerian_kernel(poset):
     if not res:
         raise UnsuitablePoset(
             f"Eulerian kernel needs a lower Eulerian poset: {res.describe()}")
-    rho = _natural_rho(poset)
+    rho = poset.rank
     wr = WeakRank.natural(poset)
     powers = _t_minus_1_powers(max(rho) - min(rho))
     return IncidenceElement._unchecked(
@@ -727,7 +724,7 @@ def h_polynomial(poset):
             f"h-polynomial needs a lower Eulerian poset: {res.describe()}")
     g = solve_g(eulerian_kernel(poset))
     bot = poset.bottom()
-    raw = _natural_rho(poset)
+    raw = poset.rank
     rho = [r - raw[bot] for r in raw]
     n = max(rho)
     powers = _t_minus_1_powers(n)
@@ -747,7 +744,7 @@ def toric_h_boundary(poset):
     if not res:
         raise UnsuitablePoset(
             f"boundary h needs an Eulerian poset: {res.describe()}")
-    rho = _natural_rho(poset)
+    rho = poset.rank
     n = max(rho) - min(rho)
     if n < 1:
         raise UnsuitablePoset("boundary h needs rank >= 1")

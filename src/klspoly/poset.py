@@ -6,6 +6,11 @@ the posets in scope are face lattices and their relatives with at most a
 couple of thousand elements, and dense masks make interval enumeration,
 joins and subposet extraction cheap and exact.  There is no support for
 random posets; everything is built or loaded explicitly.
+
+The rank function is decided here, once: a poset keeps the rank vector it
+is given, and otherwise stores its natural rank when it has a unique
+minimum and is graded.  Every other module reads ``Poset.rank``, and
+``rank is None`` means the poset is not graded.
 """
 
 from __future__ import annotations
@@ -33,8 +38,11 @@ class Poset:
     """A finite partially ordered set.
 
     Fields: n (element count), labels (tuple of strings), up (tuple of
-    bitmasks; bit j of up[i] means i <= j), and an optional rank vector.
-    The order axioms are validated at construction.
+    bitmasks; bit j of up[i] means i <= j), and rank.  A given rank vector
+    is kept as it is; without one, a poset with a unique minimum that is
+    graded stores its natural rank, so ``rank is None`` means exactly that
+    the poset is not graded.  The order axioms are validated at
+    construction.
     """
 
     __slots__ = ("n", "labels", "up", "down", "rank", "_covers", "_intervals",
@@ -56,7 +64,6 @@ class Poset:
         self.n = n
         self.labels = labels
         self.up = up
-        self.rank = rank
         down = [0] * n
         for i in range(n):
             m = up[i]
@@ -70,6 +77,12 @@ class Poset:
         self._lower_eulerian = None
         if not _validated:
             self._validate_order()
+        if rank is None:
+            try:
+                rank = self.natural_rank()
+            except PosetError:
+                pass
+        self.rank = rank
 
     def _validate_order(self):
         full = (1 << self.n) - 1
@@ -211,20 +224,20 @@ class Poset:
         strict intervals.  Returns a CheckResult whose witness is the first
         offending interval.
 
-        The rank is the poset's own, else its natural rank; the result is
-        computed once and kept.
+        A poset without a rank is not graded and fails here, with the reason
+        natural_rank gives; the result is computed once and kept.
         """
         if self._lower_eulerian is None:
             self._lower_eulerian = self._check_lower_eulerian()
         return self._lower_eulerian
 
     def _check_lower_eulerian(self):
-        rank = self.rank
-        if rank is None:
+        if self.rank is None:
             try:
-                rank = self.natural_rank()
+                self.natural_rank()
             except PosetError as e:
                 return CheckResult.failed("not-graded", detail=str(e))
+        rank = self.rank
         try:
             self.bottom()
         except PosetError as e:
@@ -278,7 +291,8 @@ class Poset:
         """Induced subposet on the given elements.
 
         Returns (poset, embedding) where embedding[k] is the index in self
-        of element k of the subposet.  No rank is attached.
+        of element k of the subposet.  The subposet carries its own natural
+        rank when it is graded with a unique minimum, and no rank otherwise.
         """
         emb = list(indices)
         pos = {z: k for k, z in enumerate(emb)}
@@ -317,8 +331,12 @@ class Poset:
         if labels is None or covers is None:
             raise PosetError("poset document needs 'labels' and 'covers'")
         n = len(labels)
-        return from_covers(n, [tuple(c) for c in covers], labels=labels,
-                           rank=payload.get("rank"))
+        poset = from_covers(n, [tuple(c) for c in covers], labels=labels,
+                            rank=payload.get("rank"))
+        if poset.rank is None:
+            # a document poset is ranked; name why this one is not
+            poset.natural_rank()
+        return poset
 
 
 class IntervalIndex:
@@ -570,7 +588,7 @@ def semisuspension(p):
 
     Adjoins an element above the boundary (the ideal generated by elements
     with exactly one element strictly above) and then a global maximum.
-    The input must carry a rank vector; the result is validated Eulerian
+    The input must be ranked; the result is validated Eulerian
     and its stored rank is the natural one.
     """
     if p.rank is None:

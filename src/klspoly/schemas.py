@@ -5,8 +5,8 @@ Every object the command line reads or the package ships as a fixture is a
 Recognized tags:
 
 ``poset``
-    A finite poset with an optional rank vector; payload is
-    :meth:`klspoly.poset.Poset.to_json`.
+    A finite poset with an optional rank vector, the natural rank when
+    absent; payload is :meth:`klspoly.poset.Poset.to_json`.
 ``sfs``
     A strong formal subdivision ``sigma: X -> Y``; payload has keys
     ``x`` and ``y`` (poset payloads) and ``sigma`` (list of Y-indices,
@@ -116,23 +116,17 @@ def _payload(kind):
         raise DocumentError(f"bad {kind} payload: {exc}") from exc
 
 
-def _ranked(poset):
-    if poset.rank is None:
-        return poset.with_rank(poset.natural_rank())
-    return poset
-
-
 def build_poset(payload):
     with _payload("poset"):
-        return _ranked(Poset.from_json(payload))
+        return Poset.from_json(payload)
 
 
 def build_sfs(payload):
     from .subdivision import StrongFormalSubdivision
 
     with _payload("sfs"):
-        x = _ranked(Poset.from_json(payload["x"]))
-        y = _ranked(Poset.from_json(payload["y"]))
+        x = Poset.from_json(payload["x"])
+        y = Poset.from_json(payload["y"])
         return StrongFormalSubdivision(x, y, tuple(payload["sigma"]))
 
 

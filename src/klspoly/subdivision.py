@@ -36,7 +36,6 @@ from __future__ import annotations
 from .incidence import (
     IncidenceElement,
     _elements_agree,
-    _natural_rho,
     convolve,
     delta_op,
     eulerian_kernel,
@@ -76,9 +75,10 @@ class KernelRejected(SubdivisionError):
 class StrongFormalSubdivision:
     """A map sigma: X -> Y between ranked lower Eulerian posets.
 
-    X and Y carry their rank vectors (Poset.rank); these need not be
-    normalized to zero at the bottom, and the relative shift between them
-    is meaningful.  sigma is stored as a tuple indexed by X elements.
+    X and Y are ranked: each Poset.rank is the vector it was given or its
+    natural rank.  Given ranks need not be zero at the bottom, and the
+    relative shift between them is meaningful.  sigma is stored as a tuple
+    indexed by X elements.
     """
 
     __slots__ = ("X", "Y", "sigma")
@@ -152,8 +152,6 @@ class SubdivisionTriple:
     __slots__ = ("gamma", "q", "_sigma_of", "_xx", "_xy", "_yy")
 
     def __init__(self, gamma, q):
-        if gamma.rank is None:
-            raise SubdivisionError("triple needs a rank function")
         res = gamma.is_lower_eulerian()
         if not res:
             raise SubdivisionError(f"poset is not lower Eulerian: {res.describe()}")
@@ -215,10 +213,7 @@ class SubdivisionTriple:
 
     @classmethod
     def from_json(cls, payload):
-        gamma = Poset.from_json(payload["poset"])
-        if gamma.rank is None:
-            gamma = gamma.with_rank(gamma.natural_rank())
-        return cls(gamma, payload["q"])
+        return cls(Poset.from_json(payload["poset"]), payload["q"])
 
 
 def triple_to_sfs(triple):
@@ -457,12 +452,15 @@ def relative_g(face_lattice, face, g=None):
     """Relative g-polynomial g(Q, F) of an Eulerian lattice Q at a face F.
 
     Defined by the recursion sum over E in [F, Q] of g(E, F) g([E, Q])
-    equal to g(Q), with g(F, F) = g([0, F]).  The result is checked against
-    the independent route Delta ell at the full interval of the triple
-    (Q, natural rank, q = F); a mismatch raises SubdivisionError.
+    equal to g(Q), with g(F, F) = g([0, F]); its solved form is
+    g(Q, F) = sum over E in [F, Q] of g([0, E]) g^{-1}(E, Q).  The result
+    is checked against the independent route Delta ell at the full
+    interval of the triple (Q, its rank, q = F); a mismatch raises
+    SubdivisionError.
 
     Both routes read one KernelSolution of the lattice's Eulerian kernel.
-    A precomputed g of that kernel may be passed for the recursion instead.
+    A precomputed g of that kernel may be passed for the solved form
+    instead; it is then inverted here.
     """
     res = face_lattice.is_eulerian()
     if not res:
@@ -471,18 +469,12 @@ def relative_g(face_lattice, face, g=None):
     if face == bot:
         raise SubdivisionError("relative g needs a nonempty face")
     solution = solve_kernel(eulerian_kernel(face_lattice))
-    g = solution.g if g is None else g
-    rel = {}
-    above = bits(face_lattice.up[face])
-    rho = _natural_rho(face_lattice)
-    for e in sorted(above, key=lambda z: rho[z]):
-        acc = g.value(bot, e)
-        for e2 in face_lattice.elements_between(face, e):
-            if e2 == e:
-                continue
-            acc = acc - rel[e2] * g.value(e2, e)
-        rel[e] = acc
-    result = rel[top]
+    if g is None:
+        g, g_inv = solution.g, solution.g_inv
+    else:
+        g_inv = invert(g)
+    result = poly_dot((g.value(bot, e), g_inv.value(e, top))
+                      for e in face_lattice.elements_between(face, top))
 
     if face != top:
         triple = SubdivisionTriple(face_lattice, face)
@@ -492,7 +484,7 @@ def relative_g(face_lattice, face, g=None):
         other = solution.g.value(bot, top)
     if result != other:
         raise SubdivisionError(
-            f"relative g mismatch: recursion gives {result!r}, "
+            f"relative g mismatch: solved form gives {result!r}, "
             f"local invariant gives {other!r}")
     return result
 
@@ -504,8 +496,6 @@ def relative_g(face_lattice, face, g=None):
 
 def id_sfs(poset):
     """The identity map as a subdivision of a ranked lower Eulerian poset."""
-    if poset.rank is None:
-        poset = poset.with_rank(poset.natural_rank())
     return StrongFormalSubdivision(poset, poset, tuple(range(poset.n)))
 
 

@@ -38,8 +38,8 @@ Suites:
 checks when it runs, so the corpus suites load no geometry.
 """
 
-from .incidence import (MirrorConstraintViolated, eulerian_kernel,
-                        h_polynomial, solve_g)
+from .incidence import (MirrorConstraintViolated, _elements_agree,
+                        eulerian_kernel, h_polynomial, solve_g)
 from .poset import (boolean_algebra, cross_polytope_face_lattice,
                     cube_face_lattice, direct_product, polygon, pyramid,
                     segment_subdivision)
@@ -71,8 +71,7 @@ def builder_corpus():
     for s in (1, 2, 3):
         out.append((f"segment-{s}", segment_subdivision(s)))
     out.append(("prism-triangle", direct_product(polygon(3), boolean_algebra(1))))
-    return [(name, p if p.rank is not None else p.with_rank(p.natural_rank()))
-            for name, p in out if p.n <= 200]
+    return [(name, p) for name, p in out if p.n <= 200]
 
 
 def admissible_triples(poset):
@@ -243,7 +242,8 @@ def solver_crosscheck(kappa):
     ``equiv_solve_g``/``equiv_solve_f`` work one class representative at a
     time on fixed posets; the defining equations ``rev(g) = g * kappa`` and
     ``rev(f) = kappa * f`` are then re-verified with the
-    induction/restriction product, which never looks at fixed posets.
+    induction/restriction product, which never looks at fixed posets; a
+    failure names the first interval where the two sides differ.
     The symmetry of Z = g * kappa * f under rev is checked inside
     ``equiv_z_function``.  A solve that raises, as it may on a kernel that
     fails its validation, is reported as "mirror-constraint": its message
@@ -260,11 +260,12 @@ def solver_crosscheck(kappa):
     except VerificationFailure as exc:
         return CheckResult.failed("mirror-constraint", witness=exc.interval,
                                   detail=str(exc))
-    if equiv_rev(g) != equiv_multiply(g, kappa):
-        return CheckResult.failed("g-direct-identity")
-    if equiv_rev(f) != equiv_multiply(kappa, f):
-        return CheckResult.failed("f-direct-identity")
-    return CheckResult.passed()
+    res = _elements_agree("g-direct-identity", equiv_rev(g),
+                          equiv_multiply(g, kappa))
+    if not res:
+        return res
+    return _elements_agree("f-direct-identity", equiv_rev(f),
+                           equiv_multiply(kappa, f))
 
 
 def kernel_checks(kappa):

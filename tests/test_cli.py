@@ -321,6 +321,59 @@ def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
     assert needle in captured.err
 
 
+_UNGRADED = {"labels": ["0", "a", "b", "c", "t"],
+             "covers": [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]]}
+_TWO_MINIMA = {"labels": ["a", "b", "c", "d"],
+               "covers": [[0, 2], [1, 2], [0, 3], [1, 3]]}
+_SEGMENT = {"labels": ["e", "v0", "v1", "s"],
+            "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+_UNRANKED = {
+    "ungraded poset": ("poset", _UNGRADED),
+    "ungraded sfs": ("sfs", {"x": _UNGRADED, "y": _SEGMENT,
+                             "sigma": [0, 1, 2, 3, 3]}),
+    "ungraded triple": ("triple", {"poset": _UNGRADED, "q": 1}),
+    "two-minimum poset": ("poset", _TWO_MINIMA),
+    "two-minimum triple": ("triple", {"poset": _TWO_MINIMA, "q": 2}),
+}
+_NO_RANK = {
+    "ungraded": "no natural rank: element 4 (t) is covered at inconsistent "
+                "heights [1, 2]",
+    "two-minimum": "poset has 2 minimal elements, not 1",
+}
+_SUBCOMMANDS = {
+    "check": (["check"], ()),
+    "kls": (["kls", "--what", "g"], ("sfs",)),
+    "local": (["local"], ("poset",)),
+    "relative-g": (["local", "--relative-g"], ("poset",)),
+    "verify": (["verify", "--suite", "theorem-g"], ("poset", "sfs")),
+}
+_REFUSAL = {
+    "kls": "expected a poset or triple or fan document, got '{tag}'",
+    "local": "expected a triple or sfs document, got '{tag}'",
+    "relative-g": "expected a triple or sfs document, got '{tag}'",
+    "verify": "don't know how to verify a {tag} document under suite "
+              "'theorem-g'",
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+@pytest.mark.parametrize("document", list(_UNRANKED))
+def test_a_document_poset_without_a_rank_exits_two(capsys, tmp_path,
+                                                   document, command):
+    tag, payload = _UNRANKED[document]
+    path = tmp_path / "input.json"
+    write_document(path, tag, payload)
+    words, refused_tags = _SUBCOMMANDS[command]
+    argv = words[:1] + [str(path)] + words[1:]
+    if tag in refused_tags:
+        message = _REFUSAL[command].format(tag=tag)
+    else:
+        message = f"bad {tag} payload: {_NO_RANK[document.split()[0]]}"
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_group_size_bound_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("KLS_MAX_GROUP", "2")
     code, out = run(capsys, ["check", "fixture:cone_square_z4.json"])
@@ -345,7 +398,8 @@ def test_a_bad_group_bound_is_an_input_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("failure", [
     MirrorConstraintViolated("mirror constraint fails", (0, 3)),
-    AssemblyInconsistent("assembled Z is not symmetric"),
+    AssemblyInconsistent("assembled Z is not symmetric on interval (0, 3)",
+                         (0, 3)),
 ], ids=["mirror-constraint", "assembly"])
 def test_a_failure_inside_a_suite_is_a_verification_failure(
         capsys, monkeypatch, failure):

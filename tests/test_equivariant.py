@@ -24,7 +24,7 @@ from klspoly.schemas import (build_group, build_poset, build_triple,
                              load_document)
 from klspoly.subdivision import theorem_g_identities
 from klspoly.verify import (fixture_path, hexagon_dihedral_setup,
-                            square_fan_setup)
+                            solver_crosscheck, square_fan_setup)
 
 from conftest import (dihedral_polygon_action, natural_weak_rank,
                       random_equiv_element, seeded_rng)
@@ -270,6 +270,28 @@ def test_equivariant_theorem_through_the_ordinary_identity_code():
     assert res.witness in triple.xy_pairs()
 
 
+def test_a_product_that_differs_on_one_interval_is_named_there(monkeypatch):
+    triple, action, kappa = hexagon_dihedral_setup()
+    target = triple.xy_pairs()[-1]
+    exact = equiv_multiply
+
+    def perturbed(p, q):
+        product = exact(p, q)
+        vals = dict(product.vals)
+        cp = product.value(*target)
+        vals[target] = cp + ClassPoly.constant(cp.group, Poly([1]))
+        return EquivIncidenceElement._unchecked(action, p.weak_rank, vals)
+
+    monkeypatch.setattr(equivariant, "equiv_multiply", perturbed)
+    with pytest.raises(AssemblyInconsistent,
+                       match=re.escape(f"on interval {target}")) as raised:
+        equiv_local_invariants(triple, kappa.weak_rank, action, kappa)
+    assert raised.value.interval == target
+    res = solver_crosscheck(kappa)
+    assert not res and res.reason == "g-direct-identity"
+    assert res.witness == target
+
+
 def test_every_algebra_result_is_well_formed():
     # algebra results are built unchecked: each must hold only nonzero
     # values and pass the checking constructor unchanged
@@ -385,8 +407,10 @@ def test_a_class_function_that_is_not_conjugation_compatible_is_named():
     assert res.witness == {"interval": [0, 1], "w": list(rotation),
                            "u": list(action.identity)}
     assert reflection < rotation  # the reflection fixes (0, 1): no witness
-    with pytest.raises(AssemblyInconsistent, match="conjugation-compat"):
+    with pytest.raises(AssemblyInconsistent,
+                       match="conjugation-compat") as raised:
         EquivIncidenceElement(action, kappa.weak_rank, vals)
+    assert raised.value.interval == (0, 1)
     # per-element inverses of the broken data do not glue either, and the
     # assembly names an interval
     with pytest.raises(AssemblyInconsistent,

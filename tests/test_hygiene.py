@@ -122,6 +122,30 @@ def test_no_function_imports_outside_its_leading_block():
     assert found == [], "scattered imports:\n" + "\n".join(found)
 
 
+def mentions(source, name):
+    """Lines that mention ``name`` as a variable or an attribute, which
+    covers every call of a function or method of that name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_the_scan_finds_a_mention():
+    source = ("p.natural_rank()\nnatural_rank(p)\nrank = p.natural_rank\n"
+              "p.natural_ranks()\n'natural_rank'\n")
+    assert mentions(source, "natural_rank") == [1, 2, 3]
+
+
+def test_only_the_poset_module_derives_a_natural_rank():
+    # a poset stores its rank once, at construction; the other modules
+    # read Poset.rank, and None there means the poset is not graded
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "poset.py"
+             for line in mentions(path.read_text(encoding="utf-8"),
+                                  "natural_rank")]
+    assert found == [], "natural_rank outside poset.py:\n" + "\n".join(found)
+
+
 ROOT = PACKAGE.parents[1]
 # References from tests do not count: code that neither the package nor the
 # benchmark reaches is dead unless TEST_ONLY names it.

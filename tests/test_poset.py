@@ -1,7 +1,10 @@
 """Posets: builders, rank functions, Euler conditions, serialization."""
 
+import re
+
 import pytest
 
+from klspoly.incidence import UnsuitablePoset, WeakRank
 from klspoly.poset import (Poset, PosetError, adjoin_max, boolean_algebra,
                            chain, cross_polytope_face_lattice,
                            cube_face_lattice, direct_product, from_covers,
@@ -89,6 +92,32 @@ def test_natural_rank_rejects_ungraded():
     with pytest.raises(PosetError):
         broken.natural_rank()
     del up
+
+
+def test_a_rankless_graded_poset_carries_its_natural_rank():
+    for poset in (boolean_algebra(3), polygon(5), cube_face_lattice(2),
+                  segment_subdivision(2)):
+        rankless = from_covers(poset.n, poset.covers(), labels=poset.labels)
+        assert rankless.rank == rankless.natural_rank()
+        assert rankless == poset and hash(rankless) == hash(poset)
+    above_vertex, _emb = polygon(4).upper_set(1)
+    assert above_vertex.rank == (0, 1, 1, 2)
+
+
+@pytest.mark.parametrize("n, covers, why", [
+    (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+     "no natural rank: element 4 (4) is covered at inconsistent heights "
+     "[1, 2]"),
+    (3, [(0, 2), (1, 2)], "poset has 2 minimal elements, not 1"),
+], ids=["ungraded", "two-minima"])
+def test_a_poset_that_is_not_graded_has_no_rank(n, covers, why):
+    poset = from_covers(n, covers)
+    assert poset.rank is None
+    assert poset.is_lower_eulerian().describe() == f"not-graded; {why}"
+    with pytest.raises(PosetError, match=f"^{re.escape(why)}$"):
+        Poset.from_json(poset.to_json())
+    with pytest.raises(UnsuitablePoset, match=f"{re.escape(why)}$"):
+        WeakRank.natural(poset)
 
 
 def test_from_covers_validates():
