@@ -1,7 +1,10 @@
 """Equivariant lattice-point enumeration for triangulated polytopes.
 
 A complex is a lattice triangulation of a polytope together with a finite
-group of affine lattice symmetries.  Everything is computed exactly: box
+group of affine lattice symmetries.  Its faces, and the faces of its
+optional coarsening, become face posets through
+:func:`klspoly.fans.face_poset`; faces are ranked by size and coarse faces
+by the dimension of their span.  Everything is computed exactly: box
 points of simplices by integer barycentric coordinates against one
 factored span per face (:class:`klspoly.linalg.Span`), point counts of cones
 by box points plus invariant ray combinations, and the assembly formulas
@@ -19,7 +22,6 @@ from fractions import Fraction
 
 from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
                          poly_rev)
-from .poset import from_covers
 from .incidence import WeakRank
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
 from .status import CheckResult, InputError
@@ -40,6 +42,8 @@ from .fans import (
     conv_contains,
     cylinder_kernel,
     face_permutation,
+    face_poset,
+    face_sets,
     induced_charpoly,
     matrix_action,
     span_kernel,
@@ -116,30 +120,19 @@ class LatticeSimplexComplex:
         if len(set(self.vertices)) != len(self.vertices):
             raise ComplexError("duplicate vertices")
         self.lifted = tuple(_lift(v) for v in self.vertices)
-        self.faces = _vertex_sets(faces, len(self.vertices), "face")
+        self.faces = face_sets(faces, len(self.vertices), "face", "vertex",
+                               ComplexError)
         if frozenset() not in self.faces:
             raise ComplexError("the empty face must be listed")
-        if len(set(self.faces)) != len(self.faces):
-            raise ComplexError("duplicate faces")
         self.spans = [Span(self.lifted[k] for k in sorted(f))
                       for f in self.faces]
         for f, span in zip(self.faces, self.spans):
             if not span.independent:
                 raise NotASimplex(
                     f"face {sorted(f)} is not a simplex")
-        labels = ["{" + ",".join(map(str, sorted(f))) + "}"
-                  for f in self.faces]
-        rank = [len(f) for f in self.faces]
-        self.poset = from_covers(len(self.faces), covers, labels=labels,
-                                 rank=rank)
-        for (i, j) in self.poset.intervals():
-            if not self.faces[i] <= self.faces[j]:
-                raise ComplexError(
-                    f"face relation {i} <= {j} inconsistent with vertex sets")
-        res = self.poset.is_lower_eulerian()
-        if not res:
-            raise ComplexError(f"face poset is not lower Eulerian: "
-                               f"{res.describe()}")
+        self.poset = face_poset(self.faces, covers,
+                                [len(f) for f in self.faces], "face",
+                                "vertex", ComplexError)
         for z in self.poset.maximal_elements():
             if len(self.faces[z]) != dim + 1:
                 raise ComplexError("maximal faces must be full-dimensional")
@@ -178,25 +171,14 @@ class LatticeSimplexComplex:
         self.coarse_poset = None
         if coarse is None:
             return
-        cfaces = _vertex_sets(coarse["faces"], len(self.vertices),
-                              "coarse face")
+        cfaces = face_sets(coarse["faces"], len(self.vertices),
+                           "coarse face", "vertex", ComplexError)
         if frozenset() not in cfaces:
             raise ComplexError("the coarse empty face must be listed")
-        if len(set(cfaces)) != len(cfaces):
-            raise ComplexError("duplicate coarse faces")
-        labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in cfaces]
         spans = [Span(self.lifted[k] for k in sorted(f)) for f in cfaces]
-        rank = [s.rank for s in spans]
-        cposet = from_covers(len(cfaces), coarse["covers"], labels=labels,
-                             rank=rank)
-        for (i, j) in cposet.intervals():
-            if not cfaces[i] <= cfaces[j]:
-                raise ComplexError("coarse face relation inconsistent with "
-                                   "vertex sets")
-        res = cposet.is_lower_eulerian()
-        if not res:
-            raise ComplexError(f"coarse face poset is not lower Eulerian: "
-                               f"{res.describe()}")
+        cposet = face_poset(cfaces, coarse["covers"],
+                            [s.rank for s in spans], "coarse face",
+                            "vertex", ComplexError)
         cperms = {}
         for w, vperm in self.vert_perm.items():
             cperms[w] = face_permutation(cfaces, vperm)
@@ -262,16 +244,6 @@ class LatticeSimplexComplex:
     def __repr__(self):
         return (f"LatticeSimplexComplex(dim={self.dim}, "
                 f"faces={self.poset.n}, |W|={len(self.action)})")
-
-
-def _vertex_sets(faces, nverts, what):
-    """Faces as frozensets of vertex indices, each index in range."""
-    out = tuple(frozenset(f) for f in faces)
-    for f in out:
-        if any(k < 0 or k >= nverts for k in f):
-            raise ComplexError(f"{what} {sorted(f)} references a missing "
-                               f"vertex")
-    return out
 
 
 def _fixed_by_height(points, matrix, k):
@@ -482,12 +454,14 @@ def polynomial_action_check(cx, hstar):
     """Certify the assembled counting polynomial ``hstar`` (from
     :func:`hstar_from_subdivision`) against direct counts.
 
-    For every group element, the point-count series truncated at the
+    For every conjugacy class, the point-count series truncated at the
     default order 2(dim+1) times det(I - wt) must reproduce the assembled
-    polynomial, with nothing beyond its degree.
+    polynomial, with nothing beyond its degree.  All three are class
+    functions, so each class is read at its smallest member, and the
+    witness of a failure is the smallest failing group element.
     """
     order = cx.default_order()
-    for w in cx.action.elements:
+    for w in cx.action.stabilizer().reps:
         det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
         series = ehr_series(cx, w, order)
         product = series * det

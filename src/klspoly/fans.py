@@ -1,8 +1,11 @@
 """Rational fans, lattice polytopes and their equivariant kernels.
 
-Face combinatorics are always supplied as input; coordinates are used only
-for exact linear algebra: spans of cones, induced maps on quotient spaces,
-characteristic polynomials, fixed subspaces.  The kernels built here give
+Face combinatorics are always supplied as input, as point-index sets
+with cover pairs; :func:`face_sets` and :func:`face_poset` turn them into
+the validated face poset of every fan, complex, coarse face list and
+polytope in the package.  Coordinates are used only for exact linear
+algebra: spans of cones, induced maps on quotient spaces, characteristic
+polynomials, fixed subspaces.  The kernels built here give
 each interval [z,z'] the characteristic polynomial of the group element
 acting on span(z')/span(z), with an extra factor of (t-1) on pairs that
 cross from a subdivision to its target; these are the kernels whose
@@ -39,12 +42,50 @@ from .equivariant import (
     perm_cycles,
     perm_mul,
 )
-from .status import InputError
+from .status import InputError, json_int
 from .subdivision import SubdivisionTriple
 
 
 class FanError(InputError):
     pass
+
+
+def face_sets(sets, npoints, what, point, error):
+    """Point-index sets as frozensets, each index an integer naming one of
+    ``npoints`` points and no set listed twice.
+
+    ``what`` names a set ("cone", "face") and ``point`` a point ("ray",
+    "vertex") in the message of the ``error`` raised on a failure.
+    """
+    out = tuple(frozenset(s) for s in sets)
+    field = f"{what} index"
+    for s in out:
+        if not all(0 <= json_int(k, field, error) < npoints for k in s):
+            raise error(f"{what} {sorted(s)} references a missing {point}")
+    if len(set(out)) != len(out):
+        raise error(f"duplicate {what}s")
+    return out
+
+
+def face_poset(sets, covers, rank, what, point, error):
+    """The face poset of the :func:`face_sets` ``sets``.
+
+    Element k is labelled by the indices of sets[k] and ranked by
+    rank[k], or by the natural rank when ``rank`` is None.  Every relation
+    must be a containment of point sets and the poset lower Eulerian;
+    a failure raises ``error``, naming a set ``what`` and a point
+    ``point``.
+    """
+    labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in sets]
+    poset = from_covers(len(sets), covers, labels=labels, rank=rank)
+    for (i, j) in poset.intervals():
+        if not sets[i] <= sets[j]:
+            raise error(f"{what} relation {i} <= {j} inconsistent with "
+                        f"{point} sets")
+    res = poset.is_lower_eulerian()
+    if not res:
+        raise error(f"{what} poset is not lower Eulerian: {res.describe()}")
+    return poset
 
 
 def face_permutation(faces, point_perm):
@@ -191,10 +232,9 @@ class LatticeFan:
     """A fan given by integer rays plus explicit face combinatorics.
 
     ``cones`` lists each cone as a set of ray indices, with the zero cone
-    as the empty set.  The face poset is either supplied as cover pairs or
-    derived from ray-set containment; each cone's rank is the dimension of
-    its span, and the poset must come out lower Eulerian with relations
-    consistent with ray containment.
+    as the empty set.  The cover pairs are either supplied or derived from
+    ray-set containment; each cone's rank is the dimension of its span, and
+    :func:`face_poset` builds and validates the face poset.
     """
 
     def __init__(self, dim, rays, cones, covers=None):
@@ -207,31 +247,17 @@ class LatticeFan:
                 raise FanError("zero vector listed as a ray")
         if len(set(self.rays)) != len(self.rays):
             raise FanError("duplicate rays")
-        self.cones = tuple(frozenset(c) for c in cones)
-        if len(set(self.cones)) != len(self.cones):
-            raise FanError("duplicate cones")
-        for c in self.cones:
-            if any(k < 0 or k >= len(self.rays) for k in c):
-                raise FanError("cone references a missing ray")
+        self.cones = face_sets(cones, len(self.rays), "cone", "ray", FanError)
         if covers is None:
             covers = [(i, j) for i in range(len(self.cones))
                       for j in range(len(self.cones))
                       if self.cones[i] < self.cones[j]
                       and not any(self.cones[i] < self.cones[k] < self.cones[j]
                                   for k in range(len(self.cones)))]
-        labels = ["{" + ",".join(map(str, sorted(c))) + "}" for c in self.cones]
         self._spans = [Span(self.ray_vectors(z)) for z in range(self.n)]
-        rank = [s.rank for s in self._spans]
-        self.face_poset = from_covers(len(self.cones), covers, labels=labels,
-                                      rank=rank)
-        for (i, j) in self.face_poset.intervals():
-            if not self.cones[i] <= self.cones[j]:
-                raise FanError(
-                    f"face relation {i} <= {j} inconsistent with ray sets")
-        result = self.face_poset.is_lower_eulerian()
-        if not result:
-            raise FanError(f"face poset is not lower Eulerian: "
-                           f"{result.describe()}")
+        self.face_poset = face_poset(self.cones, covers,
+                                     [s.rank for s in self._spans], "face",
+                                     "ray", FanError)
 
     @property
     def n(self):
@@ -489,7 +515,7 @@ class PolytopeGeometry:
 
     def __init__(self, vertices, faces, triple):
         self.vertices = lattice_points(vertices, "vertex", FanError)
-        self.faces = tuple(frozenset(f) for f in faces)
+        self.faces = faces
         self.triple = triple
         self.dim = len(self.vertices[0]) if self.vertices else 0
         self.spans = [Span(self.vertices[k] for k in sorted(f))
@@ -528,14 +554,8 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
     (checked exactly).  Returns (triple, geometry) where the triple is the
     face lattice with the designated face as its carrier split point.
     """
-    faces = [frozenset(f) for f in faces]
-    n = len(faces)
-    labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in faces]
-    poset = from_covers(n, covers, labels=labels)
-    for (i, j) in poset.intervals():
-        if not faces[i] <= faces[j]:
-            raise FanError(f"face relation {i} <= {j} inconsistent with "
-                           "vertex sets")
+    faces = face_sets(faces, len(vertices), "face", "vertex", FanError)
+    poset = face_poset(faces, covers, None, "face", "vertex", FanError)
     triple = SubdivisionTriple(poset, face_index)
     geometry = PolytopeGeometry(vertices, faces, triple)
     face_points = [geometry.vertices[k] for k in sorted(faces[face_index])]
@@ -545,11 +565,11 @@ def polytope_cone_triple(vertices, faces, covers, face_index):
     if not relint_contains(face_points, origin):
         raise FanError("origin is not in the relative interior of the "
                        "designated face")
-    for z in range(n):
+    for z in range(poset.n):
         expected = poset.rank[z] - (1 if poset.leq(face_index, z) else 0)
         actual = geometry.spans[z].rank
         if actual != expected:
             raise FanError(
-                f"span dimension of face {labels[z]} is {actual}, "
+                f"span dimension of face {poset.labels[z]} is {actual}, "
                 f"inconsistent with its rank")
     return triple, geometry

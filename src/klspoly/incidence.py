@@ -295,9 +295,6 @@ class IncidenceElement(AlgebraElement):
             raise ValueError(f"({i}, {j}) is not an interval")
         return ZERO
 
-    def support(self):
-        return sorted(self.vals)
-
     def __mul__(self, other):
         if isinstance(other, IncidenceElement):
             return convolve(self, other)
@@ -305,20 +302,6 @@ class IncidenceElement(AlgebraElement):
 
     def __repr__(self):
         return f"IncidenceElement({len(self.vals)} nonzero intervals on {self.poset!r})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        return {"intervals": [[i, j, self.value(i, j).to_json()]
-                              for (i, j) in self.support()]}
-
-    @classmethod
-    def from_json(cls, poset, weak_rank, payload):
-        vals = {}
-        for item in payload.get("intervals", []):
-            i, j, coeffs = item
-            vals[(int(i), int(j))] = Poly.from_json(coeffs)
-        return cls(poset, weak_rank, vals)
 
 
 _new = object.__new__

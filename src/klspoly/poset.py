@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .status import CheckResult, InputError
+from .status import CheckResult, InputError, json_int
 
 
 class PosetError(InputError):
@@ -58,7 +58,7 @@ class Poset:
             if len(labels) != n:
                 raise PosetError("label count does not match element count")
         if rank is not None:
-            rank = tuple(int(r) for r in rank)
+            rank = tuple(json_int(r, "rank entry", PosetError) for r in rank)
             if len(rank) != n:
                 raise PosetError("rank vector length does not match element count")
         self.n = n
@@ -381,6 +381,7 @@ def from_covers(n, covers, labels=None, rank=None):
     up = [1 << i for i in range(n)]
     above = [[] for _ in range(n)]
     for a, b in covers:
+        a, b = (json_int(k, "cover entry", PosetError) for k in (a, b))
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise PosetError(f"bad cover pair ({a}, {b})")
         above[a].append(b)

@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from .incidence import IncidenceElement, WeakRank, eulerian_kernel
 from .polynomial import Poly
 from .poset import Poset
-from .status import GroupBoundError, InputError
+from .status import GroupBoundError, InputError, json_int
 
 VERSION = 1
 
@@ -196,7 +196,8 @@ def load_kernel_file(path, poset):
     try:
         for entry in obj["values"]:
             z, zp, coeffs = entry
-            z, zp = int(z), int(zp)
+            z, zp = (json_int(k, "kernel file element", DocumentError)
+                     for k in (z, zp))
             if not (0 <= z < poset.n and 0 <= zp < poset.n):
                 raise DocumentError(
                     f"kernel file names a missing element in ({z}, {zp})")

@@ -8,7 +8,9 @@ Every error that makes a request unanswerable derives from InputError (the
 command line exits 2), and every verification that fails while computing
 raises a VerificationFailure (exit 1).  Both live here, in a module every
 layer already imports, so the command line catches two bases instead of
-importing each layer's error classes.
+importing each layer's error classes.  :func:`json_int` is the one strict
+reading of a document's integer fields, here for the same reason: each
+layer raises its own error class through it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,17 @@ class VerificationFailure(ValueError):
     def __init__(self, message, interval):
         super().__init__(message)
         self.interval = interval
+
+
+def json_int(value, field, error):
+    """``value`` when it is an integer, else ``error`` naming ``field``.
+
+    A document's indices and ranks are JSON integers: a float, a string or
+    a bool (an int to Python) is refused, never truncated or read as 0/1.
+    """
+    if type(value) is not int:
+        raise error(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 class GroupBoundError(InputError):

@@ -50,7 +50,7 @@ from .incidence import (
 )
 from .polynomial import ZERO, poly_div_t_minus_1, poly_dot, poly_rev
 from .poset import Poset, bits, direct_product, segment_subdivision
-from .status import CheckResult, InputError
+from .status import CheckResult, InputError, json_int
 
 
 class SubdivisionError(InputError):
@@ -86,7 +86,8 @@ class StrongFormalSubdivision:
     def __init__(self, X, Y, sigma):
         if X.rank is None or Y.rank is None:
             raise SubdivisionError("both posets must carry rank vectors")
-        sigma = tuple(int(s) for s in sigma)
+        sigma = tuple(json_int(s, "sigma entry", SubdivisionError)
+                      for s in sigma)
         if len(sigma) != X.n:
             raise SubdivisionError("sigma must assign a target to every element of X")
         if any(not 0 <= s < Y.n for s in sigma):
@@ -155,7 +156,7 @@ class SubdivisionTriple:
         res = gamma.is_lower_eulerian()
         if not res:
             raise SubdivisionError(f"poset is not lower Eulerian: {res.describe()}")
-        q = int(q)
+        q = json_int(q, "q", SubdivisionError)
         if not 0 <= q < gamma.n:
             raise SubdivisionError("q out of range")
         if q == gamma.bottom():

@@ -71,7 +71,7 @@ def builder_corpus():
     for s in (1, 2, 3):
         out.append((f"segment-{s}", segment_subdivision(s)))
     out.append(("prism-triangle", direct_product(polygon(3), boolean_algebra(1))))
-    return [(name, p) for name, p in out if p.n <= 200]
+    return out
 
 
 def admissible_triples(poset):

@@ -374,6 +374,59 @@ def test_a_document_poset_without_a_rank_exits_two(capsys, tmp_path,
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
+def _integer_field(field, value, tmp_path):
+    """The argv of a run whose document carries ``value`` in ``field``,
+    and the field's name in the refusal."""
+    path = tmp_path / "input.json"
+    if field == "q":
+        _tag, payload = load_fixture("cube3_facet.json", expect="triple")
+        payload["q"] = value
+        write_document(path, "triple", payload)
+        return ["local", str(path)], "bad triple payload: q"
+    if field == "sigma":
+        write_document(path, "sfs", {"x": _SEGMENT, "y": _SEGMENT,
+                                     "sigma": [0, value, 2, 3]})
+        return ["check", str(path)], "bad sfs payload: sigma entry"
+    if field in ("rank", "cover"):
+        _tag, payload = load_fixture("boolean3.json", expect="poset")
+        if field == "rank":
+            payload["rank"][1] = value
+        else:
+            payload["covers"][0][1] = value
+        write_document(path, "poset", payload)
+        return ["kls", str(path), "--what", "g"], \
+            f"bad poset payload: {field} entry"
+    entry = [0, value] if field == "kernel zp" else [value, 3]
+    path.write_text(json.dumps({"values": [entry + [[2, -2, 1]]]}))
+    return ["kls", "fixture:boolean3.json", "--what", "g", "--kernel",
+            str(path)], "kernel file element"
+
+
+@pytest.mark.parametrize("value, shown", [(1.0, "1.0"), (25.9, "25.9"),
+                                          ("1", "'1'"), (True, "True")],
+                         ids=["whole-float", "float", "string", "bool"])
+@pytest.mark.parametrize("field", ["q", "sigma", "rank", "cover",
+                                   "kernel z", "kernel zp"])
+def test_a_document_integer_that_is_not_an_int_exits_two(
+        capsys, tmp_path, field, value, shown):
+    argv, name = _integer_field(field, value, tmp_path)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", f"error: {name} must be an integer, got {shown}\n")
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("q", 25, 0), ("sigma", 1, 0), ("rank", 1, 0), ("cover", 1, 0),
+    # the override [2, -2, 1] on (0, 3) is read, and it is not a kernel
+    ("kernel z", 0, 1), ("kernel zp", 3, 1)])
+def test_a_document_integer_that_is_an_int_is_read(capsys, tmp_path, field,
+                                                   value, code):
+    argv, _name = _integer_field(field, value, tmp_path)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
 def test_group_size_bound_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("KLS_MAX_GROUP", "2")
     code, out = run(capsys, ["check", "fixture:cone_square_z4.json"])

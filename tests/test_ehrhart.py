@@ -16,8 +16,8 @@ from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              polynomial_action_check, reciprocity_check)
 from klspoly.equivariant import (ClassPoly, NotAutomorphism, classpoly_json,
                                  equiv_local_invariants)
-from klspoly.linalg import Span
-from klspoly.polynomial import Poly
+from klspoly.linalg import Span, charpoly
+from klspoly.polynomial import Poly, poly_rev
 from klspoly.verify import (COMPLEX_FIXTURES, load_complex_fixture,
                             load_fixture, run_suite)
 
@@ -160,6 +160,32 @@ def test_two_counting_routes_agree_on_every_fixture():
     for name in COMPLEX_FIXTURES:
         cx = load_complex_fixture(name)
         assert polynomial_action_check(cx, hstar_from_subdivision(cx))
+
+
+def _first_failing_element(cx, hstar):
+    """The check of :func:`polynomial_action_check`, run on every group
+    element in increasing order; the first failing element, or None."""
+    order = cx.default_order()
+    for w in cx.action.elements:
+        det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
+        got = Poly((ehr_series(cx, w, order) * det).coeffs[: order + 1])
+        if got != Poly(hstar.ev(w).coeffs[: order + 1]):
+            return list(w)
+    return None
+
+
+def test_the_class_loop_names_the_witness_of_the_element_loop():
+    cx = load_complex_fixture("crosscut_d4.json")
+    good = hstar_from_subdivision(cx)
+    group = good.group
+    assert len(group.reps) < len(group.elements)
+    for rep in group.reps:
+        bad = ClassPoly(group, {w: v + Poly([0, 1]) if w == rep else v
+                                for w, v in good.values.items()})
+        res = polynomial_action_check(cx, bad)
+        assert not res
+        assert res.witness == {"w": _first_failing_element(cx, bad)}
+        assert res.witness == {"w": list(rep)}
 
 
 def test_reciprocity_and_its_failure_mode():

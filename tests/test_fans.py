@@ -63,6 +63,97 @@ def test_fan_validation():
         LatticeFan(2, [(1, 0), (0, 1)], [frozenset(), frozenset({0, 1})])
 
 
+_SQUARE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+_SQUARE_CONES = [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3], [3, 0]]
+_SQUARE_COVERS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (2, 6),
+                  (3, 6), (3, 7), (4, 7), (4, 8), (1, 8)]
+
+
+def _unit_square():
+    return load_fixture("unit_square.json", expect="complex")[1]
+
+
+def _build_fan(cones, covers):
+    return LatticeFan(2, _SQUARE_RAYS, cones, covers)
+
+
+def _build_complex(faces, covers):
+    payload = _unit_square()
+    payload["faces"], payload["covers"] = faces, covers
+    return ehrhart.LatticeSimplexComplex.from_json(payload)
+
+
+def _build_coarse(faces, covers):
+    payload = _unit_square()
+    payload["coarse"] = {"faces": faces, "covers": covers}
+    return ehrhart.LatticeSimplexComplex.from_json(payload)
+
+
+def _build_polytope(faces, covers):
+    verts, _faces, _covers = hexagon_polytope()
+    return polytope_cone_triple(verts, faces, covers, 13)
+
+
+def _face_kinds():
+    """Kind -> (builder, sets, covers, error class, and the words the
+    messages use for a set, for the poset's elements and for a point)."""
+    square = _unit_square()
+    _verts, hexagon_faces, hexagon_covers = hexagon_polytope()
+    return {
+        "fan": (_build_fan, _SQUARE_CONES, _SQUARE_COVERS, FanError,
+                "cone", "face", "ray"),
+        "complex": (_build_complex, square["faces"], square["covers"],
+                    ehrhart.ComplexError, "face", "face", "vertex"),
+        "coarse": (_build_coarse, square["coarse"]["faces"],
+                   square["coarse"]["covers"], ehrhart.ComplexError,
+                   "coarse face", "coarse face", "vertex"),
+        "polytope": (_build_polytope, [sorted(f) for f in hexagon_faces],
+                     hexagon_covers, FanError, "face", "face", "vertex"),
+    }
+
+
+#: Kind -> (cover added, cover dropped, message of the non-Eulerian poset).
+_FACE_FAULTS = {
+    "fan": ((1, 6), (1, 5), "euler-sum; witness=(0, 5); alternating sum 1 "
+            "on [{}, {0,1}]"),
+    "complex": ((1, 9), (7, 11), "euler-sum; witness=(0, 11); alternating "
+                "sum -1 on [{}, {1,2,3}]"),
+    "coarse": ((1, 8), (8, 9), "euler-sum; witness=(0, 9); alternating sum "
+               "-1 on [{}, {0,1,2,3}]"),
+    "polytope": ((1, 8), (12, 13), "euler-sum; witness=(0, 13); alternating "
+                 "sum -1 on [{}, {0,1,2,3,4,5}]"),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "not-an-integer", "repeated",
+                                   "not-a-containment", "not-eulerian"])
+@pytest.mark.parametrize("kind", list(_FACE_FAULTS))
+def test_every_face_poset_is_refused_through_the_builder(kind, fault):
+    build, sets, covers, error, word, poset_word, point = _face_kinds()[kind]
+    added, dropped, not_eulerian = _FACE_FAULTS[kind]
+    sets, covers = [list(s) for s in sets], [tuple(c) for c in covers]
+    build(sets, covers)
+    if fault == "missing":
+        sets[1] = [99]
+        message = f"{word} [99] references a missing {point}"
+    elif fault == "not-an-integer":
+        sets[1] = [True]
+        message = f"{word} index must be an integer, got True"
+    elif fault == "repeated":
+        sets[2] = sets[1]
+        message = f"duplicate {word}s"
+    elif fault == "not-a-containment":
+        covers.append(added)
+        message = (f"{poset_word} relation {added[0]} <= {added[1]} "
+                   f"inconsistent with {point} sets")
+    else:
+        covers.remove(dropped)
+        message = f"{poset_word} poset is not lower Eulerian: {not_eulerian}"
+    with pytest.raises(error) as exc:
+        build(sets, covers)
+    assert str(exc.value) == message
+
+
 def test_square_fan_dihedral_kernel_and_z():
     fan, _ = load_fan_fixture("square_fan_z4.json")
     fa = EquivFanAction(fan, [[[0, -1], [1, 0]], [[1, 0], [0, -1]]], 10_000)

@@ -122,12 +122,26 @@ def test_no_function_imports_outside_its_leading_block():
     assert found == [], "scattered imports:\n" + "\n".join(found)
 
 
+def _mentions(node, name):
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
 def mentions(source, name):
     """Lines that mention ``name`` as a variable or an attribute, which
     covers every call of a function or method of that name."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if (isinstance(node, ast.Name) and node.id == name)
-                  or (isinstance(node, ast.Attribute) and node.attr == name))
+                  if _mentions(node, name))
+
+
+def mentions_outside(source, name, function):
+    """Lines that mention ``name`` outside the module-level ``function``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in inside and _mentions(node, name))
 
 
 def test_the_scan_finds_a_mention():
@@ -144,6 +158,25 @@ def test_only_the_poset_module_derives_a_natural_rank():
              for line in mentions(path.read_text(encoding="utf-8"),
                                   "natural_rank")]
     assert found == [], "natural_rank outside poset.py:\n" + "\n".join(found)
+
+
+def test_the_scan_finds_a_mention_outside_a_function():
+    source = ("def face_poset():\n    return from_covers(1, [])\n"
+              "def other():\n    return from_covers(2, [])\n"
+              "poset.from_covers(3, [])\n")
+    assert mentions_outside(source, "from_covers", "face_poset") == [4, 5]
+
+
+def test_only_the_face_poset_builder_builds_a_poset_from_covers():
+    # fan cones, complex and coarse faces and polytope faces become a
+    # poset through fans.face_poset, which checks containment and the
+    # lower Eulerian property; only poset.py builds one otherwise
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "poset.py"
+             for line in mentions_outside(path.read_text(encoding="utf-8"),
+                                          "from_covers", "face_poset")]
+    assert found == [], ("from_covers outside poset.py and fans.face_poset:"
+                         "\n" + "\n".join(found))
 
 
 ROOT = PACKAGE.parents[1]
