@@ -422,18 +422,26 @@ def _verify_kernel(args, path, payload):
 
 
 def _verify_paths(args):
-    """Checks for explicitly supplied documents, dispatched on schema."""
+    """Checks for explicitly supplied documents, dispatched on schema.
+
+    At most one group document is accepted, and some check must read it.
+    """
     docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
+    groups = [(p, pay) for p, t, pay in docs if t == "group"]
+    if len(groups) > 1:
+        raise InputProblem(f"{groups[1][0]} is a second group document; "
+                           f"verify reads at most one")
+    unread = groups
     results = []
-    group_doc = next((pay for _p, t, pay in docs if t == "group"), None)
     for path, tag, payload in docs:
         if tag == "group":
             continue
         if tag == "triple" and args.suite in TRIPLE_CHECKS:
             results.extend(_verify_triple(args, path, payload))
         elif tag in ("poset", "triple") and args.suite == "equivariant" \
-                and group_doc is not None:
-            results.extend(_verify_action(path, tag, payload, group_doc))
+                and groups:
+            results.extend(_verify_action(path, tag, payload, groups[0][1]))
+            unread = []
         elif tag == "fan" and args.suite == "equivariant":
             results.extend(_verify_fan(path, payload))
         elif tag == "complex" and args.suite == "ehrhart-reciprocity":
@@ -446,6 +454,9 @@ def _verify_paths(args):
                 f"{args.suite!r}")
     if not results:
         raise InputProblem("no verifiable documents among the given paths")
+    if unread:
+        raise InputProblem(f"no check under suite {args.suite!r} reads the "
+                           f"group document {unread[0][0]}")
     return results
 
 

@@ -9,7 +9,9 @@ points of simplices by integer barycentric coordinates against one
 factored span per face (:class:`klspoly.linalg.Span`), point counts of cones
 by box points plus invariant ray combinations, and the assembly formulas
 expressing the counting polynomials of the whole polytope through the
-kernel machinery on the subdivision's face poset.
+kernel machinery on the subdivision's face poset.  The face kernel and
+the cylinder kernel are :func:`klspoly.fans.span_kernel` calls; elements
+multiplied with a kernel take that kernel's weak rank.
 
 Affine maps are encoded as (dim+1) x (dim+1) integer matrices acting on
 the lattice extended by a last coordinate that every group element fixes;
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
                          poly_rev)
-from .incidence import WeakRank
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
 from .status import CheckResult, InputError
 from .equivariant import (
@@ -113,12 +114,7 @@ class LatticeSimplexComplex:
     def __init__(self, dim, vertices, faces, covers, matrices=None,
                  coarse=None):
         self.dim = dim
-        self.vertices = lattice_points(vertices, "vertex", ComplexError)
-        for v in self.vertices:
-            if len(v) != dim:
-                raise ComplexError("vertex dimension mismatch")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ComplexError("duplicate vertices")
+        self.vertices = lattice_points(vertices, dim, "vertex", ComplexError)
         self.lifted = tuple(_lift(v) for v in self.vertices)
         self.faces = face_sets(faces, len(self.vertices), "face", "vertex",
                                ComplexError)
@@ -159,11 +155,9 @@ class LatticeSimplexComplex:
                                    "coordinate")
             return lifted_permutation(mat)
 
-        self.action, pairs = matrix_action(
+        self.action, self.by_perm, self.vert_perm = matrix_action(
             self.poset, self.faces, self.dim + 1, matrices,
             affine_permutation)
-        self.by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
-        self.vert_perm = {w: vperm for w, (vperm, _mat) in pairs.items()}
 
     # -- coarsening ---------------------------------------------------------
 
@@ -294,10 +288,10 @@ class HStarData:
             self.local[z] = l
 
 
-def _bottom_row_element(cx, per_face):
-    """Per-face polynomials as an incidence element on the (bottom, z)."""
+def _bottom_row_element(cx, weak_rank, per_face):
+    """Per-face polynomials as an incidence element on the (bottom, z),
+    over the ``weak_rank`` of the face kernel it is multiplied with."""
     bottom = cx.poset.bottom()
-    weak_rank = WeakRank.natural(cx.poset)
     vals = {}
     for z in range(cx.poset.n):
         vals[(bottom, z)] = per_face[z]
@@ -311,9 +305,8 @@ def face_kernel(cx):
     of w on span(z')/span(z), spans taken of the faces placed at height
     one.
     """
-    weak_rank = WeakRank.natural(cx.poset)
-    return checked_kernel(span_kernel(cx.action, weak_rank, cx.spans, (),
-                                      lambda w: cx.by_perm[w]))
+    return checked_kernel(span_kernel(cx.action, cx.spans, (),
+                                      cx.by_perm.__getitem__))
 
 
 def check_hl_relation(cx):
@@ -323,9 +316,10 @@ def check_hl_relation(cx):
     poset; both are checked as equalities of equivariant elements.
     """
     data = HStarData(cx)
-    g = equiv_solve_g(face_kernel(cx))
-    h_elem = _bottom_row_element(cx, data.hstar)
-    l_elem = _bottom_row_element(cx, data.local)
+    kappa = face_kernel(cx)
+    g = equiv_solve_g(kappa)
+    h_elem = _bottom_row_element(cx, kappa.weak_rank, data.hstar)
+    l_elem = _bottom_row_element(cx, kappa.weak_rank, data.local)
     expected = equiv_multiply(h_elem, equiv_invert(g))
     if l_elem != expected:
         return CheckResult.failed("open-box-from-half-open",
@@ -546,10 +540,10 @@ class ComplexCylinder:
             [lift(fp) for fp in cx.action.generators or [cx.action.identity]],
             self._to_fine)
         spans = list(cx.spans) + list(cx.coarse_spans)
-        self.kappa = cylinder_kernel(
+        self.kappa = checked_kernel(cylinder_kernel(
             self.triple, self.action, spans,
-            lambda w: cx.by_perm[self._to_fine[tuple(w)]])
-        self.weak_rank = WeakRank.natural(self.triple.gamma)
+            lambda w: cx.by_perm[self._to_fine[tuple(w)]]))
+        self.weak_rank = self.kappa.weak_rank
 
     def fine_of(self, w):
         """The fine complex group element of a cylinder permutation.

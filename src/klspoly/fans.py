@@ -3,13 +3,16 @@
 Face combinatorics are always supplied as input, as point-index sets
 with cover pairs; :func:`face_sets` and :func:`face_poset` turn them into
 the validated face poset of every fan, complex, coarse face list and
-polytope in the package.  Coordinates are used only for exact linear
+polytope in the package, :func:`klspoly.linalg.lattice_points` reads
+their rays and vertices, and each keeps a ``spans`` list, the factored
+span of every face.  Coordinates are used only for exact linear
 algebra: spans of cones, induced maps on quotient spaces, characteristic
-polynomials, fixed subspaces.  The kernels built here give
-each interval [z,z'] the characteristic polynomial of the group element
-acting on span(z')/span(z), with an extra factor of (t-1) on pairs that
-cross from a subdivision to its target; these are the kernels whose
-Kazhdan-Lusztig-Stanley invariants the rest of the package studies.
+polynomials, fixed subspaces.  Every kernel is one :func:`span_kernel`
+call: it gives each interval [z,z'] the characteristic polynomial of the
+group element acting on span(z')/span(z), with an extra factor of (t-1)
+on pairs that cross from a subdivision to its target; these are the
+kernels whose Kazhdan-Lusztig-Stanley invariants the rest of the package
+studies.
 """
 
 import math
@@ -118,8 +121,8 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     well-defined matrix at each poset permutation.  The closed face
     permutations are the group of the PermAction, handed over through
     :meth:`PermAction._closed`, which checks the generators but does not
-    close the group a second time.  Returns (PermAction,
-    {face perm: (point perm, matrix)}).
+    close the group a second time.  Returns (PermAction, {face perm:
+    matrix}, {face perm: point perm}).
     """
     gens = []
     for k, m in enumerate(matrices):
@@ -140,18 +143,20 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
         return ((None, (perm_mul(gf, fperm), perm_mul(gp, pperm),
                         mat_mul(gm, mat))) for gf, gp, gm in gens)
 
-    by_perm = {}
+    matrix_of = {}
+    point_perm_of = {}
     for (fperm, pperm, mat), parent, _g in _orbit(
             [(ident, point_perm(ident_mat), ident_mat)], moves):
-        if fperm in by_perm:
+        if fperm in matrix_of:
             raise NotAutomorphism(
                 "action is not faithful: two distinct group elements "
                 "induce the same permutation")
-        if parent is not None and len(by_perm) >= bound:
+        if parent is not None and len(matrix_of) >= bound:
             raise GroupTooLarge(f"matrix group exceeds bound {bound}")
-        by_perm[fperm] = (pperm, mat)
-    return PermAction._closed(poset, [g[0] for g in gens] or [ident],
-                              by_perm), by_perm
+        matrix_of[fperm] = mat
+        point_perm_of[fperm] = pperm
+    return (PermAction._closed(poset, [g[0] for g in gens] or [ident],
+                               matrix_of), matrix_of, point_perm_of)
 
 
 def primitive_vector(v):
@@ -233,42 +238,34 @@ class LatticeFan:
 
     ``cones`` lists each cone as a set of ray indices, with the zero cone
     as the empty set.  The cover pairs are either supplied or derived from
-    ray-set containment; each cone's rank is the dimension of its span, and
-    :func:`face_poset` builds and validates the face poset.
+    ray-set containment; ``spans`` holds the factored linear span of each
+    cone, whose rank is the cone's rank, and :func:`face_poset` builds and
+    validates the face poset.
     """
 
     def __init__(self, dim, rays, cones, covers=None):
         self.dim = dim
-        self.rays = lattice_points(rays, "ray", FanError)
-        for r in self.rays:
-            if len(r) != dim:
-                raise FanError("ray dimension mismatch")
-            if not any(r):
-                raise FanError("zero vector listed as a ray")
-        if len(set(self.rays)) != len(self.rays):
-            raise FanError("duplicate rays")
+        self.rays = lattice_points(rays, dim, "ray", FanError)
+        if not all(map(any, self.rays)):
+            raise FanError("zero vector listed as a ray")
         self.cones = face_sets(cones, len(self.rays), "cone", "ray", FanError)
         if covers is None:
-            covers = [(i, j) for i in range(len(self.cones))
-                      for j in range(len(self.cones))
-                      if self.cones[i] < self.cones[j]
-                      and not any(self.cones[i] < self.cones[k] < self.cones[j]
-                                  for k in range(len(self.cones)))]
-        self._spans = [Span(self.ray_vectors(z)) for z in range(self.n)]
+            # j covers i when j lies above i and no cone lies between them
+            above = [sum(1 << j for j, b in enumerate(self.cones) if a < b)
+                     for a in self.cones]
+            below = [sum(1 << i for i, a in enumerate(self.cones) if a < b)
+                     for b in self.cones]
+            covers = [(i, j) for i in range(self.n) for j in range(self.n)
+                      if above[i] >> j & 1 and not above[i] & below[j]]
+        self.spans = [Span(self.rays[k] for k in sorted(c))
+                      for c in self.cones]
         self.face_poset = face_poset(self.cones, covers,
-                                     [s.rank for s in self._spans], "face",
+                                     [s.rank for s in self.spans], "face",
                                      "ray", FanError)
 
     @property
     def n(self):
         return len(self.cones)
-
-    def span(self, z):
-        """The factored linear span of cone z."""
-        return self._spans[z]
-
-    def ray_vectors(self, z):
-        return [self.rays[k] for k in sorted(self.cones[z])]
 
     def to_json(self):
         return {"dim": self.dim,
@@ -333,25 +330,25 @@ class EquivFanAction:
 
     def __init__(self, fan, matrices, max_group=None):
         self.fan = fan
-        self.action, self._by_perm = matrix_action(
+        self.action, self._matrices, self._ray_perms = matrix_action(
             fan.face_poset, fan.cones, fan.dim, matrices,
             lambda mat: _ray_permutation(fan, mat), max_group=max_group)
 
     def matrix_of(self, w):
-        return self._by_perm[tuple(w)][1]
+        return self._matrices[tuple(w)]
 
     def ray_perm_of(self, w):
-        return self._by_perm[tuple(w)][0]
+        return self._ray_perms[tuple(w)]
 
     def __len__(self):
-        return len(self._by_perm)
+        return len(self._matrices)
 
     @classmethod
     def from_json(cls, fan, payload):
         return cls(fan, payload["matrices"])
 
     def __repr__(self):
-        return f"EquivFanAction(|W|={len(self._by_perm)}, {self.fan!r})"
+        return f"EquivFanAction(|W|={len(self)}, {self.fan!r})"
 
 
 def induced_charpoly(matrix, full, sub_rank):
@@ -384,13 +381,16 @@ def induced_charpoly(matrix, full, sub_rank):
                  cp.den * den ** size)
 
 
-def span_kernel(action, weak_rank, spans, crossing, matrix_of):
+def span_kernel(action, spans, crossing, matrix_of):
     """Kernel from span data: quotient characteristic polynomials.
 
-    ``spans`` gives the factored span of each poset element; ``crossing``
-    is the set of intervals that receive an extra factor of (t - 1), a
-    subdivision triple's X x Y block or none; ``matrix_of`` maps each group
-    element to its matrix.  The kernel is the :func:`_assemble` of one read:
+    The one builder of the kernels of fans, complexes, cylinders and
+    polytopes.  ``spans`` gives the factored span of each element of
+    ``action.poset``; ``crossing`` is the set of intervals that receive an
+    extra factor of (t - 1), a subdivision triple's X x Y block or none;
+    ``matrix_of`` maps each group element to its matrix.  The weak rank is
+    the natural rank of ``action.poset``, derived here and nowhere else
+    in the geometry.  The kernel is the :func:`_assemble` of one read:
     on [i, j] the basis of spans[i] is extended greedily by the basis of
     spans[j], once, and every stabilizer class rep is read off that one
     factorization.  The read runs on the first interval of each interval
@@ -415,7 +415,7 @@ def span_kernel(action, weak_rank, spans, crossing, matrix_of):
             values[w] = p
         return _classpoly(stab, values)
 
-    return _assemble(action, weak_rank, read)
+    return _assemble(action, WeakRank.natural(action.poset), read)
 
 
 def validate_span_kernel(kernel):
@@ -443,16 +443,15 @@ def checked_kernel(kernel):
 
 
 def cylinder_kernel(triple, action, spans, matrix_of):
-    """Kernel of a geometrically realized subdivision cylinder.
+    """The :func:`span_kernel` of a geometrically realized triple: a
+    subdivision cylinder, or a polytope split at a face.
 
     Pairs inside either half use plain quotient characteristic
     polynomials; pairs crossing from the subdivision side into the target
-    side pick up the extra (t - 1) factor.  The weak rank is the natural
-    rank of the cylinder.
+    side, the triple's X x Y block, pick up the extra (t - 1) factor.  The
+    kernel is returned unchecked, for the caller to validate once.
     """
-    weak_rank = WeakRank.natural(triple.gamma)
-    return checked_kernel(span_kernel(action, weak_rank, spans,
-                                      triple.xy_pairs(), matrix_of))
+    return span_kernel(action, spans, triple.xy_pairs(), matrix_of)
 
 
 def fan_kernel(fan, faction):
@@ -462,10 +461,7 @@ def fan_kernel(fan, faction):
     w acting on span(z')/span(z); with the trivial action it reduces to
     the Eulerian kernel (t-1)^rank.
     """
-    action = faction.action
-    weak_rank = WeakRank.natural(fan.face_poset)
-    spans = [fan.span(z) for z in range(fan.n)]
-    return span_kernel(action, weak_rank, spans, (), faction.matrix_of)
+    return span_kernel(faction.action, fan.spans, (), faction.matrix_of)
 
 
 def fixed_fan(fan, faction, w):
@@ -509,15 +505,16 @@ class PolytopeGeometry:
     Holds the vertex coordinates, the per-face spans (spans of the faces'
     vertex vectors, once the origin sits in the designated face's relative
     interior), and the triple of the face lattice split at the designated
-    face.  Provides the matrix group actions and the kernel whose crossing
-    pairs, the triple's X x Y block, pick up the (t - 1) factor.
+    face.  The dimension is the length of the first vertex.  Provides the
+    matrix group actions; the kernel is the :func:`cylinder_kernel` of the
+    triple.
     """
 
     def __init__(self, vertices, faces, triple):
-        self.vertices = lattice_points(vertices, "vertex", FanError)
+        self.dim = len(vertices[0]) if vertices else 0
+        self.vertices = lattice_points(vertices, self.dim, "vertex", FanError)
         self.faces = faces
         self.triple = triple
-        self.dim = len(self.vertices[0]) if self.vertices else 0
         self.spans = [Span(self.vertices[k] for k in sorted(f))
                       for f in self.faces]
 
@@ -526,23 +523,17 @@ class PolytopeGeometry:
 
         Each matrix must permute the vertices; the face permutation must
         be faithful so kernels can evaluate matrices at permutations.
+        Returns (PermAction, {face perm: matrix}).
         """
         triple = self.triple
-        action, pairs = matrix_action(triple.gamma, self.faces, self.dim,
-                                      matrices,
-                                      vertex_permutation(self.vertices))
-        by_perm = {w: mat for w, (_vperm, mat) in pairs.items()}
+        action, matrix_of, _vperms = matrix_action(
+            triple.gamma, self.faces, self.dim, matrices,
+            vertex_permutation(self.vertices))
         for w in action.generators:
             if w[triple.q] != triple.q:
                 raise NotAutomorphism("action does not fix the designated "
                                       "face")
-        return action, by_perm
-
-    def kernel(self, action, by_perm):
-        weak_rank = WeakRank.natural(self.triple.gamma)
-        return span_kernel(action, weak_rank, self.spans,
-                           self.triple.xy_pairs(),
-                           lambda w: by_perm[tuple(w)])
+        return action, matrix_of
 
 
 def polytope_cone_triple(vertices, faces, covers, face_index):

@@ -35,17 +35,24 @@ def exact_vector(v):
     return tuple(out)
 
 
-def lattice_points(vectors, what, error):
-    """The vectors as int tuples.
+def lattice_points(vectors, dim, what, error):
+    """The vectors as distinct int tuples of length ``dim``.
 
-    A coordinate that is not an integer value raises ``error`` naming the
-    offending ``what`` (a vertex or a ray) by index and value.
+    A non-integer coordinate, a vector of another length and a repeated
+    vector each raise ``error`` naming the ``what`` (a vertex or a ray),
+    the first and the last by index and value.
     """
     out = []
+    seen = set()
     for k, v in enumerate(vectors):
         ints = exact_vector(v)
         if any(type(x) is not int for x in ints):
             raise error(f"{what} {k} {list(v)} has a non-integer coordinate")
+        if len(ints) != dim:
+            raise error(f"{what} dimension mismatch")
+        if ints in seen:
+            raise error(f"{what} {k} {list(v)} is listed twice")
+        seen.add(ints)
         out.append(ints)
     return tuple(out)
 

@@ -638,19 +638,7 @@ def check_composition(s1, s2):
 def segment_subdivision_sfs(s):
     """The subdivision of a segment by s interior points, onto the
     undivided segment."""
-    X = segment_subdivision(s)
-    Y = segment_subdivision(0)
-    nv = s + 2
-    sigma = [0]  # empty face -> empty face
-    for i in range(nv):
-        if i == 0:
-            sigma.append(1)        # left vertex
-        elif i == nv - 1:
-            sigma.append(2)        # right vertex
-        else:
-            sigma.append(3)        # interior vertex -> the edge
-    sigma.extend([3] * (s + 1))    # every small edge -> the edge
-    return StrongFormalSubdivision(X, Y, sigma)
+    return segment_refinement_sfs(s, ())
 
 
 def segment_refinement_sfs(fine, coarse_positions):

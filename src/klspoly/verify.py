@@ -216,14 +216,14 @@ def hexagon_polytope():
 
 
 def hexagon_dihedral_setup():
-    from .fans import polytope_cone_triple
+    from .fans import cylinder_kernel, polytope_cone_triple
 
     verts, faces, covers = hexagon_polytope()
     triple, geom = polytope_cone_triple(verts, faces, covers, 13)
     rot = ((1, -1), (1, 0))
     ref = ((0, 1), (1, 0))
-    action, by_perm = geom.action([rot, ref])
-    kappa = geom.kernel(action, by_perm)
+    action, matrix_of = geom.action([rot, ref])
+    kappa = cylinder_kernel(triple, action, geom.spans, matrix_of.__getitem__)
     return triple, action, kappa
 
 

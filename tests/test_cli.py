@@ -131,6 +131,37 @@ def test_verify_glued_swap_is_refused(capsys):
     assert "[0, 1, 2, 3, 4, 5, 6, 8, 7, 9]" in out
 
 
+_S3_TOP = "fixture:polygon_s3_top.json"
+_S3_ROTATION = "fixture:polygon_s3_rotation.json"
+_SWAP = "fixture:glued_swap.json"
+
+
+@pytest.mark.parametrize("paths, second", [
+    ([_S3_TOP, _S3_ROTATION, _SWAP], _SWAP),
+    ([_SWAP, _S3_TOP, _S3_ROTATION], _S3_ROTATION),
+], ids=["swap-last", "swap-first"])
+def test_verify_refuses_a_second_group_document_in_either_order(
+        capsys, paths, second):
+    code = cli.main(["verify", *paths, "--suite", "equivariant"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: {second} is a second group document; "
+                            f"verify reads at most one\n")
+
+
+@pytest.mark.parametrize("paths, suite", [
+    (["fixture:polygon_s2.json", _S3_ROTATION], "theorem-g"),
+    (["fixture:square_fan_z4.json", _S3_ROTATION], "equivariant"),
+], ids=["triple-under-theorem-g", "fan-with-its-own-action"])
+def test_verify_refuses_a_group_document_that_no_check_reads(
+        capsys, paths, suite):
+    code = cli.main(["verify", *paths, "--suite", suite])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: no check under suite {suite!r} reads "
+                            f"the group document {_S3_ROTATION}\n")
+
+
 def test_ehrhart_hstar_of_the_crosscut_square(capsys):
     code, out = run(capsys, ["ehrhart", "fixture:crosscut_d4.json",
                              "--what", "hstar"])

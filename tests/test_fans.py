@@ -1,5 +1,6 @@
 """Lattice fans, matrix actions, and geometric kernels."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
                                  equiv_z_function, ev_w)
 from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
                           checked_kernel, cone_contains, conv_contains,
-                          fan_kernel, fixed_fan, induced_charpoly,
-                          polytope_cone_triple, primitive_vector,
-                          relint_contains)
+                          cylinder_kernel, fan_kernel, fixed_fan,
+                          induced_charpoly, polytope_cone_triple,
+                          primitive_vector, relint_contains)
 from klspoly.incidence import (IncidenceElement, WeakRank, hat,
                                is_rank_alternating, rev, validate_kernel)
 from klspoly.linalg import Span, charpoly, identity_matrix
@@ -52,15 +53,39 @@ def test_vector_predicates():
 
 
 def test_fan_validation():
-    with pytest.raises(FanError, match="duplicate rays"):
+    with pytest.raises(FanError, match=r"ray 1 \[1, 0\] is listed twice"):
         LatticeFan(2, [(1, 0), (1, 0)], [frozenset()])
-    with pytest.raises(FanError, match="zero vector"):
+    with pytest.raises(FanError, match="^zero vector listed as a ray$"):
         LatticeFan(2, [(0, 0)], [frozenset()])
     with pytest.raises(FanError, match="missing ray"):
         LatticeFan(2, [(1, 0)], [frozenset(), frozenset({3})])
     with pytest.raises(FanError, match="lower Eulerian"):
         # rank jumps from 0 to 2 with nothing in between
         LatticeFan(2, [(1, 0), (0, 1)], [frozenset(), frozenset({0, 1})])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_fan_derives_the_covers_it_is_given(monkeypatch, d):
+    verts = list(itertools.product((1, -1), repeat=d))
+    facets = [[i for i, v in enumerate(verts) if v[axis] == sign]
+              for axis in range(d) for sign in (1, -1)]
+    doc = bench_module("inputs").face_fan(verts, facets)
+    built = []
+    face_poset = fans.face_poset
+
+    def recorded(sets, covers, *args):
+        built.append(list(covers))
+        return face_poset(sets, covers, *args)
+
+    monkeypatch.setattr(fans, "face_poset", recorded)
+    derived = LatticeFan(d, doc["rays"], doc["cones"])
+    # the face poset of a polytope is graded: a cover raises the rank by one
+    covers = [(i, j) for i, a in enumerate(derived.cones)
+              for j, b in enumerate(derived.cones)
+              if a < b and derived.spans[j].rank == derived.spans[i].rank + 1]
+    given = LatticeFan(d, doc["rays"], doc["cones"], covers)
+    assert built == [covers, covers]
+    assert derived.to_json() == given.to_json()
 
 
 _SQUARE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -151,6 +176,52 @@ def test_every_face_poset_is_refused_through_the_builder(kind, fault):
         message = f"{poset_word} poset is not lower Eulerian: {not_eulerian}"
     with pytest.raises(error) as exc:
         build(sets, covers)
+    assert str(exc.value) == message
+
+
+def _point_kinds():
+    """Kind -> (builder from a point list, the valid points, error class,
+    and the word the messages use for a point)."""
+    square = _unit_square()
+    verts, faces, covers = hexagon_polytope()
+
+    def build_complex(points):
+        payload = _unit_square()
+        payload["vertices"] = points
+        return ehrhart.LatticeSimplexComplex.from_json(payload)
+
+    return {
+        "fan": (lambda points: LatticeFan(2, points, _SQUARE_CONES,
+                                          _SQUARE_COVERS),
+                _SQUARE_RAYS, FanError, "ray"),
+        "complex": (build_complex, square["vertices"], ehrhart.ComplexError,
+                    "vertex"),
+        "polytope": (lambda points: polytope_cone_triple(points, faces,
+                                                         covers, 13),
+                     verts, FanError, "vertex"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["not-an-integer", "wrong-length",
+                                   "repeated"])
+@pytest.mark.parametrize("kind", ["fan", "complex", "polytope"])
+def test_every_point_list_is_refused_through_the_reader(kind, fault):
+    # a polytope takes its dimension from its first vertex; a ragged or a
+    # repeated vertex is refused like a ray, not met later as an IndexError
+    build, points, error, word = _point_kinds()[kind]
+    points = [list(v) for v in points]
+    build(points)
+    if fault == "not-an-integer":
+        points[1] = [points[1][0], 0.5]
+        message = f"{word} 1 {points[1]} has a non-integer coordinate"
+    elif fault == "wrong-length":
+        points[1] = points[1] + [0]
+        message = f"{word} dimension mismatch"
+    else:
+        points[2] = points[1]
+        message = f"{word} 2 {points[1]} is listed twice"
+    with pytest.raises(error) as exc:
+        build(points)
     assert str(exc.value) == message
 
 
@@ -333,9 +404,11 @@ def test_an_assembly_failure_is_reported_with_its_interval(monkeypatch):
     assert checks["solvers"].detail == "values do not glue on (0, 3)"
 
 
-def _direct_span_kernel(action, weak_rank, spans, crossing, matrix_of):
+def _direct_span_kernel(action, spans, crossing, matrix_of):
     """The oracle of a span kernel: every interval read directly, at each
-    class representative of its stabilizer, with no transport."""
+    class representative of its stabilizer, with no transport, over the
+    natural weak rank of the action's poset."""
+    weak_rank = WeakRank.natural(action.poset)
     crossing = frozenset(crossing)
     vals = {}
     for (i, j) in action.poset.intervals():
@@ -368,7 +441,8 @@ def test_every_span_kernel_equals_a_direct_read_of_every_interval(
     for name in COMPLEX_FIXTURES:
         cx = load_complex_fixture(name)
         face_kernel(cx)
-        ComplexCylinder(cx)
+        cyl = ComplexCylinder(cx)
+        assert cyl.weak_rank is cyl.kappa.weak_rank
     hexagon_dihedral_setup()
     assert len(built) == 4 + 2 * len(COMPLEX_FIXTURES) + 1
     for kernel, args in built:
@@ -400,7 +474,7 @@ def test_polytope_triple_at_the_full_face():
     triple, geom = polytope_cone_triple(verts, faces, covers, 9)
     action, by_perm = geom.action([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
     assert len(action.elements) == 8
-    kappa = geom.kernel(action, by_perm)
+    kappa = cylinder_kernel(triple, action, geom.spans, by_perm.__getitem__)
     assert equiv_kernel_validate(kappa)
     li = equiv_local_invariants(triple, kappa.weak_rank, action, kappa)
     p = action.poset
@@ -425,7 +499,7 @@ def test_polytope_triple_at_a_vertex():
     covers += [(k, 9) for k in (5, 6, 7, 8)]
     triple, geom = polytope_cone_triple(verts, faces, covers, 1)
     action, by_perm = geom.action([[[0, 1], [1, 0]]])
-    kappa = geom.kernel(action, by_perm)
+    kappa = cylinder_kernel(triple, action, geom.spans, by_perm.__getitem__)
     li = equiv_local_invariants(triple, kappa.weak_rank, action, kappa)
     p = action.poset
     b, t = p.bottom(), p.top()

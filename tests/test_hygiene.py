@@ -179,6 +179,25 @@ def test_only_the_face_poset_builder_builds_a_poset_from_covers():
                          "\n" + "\n".join(found))
 
 
+def test_the_scan_finds_a_weak_rank_outside_the_span_kernel():
+    source = ("def span_kernel():\n    return WeakRank.natural(p)\n"
+              "def face_kernel():\n    return WeakRank.natural(p)\n"
+              "rank = WeakRank.natural\n")
+    assert mentions_outside(source, "natural", "span_kernel") == [4, 5]
+
+
+def test_only_the_span_kernel_derives_a_geometric_weak_rank():
+    # every fan, complex, cylinder and polytope kernel is a span_kernel
+    # call, which derives the natural weak rank of its action's poset; the
+    # rest of the geometry reads the weak rank off a kernel
+    found = [f"{name}:{line}" for name in ("fans.py", "ehrhart.py")
+             for line in mentions_outside(
+                 (PACKAGE / name).read_text(encoding="utf-8"), "natural",
+                 "span_kernel")]
+    assert found == [], ("WeakRank.natural in the geometry outside "
+                         "fans.span_kernel:\n" + "\n".join(found))
+
+
 ROOT = PACKAGE.parents[1]
 # References from tests do not count: code that neither the package nor the
 # benchmark reaches is dead unless TEST_ONLY names it.

@@ -27,8 +27,14 @@ from conftest import random_equiv_element
 
 
 def test_segment_subdivision_sfs_validates():
-    for s in range(0, 5):
-        assert segment_subdivision_sfs(s).validate()
+    for s in range(0, 6):
+        sfs = segment_subdivision_sfs(s)
+        assert sfs.validate()
+        # the end vertices go to the end vertices, the interior vertices
+        # and the s + 1 small edges to the edge
+        assert (sfs.X, sfs.Y) == (segment_subdivision(s),
+                                  segment_subdivision(0))
+        assert sfs.sigma == (0, 1) + (3,) * s + (2,) + (3,) * (s + 1)
 
 
 def test_validation_witnesses_name_the_broken_condition():
