@@ -25,7 +25,7 @@ from fractions import Fraction
 from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
                          poly_rev)
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
-from .status import CheckResult, InputError
+from .status import CheckResult, InputError, json_int
 from .equivariant import (
     ClassPoly,
     EquivIncidenceElement,
@@ -113,7 +113,7 @@ class LatticeSimplexComplex:
 
     def __init__(self, dim, vertices, faces, covers, matrices=None,
                  coarse=None):
-        self.dim = dim
+        self.dim = dim = json_int(dim, "dim", ComplexError)
         self.vertices = lattice_points(vertices, dim, "vertex", ComplexError)
         self.lifted = tuple(_lift(v) for v in self.vertices)
         self.faces = face_sets(faces, len(self.vertices), "face", "vertex",
@@ -217,9 +217,12 @@ class LatticeSimplexComplex:
         action = payload.get("affine_action") or {}
         if not isinstance(action, dict):
             raise ComplexError("affine_action must be an object")
+        coarse = payload.get("coarse")
+        if coarse is not None and not isinstance(coarse, dict):
+            raise ComplexError("coarse must be an object")
         return cls(payload["dim"], payload["vertices"], payload["faces"],
                    payload["covers"], matrices=action.get("matrices"),
-                   coarse=payload.get("coarse"))
+                   coarse=coarse)
 
     def to_json(self):
         out = {"dim": self.dim,

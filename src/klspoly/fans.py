@@ -25,7 +25,6 @@ from .incidence import WeakRank, _elements_agree
 from .linalg import (
     Span,
     charpoly,
-    exact_vector,
     identity_matrix,
     lattice_points,
     mat_mul,
@@ -45,7 +44,7 @@ from .equivariant import (
     perm_cycles,
     perm_mul,
 )
-from .status import InputError, json_int
+from .status import InputError, json_int, json_rational
 from .subdivision import SubdivisionTriple
 
 
@@ -111,9 +110,9 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     """The group generated by lattice matrices permuting faces of a poset.
 
     ``faces`` lists the point-index set of each poset element and
-    ``point_perm`` maps a dim x dim exact matrix (int entries, Fraction only
-    where an entry is not an integer) to the permutation it
-    induces on the points (raising loudly when it has none).  The matrix
+    ``point_perm`` maps a dim x dim matrix, its entries read by
+    :func:`klspoly.status.json_rational`, to the permutation it induces
+    on the points (raising loudly when it has none).  The matrix
     group is closed eagerly, once, as the :func:`_orbit` of the identity
     over (face permutation, point permutation, matrix) triples: if one face
     permutation is reached by two distinct triples the action is not
@@ -126,7 +125,8 @@ def matrix_action(poset, faces, dim, matrices, point_perm, max_group=None):
     """
     gens = []
     for k, m in enumerate(matrices):
-        mat = tuple(exact_vector(row) for row in m)
+        mat = tuple(tuple(json_rational(x, "entry", NotAutomorphism)
+                          for x in row) for row in m)
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise NotAutomorphism(f"matrix {k} is not {dim} x {dim}")
         pperm = point_perm(mat)
@@ -244,7 +244,7 @@ class LatticeFan:
     """
 
     def __init__(self, dim, rays, cones, covers=None):
-        self.dim = dim
+        self.dim = json_int(dim, "dim", FanError)
         self.rays = lattice_points(rays, dim, "ray", FanError)
         if not all(map(any, self.rays)):
             raise FanError("zero vector listed as a ray")
@@ -345,6 +345,8 @@ class EquivFanAction:
 
     @classmethod
     def from_json(cls, fan, payload):
+        if not isinstance(payload, dict):
+            raise FanError("action must be an object")
         return cls(fan, payload["matrices"])
 
     def __repr__(self):

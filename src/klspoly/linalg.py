@@ -19,33 +19,19 @@ from operator import mul
 from .polynomial import Poly
 
 
-def exact_vector(v):
-    """The entries of v as exact numbers: int where integral, else Fraction.
-
-    Raises ValueError or TypeError for an entry that is not a number, and
-    ValueError naming an entry with a zero denominator.
-    """
-    out = []
-    for x in v:
-        try:
-            q = Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"entry {x!r} has a zero denominator") from None
-        out.append(q.numerator if q.denominator == 1 else q)
-    return tuple(out)
-
-
 def lattice_points(vectors, dim, what, error):
     """The vectors as distinct int tuples of length ``dim``.
 
-    A non-integer coordinate, a vector of another length and a repeated
-    vector each raise ``error`` naming the ``what`` (a vertex or a ray),
-    the first and the last by index and value.
+    Every coordinate must be an integer, as for
+    :func:`klspoly.status.json_int`: a float, a bool or a string is
+    refused.  A non-integer coordinate, a vector of another length and a
+    repeated vector each raise ``error`` naming the ``what`` (a vertex or
+    a ray), the first and the last by index and value.
     """
     out = []
     seen = set()
     for k, v in enumerate(vectors):
-        ints = exact_vector(v)
+        ints = tuple(v)
         if any(type(x) is not int for x in ints):
             raise error(f"{what} {k} {list(v)} has a non-integer coordinate")
         if len(ints) != dim:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .status import json_rational
+
 #: Degree of the zero polynomial.  A sentinel that compares below every
 #: integer; deliberately not -1, so that deg(p) <= r reads correctly even
 #: for r = 0.
@@ -38,29 +40,12 @@ class NotDivisible(ValueError):
         self.remainder = remainder
 
 
-def _rational(c):
-    """An exact coefficient as an int or a Fraction.
-
-    Accepts int (bool included), Fraction and rational strings such as
-    "3", "-1/2" or "0.25".  A string with a zero denominator raises
-    ValueError naming it; any other type raises TypeError.
-    """
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, str):
-        try:
-            return Fraction(c)
-        except ZeroDivisionError:
-            raise ValueError(
-                f"coefficient {c!r} has a zero denominator") from None
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-
-
 def _to_common_denominator(cs):
     """Rewrite the exact coefficients cs as int numerators, in place, over
     the lcm of their denominators, and return that denominator.
+
+    Each is an int (bool included), a Fraction or a string read by
+    :func:`klspoly.status.json_rational`; another type raises TypeError.
 
     The lcm of reduced denominators leaves gcd(den, *num) == 1, so the
     result needs no further reduction.
@@ -71,8 +56,10 @@ def _to_common_denominator(cs):
             if den != 1:
                 cs[k] = c * den
             continue
-        if type(c) is not Fraction:
-            c = _rational(c)
+        if isinstance(c, str):
+            c = json_rational(c, "coefficient", ValueError)
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
         d = c.denominator
         if den % d:
             # raise the common denominator and rescale the entries before k
@@ -297,14 +284,16 @@ class Poly:
     def from_json(cls, data):
         """The polynomial of a JSON array of coefficients.
 
-        Each entry is an integer or a rational string; anything else, a
-        zero denominator included, raises ValueError or TypeError.
+        Each entry is read by :func:`klspoly.status.json_rational`;
+        anything else, a float, a bool or a zero denominator included,
+        raises ValueError.
         """
         if not isinstance(data, list):
             raise ValueError(
                 "polynomial must be a JSON array of rational strings, "
                 f"got {data!r}")
-        return cls(data)
+        return cls([json_rational(c, "coefficient", ValueError)
+                    for c in data])
 
 
 _new = object.__new__

@@ -113,7 +113,8 @@ def _payload(kind):
     except (DocumentError, GroupBoundError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad {kind} payload: {exc}") from exc
+        missing = "missing field " if isinstance(exc, KeyError) else ""
+        raise DocumentError(f"bad {kind} payload: {missing}{exc}") from exc
 
 
 def build_poset(payload):

@@ -8,12 +8,15 @@ Every error that makes a request unanswerable derives from InputError (the
 command line exits 2), and every verification that fails while computing
 raises a VerificationFailure (exit 1).  Both live here, in a module every
 layer already imports, so the command line catches two bases instead of
-importing each layer's error classes.  :func:`json_int` is the one strict
-reading of a document's integer fields, here for the same reason: each
-layer raises its own error class through it.
+importing each layer's error classes.  Every number a document carries is
+read here, for the same reason: each layer raises its own error class
+through :func:`json_int` (indices, ranks, dimensions, coordinates) or
+:func:`json_rational` (matrix entries, kernel coefficients).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -41,6 +44,29 @@ def json_int(value, field, error):
     if type(value) is not int:
         raise error(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def json_rational(value, field, error):
+    """``value`` as an int, or a Fraction where it is not integral, else
+    ``error`` naming ``field``.
+
+    A document's rationals are JSON integers or rational strings ("-1",
+    "1/2", "0.25"); a float, a bool, another string or a zero denominator
+    is refused.  No other function parses a rational string.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            q = Fraction(value)
+        except ZeroDivisionError:
+            raise error(f"{field} {value!r} has a zero denominator") from None
+        except ValueError:
+            pass
+        else:
+            return q.numerator if q.denominator == 1 else q
+    raise error(f"{field} must be an integer or a rational string, "
+                f"got {value!r}")
 
 
 class GroupBoundError(InputError):

@@ -86,6 +86,16 @@ def test_local_table_of_the_hexagon_triple(capsys):
     assert "delta_ell: 0,3" in out
 
 
+def test_local_all_prints_a_table_per_invariant(capsys):
+    code, out = run(capsys, ["local", "fixture:polygon_s3.json", "--all"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:5] == ["h_sigma:", "  0 1: 1", "  0 7: 1", "  0 12: 1",
+                         "  0 13: 1,3"]
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "h_sigma:", "ell_sigma:", "delta_ell:"]
+
+
 def test_local_relative_g_of_the_cube_at_a_facet(capsys):
     code, out = run(capsys, ["local", "fixture:cube3_facet.json",
                              "--relative-g"])
@@ -121,6 +131,34 @@ def test_verify_named_suites(capsys):
     assert passed.startswith("passed ")
     left, right = passed.split()[1].split("/")
     assert left == right and int(left) > 0
+
+
+def test_verify_a_complex_under_ehrhart_reciprocity(capsys):
+    code, out = run(capsys, ["verify", "fixture:unit_square.json",
+                             "--suite", "ehrhart-reciprocity"])
+    assert code == 0
+    assert ("counting vs assembled h* on fixture:unit_square.json: ok\n"
+            in out)
+    assert out.endswith("passed 3/3\n")
+
+
+def test_verify_a_poset_with_a_kernel_whose_solvers_pass(capsys, tmp_path):
+    # no override: the kernel file reads as the Eulerian kernel
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": []}))
+    code, out = run(capsys, ["verify", "fixture:boolean3.json",
+                             "--kernel", str(path)])
+    assert code == 0
+    assert out == ("kernel axioms on fixture:boolean3.json: ok\n"
+                   "solvers on fixture:boolean3.json: ok\npassed 2/2\n")
+
+
+def test_verify_every_suite_prefixes_its_labels(capsys):
+    code, out = run(capsys, ["verify", "--suite", "all"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "theorem-g: boolean-1 q={1}: ok"
+    assert lines[-1] == "passed 754/754"
 
 
 def test_verify_glued_swap_is_refused(capsys):
@@ -296,7 +334,7 @@ def _set(path, value):
      "coefficient '1/0' has a zero denominator"),
     (lambda: ("kernel", {"values": [[0, 7, "1/2"]]}), "JSON array"),
     (lambda: _complex_with(_set(["vertices", 1], ["1/0", 0])),
-     "entry '1/0' has a zero denominator"),
+     "vertex 1 ['1/0', 0] has a non-integer coordinate"),
     (lambda: _complex_with(
         _set(["affine_action", "matrices", 0, 0, 0], "1/0")),
      "entry '1/0' has a zero denominator"),
@@ -315,6 +353,12 @@ def _set(path, value):
     (lambda: ("ehrhart", ("series", "-1")), "--order must be nonnegative"),
     (lambda: ("ehrhart", ("reciprocity", "-2")),
      "--order must be nonnegative"),
+    (lambda: _fan_with(_set(["action"], {})),
+     "bad fan payload: missing field 'matrices'"),
+    (lambda: _fan_with(_set(["action"], [])),
+     "bad fan payload: action must be an object"),
+    (lambda: _complex_with(_set(["coarse"], [])),
+     "bad complex payload: coarse must be an object"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
         "vertex-not-integer", "ray-not-integer",
@@ -323,7 +367,8 @@ def _set(path, value):
         "kls-toric-h-of-a-fan", "kls-g-of-a-3-chain", "kls-h-of-a-3-chain",
         "kls-toric-h-of-a-3-chain", "group-generator-not-an-integer",
         "triple-poset-not-an-object", "ehrhart-series-negative-order",
-        "ehrhart-reciprocity-negative-order"])
+        "ehrhart-reciprocity-negative-order", "fan-action-without-matrices",
+        "fan-action-not-an-object", "coarse-not-an-object"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()
@@ -454,6 +499,62 @@ def test_a_document_integer_that_is_not_an_int_exits_two(
 def test_a_document_integer_that_is_an_int_is_read(capsys, tmp_path, field,
                                                    value, code):
     argv, _name = _integer_field(field, value, tmp_path)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+def _number_field(field, value, tmp_path):
+    """The argv of a run whose document carries ``value`` in ``field``, and
+    the refusal of ``value`` there when it is not read."""
+    path = tmp_path / "input.json"
+    rational = f"must be an integer or a rational string, got {value!r}"
+    if field == "coefficient":
+        path.write_text(json.dumps({"values": [[0, 1, [value, 1]]]}))
+        return ["kls", "fixture:boolean3.json", "--what", "g", "--kernel",
+                str(path)], f"bad kernel file entry: coefficient {rational}"
+    kind, where = field.split(" ")
+    key = {"ray": ["rays", 0, 0], "vertex": ["vertices", 1, 0],
+           "dim": ["dim"],
+           "entry": ["action" if kind == "fan" else "affine_action",
+                     "matrices", 0, 0, 1]}[where]
+    tag, payload = (_fan_with if kind == "fan" else _complex_with)(
+        _set(key, value))
+    write_document(path, tag, payload)
+    refusal = {"ray": f"ray 0 [{value!r}, 0] has a non-integer coordinate",
+               "vertex": f"vertex 1 [{value!r}, 0] has a non-integer "
+                         f"coordinate",
+               "dim": f"dim must be an integer, got {value!r}",
+               "entry": f"entry {rational}"}[where]
+    return ["check", str(path)], f"bad {tag} payload: {refusal}"
+
+
+_INTEGER_FIELDS = ("fan ray", "complex vertex", "fan dim", "complex dim")
+_RATIONAL_FIELDS = ("fan entry", "complex entry", "coefficient")
+
+
+# coordinates and dimensions are JSON integers; matrix entries and kernel
+# coefficients are integers or rational strings, so "1" is read there
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field in _INTEGER_FIELDS + _RATIONAL_FIELDS
+    for name, value in (("whole-float", 1.0), ("bool", True), ("string", "1"))
+    if field in _INTEGER_FIELDS or name != "string"])
+def test_a_document_number_outside_its_policy_exits_two(capsys, tmp_path,
+                                                        field, value):
+    argv, message = _number_field(field, value, tmp_path)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("fan entry", "-1", 0), ("complex entry", "1", 0),
+    ("complex entry", "2/2", 0), ("coefficient", "-1", 0),
+    # 1/2 + t on an atom is read, and it is not a kernel
+    ("coefficient", "1/2", 1)])
+def test_a_document_rational_string_is_read(capsys, tmp_path, field, value,
+                                            code):
+    argv, _message = _number_field(field, value, tmp_path)
     assert cli.main(argv) == code
     assert capsys.readouterr().err == ""
 

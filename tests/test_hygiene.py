@@ -198,6 +198,28 @@ def test_only_the_span_kernel_derives_a_geometric_weak_rank():
                          "fans.span_kernel:\n" + "\n".join(found))
 
 
+def test_the_scan_finds_a_zero_denominator_outside_the_rational_reader():
+    source = ("def json_rational(s):\n    try:\n        return Fraction(s)\n"
+              "    except ZeroDivisionError:\n        raise\n"
+              "def exact_vector(v):\n    try:\n        return Fraction(v)\n"
+              "    except ZeroDivisionError:\n        raise\n")
+    assert mentions_outside(source, "ZeroDivisionError",
+                            "json_rational") == [9]
+
+
+def test_only_the_rational_reader_parses_a_rational_string():
+    # a rational string's zero denominator is caught in exactly one place,
+    # status.json_rational, which every matrix entry and coefficient of a
+    # document goes through
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in mentions_outside(path.read_text(encoding="utf-8"),
+                                          "ZeroDivisionError",
+                                          "json_rational")]
+    assert found == [], ("ZeroDivisionError outside status.json_rational:\n"
+                         + "\n".join(found))
+
+
 ROOT = PACKAGE.parents[1]
 # References from tests do not count: code that neither the package nor the
 # benchmark reaches is dead unless TEST_ONLY names it.

@@ -6,7 +6,8 @@ key, puts a value of the wrong type somewhere, puts an index out of range,
 or adds the reverse of a cover relation (a cycle in the order).  It then
 runs ``check`` on it, or one of the commands the document's kind feeds:
 the ``kls`` solvers on a poset, the ``ehrhart`` counts on a complex, the
-``local`` tables on a triple, ``verify --suite equivariant`` on a fan, and
+``local`` tables on a triple or an sfs, ``verify --suite equivariant`` on
+a fan, and
 ``local --equivariant`` with a group.  The bundled kernel file is broken
 the same ways and fed to ``kls --kernel``.
 The command line must exit 0 (the document still holds), 1 (a check
@@ -27,7 +28,7 @@ from klspoly.schemas import fixture_path
 FIXTURES = ("boolean3.json", "cone_square_z4.json", "crosscut_d4.json",
             "cube3_facet.json", "glued_swap.json", "polygon_s2.json",
             "polygon_s3_rotation.json", "seg2_flip.json",
-            "square_fan_z4.json", "unit_square.json")
+            "seg3_refinement.json", "square_fan_z4.json", "unit_square.json")
 
 
 def _document(name):
@@ -49,6 +50,7 @@ GROUP = [("local", "fixture:polygon_s3_top.json", "--equivariant", DOC)]
 COMMANDS = {"boolean3.json": KLS, "crosscut_d4.json": EHRHART,
             "seg2_flip.json": EHRHART, "unit_square.json": EHRHART,
             "cube3_facet.json": LOCAL, "polygon_s2.json": LOCAL,
+            "seg3_refinement.json": [("local", DOC)],
             "cone_square_z4.json": FAN, "square_fan_z4.json": FAN,
             "polygon_s3_rotation.json": GROUP}
 #: A kernel file is no schema document, so ``check`` does not take it and
