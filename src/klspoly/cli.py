@@ -22,7 +22,8 @@ Exit status: 0 on success, 1 when a verification fails (an identity does
 not hold, a kernel or action is rejected), 2 on input errors (unreadable
 files, malformed documents, impossible flag combinations, a
 ``KLS_MAX_GROUP`` that is not an integer, a poset that is not (lower)
-Eulerian where the computation needs one).
+Eulerian where the computation needs one), 141 (128 + SIGPIPE) when the
+reader closes standard output early, silently.
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -33,6 +34,7 @@ module loads only the document layer and the incidence algebra below it.
 
 import argparse
 import json
+import os
 import sys
 
 from . import schemas
@@ -44,6 +46,7 @@ from .status import CheckResult, InputError, VerificationFailure
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 class InputProblem(InputError):
@@ -640,7 +643,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # devnull takes what is still buffered, so the last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

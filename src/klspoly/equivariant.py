@@ -27,8 +27,8 @@ that the two computation paths stay honest against each other.
 
 One breadth-first walk, :func:`_orbit`, finds every orbit the group layer
 needs: the group itself (over matrices too, in
-:func:`klspoly.fans.matrix_action`), stabilizers, conjugacy classes with
-their conjugators along its Schreier tree, and the interval orbits.
+:func:`klspoly.fans.matrix_action`), stabilizers, and, each orbit walked
+once by :func:`_orbits`, interval orbits, cycles and conjugacy classes.
 
 Equivariant elements share one algebra base with ordinary ones,
 :class:`klspoly.incidence.AlgebraElement`: value lookup, equality, sums,
@@ -101,19 +101,8 @@ def perm_cycles(perm, points):
     Each cycle starts at its smallest point and follows the permutation;
     the cycles come in increasing order of that point.
     """
-    cycles = []
-    seen = set()
-    for k in sorted(points):
-        if k in seen:
-            continue
-        cycle = [k]
-        cur = perm[k]
-        while cur != k:
-            cycle.append(cur)
-            cur = perm[cur]
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
+    return [[y for y, _parent, _label in walk]
+            for walk in _orbits(sorted(points), lambda z: ((None, perm[z]),))]
 
 
 def _orbit(starts, moves):
@@ -140,6 +129,17 @@ def _orbit(starts, moves):
                 yield image, x, label
 
 
+def _orbits(points, moves):
+    """The :func:`_orbit` walk of each orbit that meets ``points``, from
+    its first point, in the order of the points."""
+    seen = set()
+    for x in points:
+        if x not in seen:
+            walk = list(_orbit([x], moves))
+            seen.update(y for y, _parent, _label in walk)
+            yield walk
+
+
 def _group_bound(max_group):
     """The group size bound: the argument, else KLS_MAX_GROUP, else 10^4."""
     if max_group is not None:
@@ -163,27 +163,21 @@ class Subgroup:
     representative to the size of its class.  Iteration, ``len`` and
     ``<=`` act on the elements.
 
-    Built by :meth:`PermAction.stabilizer` from element ids and the
-    conjugation maps of a generating set (``conj[k]`` is the id of h e h^-1
-    for the element e of id k): each class is the orbit of its smallest
-    element under those maps.
+    Built by :meth:`PermAction.stabilizer` from the :func:`_orbits` of
+    element ids under conjugation by generators, one walk per class from
+    its smallest id.
     """
 
     __slots__ = ("elements", "reps", "class_of", "size")
 
-    def __init__(self, action, ids, conj):
+    def __init__(self, action, walks):
         elements = action.elements
-        self.elements = frozenset(elements[k] for k in ids)
-        self.class_of = {}
-        self.size = {}
-        for k in ids:
-            rep = elements[k]
-            if rep in self.class_of:
-                continue
-            cls = [c for c, _e, _t in _orbit(
-                [k], lambda e: ((t, t[e]) for t in conj))]
-            self.class_of.update((elements[c], rep) for c in cls)
-            self.size[rep] = len(cls)
+        self.class_of, self.size = {}, {}
+        for walk in walks:
+            rep = elements[walk[0][0]]
+            self.class_of.update((elements[c], rep) for c, _e, _t in walk)
+            self.size[rep] = len(walk)
+        self.elements = frozenset(self.class_of)
         self.reps = tuple(self.size)
 
     def __iter__(self):
@@ -230,11 +224,12 @@ class PermAction:
     as the orbit of the identity, under a size bound (argument, else the
     KLS_MAX_GROUP environment variable, else 10^4), and tables are built
     once, indexed by element id (the position in ``elements``): the inverse
-    and the fixed-point bitmask of every element, and the conjugation map of
-    every generator.  Stabilizers test one mask per element, and conjugacy
-    classes, interval orbits and transport read the tables; no |G|^2
-    multiplication table is built.  A caller that has closed the group
-    already builds the action with :meth:`_closed`.
+    and the fixed-point bitmask of every element, the conjugation map of
+    every generator, and the whole group's conjugacy classes, walked once.
+    Stabilizers test one mask per element, and interval orbits and
+    transport read the tables; no |G|^2 multiplication table is built.
+    A caller that has closed the group already builds the action with
+    :meth:`_closed`.
     """
 
     def __init__(self, poset, generators, max_group=None):
@@ -275,15 +270,16 @@ class PermAction:
         self._fixed = [sum(1 << z for z, y in enumerate(w) if y == z)
                        for w in elements]
         # _conj[g][k] is the id of g e g^-1 for the element e of id k
-        self._conj = {}
-        for g in self.generators:
-            ginv = elements[self._inverse[index[g]]]
-            self._conj[g] = [index[tuple(g[w[y]] for y in ginv)]
-                             for w in elements]
+        self._conj = {g: self._conjugation(g, range(len(elements)))
+                      for g in self.generators}
         self._stab_cache = {}
-        self._subgroups = {}
+        # one walk of the classes gives the whole group and its conjugators
+        self._class_walks = list(_orbits(range(len(elements)), lambda x: (
+            (g, table[x]) for g, table in self._conj.items())))
+        self._subgroups = {tuple(range(len(elements))):
+                           Subgroup(self, self._class_walks)}
+        self._conjugators = None
         self._fixed_cache = {}
-        self._class_data = None
         self._orbits = None
 
     def _check_automorphism(self, g):
@@ -331,17 +327,16 @@ class PermAction:
                         if fixed & mask == mask)
             cached = self._subgroups.get(ids)
             if cached is None:
-                if len(ids) == len(self.elements):
-                    conj = list(self._conj.values())
-                else:
-                    conj = self._conjugations(ids)
-                cached = self._subgroups[ids] = Subgroup(self, ids, conj)
+                tables = [dict(zip(ids, self._conjugation(h, ids)))
+                          for h in self._generators_of(ids)]
+                cached = self._subgroups[ids] = Subgroup(self, _orbits(
+                    ids, lambda e: ((t, t[e]) for t in tables)))
             self._stab_cache[points] = cached
         return cached
 
-    def _conjugations(self, ids):
-        """Conjugation maps, on the subgroup ``ids``, of a few of its
-        elements that generate it, picked greedily in increasing order."""
+    def _generators_of(self, ids):
+        """A few elements that generate the subgroup ``ids``, picked
+        greedily in increasing order."""
         elements, index = self.elements, self._index
         span = {ids[0]}
         gens = []
@@ -350,38 +345,30 @@ class PermAction:
                 gens.append(elements[k])
                 span = {b for b, _a, _g in _orbit(span, lambda a: (
                     (g, index[perm_mul(g, elements[a])]) for g in gens))}
-        conj = []
-        for h in gens:
-            hinv = elements[self._inverse[index[h]]]
-            table = {}
-            for k in ids:
-                e = elements[k]
-                table[k] = index[tuple(h[e[y]] for y in hinv)]
-            conj.append(table)
-        return conj
+        return gens
+
+    def _conjugation(self, h, ids):
+        """The ids of h e h^-1 for the elements e of the ids ``ids``."""
+        elements, index = self.elements, self._index
+        hinv = elements[self._inverse[index[h]]]
+        return [index[tuple(h[e[y]] for y in hinv)]
+                for e in map(elements.__getitem__, ids)]
 
     def class_conjugator(self, u):
         """(r, x^-1) with r the representative of the conjugacy class of u
         in the whole group and u = x r x^-1, so that x^-1 maps the fixed
-        poset of u onto that of r; along the orbit walk of each class, x^-1
-        is the parent's times the inverse of the move."""
-        if self._class_data is None:
+        poset of u onto that of r.  On first use every x^-1 is read off the
+        class walks: the parent's times the inverse of the move, as
+        g e g^-1 = (g x) r (g x)^-1."""
+        if self._conjugators is None:
             elements = self.elements
-            inverses = [(table, elements[self._inverse[self._index[g]]])
-                        for g, table in self._conj.items()]
-            rep = [None] * len(elements)
-            back = [None] * len(elements)
-            for k in range(len(elements)):
-                if rep[k] is not None:
-                    continue
-                for c, e, ginv in _orbit([k], lambda x: (
-                        (gi, table[x]) for table, gi in inverses)):
-                    # g e g^-1 = (g x) r (g x)^-1
-                    rep[c] = k
-                    back[c] = (self.identity if e is None
-                               else perm_mul(back[e], ginv))
-            self._class_data = [(elements[r], x) for r, x in zip(rep, back)]
-        return self._class_data[self._index[u]]
+            back = self._conjugators = [None] * len(elements)
+            for walk in self._class_walks:
+                for c, e, g in walk:
+                    back[c] = self.identity if e is None else perm_mul(
+                        back[e], elements[self._inverse[self._index[g]]])
+        return (self.stabilizer().class_of[u],
+                self._conjugators[self._index[u]])
 
     def interval_orbits(self):
         """The orbits of the group on the intervals of the poset.
@@ -392,14 +379,9 @@ class PermAction:
         child = g parent from one already listed.
         """
         if self._orbits is None:
-            seen = set()
-            self._orbits = []
-            for pair in self.poset.intervals():
-                if pair not in seen:
-                    tree = list(_orbit([pair], lambda p: (
-                        (g, (g[p[0]], g[p[1]])) for g in self.generators)))
-                    seen.update(point for point, _parent, _g in tree)
-                    self._orbits.append((pair, tree[1:]))
+            self._orbits = [(walk[0][0], walk[1:]) for walk in _orbits(
+                self.poset.intervals(), lambda p: (
+                    (g, (g[p[0]], g[p[1]])) for g in self.generators))]
         return self._orbits
 
     def transport(self, vals, steps):
@@ -832,10 +814,10 @@ def equiv_kernel_validate(kappa):
         if kappa.value(z, z) != ClassPoly.constant(action.stabilizer(z, z),
                                                    ONE):
             return CheckResult.failed("diagonal-not-one", witness={"z": z})
-    weak_rank = kappa.weak_rank
+    rho = kappa.weak_rank.rho
     for (i, j) in action.poset.intervals():
         for g in action.generators:
-            if weak_rank.value(g[i], g[j]) != weak_rank.value(i, j):
+            if rho[g[j]] - rho[g[i]] != rho[j] - rho[i]:
                 return CheckResult.failed(
                     "weak-rank-not-invariant",
                     witness={"interval": [i, j], "w": list(g)})
@@ -908,8 +890,9 @@ def _deepest(weak_rank, pairs):
     deepest interval exercises the longest recursion, and determinism
     keeps failures reproducible.
     """
+    rho = weak_rank.rho
     return max(pairs, default=None,
-               key=lambda p: (weak_rank.value(*p), (-p[0], -p[1])))
+               key=lambda p: (rho[p[1]] - rho[p[0]], (-p[0], -p[1])))
 
 
 def _agree_or_raise(message, p, q):

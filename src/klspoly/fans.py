@@ -284,7 +284,7 @@ class LatticeFan:
 
 def vertex_permutation(vertices):
     """Point rule for :func:`matrix_action`: each vertex image must be a
-    vertex, found by exact lookup."""
+    vertex, found by exact lookup, and no two vertices may share one."""
     index = {v: k for k, v in enumerate(vertices)}
 
     def perm(matrix):
@@ -295,6 +295,8 @@ def vertex_permutation(vertices):
                 raise NotAutomorphism(
                     f"matrix maps vertex {v} outside the vertex set")
             out.append(k)
+        if len(set(out)) != len(out):
+            raise NotAutomorphism("matrix does not permute the vertices")
         return tuple(out)
 
     return perm

@@ -69,96 +69,102 @@ class MirrorConstraintViolated(VerificationFailure):
 
 
 class WeakRank:
-    """An integer on every interval: nonnegative, zero exactly on the
-    diagonal, and additive along chains."""
+    """An integer on every interval: zero exactly on the diagonal, positive
+    off it, and additive along chains; stored as its potential ``rho``, one
+    integer per element, with value(i, j) = rho[j] - rho[i]."""
 
-    __slots__ = ("poset", "_values", "_order")
+    __slots__ = ("poset", "rho", "_order")
 
     def __init__(self, poset, values):
-        self.poset = poset
-        idx = poset.intervals()
+        """Checked, from ``values`` on every interval; ``rho`` is read off
+        the intervals from the minimum m, and a value that is not
+        rho[j] - rho[i] names the chain m <= i <= j it fails to add on."""
         vals = {}
-        for pair in idx:
+        for pair in poset.intervals():
             if pair not in values:
                 raise ValueError(f"weak rank missing on interval {pair}")
             vals[pair] = int(values[pair])
-        self._values = vals
-        self._order = None
-        res = self.validate()
+        bot = poset.bottom()
+        rho = tuple(vals[(bot, z)] for z in range(poset.n))
+        res = _signs(vals.items())
+        if res:
+            for (i, j), r in vals.items():
+                if rho[j] - rho[i] != r:
+                    res = CheckResult.failed(
+                        "not-additive", witness=(bot, i, j),
+                        detail=f"{rho[i]} + {r} != {rho[j]}")
+                    break
         if not res:
             raise ValueError(f"invalid weak rank: {res.describe()}")
+        self.poset, self.rho, self._order = poset, rho, None
 
     def value(self, i, j):
-        try:
-            return self._values[(i, j)]
-        except KeyError:
-            raise ValueError(f"({i}, {j}) is not an interval") from None
+        if not self.poset.intervals().contains(i, j):
+            raise ValueError(f"({i}, {j}) is not an interval")
+        return self.rho[j] - self.rho[i]
 
     def order(self):
         """The intervals by weak rank, then pair: the order of the
         triangular solves, sorted on first use and kept."""
         if self._order is None:
-            rank = self._values
-            self._order = tuple(sorted(rank, key=lambda p: (rank[p], p)))
+            rho = self.rho
+            self._order = tuple(sorted(self.poset.intervals(), key=lambda p: (
+                rho[p[1]] - rho[p[0]], p)))
         return self._order
 
     def validate(self):
-        for (i, j), r in self._values.items():
-            if i == j:
-                if r != 0:
-                    return CheckResult.failed("diagonal", witness=(i, j))
-            elif r <= 0:
-                return CheckResult.failed("not-positive", witness=(i, j),
-                                          detail=f"value {r} on strict interval")
-        between = self.poset.intervals().between()
-        for (i, j), r in self._values.items():
-            for z in between[(i, j)]:
-                if self._values[(i, z)] + self._values[(z, j)] != r:
-                    return CheckResult.failed(
-                        "not-additive", witness=(i, z, j),
-                        detail=f"{self._values[(i, z)]} + {self._values[(z, j)]} != {r}")
-        return CheckResult.passed()
+        """Positivity, the one property a potential can fail."""
+        rho = self.rho
+        return _signs(((i, j), rho[j] - rho[i])
+                      for (i, j) in self.poset.intervals())
 
     @classmethod
     def natural(cls, poset):
-        """Differences of the poset's rank vector; UnsuitablePoset when the
-        poset is not graded.
-
-        Unchecked when the rank steps +1 across every cover: its differences
-        are then positive and additive by construction.  Any other rank goes
-        through the checking constructor."""
-        rho = poset.rank
-        if rho is None:
+        """The poset's rank vector as the potential; UnsuitablePoset when
+        the poset is not graded."""
+        if poset.rank is None:
             raise UnsuitablePoset(f"natural weak rank needs a graded poset: "
                                   f"{poset.is_lower_eulerian().detail}")
-        vals = {(i, j): rho[j] - rho[i] for (i, j) in poset.intervals()}
-        if not poset.validate_rank(rho):
-            return cls(poset, vals)
-        return _weak_rank(poset, vals)
+        wr = _weak_rank(poset, poset.rank)
+        res = wr.validate()
+        if not res:
+            raise ValueError(f"invalid weak rank: {res.describe()}")
+        return wr
 
     def restrict(self, subposet, embedding):
-        """Weak rank induced on an induced subposet via its embedding.
+        """The weak rank of an induced subposet: ``rho`` via its embedding."""
+        return _weak_rank(subposet, [self.rho[e] for e in embedding])
 
-        Built unchecked: every interval of an induced subposet is one of
-        the ambient poset, and the chains inside it are ambient chains, so
-        the restriction is a weak rank by construction.
-        """
-        return _weak_rank(subposet, {
-            (a, b): self._values[(embedding[a], embedding[b])]
-            for (a, b) in subposet.intervals()})
+    def _normal(self):
+        """``rho``'s steps across the covers, which fix every value."""
+        rho = self.rho
+        return tuple(rho[b] - rho[a] for a, b in self.poset.covers())
 
     def __eq__(self, other):
         if not isinstance(other, WeakRank):
             return NotImplemented
         if self is other:
             return True
-        return self.poset == other.poset and self._values == other._values
+        return self.poset == other.poset and self._normal() == other._normal()
 
     def __hash__(self):
-        return hash((self.poset, tuple(sorted(self._values.items()))))
+        return hash((self.poset, self._normal()))
 
     def __repr__(self):
         return f"WeakRank(on {self.poset!r})"
+
+
+def _signs(values):
+    """Zero on the diagonal and positive off it, for ((i, j), r) items in
+    interval order; the witness is the first failing interval."""
+    for (i, j), r in values:
+        if i == j:
+            if r != 0:
+                return CheckResult.failed("diagonal", witness=(i, j))
+        elif r <= 0:
+            return CheckResult.failed("not-positive", witness=(i, j),
+                                      detail=f"value {r} on strict interval")
+    return CheckResult.passed()
 
 
 class AlgebraElement:
@@ -307,13 +313,10 @@ class IncidenceElement(AlgebraElement):
 _new = object.__new__
 
 
-def _weak_rank(poset, values):
-    """The WeakRank with ``values`` {interval: int}, unchecked; for values
-    that are a weak rank by construction."""
+def _weak_rank(poset, rho):
+    """The WeakRank with potential ``rho``, unchecked."""
     wr = _new(WeakRank)
-    wr.poset = poset
-    wr._values = values
-    wr._order = None
+    wr.poset, wr.rho, wr._order = poset, tuple(rho), None
     return wr
 
 
@@ -396,10 +399,9 @@ def rev(p):
     because weak ranks add along chains.  One body for both element kinds:
     each value is reversed by its type's ``_reverse`` hook.
     """
-    wr = p.weak_rank
-    reverse = p._reverse
-    return p._unchecked(p.carrier, wr, {(i, j): reverse(v, wr.value(i, j))
-                                        for (i, j), v in p.vals.items()})
+    rho, reverse = p.weak_rank.rho, p._reverse
+    return p._unchecked(p.carrier, p.weak_rank, {
+        (i, j): reverse(v, rho[j] - rho[i]) for (i, j), v in p.vals.items()})
 
 
 def hat(p):
@@ -423,11 +425,11 @@ def delta_op(p):
 
     Zero on the diagonal by convention.
     """
-    weak_rank = p.weak_rank.value
+    rho = p.weak_rank.rho
     out = {}
     for (i, j), poly in p.vals.items():
         if i != j:
-            v = delta_truncate(poly, weak_rank(i, j))
+            v = delta_truncate(poly, rho[j] - rho[i])
             if v:
                 out[(i, j)] = v
     return IncidenceElement._unchecked(p.poset, p.weak_rank, out)
@@ -492,10 +494,11 @@ def invert(p):
 
 def is_in_truncated(p):
     """deg p(z,z') <= r(z,z') on every interval."""
+    rho = p.weak_rank.rho
     for (i, j), poly in p.vals.items():
-        if poly.degree > p.weak_rank.value(i, j):
+        if poly.degree > rho[j] - rho[i]:
             return CheckResult.failed("degree", witness=(i, j),
-                                      detail=f"degree {poly.degree} > {p.weak_rank.value(i, j)}")
+                                      detail=f"degree {poly.degree} > {rho[j] - rho[i]}")
     return CheckResult.passed()
 
 
@@ -646,11 +649,11 @@ def _solve_half_degree(kappa, on_left):
     value is -d below degree r/2.
     """
     _check_solver_preconditions(kappa)
-    weak_rank = kappa.weak_rank.value
+    rho = kappa.weak_rank.rho
     labels = kappa.poset.labels
 
     def finish(d, i, j):
-        r = weak_rank(i, j)
+        r = rho[j] - rho[i]
         _mirror_check(d, r, (i, j), labels)
         return _truncate_below_half(d, r)
 
@@ -677,17 +680,17 @@ def solve_f(kappa):
 def z_function(kappa, g=None, f=None):
     """Z = g * kappa * f, with its defining identities verified.
 
-    Checks Z = rev(g) * f = g * rev(f) and that Z is symmetric under
-    reversal; any discrepancy means kappa was not a kernel.
+    Checks Z = rev(g) * f, as g * kappa = rev(g) (f is invertible), and
+    Z = g * rev(f), and that Z is symmetric under reversal; any
+    discrepancy means kappa was not a kernel.
     """
     if g is None:
         g = solve_g(kappa)
     if f is None:
         f = solve_f(kappa)
-    z = convolve(convolve(g, kappa), f)
-    alt1 = convolve(rev(g), f)
-    alt2 = convolve(g, rev(f))
-    if z != alt1 or z != alt2:
+    g_kappa = convolve(g, kappa)
+    z = convolve(g_kappa, f)
+    if g_kappa != rev(g) or z != convolve(g, rev(f)):
         raise ValueError("Z identities failed: kernel data is inconsistent")
     if rev(z) != z:
         raise ValueError("Z is not symmetric: kernel data is inconsistent")

@@ -342,11 +342,11 @@ class Poset:
 class IntervalIndex:
     """Flat enumeration of the intervals (comparable pairs) of a poset.
 
-    Provides an O(1) membership test for a pair, a deterministic iteration
-    order, and each interval's elements, listed once.
+    Provides a deterministic iteration order, each interval's elements,
+    listed once, and a membership test read off the order bitmasks.
     """
 
-    __slots__ = ("poset", "pairs", "_slot", "_between")
+    __slots__ = ("poset", "pairs", "_between")
 
     def __init__(self, poset):
         self.poset = poset
@@ -355,7 +355,6 @@ class IntervalIndex:
             for j in bits(poset.up[i]):
                 pairs.append((i, j))
         self.pairs = tuple(pairs)
-        self._slot = {p: k for k, p in enumerate(pairs)}
         self._between = None
 
     def __len__(self):
@@ -365,7 +364,8 @@ class IntervalIndex:
         return iter(self.pairs)
 
     def contains(self, i, j):
-        return (i, j) in self._slot
+        elements = range(self.poset.n)
+        return i in elements and j in elements and self.poset.leq(i, j)
 
     def between(self):
         """{(i, j): the elements z with i <= z <= j, ascending}, in pair

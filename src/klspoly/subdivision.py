@@ -366,10 +366,10 @@ def local_invariants(triple, weak_rank, kappa):
     ell_sigma = convolve(h_sigma, solution.g_inv)
     delta_ell = delta_op(ell_sigma)
 
-    wr = weak_rank
+    rho = weak_rank.rho
     h_vals, ell_vals, kappa_vals = h_sigma.vals, ell_sigma.vals, kappa.vals
     for (i, j) in triple.xy_pairs():
-        r = wr.value(i, j)
+        r = rho[j] - rho[i]
         hv = h_vals.get((i, j), ZERO)
         lv = ell_vals.get((i, j), ZERO)
         if hv.degree > r - 1 or lv.degree > r - 1:

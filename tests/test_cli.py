@@ -359,6 +359,9 @@ def _set(path, value):
      "bad fan payload: action must be an object"),
     (lambda: _complex_with(_set(["coarse"], [])),
      "bad complex payload: coarse must be an object"),
+    (lambda: _complex_with(
+        _set(["affine_action", "matrices", 0, 0, 1], 0)),
+     "bad complex payload: matrix does not permute the vertices"),
 ], ids=["face-vertex-99", "face-vertex-negative", "coarse-face-vertex-99",
         "affine-action-not-an-object", "kernel-pair-out-of-range",
         "vertex-not-integer", "ray-not-integer",
@@ -368,7 +371,8 @@ def _set(path, value):
         "kls-toric-h-of-a-3-chain", "group-generator-not-an-integer",
         "triple-poset-not-an-object", "ehrhart-series-negative-order",
         "ehrhart-reciprocity-negative-order", "fan-action-without-matrices",
-        "fan-action-not-an-object", "coarse-not-an-object"])
+        "fan-action-not-an-object", "coarse-not-an-object",
+        "affine-matrix-not-a-permutation"])
 def test_malformed_input_exits_two_with_a_message(capsys, tmp_path, make,
                                                   needle):
     kind, payload = make()

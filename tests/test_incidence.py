@@ -17,6 +17,7 @@ from klspoly.incidence import (CarrierMismatch, IncidenceElement,
 from klspoly.polynomial import Poly
 from klspoly.poset import (boolean_algebra, cube_face_lattice, from_covers,
                            polygon)
+from klspoly.verify import square_fan_setup
 
 B3 = boolean_algebra(3)
 WR3 = WeakRank.natural(B3)
@@ -466,6 +467,58 @@ def test_natural_weak_rank_equals_the_checked_construction():
         WeakRank.natural(flat)
     assert str(err.value) == ("invalid weak rank: not-positive; "
                               "witness=(1, 2); value 0 on strict interval")
+
+
+def test_restrict_equals_the_checked_construction_on_every_fixed_poset():
+    _fan, faction, kappa = square_fan_setup()
+    action, wr = faction.action, kappa.weak_rank
+    for w in action.elements:
+        sub, emb, _pos = action.fixed_poset(w)
+        checked = WeakRank(sub, {(a, b): wr.value(emb[a], emb[b])
+                                 for (a, b) in sub.intervals()})
+        restricted = wr.restrict(sub, emb)
+        assert restricted == checked
+        assert hash(restricted) == hash(checked)
+        assert restricted.order() == checked.order()
+        assert all(restricted.value(a, b) == checked.value(a, b)
+                   for (a, b) in sub.intervals())
+
+
+def test_a_shifted_rank_vector_is_the_same_weak_rank():
+    # the upper set of an atom keeps the ambient ranks 1..3, while its own
+    # natural rank starts at 0
+    upper, emb = B3.upper_set(1)
+    restricted = WR3.restrict(upper, emb)
+    natural = WeakRank.natural(upper)
+    assert restricted.rho == (1, 2, 2, 3) and natural.rho == (0, 1, 1, 2)
+    assert restricted == natural and hash(restricted) == hash(natural)
+    assert restricted != WeakRank(upper, {
+        (a, b): 2 * natural.value(a, b) for (a, b) in upper.intervals()})
+
+
+def test_a_natural_weak_rank_does_not_walk_the_chains():
+    skipping = from_covers(3, [(0, 1), (1, 2)], rank=[0, 2, 3])
+    assert WeakRank.natural(skipping).value(0, 2) == 3
+    assert skipping.intervals()._between is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda values: values.pop((2, 6)),
+     "weak rank missing on interval (2, 6)"),
+    (lambda values: values.update({(3, 3): 1}),
+     "invalid weak rank: diagonal; witness=(3, 3)"),
+    (lambda values: values.update({(1, 3): 0}),
+     "invalid weak rank: not-positive; witness=(1, 3); "
+     "value 0 on strict interval"),
+    (lambda values: values.update({(1, 3): 2}),
+     "invalid weak rank: not-additive; witness=(0, 1, 3); 1 + 2 != 2"),
+], ids=["missing", "diagonal", "not-positive", "not-additive"])
+def test_the_checked_construction_names_its_refusal(edit, message):
+    values = {(i, j): WR3.value(i, j) for (i, j) in PAIRS3}
+    edit(values)
+    with pytest.raises(ValueError) as err:
+        WeakRank(B3, values)
+    assert str(err.value) == message
 
 
 def test_scaling_by_an_unsupported_type_names_the_type():

@@ -1,8 +1,11 @@
-"""Start-up contract: each subcommand loads only the layers it uses.
+"""Process contracts of the command line, each run in a fresh interpreter.
 
-Every case runs in a fresh interpreter and reports which modules of the
-package were loaded when the command returned; the tests themselves
-import the whole package, so only a new process can see this.
+Start-up: each subcommand loads only the layers it uses.  Every case
+reports which modules of the package were loaded when the command
+returned; the tests themselves import the whole package, so only a new
+process can see this.  Shutdown: a command runs clean under the
+interpreter's development mode with warnings as errors, and a closed
+standard output ends it quietly.
 """
 
 import json
@@ -26,13 +29,17 @@ PROBE = ("import json, sys\n"
 GEOMETRY = {"linalg", "fans", "equivariant", "ehrhart"}
 
 
-def loaded_modules(*argv):
-    """(exit code, set of klspoly modules loaded) of ``klspoly ARGV``."""
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def loaded_modules(*argv):
+    """(exit code, set of klspoly modules loaded) of ``klspoly ARGV``."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_env())
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)
@@ -69,3 +76,36 @@ def test_ehrhart_does_not_load_the_verify_suites():
     assert code == 0
     assert "ehrhart" in modules
     assert "verify" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "fixture:unit_cube.json"],
+    ["kls", "fixture:boolean3.json", "--what", "z", "--all",
+     "--format", "json"],
+    ["local", "fixture:polygon_s3_top.json",
+     "--equivariant", "fixture:polygon_s3_rotation.json", "--all"],
+    ["verify", "--suite", "composition"],
+    ["ehrhart", "fixture:unit_square.json", "--what", "series"],
+], ids=["check", "kls", "local", "verify", "ehrhart"])
+def test_a_command_runs_clean_in_development_mode(argv):
+    # an unclosed file, a deprecated call or an open() without an
+    # encoding would print a warning, here turned into an error
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-X", "warn_default_encoding",
+         "-W", "error", "-m", "klspoly.cli", *argv],
+        capture_output=True, text=True, env=_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
+def test_a_closed_standard_output_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "klspoly.cli", "local",
+             "fixture:polygon_s3.json", "--all"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
