@@ -20,10 +20,10 @@ json`` switches from aligned text to a single JSON object.
 
 Exit status: 0 on success, 1 when a verification fails (an identity does
 not hold, a kernel or action is rejected), 2 on input errors (unreadable
-files, malformed documents, impossible flag combinations, a
-``KLS_MAX_GROUP`` that is not an integer, a poset that is not (lower)
-Eulerian where the computation needs one), 141 (128 + SIGPIPE) when the
-reader closes standard output early, silently.
+files, malformed documents, impossible flag combinations, a flag the
+request does not read, a ``KLS_MAX_GROUP`` that is not an integer, a poset
+that is not (lower) Eulerian where the computation needs one), 141 (128 +
+SIGPIPE) when the reader closes standard output early, silently.
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -217,6 +217,10 @@ def cmd_kls(args):
         if args.kernel != "eulerian":
             raise InputProblem(f"--what {args.what} is defined for the "
                                "Eulerian kernel only")
+        if args.interval is not None or args.all:
+            flag = "--all" if args.interval is None else "--interval"
+            raise InputProblem(f"--what {args.what} is one polynomial of "
+                               f"the poset and reads no {flag}")
         poly = h_polynomial(poset) if args.what == "h" \
             else toric_h_boundary(poset)
         _emit(args, {"command": "kls", "what": args.what,
@@ -278,6 +282,9 @@ def cmd_local(args):
         if args.equivariant or args.kernel != "eulerian":
             raise InputProblem("--relative-g uses the Eulerian kernel and "
                                "no group")
+        if args.all:
+            raise InputProblem("--relative-g is one polynomial and reads no "
+                               "--all")
         poly = relative_g(gamma, triple.q)
         _emit(args, {"command": "local", "what": "relative-g",
                      "status": "ok", "coeffs": poly.to_json()},
@@ -419,30 +426,37 @@ def _verify_kernel(args, path, payload):
 def _verify_paths(args):
     """Checks for explicitly supplied documents, dispatched on schema.
 
-    At most one group document is accepted, and some check must read it.
+    At most one group document is accepted, and some check must read it
+    and any ``--kernel`` file.
     """
     docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
     groups = [(p, pay) for p, t, pay in docs if t == "group"]
     if len(groups) > 1:
         raise InputProblem(f"{groups[1][0]} is a second group document; "
                            f"verify reads at most one")
-    unread = groups
+    unread = {}
+    if groups:
+        unread["group"] = f"group document {groups[0][0]}"
+    if args.kernel != "eulerian":
+        unread["kernel"] = f"kernel {args.kernel}"
     results = []
     for path, tag, payload in docs:
         if tag == "group":
             continue
         if tag == "triple" and args.suite in TRIPLE_CHECKS:
             results.extend(_verify_triple(args, path, payload))
+            unread.pop("kernel", None)
         elif tag in ("poset", "triple") and args.suite == "equivariant" \
                 and groups:
             results.extend(_verify_action(path, tag, payload, groups[0][1]))
-            unread = []
+            unread.pop("group", None)
         elif tag == "fan" and args.suite == "equivariant":
             results.extend(_verify_fan(path, payload))
         elif tag == "complex" and args.suite == "ehrhart-reciprocity":
             results.extend(_verify_complex(path, payload))
         elif tag == "poset" and args.kernel != "eulerian":
             results.extend(_verify_kernel(args, path, payload))
+            unread.pop("kernel", None)
         else:
             raise InputProblem(
                 f"don't know how to verify a {tag} document under suite "
@@ -451,7 +465,7 @@ def _verify_paths(args):
         raise InputProblem("no verifiable documents among the given paths")
     if unread:
         raise InputProblem(f"no check under suite {args.suite!r} reads the "
-                           f"group document {unread[0][0]}")
+                           f"{list(unread.values())[0]}")
     return results
 
 
@@ -460,6 +474,9 @@ def cmd_verify(args):
 
     if args.paths:
         results = _verify_paths(args)
+    elif args.kernel != "eulerian":
+        raise InputProblem(f"no check under suite {args.suite!r} reads the "
+                           f"kernel {args.kernel}")
     else:
         results = run_suite(args.suite)
     ok, lines, checks = _check_lines(results)

@@ -35,8 +35,8 @@ Equivariant elements share one algebra base with ordinary ones,
 negation, scaling and selection are the same code, with class
 polynomials in place of polynomials through a small hook per value type.
 The reversal is :func:`klspoly.incidence.rev` too, imported here as
-``equiv_rev``.  Products, the sign twist and the inverse stay separate,
-because their arithmetic differs.
+``equiv_rev``.  The sign twist and the inverse are assembled from the plain
+``hat`` and ``invert`` on the fixed posets; only products stay separate.
 """
 
 import os
@@ -47,6 +47,7 @@ from .incidence import (
     AlgebraElement,
     IncidenceElement,
     _elements_agree,
+    hat,
     invert,
     rev as equiv_rev,
     solve_f,
@@ -157,21 +158,23 @@ def _group_bound(max_group):
 class Subgroup:
     """A concrete group of permutations together with its conjugacy classes.
 
-    ``elements`` is the frozenset of members.  ``reps`` lists the smallest
-    element of each conjugacy class in increasing order, ``class_of`` maps
-    every element to the representative of its class, and ``size`` maps a
+    ``elements`` is the frozenset of members and ``generators`` a few
+    that generate them.  ``reps`` lists the smallest element of each
+    conjugacy class in increasing order, ``class_of`` maps every element
+    to the representative of its class, and ``size`` maps a
     representative to the size of its class.  Iteration, ``len`` and
     ``<=`` act on the elements.
 
     Built by :meth:`PermAction.stabilizer` from the :func:`_orbits` of
-    element ids under conjugation by generators, one walk per class from
-    its smallest id.
+    element ids under conjugation by the generators, one walk per class
+    from its smallest id.
     """
 
-    __slots__ = ("elements", "reps", "class_of", "size")
+    __slots__ = ("elements", "generators", "reps", "class_of", "size")
 
-    def __init__(self, action, walks):
+    def __init__(self, action, walks, generators):
         elements = action.elements
+        self.generators = generators
         self.class_of, self.size = {}, {}
         for walk in walks:
             rep = elements[walk[0][0]]
@@ -276,8 +279,8 @@ class PermAction:
         # one walk of the classes gives the whole group and its conjugators
         self._class_walks = list(_orbits(range(len(elements)), lambda x: (
             (g, table[x]) for g, table in self._conj.items())))
-        self._subgroups = {tuple(range(len(elements))):
-                           Subgroup(self, self._class_walks)}
+        self._subgroups = {tuple(range(len(elements))): Subgroup(
+            self, self._class_walks, self.generators)}
         self._conjugators = None
         self._fixed_cache = {}
         self._orbits = None
@@ -327,10 +330,11 @@ class PermAction:
                         if fixed & mask == mask)
             cached = self._subgroups.get(ids)
             if cached is None:
+                gens = self._generators_of(ids)
                 tables = [dict(zip(ids, self._conjugation(h, ids)))
-                          for h in self._generators_of(ids)]
+                          for h in gens]
                 cached = self._subgroups[ids] = Subgroup(self, _orbits(
-                    ids, lambda e: ((t, t[e]) for t in tables)))
+                    ids, lambda e: ((t, t[e]) for t in tables)), gens)
             self._stab_cache[points] = cached
         return cached
 
@@ -407,15 +411,11 @@ class PermAction:
                 for rep in group.reps]
 
     def orbit_reps(self, candidates, subgroup=None):
-        """Smallest-index representatives of the subgroup orbits on a set."""
-        group = self.elements if subgroup is None else subgroup
-        todo = set(candidates)
-        reps = []
-        while todo:
-            z = min(todo)
-            todo -= {w[z] for w in group}
-            reps.append(z)
-        return reps
+        """Smallest-index representatives of the subgroup orbits on a set:
+        the first point of each :func:`_orbits` walk of the sorted set."""
+        gens = self.generators if subgroup is None else subgroup.generators
+        return [walk[0][0] for walk in _orbits(
+            sorted(candidates), lambda z: ((g, g[z]) for g in gens))]
 
     def fixed_poset(self, w):
         """Fixed subposet of w with its embedding and derived data.
@@ -553,11 +553,6 @@ class ClassPoly:
             raise TypeError(f"cannot scale a class polynomial by a "
                             f"{type(c).__name__}")
         return _classpoly(self.group, {r: v * factor
-                                       for r, v in self.values.items()})
-
-    def twist(self, signs):
-        """Multiply the value on each class by its representative's scalar."""
-        return _classpoly(self.group, {r: v * signs[r]
                                        for r, v in self.values.items()})
 
     def rev(self, r):
@@ -752,29 +747,11 @@ def equiv_multiply(p, q):
 
 
 def equiv_hat(p):
-    """Sign twist by the natural rank of each fixed poset.
-
-    The value at w on interval (i, j) picks up (-1) to the rank difference
-    of i and j inside B^w.  This is the involution matching hat on every
-    fixed poset; it requires each B^w to be graded (an Eulerian action).
-    """
+    """The sign twist: the :func:`_assemble` of :func:`klspoly.incidence.hat`
+    on each fixed poset, which must be lower Eulerian."""
     action = p.action
-    # fixed posets of conjugate elements are isomorphic
-    for w in action.stabilizer().reps:
-        sub = action.fixed_poset(w)[0]
-        if sub.rank is None:
-            raise ValueError(
-                f"fixed poset of {w} is not graded; hat is undefined: "
-                f"{sub.is_lower_eulerian().detail}")
-    vals = {}
-    for (i, j), cp in p.vals.items():
-        signs = {}
-        for w in cp.group.reps:
-            sub, _emb, pos = action.fixed_poset(w)
-            rank = sub.rank
-            signs[w] = -1 if (rank[pos[j]] - rank[pos[i]]) % 2 else 1
-        vals[(i, j)] = cp.twist(signs)
-    return EquivIncidenceElement._unchecked(p.action, p.weak_rank, vals)
+    return _assemble(action, p.weak_rank, _fixed_poset_read(
+        action, lambda w: hat(ev_w(p, w))))
 
 
 def is_eulerian_action(action):
@@ -1041,10 +1018,10 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
 
     def local_at(w):
         if w not in per:
-            sub, emb, pos = action.fixed_poset(w)
+            sub, _emb, pos = action.fixed_poset(w)
+            kw = ev_w(kappa, w)
             per[w] = local_invariants(SubdivisionTriple(sub, pos[triple.q]),
-                                      weak_rank.restrict(sub, emb),
-                                      ev_w(kappa, w))
+                                      kw.weak_rank, kw)
         return per[w]
 
     def assemble(field):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .polynomial import ONE, T, _poly
 from .poset import from_covers
-from .incidence import WeakRank, _elements_agree
+from .incidence import WeakRank, is_rank_alternating
 from .linalg import (
     Span,
     charpoly,
@@ -34,9 +34,8 @@ from .equivariant import (
     GroupTooLarge,
     NotAutomorphism,
     PermAction,
-    equiv_hat,
     equiv_kernel_validate,
-    equiv_rev,
+    ev_w,
     _assemble,
     _classpoly,
     _group_bound,
@@ -44,7 +43,7 @@ from .equivariant import (
     perm_cycles,
     perm_mul,
 )
-from .status import InputError, json_int, json_rational
+from .status import CheckResult, InputError, json_int, json_rational
 from .subdivision import SubdivisionTriple
 
 
@@ -425,13 +424,19 @@ def span_kernel(action, spans, crossing, matrix_of):
 def validate_span_kernel(kernel):
     """The one validation of a span kernel, as a CheckResult:
     :func:`equiv_kernel_validate` (conjugation compatibility included),
-    then rank alternation, reversal equal to the sign twist, failing as
-    "rank-alternating" with the first differing interval as witness."""
+    then :func:`klspoly.incidence.is_rank_alternating` at one representative
+    w per conjugacy class, its failing interval of B^w named in B."""
     result = equiv_kernel_validate(kernel)
     if not result:
         return result
-    return _elements_agree("rank-alternating", equiv_rev(kernel),
-                           equiv_hat(kernel))
+    action = kernel.action
+    for w in action.stabilizer().reps:
+        res = is_rank_alternating(ev_w(kernel, w))
+        if not res:
+            emb = action.fixed_poset(w)[1]
+            return CheckResult.failed("rank-alternating", witness=tuple(
+                emb[z] for z in res.witness), detail=res.detail)
+    return result
 
 
 def checked_kernel(kernel):

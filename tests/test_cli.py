@@ -200,6 +200,26 @@ def test_verify_refuses_a_group_document_that_no_check_reads(
                             f"the group document {_S3_ROTATION}\n")
 
 
+def test_verify_reads_one_group_document_for_every_poset(capsys):
+    glued = "fixture:glued_semisuspension.json"
+    code, out = run(capsys, ["verify", glued, glued, _SWAP,
+                             "--suite", "equivariant"])
+    assert code == 1
+    assert out.count(f"eulerian-action on {glued}: "
+                     "fixed-poset-not-lower-eulerian") == 2
+    assert out.endswith("passed 0/2\n")
+
+
+def test_verify_reads_a_kernel_file_where_any_check_does(capsys, tmp_path):
+    # an empty kernel file overrides no Eulerian value; theorem-g reads it
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": []}))
+    code, out = run(capsys, ["verify", "fixture:polygon_s2.json",
+                             "--suite", "theorem-g", "--kernel", str(path)])
+    assert (code, out) == (
+        0, "theorem-g on fixture:polygon_s2.json: ok\npassed 1/1\n")
+
+
 def test_ehrhart_hstar_of_the_crosscut_square(capsys):
     code, out = run(capsys, ["ehrhart", "fixture:crosscut_d4.json",
                              "--what", "hstar"])
@@ -650,3 +670,151 @@ def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 2
+
+
+def _refusal_documents(tmp):
+    """Write the documents the refusals below need and the fixtures lack."""
+    (tmp / "atom.json").write_text(json.dumps(
+        {"values": [[0, 1, ["-2", "1"]]]}))
+    (tmp / "atoms.json").write_text(json.dumps(
+        {"values": [[0, a, ["-2", "1"]] for a in range(1, 7)]}))
+    _tag, glued = load_fixture("glued_semisuspension.json", expect="poset")
+    write_document(tmp / "glued.json", "triple", {"poset": glued, "q": 9})
+    write_document(tmp / "no_coarse.json", *_complex_with(
+        lambda payload: payload.pop("coarse")))
+    write_document(tmp / "no_action.json", *_fan_with(
+        lambda payload: payload.pop("action")))
+    write_document(tmp / "kills_a_ray.json", *_fan_with(
+        _set(["action", "matrices", 0], [[1, 0], [0, 0]])))
+
+
+_HEXAGON_ROTATIONS = ["fixture:polygon_s3_top.json", "--equivariant",
+                      "fixture:polygon_s3_rotation.json"]
+_GLUED_SWAP = [0, 1, 2, 3, 4, 5, 6, 8, 7, 9]
+
+#: id -> (argv, exit code, text stdout, stderr, JSON stdout).  "{tmp}" in
+#: an argument is the directory of :func:`_refusal_documents`.  A refused
+#: request (exit 2) prints only to stderr, in either format; a rejected
+#: kernel or action (exit 1) prints its reason and witness to stdout.
+_REFUSALS = {
+    "kls-interval-and-all": (
+        ["kls", "fixture:boolean3.json", "--what", "g", "--interval", "0",
+         "7", "--all"], 2, "",
+        "error: --interval and --all are mutually exclusive\n", None),
+    "kls-not-an-interval": (
+        ["kls", "fixture:boolean3.json", "--what", "g", "--interval", "1",
+         "2"], 2, "", "error: (1, 2) is not an interval of the poset\n",
+        None),
+    "kls-no-unique-maximum": (
+        ["kls", "fixture:square_fan_z4.json", "--what", "g"], 2, "",
+        "error: poset has no unique maximum; pass --interval or --all\n",
+        None),
+    "kls-h-with-a-kernel-file": (
+        ["kls", "fixture:boolean3.json", "--what", "h", "--kernel",
+         "{tmp}/missing.json"], 2, "",
+        "error: --what h is defined for the Eulerian kernel only\n", None),
+    "kls-h-with-an-interval": (
+        ["kls", "fixture:boolean3.json", "--what", "h", "--interval", "0",
+         "1"], 2, "",
+        "error: --what h is one polynomial of the poset and reads no "
+        "--interval\n", None),
+    "kls-toric-h-with-all": (
+        ["kls", "fixture:boolean3.json", "--what", "toric-h", "--all"], 2,
+        "", "error: --what toric-h is one polynomial of the poset and reads "
+            "no --all\n", None),
+    "local-relative-g-with-a-group": (
+        ["local", "fixture:polygon_s2.json", "--relative-g",
+         "--equivariant", "fixture:polygon_s3_rotation.json"], 2, "",
+        "error: --relative-g uses the Eulerian kernel and no group\n", None),
+    "local-relative-g-with-all": (
+        ["local", "fixture:polygon_s2.json", "--relative-g", "--all"], 2, "",
+        "error: --relative-g is one polynomial and reads no --all\n", None),
+    "local-kernel-rejected": (
+        ["local", "fixture:polygon_s2.json", "--kernel", "{tmp}/atom.json"],
+        1, "kernel rejected: inverse-reversal; witness=(0, 1); "
+           "(kappa * rev kappa)(0,1) = Poly(-1 + -1*t)\n", "",
+        {"command": "local", "reason": "inverse-reversal", "status": "fail",
+         "v": 1, "witness": [0, 1]}),
+    "local-group-moves-q": (
+        ["local", "fixture:polygon_s3.json", "--equivariant",
+         "fixture:polygon_s3_rotation.json"], 2, "",
+        "error: group incompatible with the triple: q-not-fixed; "
+        "witness={'w': [0, 2, 3, 4, 5, 6, 1, 8, 9, 10, 11, 12, 7, 13], "
+        "'q': 1}\n", None),
+    "local-action-rejected": (
+        ["local", "{tmp}/glued.json", "--equivariant",
+         "fixture:glued_swap.json"], 1,
+        f"action rejected: fixed-poset-not-lower-eulerian; witness={{'w': "
+        f"{_GLUED_SWAP}}}; not-graded; no natural rank: element 7 (top) is "
+        f"covered at inconsistent heights [1, 2]\n", "",
+        {"command": "local", "reason": "fixed-poset-not-lower-eulerian",
+         "status": "fail", "v": 1, "witness": {"w": _GLUED_SWAP}}),
+    "local-kernel-not-invariant": (
+        ["local", *_HEXAGON_ROTATIONS, "--kernel", "{tmp}/atom.json"], 2, "",
+        "error: values on the orbit of (0, 1) differ; element is not "
+        "invariant\n", None),
+    "local-kernel-rejected-equivariantly": (
+        ["local", *_HEXAGON_ROTATIONS, "--kernel", "{tmp}/atoms.json"], 1,
+        f"kernel rejected equivariantly: fixed-poset-kernel; witness={{'w': "
+        f"{list(range(14))}}}; inverse-reversal; witness=(0, 1); "
+        f"(kappa * rev kappa)(0,1) = Poly(-1 + -1*t)\n", "",
+        {"command": "local", "reason": "fixed-poset-kernel",
+         "status": "fail", "v": 1, "witness": {"w": list(range(14))}}),
+    "verify-a-lone-group-document": (
+        ["verify", "fixture:polygon_s3_rotation.json", "--suite",
+         "equivariant"], 2, "",
+        "error: no verifiable documents among the given paths\n", None),
+    "verify-a-fan-without-an-action": (
+        ["verify", "{tmp}/no_action.json", "--suite", "equivariant"], 2, "",
+        "error: {tmp}/no_action.json carries no action\n", None),
+    "verify-a-suite-with-a-kernel": (
+        ["verify", "--suite", "composition", "--kernel",
+         "{tmp}/missing.json"], 2, "",
+        "error: no check under suite 'composition' reads the kernel "
+        "{tmp}/missing.json\n", None),
+    "verify-a-fan-with-a-kernel": (
+        ["verify", "fixture:square_fan_z4.json", "--suite", "equivariant",
+         "--kernel", "{tmp}/missing.json"], 2, "",
+        "error: no check under suite 'equivariant' reads the kernel "
+        "{tmp}/missing.json\n", None),
+    "verify-a-complex-with-a-kernel": (
+        ["verify", "fixture:seg1_flip.json", "--suite",
+         "ehrhart-reciprocity", "--kernel", "{tmp}/missing.json"], 2, "",
+        "error: no check under suite 'ehrhart-reciprocity' reads the kernel "
+        "{tmp}/missing.json\n", None),
+    "verify-an-action-with-a-kernel": (
+        ["verify", "fixture:glued_semisuspension.json",
+         "fixture:glued_swap.json", "--suite", "equivariant", "--kernel",
+         "{tmp}/missing.json"], 2, "",
+        "error: no check under suite 'equivariant' reads the kernel "
+        "{tmp}/missing.json\n", None),
+    "ehrhart-negative-order": (
+        ["ehrhart", "fixture:unit_square.json", "--what", "series",
+         "--order", "-1"], 2, "",
+        "error: --order must be nonnegative, not -1\n", None),
+    "ehrhart-local-hstar-without-coarse-faces": (
+        ["ehrhart", "{tmp}/no_coarse.json", "--what", "local-hstar"], 2, "",
+        "error: local-hstar needs a complex with a coarse face structure\n",
+        None),
+    "check-a-fan-matrix-that-kills-a-ray": (
+        ["check", "{tmp}/kills_a_ray.json"], 2, "",
+        "error: bad fan payload: matrix kills a ray\n", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_every_refusal_pins_its_exit_code_and_output(capsys, tmp_path,
+                                                     case):
+    argv, code, out, err, json_out = _REFUSALS[case]
+    _refusal_documents(tmp_path)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    err = err.replace("{tmp}", str(tmp_path))
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    assert cli.main(argv + ["--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if json_out is None:
+        assert captured.out == ""
+    else:
+        assert json.loads(captured.out) == json_out

@@ -17,7 +17,7 @@ from klspoly.equivariant import (AssemblyInconsistent, ClassPoly,
                                  equiv_z_function, ev_w, is_eulerian_action,
                                  perm_inv, perm_mul, validate_action)
 from klspoly.incidence import (CarrierMismatch, WeakRank, delta,
-                               eulerian_kernel, rev, validate_kernel)
+                               eulerian_kernel, hat, rev, validate_kernel)
 from klspoly.polynomial import Poly, poly_rev
 from klspoly.poset import boolean_algebra, polygon
 from klspoly.schemas import (build_group, build_poset, build_triple,
@@ -237,9 +237,28 @@ def test_class_poly_operations():
     one = ClassPoly.constant(stab, Poly([1, 2]))
     assert one.ev(act.identity) == Poly([1, 2])
     assert one.rev(3).ev(act.identity) == Poly([0, 0, 2, 1])
-    signs = {w: -1 for w in stab}
-    assert one.twist(signs).ev(act.identity) == Poly([-1, -2])
+    # the sign twist is the plain hat on every fixed poset
+    p = random_equiv_element(act, natural_weak_rank(act), seeded_rng(2))
+    twisted = equiv_hat(p)
+    for w in act.elements:
+        assert ev_w(twisted, w) == hat(ev_w(p, w))
     assert (one - one).ev(act.identity) == Poly([])
+
+
+def test_orbit_reps_are_the_smallest_point_of_each_subgroup_orbit():
+    action = dihedral_polygon_action(6)
+    n = action.poset.n
+    assert action.stabilizer().generators == action.generators
+    for points in [(), (0,), (1,), (7,), (1, 7), (0, n - 1)]:
+        stab = action.stabilizer(*points)
+        closure = {b for b, _a, _g in equivariant._orbit(
+            [action.identity], lambda a: (
+                (g, perm_mul(g, a)) for g in stab.generators))}
+        assert closure == stab.elements
+        candidates = range(n - 1, -1, -1)
+        smallest = sorted({min(w[z] for w in stab) for z in candidates})
+        assert action.orbit_reps(candidates, subgroup=stab) == smallest
+    assert action.orbit_reps(range(1, 7)) == [1]
 
 
 def test_perm_helpers():

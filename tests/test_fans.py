@@ -19,7 +19,8 @@ from klspoly.fans import (EquivFanAction, FanError, LatticeFan,
                           checked_kernel, cone_contains, conv_contains,
                           cylinder_kernel, fan_kernel, fixed_fan,
                           induced_charpoly, polytope_cone_triple,
-                          primitive_vector, relint_contains)
+                          primitive_vector, relint_contains,
+                          validate_span_kernel)
 from klspoly.incidence import (IncidenceElement, WeakRank, hat,
                                is_rank_alternating, rev, validate_kernel)
 from klspoly.linalg import Span, charpoly, identity_matrix
@@ -374,6 +375,47 @@ def test_a_kernel_that_is_not_rank_alternating_fails_validation():
     assert checks["kernel"].witness == (0, 3)
     with pytest.raises(FanError, match="not rank alternating"):
         checked_kernel(trivial)
+
+
+def _coordinate_swap_charpoly(i, j):
+    """The characteristic polynomial of the swap of the first two
+    coordinates of Q^3 on span(j)/span(i), for the coordinate subspaces
+    named by the bitmasks i <= j of B3."""
+    new = j & ~i
+    pairs = int(new & 3 == 3)
+    return (T * T - ONE) ** pairs * (T - ONE) ** (bin(new).count("1")
+                                                  - 2 * pairs)
+
+
+def test_rank_alternation_fails_at_a_class_and_names_the_ambient_interval():
+    # B3 under the swap of its first two atoms, valued by the swap's
+    # characteristic polynomials; at the swap, t^3 - 1 added on (0, 7)
+    # keeps kappa * rev(kappa) = delta on the fixed poset {0, 3, 4, 7} but
+    # breaks rank alternation there, while the identity's values alternate
+    cube = boolean_algebra(3)
+    swap = (0, 2, 1, 3, 4, 6, 5, 7)
+    action = PermAction(cube, [swap])
+    vals = {}
+    for (i, j) in cube.intervals():
+        stab = action.stabilizer(i, j)
+        vals[(i, j)] = ClassPoly(stab, {
+            w: _coordinate_swap_charpoly(i, j) if w == swap
+            else (T - ONE) ** bin(j & ~i).count("1") for w in stab})
+    bumped = dict(vals[(0, 7)].values)
+    bumped[swap] = bumped[swap] + T ** 3 - ONE
+    vals[(0, 7)] = ClassPoly(action.stabilizer(0, 7), bumped)
+    kappa = EquivIncidenceElement(action, WeakRank.natural(cube), vals)
+    assert equiv_kernel_validate(kappa)
+    assert is_rank_alternating(ev_w(kappa, action.identity))
+    at_swap = ev_w(kappa, swap)
+    assert action.fixed_poset(swap)[1] == (0, 3, 4, 7)
+    plain = is_rank_alternating(at_swap)
+    assert (plain.reason, plain.witness) == ("rank-alternating", (0, 3))
+    res = validate_span_kernel(kappa)
+    assert (res.ok, res.reason, res.witness, res.detail) == (
+        False, "rank-alternating", (0, 7), plain.detail)
+    assert plain.detail == (f"{rev(at_swap).value(0, 3)!r} != "
+                            f"{hat(at_swap).value(0, 3)!r}")
 
 
 def test_a_solver_that_cannot_finish_is_reported_with_its_interval():

@@ -220,6 +220,69 @@ def test_only_the_rational_reader_parses_a_rational_string():
                          + "\n".join(found))
 
 
+def _constant_text(node):
+    """The constant pieces of a string or f-string expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [part.value for part in node.values
+                if isinstance(part, ast.Constant)]
+    return []
+
+
+def refusal_texts(source):
+    """(line, text) for each constant piece of an ``InputProblem(...)``
+    message and of the label a ``_reject`` call reports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "InputProblem" and node.args:
+            message = node.args[0]
+        elif node.func.id == "_reject" and len(node.args) > 2:
+            message = node.args[2]
+        else:
+            continue
+        found.extend((node.lineno, text) for text in _constant_text(message))
+    return sorted(found)
+
+
+def string_constants(source):
+    """Every string constant of a module, f-string pieces included."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def unpinned_refusals(source, pinned):
+    """The refusal texts of ``source`` that no string of ``pinned``
+    contains, as (line, text)."""
+    return [(line, text) for line, text in refusal_texts(source)
+            if not any(text in string for string in pinned)]
+
+
+def test_the_scan_finds_an_unpinned_refusal():
+    source = ('raise InputProblem("pinned refusal")\n'
+              'raise InputProblem(f"--what {w} is never pinned")\n'
+              'raise InputProblem(str(exc))\n'
+              'code = _reject(args, "kls", "unpinned label", res)\n'
+              'raise ValueError("not a refusal")\n')
+    pinned = string_constants('assert err == "error: pinned refusal\\n"\n'
+                              'flag = f"--what {what}"\n')
+    assert unpinned_refusals(source, pinned) == [
+        (2, " is never pinned"), (4, "unpinned label")]
+
+
+def test_every_command_line_refusal_is_pinned_by_a_test():
+    # each refusal of the command line, a request it cannot answer (exit
+    # 2) or a kernel or action it rejects (exit 1), has its text in a test
+    pinned = [string for path in sorted(Path(__file__).parent.glob("*.py"))
+              for string in string_constants(path.read_text(encoding="utf-8"))]
+    found = [f"cli.py:{line}: {text!r}" for line, text in unpinned_refusals(
+        (PACKAGE / "cli.py").read_text(encoding="utf-8"), pinned)]
+    assert found == [], "refusals no test pins:\n" + "\n".join(found)
+
+
 ROOT = PACKAGE.parents[1]
 # References from tests do not count: code that neither the package nor the
 # benchmark reaches is dead unless TEST_ONLY names it.
