@@ -23,7 +23,10 @@ not hold, a kernel or action is rejected), 2 on input errors (unreadable
 files, malformed documents, impossible flag combinations, a flag the
 request does not read, a ``KLS_MAX_GROUP`` that is not an integer, a poset
 that is not (lower) Eulerian where the computation needs one), 141 (128 +
-SIGPIPE) when the reader closes standard output early, silently.
+SIGPIPE) when the reader closes standard output early, silently.  Each
+handler decides from the flags and documents alone before it computes, so
+a request refused with 2 is refused before any kernel check, solve,
+complex build or suite runs, and wins over a rejection (1) in one command.
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -36,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import schemas
 from .incidence import (MirrorConstraintViolated, eulerian_kernel,
@@ -228,12 +232,12 @@ def cmd_kls(args):
               [_poly_str(poly)])
         return EXIT_OK
     kappa = _kernel_for(args, poset)
+    pairs, single = _interval_list(args, poset)
     res = validate_kernel(kappa)
     if not res:
         return _reject(args, "kls", "kernel rejected", res)
     solver = {"f": solve_f, "g": solve_g, "z": z_function}[args.what]
     element = solver(kappa)
-    pairs, single = _interval_list(args, poset)
     values = [[z, zp, element.value(z, zp).to_json()] for z, zp in pairs]
     if single:
         lines = [_poly_str(element.value(*pairs[0]))]
@@ -257,24 +261,18 @@ def _load_triple(args):
     return mapping_cylinder(schemas.build_sfs(payload))
 
 
-def _headline_pair(triple):
+def _table_pairs(triple, args):
+    """The top interval, when there is one above q and no --all; else
+    the X x Y intervals."""
     gamma = triple.gamma
     maxs = gamma.maximal_elements()
-    if len(maxs) == 1 and gamma.leq(triple.q, maxs[0]):
-        return (gamma.bottom(), maxs[0])
-    return None
-
-
-def _table_pairs(triple, args):
-    if not args.all:
-        pair = _headline_pair(triple)
-        if pair is not None:
-            return [pair]
+    if not args.all and len(maxs) == 1 and gamma.leq(triple.q, maxs[0]):
+        return [(gamma.bottom(), maxs[0])]
     return triple.xy_pairs()
 
 
 def cmd_local(args):
-    from .subdivision import local_invariants, relative_g
+    from .subdivision import KernelRejected, local_invariants, relative_g
 
     triple = _load_triple(args)
     gamma = triple.gamma
@@ -292,12 +290,16 @@ def cmd_local(args):
         return EXIT_OK
     kappa = _kernel_for(args, gamma)
     pairs = _table_pairs(triple, args)
-    if args.equivariant is not None:
-        return _equivariant_tables(args, triple, kappa, pairs)
-    res = validate_kernel(kappa)
-    if not res:
-        return _reject(args, "local", "kernel rejected", res)
-    inv = local_invariants(triple, kappa.weak_rank, kappa)
+    try:
+        if args.equivariant is not None:
+            return _equivariant_tables(args, triple, kappa, pairs)
+        res = validate_kernel(kappa)
+        if not res:
+            return _reject(args, "local", "kernel rejected", res)
+        inv = local_invariants(triple, kappa.weak_rank, kappa)
+    except KernelRejected as exc:
+        # the solver also needs the kernel multiplicative, rank alternating
+        return _reject(args, "local", "kernel rejected", exc.result)
     lines = []
     values = {}
     for name in ("h_sigma", "ell_sigma", "delta_ell"):
@@ -329,13 +331,13 @@ def _equivariant_tables(args, triple, kappa, pairs):
     if not res:
         raise InputProblem(f"group incompatible with the triple: "
                            f"{res.describe()}")
-    res = is_eulerian_action(action)
-    if not res:
-        return _reject(args, "local", "action rejected", res)
     try:
         ekappa = equiv_constant(action, kappa)
     except ValueError as exc:
         raise InputProblem(str(exc))
+    res = is_eulerian_action(action)
+    if not res:
+        return _reject(args, "local", "action rejected", res)
     res = equiv_kernel_validate(ekappa)
     if not res:
         return _reject(args, "local", "kernel rejected equivariantly", res)
@@ -363,7 +365,7 @@ TRIPLE_CHECKS = {"theorem-g": "check_theorem_g",
                  "corollary-z": "check_corollary_z"}
 
 
-def _verify_triple(args, path, payload):
+def _verify_triple(args, payload):
     from . import subdivision
 
     triple = schemas.build_triple(payload)
@@ -375,110 +377,99 @@ def _verify_triple(args, path, payload):
         # a kernel document that loaded but fails the theory's
         # hypotheses is a failed check, not an input error
         res = exc.result
-    return [(f"{args.suite} on {path}", res)]
+    return [(args.suite, res)]
 
 
-def _verify_action(path, tag, payload, group_payload):
+def _verify_action(tag, payload, group_payload):
     from .equivariant import is_eulerian_action
 
     poset = schemas.build_poset(payload["poset"] if tag == "triple"
                                 else payload)
     action = schemas.build_group(group_payload, poset)
-    return [(f"eulerian-action on {path}", is_eulerian_action(action))]
+    return [("eulerian-action", is_eulerian_action(action))]
 
 
-def _verify_fan(path, payload):
+def _verify_fan(payload):
     from .fans import fan_kernel
     from .verify import kernel_checks
 
-    fan, faction = schemas.build_fan(payload)
-    if faction is None:
-        raise InputProblem(f"{path} carries no action")
-    kappa = fan_kernel(fan, faction)
-    return [(f"{label} on {path}", res) for label, res in kernel_checks(kappa)]
+    return kernel_checks(fan_kernel(*schemas.build_fan(payload)))
 
 
-def _verify_complex(path, payload):
+def _verify_complex(payload):
     from .verify import complex_checks
 
-    cx = schemas.build_complex(payload)
-    return [(f"{label} on {path}", res) for label, res in complex_checks(cx)]
+    return complex_checks(schemas.build_complex(payload))
 
 
-def _verify_kernel(args, path, payload):
-    poset = schemas.build_poset(payload)
-    kappa = _kernel_for(args, poset)
+def _verify_kernel(args, payload):
+    kappa = _kernel_for(args, schemas.build_poset(payload))
     res = validate_kernel(kappa)
-    results = [(f"kernel axioms on {path}", res)]
+    results = [("kernel axioms", res)]
     if res:
         try:
             solve_g(kappa)
             solve_f(kappa)
-            results.append((f"solvers on {path}", CheckResult.passed()))
+            res = CheckResult.passed()
         except MirrorConstraintViolated as exc:
-            results.append((f"solvers on {path}",
-                            CheckResult.failed("mirror-constraint",
-                                               witness=exc.interval,
-                                               detail=str(exc))))
+            res = CheckResult.failed("mirror-constraint",
+                                     witness=exc.interval, detail=str(exc))
+        results.append(("solvers", res))
     return results
 
 
-def _verify_paths(args):
-    """Checks for explicitly supplied documents, dispatched on schema.
+def _verify_step(args, path, tag, payload, groups):
+    """The checks of one document under bare labels, as a call not yet
+    made: decided by its tag, the suite, ``groups`` and --kernel."""
+    if tag == "triple" and args.suite in TRIPLE_CHECKS:
+        return partial(_verify_triple, args, payload)
+    if tag in ("poset", "triple") and args.suite == "equivariant" and groups:
+        return partial(_verify_action, tag, payload, groups[0][1])
+    if tag == "fan" and args.suite == "equivariant":
+        if payload.get("action") is None:
+            raise InputProblem(f"{path} carries no action")
+        return partial(_verify_fan, payload)
+    if tag == "complex" and args.suite == "ehrhart-reciprocity":
+        return partial(_verify_complex, payload)
+    if tag == "poset" and args.kernel != "eulerian":
+        return partial(_verify_kernel, args, payload)
+    raise InputProblem(f"don't know how to verify a {tag} document under "
+                       f"suite {args.suite!r}")
 
-    At most one group document is accepted, and some check must read it
-    and any ``--kernel`` file.
+
+def _verify_plan(args, docs):
+    """(path, step) for each document of ``docs``, (path, tag, payload).
+
+    Every refusal is raised here, before any check runs: at most one group
+    document is accepted, and some check must read it and any ``--kernel``.
     """
-    docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
     groups = [(p, pay) for p, t, pay in docs if t == "group"]
     if len(groups) > 1:
         raise InputProblem(f"{groups[1][0]} is a second group document; "
                            f"verify reads at most one")
-    unread = {}
-    if groups:
-        unread["group"] = f"group document {groups[0][0]}"
-    if args.kernel != "eulerian":
-        unread["kernel"] = f"kernel {args.kernel}"
-    results = []
-    for path, tag, payload in docs:
-        if tag == "group":
-            continue
-        if tag == "triple" and args.suite in TRIPLE_CHECKS:
-            results.extend(_verify_triple(args, path, payload))
-            unread.pop("kernel", None)
-        elif tag in ("poset", "triple") and args.suite == "equivariant" \
-                and groups:
-            results.extend(_verify_action(path, tag, payload, groups[0][1]))
-            unread.pop("group", None)
-        elif tag == "fan" and args.suite == "equivariant":
-            results.extend(_verify_fan(path, payload))
-        elif tag == "complex" and args.suite == "ehrhart-reciprocity":
-            results.extend(_verify_complex(path, payload))
-        elif tag == "poset" and args.kernel != "eulerian":
-            results.extend(_verify_kernel(args, path, payload))
-            unread.pop("kernel", None)
-        else:
-            raise InputProblem(
-                f"don't know how to verify a {tag} document under suite "
-                f"{args.suite!r}")
-    if not results:
+    plan = [(path, _verify_step(args, path, tag, payload, groups))
+            for path, tag, payload in docs if tag != "group"]
+    if docs and not plan:
         raise InputProblem("no verifiable documents among the given paths")
-    if unread:
-        raise InputProblem(f"no check under suite {args.suite!r} reads the "
-                           f"{list(unread.values())[0]}")
-    return results
+    runs = {step.func for _path, step in plan}
+    if groups and _verify_action not in runs:
+        unread = f"group document {groups[0][0]}"
+    elif args.kernel != "eulerian" and not runs & {_verify_triple,
+                                                   _verify_kernel}:
+        unread = f"kernel {args.kernel}"
+    else:
+        return plan
+    raise InputProblem(f"no check under suite {args.suite!r} reads the "
+                       f"{unread}")
 
 
 def cmd_verify(args):
     from .verify import run_suite
 
-    if args.paths:
-        results = _verify_paths(args)
-    elif args.kernel != "eulerian":
-        raise InputProblem(f"no check under suite {args.suite!r} reads the "
-                           f"kernel {args.kernel}")
-    else:
-        results = run_suite(args.suite)
+    docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
+    plan = _verify_plan(args, docs)
+    results = [(f"{label} on {path}", res) for path, step in plan
+               for label, res in step()] if docs else run_suite(args.suite)
     ok, lines, checks = _check_lines(results)
     passed = sum(1 for _n, r in results if r)
     lines.append(f"passed {passed}/{len(results)}")
@@ -506,12 +497,15 @@ def cmd_ehrhart(args):
 
     tag, payload = schemas.load_document(_resolve(args.path),
                                          expect="complex")
+    if args.what in ("series", "reciprocity") and (args.order or 0) < 0:
+        raise InputProblem(f"--order must be nonnegative, not {args.order}")
+    if args.what == "local-hstar" and payload.get("coarse") is None:
+        raise InputProblem("local-hstar needs a complex with a coarse "
+                           "face structure")
     cx = schemas.build_complex(payload)
     action = cx.action
     elements = [list(w) for w in sorted(action.elements)]
     order = args.order if args.order is not None else cx.default_order()
-    if order < 0 and args.what in ("series", "reciprocity"):
-        raise InputProblem(f"--order must be nonnegative, not {order}")
     if args.what == "hstar":
         cp = hstar_from_subdivision(cx)
         lines, data = _class_lines(action, cp)
@@ -519,9 +513,6 @@ def cmd_ehrhart(args):
                      "elements": elements, "hstar": data}, lines)
         return EXIT_OK
     if args.what == "local-hstar":
-        if cx.coarse_poset is None:
-            raise InputProblem("local-hstar needs a complex with a coarse "
-                               "face structure")
         cyl = ComplexCylinder(cx)
         inv = equiv_local_invariants(cyl.triple, cyl.weak_rank, cyl.action,
                                      cyl.kappa)

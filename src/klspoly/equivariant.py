@@ -783,28 +783,37 @@ def equiv_kernel_validate(kappa):
     smallest elements of their classes, so the witness is the smallest
     group element whose evaluation fails.
     """
+    return validate_class_kernels(kappa)[0]
+
+
+def validate_class_kernels(kappa):
+    """(result, kernels): the result of :func:`equiv_kernel_validate` and
+    the evaluations (w, ev_w(kappa, w)) it validates, smallest class first;
+    no evaluations when a check on the element itself fails."""
     defn = kappa.validate_definition()
     if not defn:
-        return defn
+        return defn, []
     action = kappa.action
     for z in range(action.poset.n):
         if kappa.value(z, z) != ClassPoly.constant(action.stabilizer(z, z),
                                                    ONE):
-            return CheckResult.failed("diagonal-not-one", witness={"z": z})
+            return CheckResult.failed("diagonal-not-one",
+                                      witness={"z": z}), []
     rho = kappa.weak_rank.rho
     for (i, j) in action.poset.intervals():
         for g in action.generators:
             if rho[g[j]] - rho[g[i]] != rho[j] - rho[i]:
                 return CheckResult.failed(
                     "weak-rank-not-invariant",
-                    witness={"interval": [i, j], "w": list(g)})
-    for w in action.stabilizer().reps:
-        result = validate_kernel(ev_w(kappa, w))
+                    witness={"interval": [i, j], "w": list(g)}), []
+    kernels = [(w, ev_w(kappa, w)) for w in action.stabilizer().reps]
+    for w, kernel in kernels:
+        result = validate_kernel(kernel)
         if not result:
             return CheckResult.failed(
                 "fixed-poset-kernel", witness={"w": list(w)},
-                detail=result.describe())
-    return CheckResult.passed()
+                detail=result.describe()), kernels
+    return CheckResult.passed(), kernels
 
 
 def _assemble(action, weak_rank, read):

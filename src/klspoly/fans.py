@@ -34,14 +34,13 @@ from .equivariant import (
     GroupTooLarge,
     NotAutomorphism,
     PermAction,
-    equiv_kernel_validate,
-    ev_w,
     _assemble,
     _classpoly,
     _group_bound,
     _orbit,
     perm_cycles,
     perm_mul,
+    validate_class_kernels,
 )
 from .status import CheckResult, InputError, json_int, json_rational
 from .subdivision import SubdivisionTriple
@@ -424,16 +423,16 @@ def span_kernel(action, spans, crossing, matrix_of):
 def validate_span_kernel(kernel):
     """The one validation of a span kernel, as a CheckResult:
     :func:`equiv_kernel_validate` (conjugation compatibility included),
-    then :func:`klspoly.incidence.is_rank_alternating` at one representative
-    w per conjugacy class, its failing interval of B^w named in B."""
-    result = equiv_kernel_validate(kernel)
+    then :func:`klspoly.incidence.is_rank_alternating` on the same
+    evaluation at one representative w per conjugacy class, its failing
+    interval of B^w named in B."""
+    result, kernels = validate_class_kernels(kernel)
     if not result:
         return result
-    action = kernel.action
-    for w in action.stabilizer().reps:
-        res = is_rank_alternating(ev_w(kernel, w))
+    for w, kernel_at_w in kernels:
+        res = is_rank_alternating(kernel_at_w)
         if not res:
-            emb = action.fixed_poset(w)[1]
+            emb = kernel.action.fixed_poset(w)[1]
             return CheckResult.failed("rank-alternating", witness=tuple(
                 emb[z] for z in res.witness), detail=res.detail)
     return result

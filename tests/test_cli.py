@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from klspoly import cli, verify
+from klspoly import cli, equivariant, fans, schemas, subdivision, verify
 from klspoly.ehrhart import ComplexCylinder
 from klspoly.equivariant import AssemblyInconsistent
 from klspoly.incidence import MirrorConstraintViolated
@@ -686,6 +686,17 @@ def _refusal_documents(tmp):
         lambda payload: payload.pop("action")))
     write_document(tmp / "kills_a_ray.json", *_fan_with(
         _set(["action", "matrices", 0], [[1, 0], [0, 0]])))
+    # the Boolean lattice B2 with q = 1, and a P-kernel on it, and on the
+    # hexagon triple, that the solver refuses as not multiplicative
+    write_document(tmp / "b2.json", "triple", {"poset": {
+        "labels": ["0", "a", "b", "1"],
+        "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}, "q": 1})
+    (tmp / "b2_top.json").write_text(json.dumps(
+        {"values": [[0, 3, ["0", "-2", "2"]]]}))
+    (tmp / "hexagon_top.json").write_text(json.dumps(
+        {"values": [[0, 13, ["-2", "3", "-3", "2"]]]}))
+    (tmp / "one_c.json").write_text(json.dumps(
+        {"values": [[0, 7, ["1", "-3", "1"]]]}))
 
 
 _HEXAGON_ROTATIONS = ["fixture:polygon_s3_top.json", "--equivariant",
@@ -705,6 +716,10 @@ _REFUSALS = {
         ["kls", "fixture:boolean3.json", "--what", "g", "--interval", "1",
          "2"], 2, "", "error: (1, 2) is not an interval of the poset\n",
         None),
+    "kls-not-an-interval-with-a-rejected-kernel": (
+        ["kls", "fixture:boolean3.json", "--what", "g", "--kernel",
+         "fixture:corrupted_kernel_b3.json", "--interval", "3", "1"], 2, "",
+        "error: (3, 1) is not an interval of the poset\n", None),
     "kls-no-unique-maximum": (
         ["kls", "fixture:square_fan_z4.json", "--what", "g"], 2, "",
         "error: poset has no unique maximum; pass --interval or --all\n",
@@ -735,6 +750,16 @@ _REFUSALS = {
            "(kappa * rev kappa)(0,1) = Poly(-1 + -1*t)\n", "",
         {"command": "local", "reason": "inverse-reversal", "status": "fail",
          "v": 1, "witness": [0, 1]}),
+    "local-kernel-not-multiplicative": (
+        ["local", "{tmp}/b2.json", "--kernel", "{tmp}/b2_top.json"], 1,
+        "kernel rejected: kernel-not-multiplicative; witness=(0, 1, 3)\n",
+        "", {"command": "local", "reason": "kernel-not-multiplicative",
+             "status": "fail", "v": 1, "witness": [0, 1, 3]}),
+    "local-kernel-not-multiplicative-equivariantly": (
+        ["local", *_HEXAGON_ROTATIONS, "--kernel", "{tmp}/hexagon_top.json"],
+        1, "kernel rejected: kernel-not-multiplicative; witness=(0, 1, 13)\n",
+        "", {"command": "local", "reason": "kernel-not-multiplicative",
+             "status": "fail", "v": 1, "witness": [0, 1, 13]}),
     "local-group-moves-q": (
         ["local", "fixture:polygon_s3.json", "--equivariant",
          "fixture:polygon_s3_rotation.json"], 2, "",
@@ -760,10 +785,25 @@ _REFUSALS = {
         f"(kappa * rev kappa)(0,1) = Poly(-1 + -1*t)\n", "",
         {"command": "local", "reason": "fixed-poset-kernel",
          "status": "fail", "v": 1, "witness": {"w": list(range(14))}}),
+    "local-kernel-not-invariant-under-a-rejected-action": (
+        ["local", "{tmp}/glued.json", "--equivariant",
+         "fixture:glued_swap.json", "--kernel", "{tmp}/one_c.json"], 2, "",
+        "error: values on the orbit of (0, 7) differ; element is not "
+        "invariant\n", None),
     "verify-a-lone-group-document": (
         ["verify", "fixture:polygon_s3_rotation.json", "--suite",
          "equivariant"], 2, "",
         "error: no verifiable documents among the given paths\n", None),
+    "verify-a-triple-with-an-unread-group": (
+        ["verify", "fixture:polygon_s2.json",
+         "fixture:polygon_s3_rotation.json", "--suite", "theorem-g"], 2, "",
+        "error: no check under suite 'theorem-g' reads the group document "
+        "fixture:polygon_s3_rotation.json\n", None),
+    "verify-a-complex-under-theorem-g": (
+        ["verify", "fixture:polygon_s2.json", "fixture:unit_square.json",
+         "--suite", "theorem-g"], 2, "",
+        "error: don't know how to verify a complex document under suite "
+        "'theorem-g'\n", None),
     "verify-a-fan-without-an-action": (
         ["verify", "{tmp}/no_action.json", "--suite", "equivariant"], 2, "",
         "error: {tmp}/no_action.json carries no action\n", None),
@@ -802,9 +842,7 @@ _REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_REFUSALS))
-def test_every_refusal_pins_its_exit_code_and_output(capsys, tmp_path,
-                                                     case):
+def _assert_refusal(capsys, tmp_path, case):
     argv, code, out, err, json_out = _REFUSALS[case]
     _refusal_documents(tmp_path)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -818,3 +856,41 @@ def test_every_refusal_pins_its_exit_code_and_output(capsys, tmp_path,
         assert captured.out == ""
     else:
         assert json.loads(captured.out) == json_out
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_every_refusal_pins_its_exit_code_and_output(capsys, tmp_path,
+                                                     case):
+    _assert_refusal(capsys, tmp_path, case)
+
+
+#: (module, name) of the work a refused request must not start: kernel and
+#: action checks, solves, and the verify runners and corpus suite.
+_WORK = [(cli, name) for name in (
+    "validate_kernel", "solve_f", "solve_g", "z_function", "h_polynomial",
+    "toric_h_boundary", "_verify_triple", "_verify_action", "_verify_fan",
+    "_verify_complex", "_verify_kernel")] + [
+    (subdivision, "local_invariants"), (subdivision, "relative_g"),
+    (equivariant, "is_eulerian_action"),
+    (equivariant, "equiv_kernel_validate"),
+    (equivariant, "equiv_local_invariants"),
+    (fans, "validate_span_kernel"), (verify, "run_suite")]
+#: verify and ehrhart decide from the payload, so a refusal builds nothing;
+#: check, kls and local build the document they answer about first.
+_BUILDS = ("build_complex", "build_fan", "build_triple")
+
+
+@pytest.mark.parametrize("case", [case for case, (_argv, code, *_rest)
+                                  in _REFUSALS.items() if code == 2])
+def test_a_refused_request_computes_nothing(capsys, monkeypatch, tmp_path,
+                                            case):
+    def stub(name):
+        def called(*_args, **_kwargs):
+            pytest.fail(f"refused request {case} called {name}")
+        return called
+
+    argv = _REFUSALS[case][0]
+    builds = _BUILDS if argv[0] in ("verify", "ehrhart") else ()
+    for module, name in _WORK + [(schemas, name) for name in builds]:
+        monkeypatch.setattr(module, name, stub(name))
+    _assert_refusal(capsys, tmp_path, case)

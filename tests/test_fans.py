@@ -387,28 +387,33 @@ def _coordinate_swap_charpoly(i, j):
                                                   - 2 * pairs)
 
 
-def test_rank_alternation_fails_at_a_class_and_names_the_ambient_interval():
-    # B3 under the swap of its first two atoms, valued by the swap's
-    # characteristic polynomials; at the swap, t^3 - 1 added on (0, 7)
-    # keeps kappa * rev(kappa) = delta on the fixed poset {0, 3, 4, 7} but
-    # breaks rank alternation there, while the identity's values alternate
+_SWAP = (0, 2, 1, 3, 4, 6, 5, 7)
+
+
+def _swapped_cube_kernel(bumps):
+    """B3 under the swap of its first two atoms, valued by each element's
+    characteristic polynomials, plus ``bumps[(w, interval)]``."""
     cube = boolean_algebra(3)
-    swap = (0, 2, 1, 3, 4, 6, 5, 7)
-    action = PermAction(cube, [swap])
+    action = PermAction(cube, [_SWAP])
     vals = {}
     for (i, j) in cube.intervals():
         stab = action.stabilizer(i, j)
         vals[(i, j)] = ClassPoly(stab, {
-            w: _coordinate_swap_charpoly(i, j) if w == swap
-            else (T - ONE) ** bin(j & ~i).count("1") for w in stab})
-    bumped = dict(vals[(0, 7)].values)
-    bumped[swap] = bumped[swap] + T ** 3 - ONE
-    vals[(0, 7)] = ClassPoly(action.stabilizer(0, 7), bumped)
-    kappa = EquivIncidenceElement(action, WeakRank.natural(cube), vals)
+            w: (_coordinate_swap_charpoly(i, j) if w == _SWAP
+                else (T - ONE) ** bin(j & ~i).count("1"))
+            + bumps.get((w, (i, j)), Poly([])) for w in stab})
+    return action, EquivIncidenceElement(action, WeakRank.natural(cube), vals)
+
+
+def test_rank_alternation_fails_at_a_class_and_names_the_ambient_interval():
+    # at the swap, t^3 - 1 added on (0, 7) keeps kappa * rev(kappa) =
+    # delta on the fixed poset {0, 3, 4, 7} but breaks rank alternation
+    # there, while the identity's values alternate
+    action, kappa = _swapped_cube_kernel({(_SWAP, (0, 7)): T ** 3 - ONE})
     assert equiv_kernel_validate(kappa)
     assert is_rank_alternating(ev_w(kappa, action.identity))
-    at_swap = ev_w(kappa, swap)
-    assert action.fixed_poset(swap)[1] == (0, 3, 4, 7)
+    at_swap = ev_w(kappa, _SWAP)
+    assert action.fixed_poset(_SWAP)[1] == (0, 3, 4, 7)
     plain = is_rank_alternating(at_swap)
     assert (plain.reason, plain.witness) == ("rank-alternating", (0, 3))
     res = validate_span_kernel(kappa)
@@ -416,6 +421,38 @@ def test_rank_alternation_fails_at_a_class_and_names_the_ambient_interval():
         False, "rank-alternating", (0, 7), plain.detail)
     assert plain.detail == (f"{rev(at_swap).value(0, 3)!r} != "
                             f"{hat(at_swap).value(0, 3)!r}")
+
+
+def test_every_class_is_a_kernel_before_any_class_alternates():
+    # at the identity, 1 - t^2 on (0, 3) and t - 1 on (0, 7) keep kappa *
+    # rev(kappa) = delta but break rank alternation on (0, 3); at the
+    # swap, t on (0, 3) breaks kappa * rev(kappa) = delta
+    identity = tuple(range(8))
+    _action, kappa = _swapped_cube_kernel({
+        (identity, (0, 3)): ONE - T * T, (identity, (0, 7)): T - ONE,
+        (_SWAP, (0, 3)): T})
+    assert validate_kernel(ev_w(kappa, identity))
+    assert not is_rank_alternating(ev_w(kappa, identity))
+    assert not validate_kernel(ev_w(kappa, _SWAP))
+    res = validate_span_kernel(kappa)
+    assert (res.reason, res.witness) == ("fixed-poset-kernel",
+                                         {"w": list(_SWAP)})
+
+
+def test_a_span_kernel_is_evaluated_once_per_class(monkeypatch):
+    # the kernel axioms and rank alternation read one evaluation per class
+    _tag, payload = load_document(fixture_path("square_fan_z4.json"), "fan")
+    kappa = fan_kernel(*build_fan(payload))
+    calls = []
+
+    def counted(p, w):
+        calls.append(tuple(w))
+        return ev_w(p, w)
+
+    monkeypatch.setattr(equivariant, "ev_w", counted)
+    monkeypatch.setattr(fans, "ev_w", counted, raising=False)
+    assert validate_span_kernel(kappa)
+    assert calls == list(kappa.action.stabilizer().reps)
 
 
 def test_a_solver_that_cannot_finish_is_reported_with_its_interval():
