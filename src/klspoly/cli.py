@@ -33,6 +33,8 @@ generated group sizes.
 
 Each subcommand imports the layers it uses when it runs: importing this
 module loads only the document layer and the incidence algebra below it.
+Each handler decides before it imports a computing layer; :func:`_carrier`
+and :func:`_triple` read every poset and triple, building it whole.
 """
 
 import argparse
@@ -135,12 +137,11 @@ def _check_fan(built):
 
 
 def _check_complex(cx):
-    from .ehrhart import ComplexCylinder, HStarData
+    from .ehrhart import ComplexCylinder
     from .equivariant import is_eulerian_action
 
-    results = [("action-eulerian", is_eulerian_action(cx.action))]
-    HStarData(cx)
-    results.append(("hstar-data", CheckResult.passed()))
+    results = [("action-eulerian", is_eulerian_action(cx.action)),
+               ("hstar-data", CheckResult.passed())]
     if cx.coarse_poset is not None:
         ComplexCylinder(cx)
         results.append(("coarse-cylinder", CheckResult.passed()))
@@ -181,16 +182,22 @@ def cmd_check(args):
 
 # -- kls ----------------------------------------------------------------------
 
-def _load_carrier(args):
-    """The poset a kls computation runs on (poset, triple or fan doc)."""
-    tag, payload = schemas.load_document(_resolve(args.path),
-                                         expect=("poset", "triple", "fan"))
+def _carrier(tag, payload):
+    """The poset a kernel lives on, of a poset, triple or fan document."""
     if tag == "poset":
         return schemas.build_poset(payload)
+    if tag == "fan":
+        return schemas.build_fan(payload)[0].face_poset
+    return _triple(tag, payload).gamma
+
+
+def _triple(tag, payload):
+    """A triple document's triple, or an sfs document's mapping cylinder."""
+    from .subdivision import mapping_cylinder
+
     if tag == "triple":
-        return schemas.build_triple(payload).gamma
-    fan, _action = schemas.build_fan(payload)
-    return fan.face_poset
+        return schemas.build_triple(payload)
+    return mapping_cylinder(schemas.build_sfs(payload))
 
 
 def _kernel_for(args, poset):
@@ -216,7 +223,8 @@ def _interval_list(args, poset):
 
 
 def cmd_kls(args):
-    poset = _load_carrier(args)
+    poset = _carrier(*schemas.load_document(
+        _resolve(args.path), expect=("poset", "triple", "fan")))
     if args.what in ("h", "toric-h"):
         if args.kernel != "eulerian":
             raise InputProblem(f"--what {args.what} is defined for the "
@@ -251,16 +259,6 @@ def cmd_kls(args):
 
 # -- local --------------------------------------------------------------------
 
-def _load_triple(args):
-    from .subdivision import mapping_cylinder
-
-    tag, payload = schemas.load_document(_resolve(args.path),
-                                         expect=("triple", "sfs"))
-    if tag == "triple":
-        return schemas.build_triple(payload)
-    return mapping_cylinder(schemas.build_sfs(payload))
-
-
 def _table_pairs(triple, args):
     """The top interval, when there is one above q and no --all; else
     the X x Y intervals."""
@@ -274,7 +272,8 @@ def _table_pairs(triple, args):
 def cmd_local(args):
     from .subdivision import KernelRejected, local_invariants, relative_g
 
-    triple = _load_triple(args)
+    triple = _triple(*schemas.load_document(_resolve(args.path),
+                                            expect=("triple", "sfs")))
     gamma = triple.gamma
     if args.relative_g:
         if args.equivariant or args.kernel != "eulerian":
@@ -365,10 +364,10 @@ TRIPLE_CHECKS = {"theorem-g": "check_theorem_g",
                  "corollary-z": "check_corollary_z"}
 
 
-def _verify_triple(args, payload):
+def _verify_triple(args, tag, payload):
     from . import subdivision
 
-    triple = schemas.build_triple(payload)
+    triple = _triple(tag, payload)
     kappa = _kernel_for(args, triple.gamma)
     check = getattr(subdivision, TRIPLE_CHECKS[args.suite])
     try:
@@ -383,9 +382,7 @@ def _verify_triple(args, payload):
 def _verify_action(tag, payload, group_payload):
     from .equivariant import is_eulerian_action
 
-    poset = schemas.build_poset(payload["poset"] if tag == "triple"
-                                else payload)
-    action = schemas.build_group(group_payload, poset)
+    action = schemas.build_group(group_payload, _carrier(tag, payload))
     return [("eulerian-action", is_eulerian_action(action))]
 
 
@@ -402,8 +399,8 @@ def _verify_complex(payload):
     return complex_checks(schemas.build_complex(payload))
 
 
-def _verify_kernel(args, payload):
-    kappa = _kernel_for(args, schemas.build_poset(payload))
+def _verify_kernel(args, tag, payload):
+    kappa = _kernel_for(args, _carrier(tag, payload))
     res = validate_kernel(kappa)
     results = [("kernel axioms", res)]
     if res:
@@ -422,7 +419,7 @@ def _verify_step(args, path, tag, payload, groups):
     """The checks of one document under bare labels, as a call not yet
     made: decided by its tag, the suite, ``groups`` and --kernel."""
     if tag == "triple" and args.suite in TRIPLE_CHECKS:
-        return partial(_verify_triple, args, payload)
+        return partial(_verify_triple, args, tag, payload)
     if tag in ("poset", "triple") and args.suite == "equivariant" and groups:
         return partial(_verify_action, tag, payload, groups[0][1])
     if tag == "fan" and args.suite == "equivariant":
@@ -432,7 +429,7 @@ def _verify_step(args, path, tag, payload, groups):
     if tag == "complex" and args.suite == "ehrhart-reciprocity":
         return partial(_verify_complex, payload)
     if tag == "poset" and args.kernel != "eulerian":
-        return partial(_verify_kernel, args, payload)
+        return partial(_verify_kernel, args, tag, payload)
     raise InputProblem(f"don't know how to verify a {tag} document under "
                        f"suite {args.suite!r}")
 
@@ -491,17 +488,21 @@ def _class_lines(action, cp):
 
 
 def cmd_ehrhart(args):
-    from .ehrhart import (ComplexCylinder, ehr_series, hstar_from_subdivision,
-                          localhstar_via_localh, reciprocity_check)
-    from .equivariant import equiv_local_invariants
-
-    tag, payload = schemas.load_document(_resolve(args.path),
-                                         expect="complex")
+    _tag, payload = schemas.load_document(_resolve(args.path),
+                                          expect="complex")
     if args.what in ("series", "reciprocity") and (args.order or 0) < 0:
         raise InputProblem(f"--order must be nonnegative, not {args.order}")
     if args.what == "local-hstar" and payload.get("coarse") is None:
         raise InputProblem("local-hstar needs a complex with a coarse "
                            "face structure")
+    return _ehrhart_answer(args, payload)
+
+
+def _ehrhart_answer(args, payload):
+    from .ehrhart import (ComplexCylinder, ehr_series, hstar_from_subdivision,
+                          localhstar_via_localh, reciprocity_check)
+    from .equivariant import equiv_local_invariants
+
     cx = schemas.build_complex(payload)
     action = cx.action
     elements = [list(w) for w in sorted(action.elements)]

@@ -11,7 +11,10 @@ by box points plus invariant ray combinations, and the assembly formulas
 expressing the counting polynomials of the whole polytope through the
 kernel machinery on the subdivision's face poset.  The face kernel and
 the cylinder kernel are :func:`klspoly.fans.span_kernel` calls; elements
-multiplied with a kernel take that kernel's weak rank.
+multiplied with a kernel take that kernel's weak rank.  A complex builds
+one table of box polynomials, which every assembly reads, lifted onto a
+kernel's bottom row by one function; only the point-count series scan
+the boxes again, so they stay a route independent of the table.
 
 Affine maps are encoded as (dim+1) x (dim+1) integer matrices acting on
 the lattice extended by a last coordinate that every group element fixes;
@@ -32,6 +35,7 @@ from .equivariant import (
     NotAutomorphism,
     PermAction,
     _classpoly,
+    _multiply_at,
     equiv_invert,
     equiv_multiply,
     equiv_rev,
@@ -108,7 +112,8 @@ class LatticeSimplexComplex:
     Each face's box is enumerated once, here: ``box[z]`` lists the
     half-open box points of face z at every height and ``open_box[z]``
     those of its open box; the empty face's box is the origin.
-    ``interior`` lists the faces off the boundary of the polytope.
+    ``hstar_data`` is their one :class:`HStarData` table.  ``interior``
+    lists the faces off the boundary of the polytope.
     """
 
     def __init__(self, dim, vertices, faces, covers, matrices=None,
@@ -142,6 +147,7 @@ class LatticeSimplexComplex:
             box = box_points(span) if f else [(origin, ())]
             self.box.append([u for u, _lam in box])
             self.open_box.append([u for u, lam in box if all(lam)])
+        self.hstar_data = HStarData(self)
 
     # -- symmetry -----------------------------------------------------------
 
@@ -291,14 +297,19 @@ class HStarData:
             self.local[z] = l
 
 
-def _bottom_row_element(cx, weak_rank, per_face):
-    """Per-face polynomials as an incidence element on the (bottom, z),
-    over the ``weak_rank`` of the face kernel it is multiplied with."""
-    bottom = cx.poset.bottom()
+def _bottom_row(kappa, per_face, to_face):
+    """Per-face class polynomials of a complex on the pairs (bottom, face)
+    of the kernel ``kappa`` they are multiplied with; ``to_face`` maps an
+    element of the kernel's group to the complex's element they are read at.
+    """
+    action = kappa.action
+    bottom = action.poset.bottom()
     vals = {}
-    for z in range(cx.poset.n):
-        vals[(bottom, z)] = per_face[z]
-    return EquivIncidenceElement(cx.action, weak_rank, vals)
+    for z, cp in per_face.items():
+        stab = action.stabilizer(bottom, z)
+        vals[(bottom, z)] = _classpoly(
+            stab, {w: cp.ev(to_face(w)) for w in stab.reps})
+    return EquivIncidenceElement(action, kappa.weak_rank, vals)
 
 
 def face_kernel(cx):
@@ -318,11 +329,10 @@ def check_hl_relation(cx):
     These are the incidence-algebra forms of reciprocity on the face
     poset; both are checked as equalities of equivariant elements.
     """
-    data = HStarData(cx)
     kappa = face_kernel(cx)
     g = equiv_solve_g(kappa)
-    h_elem = _bottom_row_element(cx, kappa.weak_rank, data.hstar)
-    l_elem = _bottom_row_element(cx, kappa.weak_rank, data.local)
+    h_elem = _bottom_row(kappa, cx.hstar_data.hstar, lambda w: w)
+    l_elem = _bottom_row(kappa, cx.hstar_data.local, lambda w: w)
     expected = equiv_multiply(h_elem, equiv_invert(g))
     if l_elem != expected:
         return CheckResult.failed("open-box-from-half-open",
@@ -427,7 +437,6 @@ def hstar_from_subdivision(cx):
     polynomial times the characteristic polynomial of the quotient of the
     ambient space by the face's span.
     """
-    data = HStarData(cx)
     group = cx.action.stabilizer()
     total = ClassPoly.constant(group, ZERO)
     ambient = identity_matrix(cx.dim + 1)
@@ -439,7 +448,7 @@ def hstar_from_subdivision(cx):
         factor = _classpoly(stab, {
             w: induced_charpoly(cx.by_perm[w], full, rank)
             for w in stab.reps})
-        total = total + (data.hstar[z] * factor).induce(group)
+        total = total + (cx.hstar_data.hstar[z] * factor).induce(group)
     ident = cx.action.identity
     if total.ev(ident).degree > cx.dim:
         raise ComplexError("assembled counting polynomial exceeds the "
@@ -564,25 +573,14 @@ class ComplexCylinder:
         return tops[0]
 
 
-def _cylinder_bottom_row(cyl, per_face):
-    """Lift per-face polynomials of the fine complex onto the cylinder's
-    bottom row."""
-    bottom = cyl.triple.gamma.bottom()
-    vals = {}
-    for z, cp in per_face.items():
-        stab = cyl.action.stabilizer(bottom, z)
-        vals[(bottom, z)] = _classpoly(
-            stab, {w: cp.ev(cyl.fine_of(w)) for w in stab.reps})
-    return EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
-
-
 def _via_localh(cx, cyl, inv, field):
     """The open-box element of the fine faces times the ``field`` row of
     the local invariants ``inv`` of the cylinder ``cyl``, read at
     (bottom, top) and moved to the complex's group."""
-    lstar = _cylinder_bottom_row(cyl, HStarData(cx).local)
-    product = equiv_multiply(lstar, getattr(inv, field))
-    out = product.value(cyl.triple.gamma.bottom(), cyl.top())
+    lstar = _bottom_row(cyl.kappa, cx.hstar_data.local, cyl.fine_of)
+    bottom, top = cyl.triple.gamma.bottom(), cyl.top()
+    out = _multiply_at(lstar, getattr(inv, field), bottom, top,
+                       cyl.triple.gamma.elements_between(bottom, top))
     return _classpoly(cx.action.stabilizer(),
                       {cyl.fine_of(w): v for w, v in out.values.items()})
 
@@ -604,15 +602,15 @@ def localhstar_via_localh(cx, cylinder, invariants):
     return _via_localh(cx, cylinder, invariants, "ell_sigma")
 
 
-def coarse_hstar(cx, cylinder, data):
+def coarse_hstar(cx, cylinder):
     """Counting polynomials of the coarse faces, by exact division.
 
-    ``data`` is the complex's :class:`HStarData`.  (t-1) h*(coarse face)
-    equals the sum of fine box polynomials times the crossing kernel
-    values; the division must be exact, which is the computational content
-    of the coarsened action staying polynomial.
+    (t-1) h*(coarse face) equals the sum of fine box polynomials times the
+    crossing kernel values; the division must be exact, which is the
+    computational content of the coarsened action staying polynomial.
     """
-    hstar_x = _cylinder_bottom_row(cylinder, data.hstar)
+    hstar_x = _bottom_row(cylinder.kappa, cx.hstar_data.hstar,
+                          cylinder.fine_of)
     crossing = cylinder.triple.mask_interior(cylinder.kappa)
     product = equiv_multiply(hstar_x, crossing)
     gamma = cylinder.triple.gamma
@@ -642,11 +640,10 @@ def check_hstar_identity(cx):
     division and re-validated for conjugation consistency.
     """
     cyl = ComplexCylinder(cx)
-    data = HStarData(cx)
-    coarse = coarse_hstar(cx, cylinder=cyl, data=data)
+    coarse = coarse_hstar(cx, cylinder=cyl)
     bottom = cyl.triple.gamma.bottom()
     nx = cx.poset.n
-    vals = dict(_cylinder_bottom_row(cyl, data.hstar).vals)
+    vals = dict(_bottom_row(cyl.kappa, cx.hstar_data.hstar, cyl.fine_of).vals)
     vals.update({(bottom, y + nx): cp for y, cp in coarse.items()})
     full = EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
     tm1 = Poly([-1, 1])

@@ -446,6 +446,8 @@ _SUBCOMMANDS = {
     "local": (["local"], ("poset",)),
     "relative-g": (["local", "--relative-g"], ("poset",)),
     "verify": (["verify", "--suite", "theorem-g"], ("poset", "sfs")),
+    "verify-equivariant": (["verify", "fixture:polygon_s3_rotation.json",
+                            "--suite", "equivariant"], ("sfs",)),
 }
 _REFUSAL = {
     "kls": "expected a poset or triple or fan document, got '{tag}'",
@@ -453,6 +455,8 @@ _REFUSAL = {
     "relative-g": "expected a triple or sfs document, got '{tag}'",
     "verify": "don't know how to verify a {tag} document under suite "
               "'theorem-g'",
+    "verify-equivariant": "don't know how to verify a {tag} document under "
+                          "suite 'equivariant'",
 }
 
 
@@ -514,6 +518,25 @@ def test_a_document_integer_that_is_not_an_int_exits_two(
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         2, "", f"error: {name} must be an integer, got {shown}\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    (99, "q out of range"), ("13", "q must be an integer, got '13'")],
+    ids=["q-out-of-range", "q-a-string"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_equivariant_builds_the_whole_triple(capsys, tmp_path, value,
+                                                    message, fmt):
+    # the action is checked on the triple's poset, but the triple is read
+    # whole, so its q is refused as by every other command
+    _tag, payload = load_fixture("polygon_s3_top.json", expect="triple")
+    payload["q"] = value
+    path = tmp_path / "triple.json"
+    write_document(path, "triple", payload)
+    code = cli.main(["verify", str(path), "fixture:polygon_s3_rotation.json",
+                     "--suite", "equivariant", "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", f"error: bad triple payload: {message}\n")
 
 
 @pytest.mark.parametrize("field, value, code", [

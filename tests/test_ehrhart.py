@@ -220,7 +220,7 @@ def test_cylinder_routes_match_direct_assembly():
 def test_coarse_hstar_of_the_cube():
     cube = load_complex_fixture("unit_cube.json")
     cyl = ComplexCylinder(cube)
-    per_face = coarse_hstar(cube, cylinder=cyl, data=HStarData(cube))
+    per_face = coarse_hstar(cube, cylinder=cyl)
     top = cube.coarse_poset.top()
     bottom = cube.coarse_poset.bottom()
     fine = hstar_from_subdivision(cube)

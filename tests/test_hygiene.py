@@ -198,6 +198,37 @@ def test_only_the_span_kernel_derives_a_geometric_weak_rank():
                          "fans.span_kernel:\n" + "\n".join(found))
 
 
+#: The builders of the documents a command reads as a poset or a triple.
+READER_BUILDERS = ("build_poset", "build_triple", "build_sfs")
+
+
+def mentions_outside_readers(source, name):
+    """Lines that mention ``name`` outside both readers of cli.py."""
+    return sorted(set(mentions_outside(source, name, "_carrier"))
+                  & set(mentions_outside(source, name, "_triple")))
+
+
+def test_the_scan_finds_a_builder_outside_the_readers():
+    source = ("def _carrier(tag, payload):\n    return build_poset(payload)\n"
+              "def _triple(tag, payload):\n    return build_sfs(payload)\n"
+              "def _verify_action(payload):\n"
+              "    return schemas.build_poset(payload['poset'])\n")
+    assert [mentions_outside_readers(source, name)
+            for name in READER_BUILDERS] == [[6], [], []]
+
+
+def test_only_the_readers_build_a_poset_or_a_triple_in_the_command_line():
+    # every command reads a poset, triple or sfs document through
+    # cli._carrier or cli._triple, which build the whole document, so no
+    # handler builds an object from part of a payload; cmd_check reaches
+    # the builders through schemas.BUILDERS
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    found = [f"cli.py:{line}: {name}" for name in READER_BUILDERS
+             for line in mentions_outside_readers(source, name)]
+    assert found == [], ("a builder outside cli._carrier and cli._triple:\n"
+                         + "\n".join(found))
+
+
 def test_the_scan_finds_a_zero_denominator_outside_the_rational_reader():
     source = ("def json_rational(s):\n    try:\n        return Fraction(s)\n"
               "    except ZeroDivisionError:\n        raise\n"

@@ -70,6 +70,23 @@ def test_a_corpus_suite_loads_no_geometry(suite):
     assert not modules & GEOMETRY
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixture:unit_cube.json", "--what", "series", "--order", "-1"],
+    ["{tmp}/no_coarse.json", "--what", "local-hstar"],
+], ids=["negative-order", "local-hstar-without-coarse-faces"])
+def test_a_refused_ehrhart_loads_no_computing_layer(tmp_path, argv):
+    document = json.loads(Path(klspoly.__file__).with_name("fixtures")
+                          .joinpath("unit_cube.json")
+                          .read_text(encoding="utf-8"))
+    del document["coarse"]
+    (tmp_path / "no_coarse.json").write_text(json.dumps(document),
+                                             encoding="utf-8")
+    code, modules = loaded_modules(
+        "ehrhart", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert code == 2
+    assert not modules & (GEOMETRY | {"subdivision"})
+
+
 def test_ehrhart_does_not_load_the_verify_suites():
     code, modules = loaded_modules("ehrhart", "fixture:seg2_flip.json",
                                    "--what", "hstar")
