@@ -24,9 +24,11 @@ files, malformed documents, impossible flag combinations, a flag the
 request does not read, a ``KLS_MAX_GROUP`` that is not an integer, a poset
 that is not (lower) Eulerian where the computation needs one), 141 (128 +
 SIGPIPE) when the reader closes standard output early, silently.  Each
-handler decides from the flags and documents alone before it computes, so
-a request refused with 2 is refused before any kernel check, solve,
-complex build or suite runs, and wins over a rejection (1) in one command.
+handler reads its whole request, then computes, then writes: it decides
+from the flags and documents alone before it computes, so a request
+refused with 2 is refused before any check runs, and wins over a rejection
+(1) in one command.  ``verify`` reads every document, the ``--kernel``
+file on each carrier and the group before its first check.
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -35,13 +37,14 @@ Each subcommand imports the layers it uses when it runs: importing this
 module loads only the document layer and the incidence algebra below it.
 Each handler decides before it imports a computing layer; :func:`_carrier`
 and :func:`_triple` read every poset and triple, building it whole.
+:func:`_answer` writes every accepted answer, :func:`_report` every list
+of named checks and :func:`_reject` every rejected kernel or action.
 """
 
 import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from . import schemas
 from .incidence import (MirrorConstraintViolated, eulerian_kernel,
@@ -65,8 +68,8 @@ def _resolve(path):
     return path
 
 
-def _poly_str(p):
-    coeffs = p.to_json()
+def _coeff_str(coeffs):
+    """A polynomial's JSON coefficients as its text line."""
     return ",".join(coeffs) if coeffs else "0"
 
 
@@ -79,6 +82,12 @@ def _emit(args, payload, lines):
             print(line)
 
 
+def _answer(args, fields, lines):
+    """Write an accepted answer: ``fields`` or ``lines``, status ok, exit 0."""
+    _emit(args, {**fields, "status": "ok"}, lines)
+    return EXIT_OK
+
+
 def _reject(args, command, what, res):
     """Report a rejected kernel or action, ``what``, and fail (exit 1)."""
     _emit(args, {"command": command, "status": "fail",
@@ -87,13 +96,12 @@ def _reject(args, command, what, res):
     return EXIT_FAIL
 
 
-def _check_lines(results):
-    lines = []
+def _report(args, fields, results, trailing):
+    """Write the named checks ``results`` with ``fields``, then the
+    ``trailing`` lines: status ok and exit 0 when every check passes, else
+    fail and exit 1."""
     checks = []
-    ok = True
     for name, res in results:
-        ok = ok and bool(res)
-        lines.append(f"{name}: {res.describe()}")
         entry = {"name": name, "ok": bool(res)}
         if not res:
             entry["reason"] = res.reason
@@ -102,7 +110,19 @@ def _check_lines(results):
             if res.detail:
                 entry["detail"] = res.detail
         checks.append(entry)
-    return ok, lines, checks
+    ok = all(entry["ok"] for entry in checks)
+    _emit(args, {**fields, "status": "ok" if ok else "fail", "checks": checks},
+          [f"{name}: {res.describe()}" for name, res in results] + trailing)
+    return EXIT_OK if ok else EXIT_FAIL
+
+
+def _value_rows(element, pairs, single):
+    """The [z, zp, coefficients] rows of ``element`` on ``pairs``, and their
+    lines: the one value alone when ``single``, else ``z zp: value`` each."""
+    rows = [[z, zp, element.value(z, zp).to_json()] for z, zp in pairs]
+    if single:
+        return rows, [_coeff_str(rows[0][2])]
+    return rows, [f"{z} {zp}: {_coeff_str(coeffs)}" for z, zp, coeffs in rows]
 
 
 # -- check ------------------------------------------------------------------
@@ -163,21 +183,13 @@ DOCUMENT_CHECKS = {"poset": _check_poset, "sfs": _check_sfs,
                    "complex": _check_complex, "group": _check_group}
 
 
-def _document_checks(tag, payload):
-    built = schemas.BUILDERS[tag](payload)
-    results = DOCUMENT_CHECKS[tag](built)
-    if tag == "group":
-        return results
-    return [(f"{tag}-structure", CheckResult.passed())] + results
-
-
 def cmd_check(args):
     tag, payload = schemas.load_document(_resolve(args.path))
-    results = _document_checks(tag, payload)
-    ok, lines, checks = _check_lines(results)
-    _emit(args, {"command": "check", "schema": tag,
-                 "status": "ok" if ok else "fail", "checks": checks}, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    built = schemas.BUILDERS[tag](payload)
+    results = DOCUMENT_CHECKS[tag](built)
+    if tag != "group":
+        results = [(f"{tag}-structure", CheckResult.passed())] + results
+    return _report(args, {"command": "check", "schema": tag}, results, [])
 
 
 # -- kls ----------------------------------------------------------------------
@@ -233,28 +245,19 @@ def cmd_kls(args):
             flag = "--all" if args.interval is None else "--interval"
             raise InputProblem(f"--what {args.what} is one polynomial of "
                                f"the poset and reads no {flag}")
-        poly = h_polynomial(poset) if args.what == "h" \
-            else toric_h_boundary(poset)
-        _emit(args, {"command": "kls", "what": args.what,
-                     "status": "ok", "coeffs": poly.to_json()},
-              [_poly_str(poly)])
-        return EXIT_OK
+        coeffs = (h_polynomial if args.what == "h"
+                  else toric_h_boundary)(poset).to_json()
+        return _answer(args, {"command": "kls", "what": args.what,
+                              "coeffs": coeffs}, [_coeff_str(coeffs)])
     kappa = _kernel_for(args, poset)
     pairs, single = _interval_list(args, poset)
     res = validate_kernel(kappa)
     if not res:
         return _reject(args, "kls", "kernel rejected", res)
     solver = {"f": solve_f, "g": solve_g, "z": z_function}[args.what]
-    element = solver(kappa)
-    values = [[z, zp, element.value(z, zp).to_json()] for z, zp in pairs]
-    if single:
-        lines = [_poly_str(element.value(*pairs[0]))]
-    else:
-        lines = [f"{z} {zp}: {_poly_str(element.value(z, zp))}"
-                 for z, zp in pairs]
-    _emit(args, {"command": "kls", "what": args.what, "status": "ok",
-                 "values": values}, lines)
-    return EXIT_OK
+    values, lines = _value_rows(solver(kappa), pairs, single)
+    return _answer(args, {"command": "kls", "what": args.what,
+                          "values": values}, lines)
 
 
 # -- local --------------------------------------------------------------------
@@ -282,11 +285,9 @@ def cmd_local(args):
         if args.all:
             raise InputProblem("--relative-g is one polynomial and reads no "
                                "--all")
-        poly = relative_g(gamma, triple.q)
-        _emit(args, {"command": "local", "what": "relative-g",
-                     "status": "ok", "coeffs": poly.to_json()},
-              [_poly_str(poly)])
-        return EXIT_OK
+        coeffs = relative_g(gamma, triple.q).to_json()
+        return _answer(args, {"command": "local", "what": "relative-g",
+                              "coeffs": coeffs}, [_coeff_str(coeffs)])
     kappa = _kernel_for(args, gamma)
     pairs = _table_pairs(triple, args)
     try:
@@ -299,21 +300,14 @@ def cmd_local(args):
     except KernelRejected as exc:
         # the solver also needs the kernel multiplicative, rank alternating
         return _reject(args, "local", "kernel rejected", exc.result)
+    single = len(pairs) == 1
     lines = []
     values = {}
     for name in ("h_sigma", "ell_sigma", "delta_ell"):
-        element = getattr(inv, name)
-        values[name] = [[z, zp, element.value(z, zp).to_json()]
-                        for z, zp in pairs]
-        if len(pairs) == 1:
-            lines.append(f"{name}: {_poly_str(element.value(*pairs[0]))}")
-        else:
-            lines.append(f"{name}:")
-            lines.extend(f"  {z} {zp}: {_poly_str(element.value(z, zp))}"
-                         for z, zp in pairs)
-    _emit(args, {"command": "local", "status": "ok", "values": values},
-          lines)
-    return EXIT_OK
+        values[name], rows = _value_rows(getattr(inv, name), pairs, single)
+        lines += ([f"{name}: {rows[0]}"] if single else
+                  [f"{name}:", *(f"  {row}" for row in rows)])
+    return _answer(args, {"command": "local", "values": values}, lines)
 
 
 def _equivariant_tables(args, triple, kappa, pairs):
@@ -352,8 +346,7 @@ def _equivariant_tables(args, triple, kappa, pairs):
             table.append([z, zp, data])
             lines.extend(f"  {z} {zp} {row}" for row in rows)
         values[name] = table
-    _emit(args, {"command": "local", "status": "ok", "values": values}, lines)
-    return EXIT_OK
+    return _answer(args, {"command": "local", "values": values}, lines)
 
 
 # -- verify -------------------------------------------------------------------
@@ -364,43 +357,39 @@ TRIPLE_CHECKS = {"theorem-g": "check_theorem_g",
                  "corollary-z": "check_corollary_z"}
 
 
-def _verify_triple(args, tag, payload):
+def _verify_triple(suite, triple, kappa):
     from . import subdivision
 
-    triple = _triple(tag, payload)
-    kappa = _kernel_for(args, triple.gamma)
-    check = getattr(subdivision, TRIPLE_CHECKS[args.suite])
+    check = getattr(subdivision, TRIPLE_CHECKS[suite])
     try:
         res = check(triple, kappa)
     except subdivision.KernelRejected as exc:
         # a kernel document that loaded but fails the theory's
         # hypotheses is a failed check, not an input error
         res = exc.result
-    return [(args.suite, res)]
+    return [(suite, res)]
 
 
-def _verify_action(tag, payload, group_payload):
+def _verify_action(action):
     from .equivariant import is_eulerian_action
 
-    action = schemas.build_group(group_payload, _carrier(tag, payload))
     return [("eulerian-action", is_eulerian_action(action))]
 
 
-def _verify_fan(payload):
+def _verify_fan(fan, faction):
     from .fans import fan_kernel
     from .verify import kernel_checks
 
-    return kernel_checks(fan_kernel(*schemas.build_fan(payload)))
+    return kernel_checks(fan_kernel(fan, faction))
 
 
-def _verify_complex(payload):
+def _verify_complex(cx):
     from .verify import complex_checks
 
-    return complex_checks(schemas.build_complex(payload))
+    return complex_checks(cx)
 
 
-def _verify_kernel(args, tag, payload):
-    kappa = _kernel_for(args, _carrier(tag, payload))
+def _verify_kernel(kappa):
     res = validate_kernel(kappa)
     results = [("kernel axioms", res)]
     if res:
@@ -416,39 +405,46 @@ def _verify_kernel(args, tag, payload):
 
 
 def _verify_step(args, path, tag, payload, groups):
-    """The checks of one document under bare labels, as a call not yet
-    made: decided by its tag, the suite, ``groups`` and --kernel."""
-    if tag == "triple" and args.suite in TRIPLE_CHECKS:
-        return partial(_verify_triple, args, tag, payload)
+    """(runner, reader) of one document, decided by its tag, the suite,
+    ``groups`` and --kernel: ``runner(*reader())`` gives its checks under
+    bare labels, and ``reader()`` builds all that the runner reads."""
+    if tag in ("triple", "sfs") and args.suite in TRIPLE_CHECKS:
+        def read():
+            triple = _triple(tag, payload)
+            return args.suite, triple, _kernel_for(args, triple.gamma)
+        return _verify_triple, read
     if tag in ("poset", "triple") and args.suite == "equivariant" and groups:
-        return partial(_verify_action, tag, payload, groups[0][1])
+        return _verify_action, lambda: (schemas.build_group(
+            groups[0][1], _carrier(tag, payload)),)
     if tag == "fan" and args.suite == "equivariant":
         if payload.get("action") is None:
             raise InputProblem(f"{path} carries no action")
-        return partial(_verify_fan, payload)
+        return _verify_fan, lambda: schemas.build_fan(payload)
     if tag == "complex" and args.suite == "ehrhart-reciprocity":
-        return partial(_verify_complex, payload)
+        return _verify_complex, lambda: (schemas.build_complex(payload),)
     if tag == "poset" and args.kernel != "eulerian":
-        return partial(_verify_kernel, args, tag, payload)
+        return _verify_kernel, lambda: (_kernel_for(
+            args, _carrier(tag, payload)),)
     raise InputProblem(f"don't know how to verify a {tag} document under "
                        f"suite {args.suite!r}")
 
 
 def _verify_plan(args, docs):
-    """(path, step) for each document of ``docs``, (path, tag, payload).
+    """(path, runner, reader) for each document of ``docs``, (path, tag,
+    payload).
 
-    Every refusal is raised here, before any check runs: at most one group
+    Every refusal is raised here, before any reader runs: at most one group
     document is accepted, and some check must read it and any ``--kernel``.
     """
     groups = [(p, pay) for p, t, pay in docs if t == "group"]
     if len(groups) > 1:
         raise InputProblem(f"{groups[1][0]} is a second group document; "
                            f"verify reads at most one")
-    plan = [(path, _verify_step(args, path, tag, payload, groups))
+    plan = [(path, *_verify_step(args, path, tag, payload, groups))
             for path, tag, payload in docs if tag != "group"]
     if docs and not plan:
         raise InputProblem("no verifiable documents among the given paths")
-    runs = {step.func for _path, step in plan}
+    runs = {runner for _path, runner, _reader in plan}
     if groups and _verify_action not in runs:
         unread = f"group document {groups[0][0]}"
     elif args.kernel != "eulerian" and not runs & {_verify_triple,
@@ -465,16 +461,17 @@ def cmd_verify(args):
 
     docs = [(p,) + schemas.load_document(_resolve(p)) for p in args.paths]
     plan = _verify_plan(args, docs)
-    results = [(f"{label} on {path}", res) for path, step in plan
-               for label, res in step()] if docs else run_suite(args.suite)
-    ok, lines, checks = _check_lines(results)
+    if docs:
+        inputs = [reader() for _path, _runner, reader in plan]
+        results = [(f"{label} on {path}", res)
+                   for (path, runner, _reader), built in zip(plan, inputs)
+                   for label, res in runner(*built)]
+    else:
+        results = run_suite(args.suite)
     passed = sum(1 for _n, r in results if r)
-    lines.append(f"passed {passed}/{len(results)}")
-    _emit(args, {"command": "verify", "suite": args.suite,
-                 "status": "ok" if ok else "fail",
-                 "passed": passed, "total": len(results),
-                 "checks": checks}, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _report(args, {"command": "verify", "suite": args.suite,
+                          "passed": passed, "total": len(results)},
+                   results, [f"passed {passed}/{len(results)}"])
 
 
 # -- ehrhart ------------------------------------------------------------------
@@ -483,7 +480,7 @@ def _class_lines(action, cp):
     from .equivariant import classpoly_json
 
     data = classpoly_json(action, cp)
-    return [f"w{wid}: {','.join(coeffs) if coeffs else '0'}"
+    return [f"w{wid}: {_coeff_str(coeffs)}"
             for wid, coeffs in data["values"]], data
 
 
@@ -505,48 +502,37 @@ def _ehrhart_answer(args, payload):
 
     cx = schemas.build_complex(payload)
     action = cx.action
-    elements = [list(w) for w in sorted(action.elements)]
-    order = args.order if args.order is not None else cx.default_order()
+    fields = {"command": "ehrhart", "what": args.what,
+              "elements": [list(w) for w in sorted(action.elements)]}
     if args.what == "hstar":
-        cp = hstar_from_subdivision(cx)
-        lines, data = _class_lines(action, cp)
-        _emit(args, {"command": "ehrhart", "what": "hstar", "status": "ok",
-                     "elements": elements, "hstar": data}, lines)
-        return EXIT_OK
+        lines, fields["hstar"] = _class_lines(action,
+                                              hstar_from_subdivision(cx))
+        return _answer(args, fields, lines)
     if args.what == "local-hstar":
         cyl = ComplexCylinder(cx)
         inv = equiv_local_invariants(cyl.triple, cyl.weak_rank, cyl.action,
                                      cyl.kappa)
-        cp = localhstar_via_localh(cx, cyl, inv)
-        lines, data = _class_lines(action, cp)
-        _emit(args, {"command": "ehrhart", "what": "local-hstar",
-                     "status": "ok", "elements": elements,
-                     "local_hstar": data}, lines)
-        return EXIT_OK
+        lines, fields["local_hstar"] = _class_lines(
+            action, localhstar_via_localh(cx, cyl, inv))
+        return _answer(args, fields, lines)
+    order = args.order if args.order is not None else cx.default_order()
+    fields["order"] = order
     if args.what == "series":
         lines = []
-        table = []
+        fields["series"] = []
         for rep in action.stabilizer().reps:
             series = ehr_series(cx, rep, order=order)
-            counts = [series.coeff(m) for m in range(order + 1)]
+            counts = [str(series.coeff(m)) for m in range(order + 1)]
             wid = action.element_id(rep)
-            table.append([wid, [str(c) for c in counts]])
-            lines.append(f"w{wid}: {','.join(str(c) for c in counts)}")
-        _emit(args, {"command": "ehrhart", "what": "series", "status": "ok",
-                     "order": order, "elements": elements, "series": table},
-              lines)
-        return EXIT_OK
+            fields["series"].append([wid, counts])
+            lines.append(f"w{wid}: {','.join(counts)}")
+        return _answer(args, fields, lines)
     # reciprocity
     hstar = hstar_from_subdivision(cx)
-    results = []
-    for rep in action.stabilizer().reps:
-        results.append((f"reciprocity w{action.element_id(rep)}",
-                        reciprocity_check(cx, rep, order, hstar)))
-    ok, lines, checks = _check_lines(results)
-    _emit(args, {"command": "ehrhart", "what": "reciprocity",
-                 "status": "ok" if ok else "fail", "order": order,
-                 "elements": elements, "checks": checks}, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    results = [(f"reciprocity w{action.element_id(rep)}",
+                reciprocity_check(cx, rep, order, hstar))
+               for rep in action.stabilizer().reps]
+    return _report(args, fields, results, [])
 
 
 # -- parser -------------------------------------------------------------------

@@ -8,22 +8,22 @@ between stabilizers.  Evaluating every class function at a fixed group
 element w collapses an equivariant element to an ordinary incidence element
 on the fixed poset B^w, and this evaluation is an algebra homomorphism.
 
-That homomorphism is also the computational workhorse here.  Fixed
-posets of conjugate elements are isomorphic, so a kernel is validated on
-B^w for one representative w of each conjugacy class of the group (behind
-checks that it is conjugation compatible and that the group preserves its
-weak rank), and the f/g/Z solvers run once per such class.  Values are
-class functions, stored once per conjugacy class of each interval
-stabilizer and once per interval.  One orbit assembly, :func:`_assemble`,
-builds every computed element from a read of its values: the per-w
-answers of the solvers and the quotient characteristic polynomials of the
-span kernels in :mod:`klspoly.fans` alike are read on one interval per
-orbit of the group and transported to the rest of the orbit through the
-conjugating element, and products are summed the same way, so results
-are conjugation compatible by construction.  Each assembly re-reads the
-deepest transported interval of every orbit directly, and one interval of
-each solve is re-verified through the induction/restriction product, so
-that the two computation paths stay honest against each other.
+That homomorphism is also the computational workhorse here.  Fixed posets
+of conjugate elements are isomorphic, so a kernel is validated on B^w for
+one representative w of each conjugacy class of the group (behind a check
+that the group preserves its weak rank), and the f/g/Z solvers run once
+per such class.  Values are class functions, stored once per conjugacy
+class of each interval stabilizer and once per interval.  One orbit
+assembly, :func:`_assemble`, builds every computed element from a read of
+its values: the per-w answers of the solvers and the quotient
+characteristic polynomials of the span kernels in :mod:`klspoly.fans`
+alike are read on one interval per orbit of the group and transported to
+the rest of the orbit through the conjugating element, and products are
+summed the same way, so results are conjugation compatible by
+construction.  Each assembly re-reads the deepest transported interval of
+every orbit directly, and one interval of each solve is re-verified
+through the induction/restriction product, so that the two computation
+paths stay honest against each other.
 
 One breadth-first walk, :func:`_orbit`, finds every orbit the group layer
 needs: the group itself (over matrices too, in
@@ -597,9 +597,9 @@ class EquivIncidenceElement(AlgebraElement):
     each other by conjugation; ``validate_definition`` checks the latter.
 
     The constructor checks every key, carrier and the conjugation
-    compatibility, for data from outside; algebra results and assemblies,
-    span kernels among them, are built unchecked, and
-    :func:`equiv_kernel_validate` still checks a kernel's compatibility.
+    compatibility, for data from outside, and is the one caller of
+    ``validate_definition``.  Algebra results and assemblies, span kernels
+    among them, are built unchecked: they are compatible by construction.
     """
 
     __slots__ = ()
@@ -773,9 +773,11 @@ def is_eulerian_action(action):
 def equiv_kernel_validate(kappa):
     """Validate an equivariant kernel by reduction to fixed posets.
 
-    Checks the defining conditions of the equivariant algebra on the
-    element itself (conjugation compatibility, a unit diagonal) and that
-    the generators preserve the weak rank.  Then a conjugate u = x w x^-1
+    Checks a unit diagonal on the element itself and that the generators
+    preserve the weak rank.  Conjugation compatibility is not checked
+    again: the checking constructor enforces it on outside data, and every
+    other element is built compatible (transported along orbits, or an
+    algebra result of compatible elements).  Then a conjugate u = x w x^-1
     has the fixed poset x B^w, and x carries the evaluation at w, values
     and restricted weak rank alike, onto the evaluation at u; so the
     evaluation is validated as an ordinary kernel at one representative
@@ -790,9 +792,6 @@ def validate_class_kernels(kappa):
     """(result, kernels): the result of :func:`equiv_kernel_validate` and
     the evaluations (w, ev_w(kappa, w)) it validates, smallest class first;
     no evaluations when a check on the element itself fails."""
-    defn = kappa.validate_definition()
-    if not defn:
-        return defn, []
     action = kappa.action
     for z in range(action.poset.n):
         if kappa.value(z, z) != ClassPoly.constant(action.stabilizer(z, z),

@@ -422,10 +422,10 @@ def span_kernel(action, spans, crossing, matrix_of):
 
 def validate_span_kernel(kernel):
     """The one validation of a span kernel, as a CheckResult:
-    :func:`equiv_kernel_validate` (conjugation compatibility included),
-    then :func:`klspoly.incidence.is_rank_alternating` on the same
-    evaluation at one representative w per conjugacy class, its failing
-    interval of B^w named in B."""
+    :func:`equiv_kernel_validate`, then
+    :func:`klspoly.incidence.is_rank_alternating` on the same evaluation at
+    one representative w per conjugacy class, its failing interval of B^w
+    named in B."""
     result, kernels = validate_class_kernels(kernel)
     if not result:
         return result

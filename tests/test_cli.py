@@ -220,6 +220,25 @@ def test_verify_reads_a_kernel_file_where_any_check_does(capsys, tmp_path):
         0, "theorem-g on fixture:polygon_s2.json: ok\npassed 1/1\n")
 
 
+@pytest.mark.parametrize("suite", ["theorem-g", "corollary-f", "corollary-z"])
+def test_verify_reads_an_sfs_through_its_mapping_cylinder(capsys, tmp_path,
+                                                          suite):
+    # as local does: the triple suites check the sfs document's mapping
+    # cylinder, and read --kernel on it
+    name = f"{suite} on fixture:seg3_refinement.json"
+    argv = ["verify", "fixture:seg3_refinement.json", "--suite", suite]
+    assert run(capsys, argv) == (0, f"{name}: ok\npassed 1/1\n")
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": [{"name": name, "ok": True}], "command": "verify",
+        "passed": 1, "status": "ok", "suite": suite, "total": 1, "v": 1}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": [[0, 1, ["-2", "1"]]]}))
+    assert run(capsys, argv + ["--kernel", str(path)]) == (
+        1, f"{name}: kernel-not-multiplicative; witness=(0, 1, 6)\n"
+           "passed 0/1\n")
+
+
 def test_ehrhart_hstar_of_the_crosscut_square(capsys):
     code, out = run(capsys, ["ehrhart", "fixture:crosscut_d4.json",
                              "--what", "hstar"])
@@ -445,7 +464,7 @@ _SUBCOMMANDS = {
     "kls": (["kls", "--what", "g"], ("sfs",)),
     "local": (["local"], ("poset",)),
     "relative-g": (["local", "--relative-g"], ("poset",)),
-    "verify": (["verify", "--suite", "theorem-g"], ("poset", "sfs")),
+    "verify": (["verify", "--suite", "theorem-g"], ("poset",)),
     "verify-equivariant": (["verify", "fixture:polygon_s3_rotation.json",
                             "--suite", "equivariant"], ("sfs",)),
 }
@@ -720,6 +739,9 @@ def _refusal_documents(tmp):
         {"values": [[0, 13, ["-2", "3", "-3", "2"]]]}))
     (tmp / "one_c.json").write_text(json.dumps(
         {"values": [[0, 7, ["1", "-3", "1"]]]}))
+    _tag, top = load_fixture("polygon_s3_top.json", expect="triple")
+    write_document(tmp / "T99.json", "triple", {**top, "q": 99})
+    write_document(tmp / "SQ.json", *_complex_with(_set(["dim"], "2")))
 
 
 _HEXAGON_ROTATIONS = ["fixture:polygon_s3_top.json", "--equivariant",
@@ -917,3 +939,44 @@ def test_a_refused_request_computes_nothing(capsys, monkeypatch, tmp_path,
     for module, name in _WORK + [(schemas, name) for name in builds]:
         monkeypatch.setattr(module, name, stub(name))
     _assert_refusal(capsys, tmp_path, case)
+
+
+#: id -> (argv, stderr) of a verify request whose refusal comes from an
+#: input read after one that would be checked: a later document, or
+#: --kernel or the group on a later carrier.  "{tmp}" is as in _REFUSALS.
+_LATE_REFUSALS = {
+    "a-later-triple-with-q-out-of-range": (
+        ["verify", _S3_TOP, "{tmp}/T99.json", "--suite", "theorem-g"],
+        "error: bad triple payload: q out of range\n"),
+    "a-kernel-file-without-its-element-on-a-later-carrier": (
+        ["verify", _S3_TOP, "fixture:polygon_s2.json", "--suite",
+         "theorem-g", "--kernel", "{tmp}/hexagon_top.json"],
+        "error: kernel file names a missing element in (0, 13)\n"),
+    "a-group-that-does-not-act-on-a-later-poset": (
+        ["verify", _S3_TOP, "fixture:boolean3.json", _S3_ROTATION,
+         "--suite", "equivariant"],
+        "error: not a permutation of 0..7: "
+        "(0, 2, 3, 4, 5, 6, 1, 8, 9, 10, 11, 12, 7, 13)\n"),
+    "a-later-complex-with-a-string-dim": (
+        ["verify", "fixture:seg1_flip.json", "{tmp}/SQ.json", "--suite",
+         "ehrhart-reciprocity"],
+        "error: bad complex payload: dim must be an integer, got '2'\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", list(_LATE_REFUSALS))
+def test_verify_reads_every_input_before_its_first_check(
+        capsys, monkeypatch, tmp_path, case, fmt):
+    def stub(name):
+        def called(*_args, **_kwargs):
+            pytest.fail(f"late refusal {case} called {name}")
+        return called
+
+    argv, err = _LATE_REFUSALS[case]
+    _refusal_documents(tmp_path)
+    for module, name in _WORK:
+        monkeypatch.setattr(module, name, stub(name))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(argv + ["--format", fmt]) == 2
+    assert capsys.readouterr() == ("", err)

@@ -419,7 +419,7 @@ def test_a_class_function_that_is_not_conjugation_compatible_is_named():
                                     else kappa.value(0, 1).ev(w)
                                     for w in stab.reps})
     broken = EquivIncidenceElement._unchecked(action, kappa.weak_rank, vals)
-    res = equiv_kernel_validate(broken)
+    res = broken.validate_definition()
     assert not res and res.reason == "conjugation-compatibility"
     rotation = (0, 2, 3, 4, 1, 6, 7, 8, 5, 9)
     reflection = (0, 1, 4, 3, 2, 8, 7, 6, 5, 9)
@@ -519,8 +519,7 @@ def _record(monkeypatch, owner, name):
 @pytest.mark.parametrize("fixture", ["crosscut_d4.json", "square_fan_z4.json"])
 def test_each_span_kernel_is_validated_once(monkeypatch, capsys, fixture):
     built = _record(monkeypatch, fans, "span_kernel")
-    checked = _record(monkeypatch, EquivIncidenceElement,
-                      "validate_definition")
+    checked = _record(monkeypatch, fans, "validate_span_kernel")
     assert cli.main(["check", f"fixture:{fixture}"]) == 0
     assert "fail" not in capsys.readouterr().out
     kernels = [id(kernel) for _args, kernel in built]

@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import klspoly
+from klspoly import cli, schemas
 
 PACKAGE = Path(klspoly.__file__).parent
 
@@ -135,10 +136,12 @@ def mentions(source, name):
 
 
 def mentions_outside(source, name, function):
-    """Lines that mention ``name`` outside the module-level ``function``."""
+    """Lines that mention ``name`` outside the module-level ``function``
+    or class."""
     tree = ast.parse(source)
     inside = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == function
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and top.name == function
               for node in ast.walk(top)}
     return sorted(node.lineno for node in ast.walk(tree)
                   if id(node) not in inside and _mentions(node, name))
@@ -227,6 +230,58 @@ def test_only_the_readers_build_a_poset_or_a_triple_in_the_command_line():
              for line in mentions_outside_readers(source, name)]
     assert found == [], ("a builder outside cli._carrier and cli._triple:\n"
                          + "\n".join(found))
+
+
+#: The verify runners of cli.py, and what reads their inputs there.
+VERIFY_RUNNERS = ("_verify_triple", "_verify_action", "_verify_fan",
+                  "_verify_complex", "_verify_kernel")
+CLI_READERS = ("_carrier", "_triple", "_kernel_for") + tuple(
+    name for name in dir(schemas) if name.startswith("build_"))
+
+
+def mentions_inside(source, name, function):
+    """Lines inside the module-level ``function`` that mention ``name``."""
+    return sorted(set(mentions(source, name))
+                  - set(mentions_outside(source, name, function)))
+
+
+def test_the_scan_finds_a_reader_inside_a_runner():
+    source = ("def _verify_complex(cx):\n    return complex_checks(cx)\n"
+              "def _verify_fan(payload):\n"
+              "    return kernel_checks(schemas.build_fan(payload))\n")
+    assert [mentions_inside(source, "build_fan", runner)
+            for runner in ("_verify_complex", "_verify_fan")] == [[], [4]]
+
+
+def test_the_verify_runners_read_nothing():
+    # cmd_verify runs every reader before the first runner, so a malformed
+    # input is refused before any check runs; a runner computes on built
+    # objects only
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert all(hasattr(cli, runner) for runner in VERIFY_RUNNERS)
+    assert {"build_complex", "build_fan", "build_group"} <= set(CLI_READERS)
+    found = [f"cli.py:{line}: {runner} names {name}"
+             for runner in VERIFY_RUNNERS for name in CLI_READERS
+             for line in mentions_inside(source, name, runner)]
+    assert found == [], "a verify runner reads:\n" + "\n".join(found)
+
+
+def test_the_scan_finds_a_mention_outside_a_class():
+    source = ("class Element:\n    def __init__(self):\n        self.check()\n"
+              "    def check(self):\n        pass\n"
+              "def validate(kappa):\n    return kappa.check()\n")
+    assert mentions_outside(source, "check", "Element") == [7]
+
+
+def test_only_the_checking_constructor_checks_conjugation_compatibility():
+    # algebra results and assemblies are conjugation compatible by
+    # construction; EquivIncidenceElement checks data from outside
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in mentions_outside(path.read_text(encoding="utf-8"),
+                                          "validate_definition",
+                                          "EquivIncidenceElement")]
+    assert found == [], ("validate_definition outside "
+                         "EquivIncidenceElement:\n" + "\n".join(found))
 
 
 def test_the_scan_finds_a_zero_denominator_outside_the_rational_reader():
