@@ -28,7 +28,7 @@ handler reads its whole request, then computes, then writes: it decides
 from the flags and documents alone before it computes, so a request
 refused with 2 is refused before any check runs, and wins over a rejection
 (1) in one command.  ``verify`` reads every document, the ``--kernel``
-file on each carrier and the group before its first check.
+file (decoded once) on each carrier and the group before its first check.
 
 The environment variable ``KLS_MAX_GROUP`` overrides the default bound on
 generated group sizes.
@@ -42,6 +42,7 @@ of named checks and :func:`_reject` every rejected kernel or action.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,6 +161,7 @@ def _check_complex(cx):
     from .ehrhart import ComplexCylinder
     from .equivariant import is_eulerian_action
 
+    cx.hstar_data  # the first read builds the box table and checks it
     results = [("action-eulerian", is_eulerian_action(cx.action)),
                ("hstar-data", CheckResult.passed())]
     if cx.coarse_poset is not None:
@@ -212,10 +214,12 @@ def _triple(tag, payload):
     return mapping_cylinder(schemas.build_sfs(payload))
 
 
-def _kernel_for(args, poset):
+def _kernel_reader(args):
+    """The --kernel of a request on a carrier; a file is decoded once."""
     if args.kernel == "eulerian":
-        return eulerian_kernel(poset)
-    return schemas.load_kernel_file(_resolve(args.kernel), poset)
+        return eulerian_kernel
+    decoded = functools.cache(lambda: schemas._read_json(_resolve(args.kernel)))
+    return lambda poset: schemas.realize_kernel(decoded(), poset)
 
 
 def _interval_list(args, poset):
@@ -249,7 +253,7 @@ def cmd_kls(args):
                   else toric_h_boundary)(poset).to_json()
         return _answer(args, {"command": "kls", "what": args.what,
                               "coeffs": coeffs}, [_coeff_str(coeffs)])
-    kappa = _kernel_for(args, poset)
+    kappa = _kernel_reader(args)(poset)
     pairs, single = _interval_list(args, poset)
     res = validate_kernel(kappa)
     if not res:
@@ -288,7 +292,7 @@ def cmd_local(args):
         coeffs = relative_g(gamma, triple.q).to_json()
         return _answer(args, {"command": "local", "what": "relative-g",
                               "coeffs": coeffs}, [_coeff_str(coeffs)])
-    kappa = _kernel_for(args, gamma)
+    kappa = _kernel_reader(args)(gamma)
     pairs = _table_pairs(triple, args)
     try:
         if args.equivariant is not None:
@@ -404,14 +408,14 @@ def _verify_kernel(kappa):
     return results
 
 
-def _verify_step(args, path, tag, payload, groups):
+def _verify_step(args, path, tag, payload, groups, kernel):
     """(runner, reader) of one document, decided by its tag, the suite,
-    ``groups`` and --kernel: ``runner(*reader())`` gives its checks under
+    ``groups`` and ``kernel``: ``runner(*reader())`` gives its checks under
     bare labels, and ``reader()`` builds all that the runner reads."""
     if tag in ("triple", "sfs") and args.suite in TRIPLE_CHECKS:
         def read():
             triple = _triple(tag, payload)
-            return args.suite, triple, _kernel_for(args, triple.gamma)
+            return args.suite, triple, kernel(triple.gamma)
         return _verify_triple, read
     if tag in ("poset", "triple") and args.suite == "equivariant" and groups:
         return _verify_action, lambda: (schemas.build_group(
@@ -423,8 +427,7 @@ def _verify_step(args, path, tag, payload, groups):
     if tag == "complex" and args.suite == "ehrhart-reciprocity":
         return _verify_complex, lambda: (schemas.build_complex(payload),)
     if tag == "poset" and args.kernel != "eulerian":
-        return _verify_kernel, lambda: (_kernel_for(
-            args, _carrier(tag, payload)),)
+        return _verify_kernel, lambda: (kernel(_carrier(tag, payload)),)
     raise InputProblem(f"don't know how to verify a {tag} document under "
                        f"suite {args.suite!r}")
 
@@ -440,7 +443,8 @@ def _verify_plan(args, docs):
     if len(groups) > 1:
         raise InputProblem(f"{groups[1][0]} is a second group document; "
                            f"verify reads at most one")
-    plan = [(path, *_verify_step(args, path, tag, payload, groups))
+    kernel = _kernel_reader(args)
+    plan = [(path, *_verify_step(args, path, tag, payload, groups, kernel))
             for path, tag, payload in docs if tag != "group"]
     if docs and not plan:
         raise InputProblem("no verifiable documents among the given paths")

@@ -11,10 +11,10 @@ by box points plus invariant ray combinations, and the assembly formulas
 expressing the counting polynomials of the whole polytope through the
 kernel machinery on the subdivision's face poset.  The face kernel and
 the cylinder kernel are :func:`klspoly.fans.span_kernel` calls; elements
-multiplied with a kernel take that kernel's weak rank.  A complex builds
-one table of box polynomials, which every assembly reads, lifted onto a
-kernel's bottom row by one function; only the point-count series scan
-the boxes again, so they stay a route independent of the table.
+multiplied with a kernel take that kernel's weak rank.  Every assembly
+reads a complex's one table of box polynomials, built on its first read
+and lifted onto a kernel's bottom row by one function; only the
+point-count series scan the boxes instead, a route that builds no table.
 
 Affine maps are encoded as (dim+1) x (dim+1) integer matrices acting on
 the lattice extended by a last coordinate that every group element fixes;
@@ -24,10 +24,12 @@ placed at height one.
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
                          poly_rev)
 from .linalg import Span, charpoly, identity_matrix, lattice_points, mat_vec
+from .incidence import _elements_agree
 from .status import CheckResult, InputError, json_int
 from .equivariant import (
     ClassPoly,
@@ -112,8 +114,8 @@ class LatticeSimplexComplex:
     Each face's box is enumerated once, here: ``box[z]`` lists the
     half-open box points of face z at every height and ``open_box[z]``
     those of its open box; the empty face's box is the origin.
-    ``hstar_data`` is their one :class:`HStarData` table.  ``interior``
-    lists the faces off the boundary of the polytope.
+    ``hstar_data``, built on its first read, is their one table.
+    ``interior`` lists the faces off the boundary of the polytope.
     """
 
     def __init__(self, dim, vertices, faces, covers, matrices=None,
@@ -147,7 +149,11 @@ class LatticeSimplexComplex:
             box = box_points(span) if f else [(origin, ())]
             self.box.append([u for u, _lam in box])
             self.open_box.append([u for u, lam in box if all(lam)])
-        self.hstar_data = HStarData(self)
+
+    @cached_property
+    def hstar_data(self):
+        """The :class:`HStarData` of the boxes, built and checked once."""
+        return HStarData(self)
 
     # -- symmetry -----------------------------------------------------------
 
@@ -333,13 +339,11 @@ def check_hl_relation(cx):
     g = equiv_solve_g(kappa)
     h_elem = _bottom_row(kappa, cx.hstar_data.hstar, lambda w: w)
     l_elem = _bottom_row(kappa, cx.hstar_data.local, lambda w: w)
-    expected = equiv_multiply(h_elem, equiv_invert(g))
-    if l_elem != expected:
-        return CheckResult.failed("open-box-from-half-open",
-                                  detail="l* != h* . g^{-1}")
-    if equiv_rev(l_elem) != l_elem:
-        return CheckResult.failed("open-box-symmetry")
-    return CheckResult.passed()
+    res = _elements_agree("open-box-from-half-open", l_elem,
+                          equiv_multiply(h_elem, equiv_invert(g)))
+    if not res:
+        return res
+    return _elements_agree("open-box-symmetry", equiv_rev(l_elem), l_elem)
 
 
 # -- counting series ----------------------------------------------------------
@@ -634,26 +638,16 @@ def coarse_hstar(cx, cylinder):
 def check_hstar_identity(cx):
     """The crossing identity on the cylinder, as equivariant elements.
 
-    (t-1) times the box element restricted to crossing pairs must equal
-    the box element (equivalently its fine part) convolved with the
-    crossing kernel; the coarse-side values are produced by the exact
-    division and re-validated for conjugation consistency.
+    (t-1) times the coarse faces' box values, from the exact division and
+    checked for conjugation consistency, must equal the fine faces' bottom
+    row times the crossing kernel; a failure names its interval.
     """
     cyl = ComplexCylinder(cx)
-    coarse = coarse_hstar(cx, cylinder=cyl)
-    bottom = cyl.triple.gamma.bottom()
-    nx = cx.poset.n
-    vals = dict(_bottom_row(cyl.kappa, cx.hstar_data.hstar, cyl.fine_of).vals)
-    vals.update({(bottom, y + nx): cp for y, cp in coarse.items()})
-    full = EquivIncidenceElement(cyl.action, cyl.weak_rank, vals)
-    tm1 = Poly([-1, 1])
-    lhs = cyl.triple.mask_xy(full).scale(tm1)
-    crossing = cyl.triple.mask_interior(cyl.kappa)
-    rhs = equiv_multiply(full, crossing)
-    if lhs != rhs:
-        return CheckResult.failed("crossing-identity",
-                                  detail="(t-1) h*|_xy != h* . kappa|_cross")
-    rhs_x = equiv_multiply(cyl.triple.mask_xx(full), crossing)
-    if lhs != rhs_x:
-        return CheckResult.failed("crossing-identity-fine-part")
-    return CheckResult.passed()
+    bottom, nx = cyl.triple.gamma.bottom(), cx.poset.n
+    coarse = EquivIncidenceElement(cyl.action, cyl.weak_rank, {
+        (bottom, y + nx): cp
+        for y, cp in coarse_hstar(cx, cylinder=cyl).items()})
+    fine = _bottom_row(cyl.kappa, cx.hstar_data.hstar, cyl.fine_of)
+    return _elements_agree(
+        "crossing-identity", coarse.scale(Poly([-1, 1])),
+        equiv_multiply(fine, cyl.triple.mask_interior(cyl.kappa)))

@@ -46,7 +46,7 @@ from .poset import bits
 from .incidence import (
     AlgebraElement,
     IncidenceElement,
-    _elements_agree,
+    _agree_or_raise,
     hat,
     invert,
     rev as equiv_rev,
@@ -880,15 +880,6 @@ def _deepest(weak_rank, pairs):
                key=lambda p: (rho[p[1]] - rho[p[0]], (-p[0], -p[1])))
 
 
-def _agree_or_raise(message, p, q):
-    """Compare two equivariant elements; on a difference raise
-    AssemblyInconsistent naming the first interval where they differ."""
-    res = _elements_agree("assembly", p, q)
-    if not res:
-        raise AssemblyInconsistent(f"{message} on interval {res.witness}",
-                                   res.witness)
-
-
 def _multiply_at(p, q, i, j, candidates):
     """The value of p * q on [i, j], summed over middle elements z.
 
@@ -952,7 +943,8 @@ def equiv_z_function(kappa, g=None, f=None):
     z = _assemble(action, kappa.weak_rank, _fixed_poset_read(
         action, lambda w: z_function(ev_w(kappa, w), g=ev_w(g, w),
                                      f=ev_w(f, w))))
-    _agree_or_raise("assembled Z is not symmetric", z, equiv_rev(z))
+    _agree_or_raise(AssemblyInconsistent, "assembled Z is not symmetric", z,
+                    equiv_rev(z))
     i, j = _deepest(kappa.weak_rank, action.poset.intervals())
     if _multiply_at(equiv_rev(g), f, i, j,
                     action.poset.elements_between(i, j)) != z.value(i, j):
@@ -1041,10 +1033,12 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     ell_sigma = assemble("ell_sigma")
     delta_ell = assemble("delta_ell")
 
-    _agree_or_raise("(t-1)h does not match g * masked kernel equivariantly",
+    _agree_or_raise(AssemblyInconsistent,
+                    "(t-1)h does not match g * masked kernel equivariantly",
                     h_sigma.scale(T - ONE),
                     equiv_multiply(g, triple.mask_interior(kappa)))
-    _agree_or_raise("ell * g does not match h equivariantly",
+    _agree_or_raise(AssemblyInconsistent,
+                    "ell * g does not match h equivariantly",
                     equiv_multiply(ell_sigma, g), h_sigma)
     return EquivLocalInvariants(triple, action, kappa, g, h_sigma, ell_sigma,
                                 delta_ell)

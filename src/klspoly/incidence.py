@@ -561,19 +561,24 @@ def is_multiplicative(kappa):
     return CheckResult.passed()
 
 
-def _elements_agree(tag, *elems):
-    """CheckResult comparing incidence elements (ordinary or equivariant)
-    pairwise, with the first differing interval as witness."""
-    first = elems[0]
-    for other in elems[1:]:
-        if other.vals != first.vals:
-            keys = sorted(set(first.vals) | set(other.vals))
-            for pair in keys:
-                if first.value(*pair) != other.value(*pair):
-                    return CheckResult.failed(
-                        tag, witness=pair,
-                        detail=f"{first.value(*pair)!r} != {other.value(*pair)!r}")
+def _elements_agree(tag, a, b):
+    """CheckResult comparing two incidence elements (ordinary or
+    equivariant), with the first interval where they differ as witness."""
+    if a.vals != b.vals:
+        for pair in sorted(set(a.vals) | set(b.vals)):
+            if a.value(*pair) != b.value(*pair):
+                return CheckResult.failed(
+                    tag, witness=pair,
+                    detail=f"{a.value(*pair)!r} != {b.value(*pair)!r}")
     return CheckResult.passed()
+
+
+def _agree_or_raise(error, message, a, b):
+    """Compare two incidence elements; on a difference raise ``error``, a
+    VerificationFailure, naming the first interval where they differ."""
+    res = _elements_agree("agree", a, b)
+    if not res:
+        raise error(f"{message} on interval {res.witness}", res.witness)
 
 
 def is_rank_alternating(kappa):
@@ -681,19 +686,18 @@ def z_function(kappa, g=None, f=None):
     """Z = g * kappa * f, with its defining identities verified.
 
     Checks Z = rev(g) * f, as g * kappa = rev(g) (f is invertible), and
-    Z = g * rev(f), and that Z is symmetric under reversal; any
-    discrepancy means kappa was not a kernel.
+    Z = g * rev(f), and that Z is symmetric under reversal; a discrepancy
+    means kappa was not a kernel, a VerificationFailure naming its interval.
     """
-    if g is None:
-        g = solve_g(kappa)
-    if f is None:
-        f = solve_f(kappa)
+    g = solve_g(kappa) if g is None else g
+    f = solve_f(kappa) if f is None else f
     g_kappa = convolve(g, kappa)
     z = convolve(g_kappa, f)
-    if g_kappa != rev(g) or z != convolve(g, rev(f)):
-        raise ValueError("Z identities failed: kernel data is inconsistent")
-    if rev(z) != z:
-        raise ValueError("Z is not symmetric: kernel data is inconsistent")
+    for message, a, b in (("g * kappa != rev(g)", g_kappa, rev(g)),
+                          ("Z != g * rev(f)", z, convolve(g, rev(f))),
+                          ("Z is not symmetric", rev(z), z)):
+        _agree_or_raise(VerificationFailure,
+                        f"kernel data is inconsistent: {message}", a, b)
     return z
 
 

@@ -183,13 +183,17 @@ TAGS = tuple(BUILDERS)
 
 
 def load_kernel_file(path, poset):
-    """Read a kernel file and realize it on ``poset``.
+    """Read a kernel file and realize it on ``poset``."""
+    return realize_kernel(_read_json(path), poset)
+
+
+def realize_kernel(obj, poset):
+    """Realize the decoded JSON value ``obj`` of a kernel file on ``poset``.
 
     Starts from the Eulerian kernel of ``poset`` and overrides the listed
-    comparable pairs.  Validation of the result is the caller's business
-    (the solvers re-check the kernel axioms as they run).
+    comparable pairs, in file order.  Validation of the result is the
+    caller's business (the solvers re-check the kernel axioms as they run).
     """
-    obj = _read_json(path)
     if not isinstance(obj, dict) or "values" not in obj:
         raise DocumentError("kernel file must be an object with a 'values' list")
     base = eulerian_kernel(poset)

@@ -8,10 +8,10 @@ these, so a green suite here and a green test run certify the same facts.
 Suites:
 
 ``theorem-g``
-    The mixed block of g equals ``delta_ell * g`` on every admissible
-    (builder poset, q) pair, via both the global product and the
-    Y-restricted one; plus the guard that a corrupted kernel is rejected
-    with the offending interval named.
+    On every admissible (builder poset, q) pair, the mixed block of g
+    equals ``delta_ell * g|_Y`` and ``delta_ell`` equals
+    ``g|_{XY} * g^{-1}``; plus the guard that a corrupted kernel is
+    rejected with the offending interval named.
 ``corollary-f`` / ``corollary-z``
     The analogous identities for f and for Z on the same corpus.
 ``composition``

@@ -220,6 +220,28 @@ def test_verify_reads_a_kernel_file_where_any_check_does(capsys, tmp_path):
         0, "theorem-g on fixture:polygon_s2.json: ok\npassed 1/1\n")
 
 
+def test_verify_decodes_a_kernel_file_once_for_every_carrier(
+        capsys, monkeypatch, tmp_path):
+    # the file is decoded once and realized on each of the four carriers,
+    # the mapping cylinder of the sfs document among them
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"values": [[0, 0, [1]]]}))
+    decoded = []
+    original = schemas._read_json
+
+    def recorded(name):
+        decoded.append(name)
+        return original(name)
+
+    monkeypatch.setattr(schemas, "_read_json", recorded)
+    paths = [f"fixture:{name}.json" for name in (
+        "polygon_s2", "polygon_s3", "polygon_s3_top", "seg3_refinement")]
+    code, out = run(capsys, ["verify", *paths, "--suite", "theorem-g",
+                             "--kernel", str(path)])
+    assert (code, out.splitlines()[-1]) == (0, "passed 4/4")
+    assert decoded.count(str(path)) == 1
+
+
 @pytest.mark.parametrize("suite", ["theorem-g", "corollary-f", "corollary-z"])
 def test_verify_reads_an_sfs_through_its_mapping_cylinder(capsys, tmp_path,
                                                           suite):

@@ -14,7 +14,8 @@ from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
                              hstar_from_subdivision, hstar_via_localh,
                              interior_faces, localhstar_via_localh,
                              polynomial_action_check, reciprocity_check)
-from klspoly.equivariant import (ClassPoly, NotAutomorphism, classpoly_json,
+from klspoly.equivariant import (ClassPoly, EquivIncidenceElement,
+                                 NotAutomorphism, classpoly_json,
                                  equiv_local_invariants)
 from klspoly.linalg import Span, charpoly
 from klspoly.polynomial import Poly, poly_rev
@@ -206,6 +207,81 @@ def test_hl_relation_and_hstar_identity():
         assert check_hl_relation(cx)
         if cx.coarse_poset is not None:
             assert check_hstar_identity(cx)
+
+
+def _off_by_one_on(monkeypatch, name, target):
+    """Wrap ``ehrhart.NAME`` so that its result is one more on ``target``."""
+    exact = getattr(ehrhart, name)
+
+    def perturbed(*args):
+        result = exact(*args)
+        vals = dict(result.vals)
+        cp = result.value(*target)
+        vals[target] = cp + ClassPoly.constant(cp.group, Poly([1]))
+        return EquivIncidenceElement._unchecked(result.action,
+                                                result.weak_rank, vals)
+
+    monkeypatch.setattr(ehrhart, name, perturbed)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("equiv_multiply", "open-box-from-half-open"),
+    ("equiv_rev", "open-box-symmetry")])
+def test_a_failed_box_identity_names_its_interval(monkeypatch, name, reason):
+    cx = load_complex_fixture("unit_square.json")
+    target = (cx.poset.bottom(), cx.poset.maximal_elements()[-1])
+    _off_by_one_on(monkeypatch, name, target)
+    res = check_hl_relation(cx)
+    assert not res and (res.reason, res.witness) == (reason, target)
+
+
+def test_a_failed_crossing_identity_names_its_interval(monkeypatch):
+    # one more on the coarse top face moves (t - 1) h*|_XY there alone
+    cx = load_complex_fixture("unit_square.json")
+    gamma = ComplexCylinder(cx).triple.gamma
+    top = gamma.maximal_elements()
+    assert len(top) == 1
+    exact = ehrhart.coarse_hstar
+
+    def perturbed(cx, cylinder):
+        coarse = exact(cx, cylinder=cylinder)
+        y = top[0] - cx.poset.n
+        coarse[y] = coarse[y] + ClassPoly.constant(coarse[y].group, Poly([1]))
+        return coarse
+
+    monkeypatch.setattr(ehrhart, "coarse_hstar", perturbed)
+    res = check_hstar_identity(cx)
+    assert not res
+    assert (res.reason, res.witness) == ("crossing-identity",
+                                         (gamma.bottom(), top[0]))
+
+
+def test_the_crossing_identity_multiplies_once_per_side(monkeypatch):
+    # coarse_hstar makes one product and the identity one more: the fine
+    # part of the box element times the crossing kernel
+    cx = load_complex_fixture("unit_square.json")
+    products = _count_calls(monkeypatch, "equiv_multiply")
+    assert check_hstar_identity(cx)
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("what, tables", [("series", 0), ("hstar", 1),
+                                          ("local-hstar", 1),
+                                          ("reciprocity", 1)])
+def test_the_box_table_is_built_on_its_first_read(monkeypatch, capsys, what,
+                                                  tables):
+    built = []
+    original = HStarData.__init__
+
+    def counted(self, cx):
+        built.append(cx)
+        original(self, cx)
+
+    monkeypatch.setattr(HStarData, "__init__", counted)
+    assert cli.main(["ehrhart", "fixture:unit_square.json",
+                     "--what", what]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) == tables
 
 
 def test_cylinder_routes_match_direct_assembly():

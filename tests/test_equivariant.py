@@ -311,6 +311,17 @@ def test_a_product_that_differs_on_one_interval_is_named_there(monkeypatch):
     assert res.witness == target
 
 
+def test_the_equivariant_suite_computes_each_product_once(monkeypatch):
+    # the hexagon's subdivision identities multiply Delta ell by g|_Y and
+    # f|_X by hat(Delta ell), not by the whole g and f as well
+    from klspoly.verify import run_suite
+
+    calls = _record(monkeypatch, equivariant, "equiv_multiply")
+    results = run_suite("equivariant")
+    assert all(res for _label, res in results)
+    assert len(calls) == 11
+
+
 def test_every_algebra_result_is_well_formed():
     # algebra results are built unchecked: each must hold only nonzero
     # values and pass the checking constructor unchanged

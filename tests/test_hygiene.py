@@ -235,7 +235,7 @@ def test_only_the_readers_build_a_poset_or_a_triple_in_the_command_line():
 #: The verify runners of cli.py, and what reads their inputs there.
 VERIFY_RUNNERS = ("_verify_triple", "_verify_action", "_verify_fan",
                   "_verify_complex", "_verify_kernel")
-CLI_READERS = ("_carrier", "_triple", "_kernel_for") + tuple(
+CLI_READERS = ("_carrier", "_triple", "_kernel_reader") + tuple(
     name for name in dir(schemas) if name.startswith("build_"))
 
 
@@ -304,6 +304,37 @@ def test_only_the_rational_reader_parses_a_rational_string():
                                           "json_rational")]
     assert found == [], ("ZeroDivisionError outside status.json_rational:\n"
                          + "\n".join(found))
+
+
+def unwitnessed_failures(source):
+    """Lines of every ``CheckResult.failed(...)`` call that passes no
+    witness, by position or by keyword."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "failed"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "CheckResult"
+        and len(node.args) < 2
+        and all(k.arg != "witness" for k in node.keywords))
+
+
+def test_the_scan_finds_a_failure_without_a_witness():
+    source = ('CheckResult.failed("a", witness=(0, 1))\n'
+              'CheckResult.failed("b", (0, 1))\n'
+              'CheckResult.failed("c", detail="x != y")\n'
+              'CheckResult.failed("d")\n'
+              'other.failed("e")\n')
+    assert unwitnessed_failures(source) == [3, 4]
+
+
+def test_every_ehrhart_failure_names_a_witness():
+    # an identity of equivariant elements fails on an interval, a counting
+    # check on a group element and an order; each failure says which
+    source = (PACKAGE / "ehrhart.py").read_text(encoding="utf-8")
+    found = [f"ehrhart.py:{line}" for line in unwitnessed_failures(source)]
+    assert found == [], "failures without a witness:\n" + "\n".join(found)
 
 
 def _constant_text(node):

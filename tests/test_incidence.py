@@ -17,6 +17,7 @@ from klspoly.incidence import (CarrierMismatch, IncidenceElement,
 from klspoly.polynomial import Poly
 from klspoly.poset import (boolean_algebra, cube_face_lattice, from_covers,
                            polygon)
+from klspoly.status import VerificationFailure
 from klspoly.verify import square_fan_setup
 
 B3 = boolean_algebra(3)
@@ -141,6 +142,19 @@ def test_boolean_solvers_are_trivial():
         assert all(f.value(i, j) == Poly([1]) for (i, j) in b.intervals())
         z = z_function(kappa, g=g, f=f)
         assert z.value(b.bottom(), b.top()) == ONE_T ** n
+
+
+def test_a_failed_z_identity_names_its_interval():
+    # a g off by one at the top interval breaks g * kappa = rev(g) there
+    kappa = eulerian_kernel(B3)
+    top = (B3.bottom(), B3.top())
+    vals = dict(solve_g(kappa).vals)
+    vals[top] = vals[top] + Poly([1])
+    g = IncidenceElement(B3, WR3, vals)
+    with pytest.raises(VerificationFailure, match=r"on interval \(0, 7\)"
+                       ) as info:
+        z_function(kappa, g=g, f=solve_f(kappa))
+    assert info.value.interval == top == (0, 7)
 
 
 def test_solver_mirror_constraint_names_interval():

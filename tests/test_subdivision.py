@@ -316,3 +316,52 @@ def test_a_triple_splits_its_intervals_into_three_blocks():
                                        if keep(*p)}, name
         cases += 1
     assert cases > 100
+
+
+def test_the_local_invariants_are_supported_on_the_mixed_block():
+    # h_sigma is g * kappa on the pairs (x, sigma(x)) over (t - 1), ell_sigma
+    # is h_sigma * g^-1 and Delta ell is computed from ell_sigma interval by
+    # interval: each lives on X x Y, which is why the subdivision
+    # identities multiply only masked blocks
+    from klspoly.equivariant import equiv_local_invariants
+
+    cases = []
+    for _name, poset in builder_corpus():
+        solution = solve_kernel(eulerian_kernel(poset))
+        cases += [(triple, local_invariants(triple, solution.weak_rank,
+                                            solution))
+                  for _q, triple in admissible_triples(poset)]
+    hexagon, action, kappa = hexagon_dihedral_setup()
+    cases.append((hexagon, equiv_local_invariants(hexagon, kappa.weak_rank,
+                                                  action, kappa)))
+    for triple, inv in cases:
+        mixed = set(triple.xy_pairs())
+        for name in ("h_sigma", "ell_sigma", "delta_ell"):
+            assert set(getattr(inv, name).vals) <= mixed, (triple, name)
+    assert len(cases) > 200
+
+
+@pytest.mark.parametrize("suite, products", [("theorem-g", 944),
+                                             ("corollary-f", 708),
+                                             ("corollary-z", 998)])
+def test_each_side_of_a_corpus_identity_is_computed_once(monkeypatch, suite,
+                                                         products):
+    # 236 triples, each with two products for h_sigma and ell_sigma and
+    # one per computed side: Delta ell * g|_Y and g|_XY * g^-1 (theorem
+    # g), f|_X * hat(Delta ell) (corollary f), Z|_X * hat(Delta ell) and
+    # rev(Delta ell) * Z|_Y (corollary Z, whose 18 kernels each add the
+    # three products of z_function)
+    from klspoly import incidence, subdivision, verify
+
+    calls = []
+    original = incidence.convolve
+
+    def counted(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    for module in (incidence, subdivision):
+        monkeypatch.setattr(module, "convolve", counted)
+    results = verify.run_suite(suite)
+    assert all(res for _label, res in results)
+    assert len(calls) == products
