@@ -258,8 +258,16 @@ def cmd_kls(args):
     res = validate_kernel(kappa)
     if not res:
         return _reject(args, "kls", "kernel rejected", res)
-    solver = {"f": solve_f, "g": solve_g, "z": z_function}[args.what]
-    values, lines = _value_rows(solver(kappa), pairs, single)
+    # a single value of g lies in a row, of f in a column: solve only that
+    # line inside the interval
+    line = pairs[0] if single else None
+    if args.what == "z":
+        solution = z_function(kappa)
+    elif args.what == "g":
+        solution = solve_g(kappa, row=line)
+    else:
+        solution = solve_f(kappa, column=line)
+    values, lines = _value_rows(solution, pairs, single)
     return _answer(args, {"command": "kls", "what": args.what,
                           "values": values}, lines)
 

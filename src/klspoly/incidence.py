@@ -23,11 +23,14 @@ raises MirrorConstraintViolated naming the interval).
 g, f and the inverse of an element all come from one triangular recursion,
 :func:`_triangular_solve`, over the intervals in weak-rank order: g and the
 inverse sum their products on the left, f on the right, each interval's sum
-in one :func:`klspoly.polynomial.poly_dot`.  The product :func:`convolve`
-is the batched form of that sum: one common denominator per operand, every
-product added in place, one reduction per output interval.  Division by
-(t-1) goes through :func:`klspoly.polynomial.poly_div_t_minus_1`, the one
-such division in the package.
+in one :func:`klspoly.polynomial.poly_dot`.  A left sum reads only its own
+row and a right sum only its own column, so the one recursion fills all
+intervals, one row (g, the inverse) or one column (f); only the full solve
+sorts the whole order.  The product :func:`convolve` is the batched form of
+that sum: one common denominator per operand, every product added in place,
+one reduction per output interval.  Division by (t-1) goes through
+:func:`klspoly.polynomial.poly_div_t_minus_1`, the one such division in the
+package.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .polynomial import (
     poly_dot,
     poly_rev,
 )
+from .poset import bits
 from .status import CheckResult, InputError, VerificationFailure
 
 
@@ -103,13 +107,18 @@ class WeakRank:
             raise ValueError(f"({i}, {j}) is not an interval")
         return self.rho[j] - self.rho[i]
 
+    def in_order(self, pairs):
+        """``pairs`` by weak rank, then pair: the order in which the
+        triangular solves fill intervals."""
+        rho = self.rho
+        return sorted(pairs, key=lambda p: (rho[p[1]] - rho[p[0]], p))
+
     def order(self):
-        """The intervals by weak rank, then pair: the order of the
-        triangular solves, sorted on first use and kept."""
+        """Every interval :meth:`in_order`, the order of a full triangular
+        solve, sorted on first use and kept; a solve of one row or column
+        sorts its own intervals only."""
         if self._order is None:
-            rho = self.rho
-            self._order = tuple(sorted(self.poset.intervals(), key=lambda p: (
-                rho[p[1]] - rho[p[0]], p)))
+            self._order = tuple(self.in_order(self.poset.intervals()))
         return self._order
 
     def validate(self):
@@ -435,7 +444,7 @@ def delta_op(p):
     return IncidenceElement._unchecked(p.poset, p.weak_rank, out)
 
 
-def _triangular_solve(p, diagonal, on_left, finish):
+def _triangular_solve(p, diagonal, on_left, finish, line=None):
     """The element x with x(i,i) = diagonal[i] and, off the diagonal,
     x(i,j) = finish(d, i, j) for the sum d of one side's products.
 
@@ -444,12 +453,24 @@ def _triangular_solve(p, diagonal, on_left, finish):
     x(i,w) p(w,j) over i <= w < j (the inverse and g); otherwise it is that
     of p(i,w) x(w,j) over i < w <= j (f).  Each sum is one
     :func:`poly_dot`.
+
+    A left sum reads only its own row, a right sum only its own column, so
+    ``line`` may name the intervals to fill (see :func:`_line`), and the
+    result then holds their values alone.  By default every interval is
+    filled; only that full solve sorts :meth:`WeakRank.order` and builds
+    the interval index's element lists, while a line reads
+    :meth:`Poset.elements_between` for the intervals it fills.
     """
     poset = p.poset
     vals = p.vals
-    between = poset.intervals().between()
+    if line is None:
+        order = p.weak_rank.order()
+        between = poset.intervals().between()
+    else:
+        order = p.weak_rank.in_order(_line(poset, line, on_left))
+        between = {pair: poset.elements_between(*pair) for pair in order}
     x = {}
-    for (i, j) in p.weak_rank.order():
+    for (i, j) in order:
         if i == j:
             x[(i, j)] = diagonal[i]
             continue
@@ -474,6 +495,20 @@ def _triangular_solve(p, diagonal, on_left, finish):
         if value:
             x[(i, j)] = value
     return IncidenceElement._unchecked(poset, p.weak_rank, x)
+
+
+def _line(poset, line, on_left):
+    """The intervals of one line: for an element, its row (on the left) or
+    its column; for an interval (i, j), the part inside [i, j] of the row
+    at i or the column at j."""
+    if isinstance(line, tuple):
+        i, j = line
+        inside = poset.up[i] & poset.down[j]
+    elif on_left:
+        i, inside = line, poset.up[line]
+    else:
+        j, inside = line, poset.down[line]
+    return [(i, w) if on_left else (w, j) for w in bits(inside)]
 
 
 def invert(p):
@@ -647,11 +682,12 @@ def _truncate_below_half(d_poly, r):
     return _poly([-c for c in d_poly.num[: (r - 1) // 2 + 1]], d_poly.den)
 
 
-def _solve_half_degree(kappa, on_left):
-    """The unit-diagonal solution below half the weak rank, on one side.
+def _solve_half_degree(kappa, on_left, line):
+    """The unit-diagonal solution below half the weak rank, on one side,
+    on the intervals of ``line`` (every interval when None).
 
-    The defect d on each interval must pass the mirror constraints; the
-    value is -d below degree r/2.
+    The defect d on each interval filled must pass the mirror constraints;
+    the value is -d below degree r/2.
     """
     _check_solver_preconditions(kappa)
     rho = kappa.weak_rank.rho
@@ -662,24 +698,29 @@ def _solve_half_degree(kappa, on_left):
         _mirror_check(d, r, (i, j), labels)
         return _truncate_below_half(d, r)
 
-    return _triangular_solve(kappa, [ONE] * kappa.poset.n, on_left, finish)
+    return _triangular_solve(kappa, [ONE] * kappa.poset.n, on_left, finish,
+                             line=line)
 
 
-def solve_g(kappa):
+def solve_g(kappa, row=None):
     """The unique g with unit diagonal, deg < r/2 off-diagonal and
     rev(g) = g * kappa.
 
     Low coefficients are forced by the recursion; the remaining mirror
     constraints are asserted interval by interval and raise
-    MirrorConstraintViolated when kappa is not actually a kernel.
+    MirrorConstraintViolated when kappa is not actually a kernel.  The
+    recursion stays inside a row: ``row`` an element x fills only the
+    g(x, y), and an interval (x, z) only those with y <= z.
     """
-    return _solve_half_degree(kappa, on_left=True)
+    return _solve_half_degree(kappa, True, row)
 
 
-def solve_f(kappa):
+def solve_f(kappa, column=None):
     """The unique f with unit diagonal, deg < r/2 off-diagonal and
-    rev(f) = kappa * f."""
-    return _solve_half_degree(kappa, on_left=False)
+    rev(f) = kappa * f.  The recursion stays inside a column: ``column``
+    an element y fills only the f(x, y), and an interval (z, y) only
+    those with z <= x."""
+    return _solve_half_degree(kappa, False, column)
 
 
 def z_function(kappa, g=None, f=None):
@@ -706,14 +747,15 @@ def h_polynomial(poset):
 
     Defined by t^n h(1/t) = sum over z of g([0,z]) (t-1)^(n - rho(z)),
     with n the rank of the poset.  For a simplicial complex's face poset
-    this is the classical h-polynomial of the complex.
+    this is the classical h-polynomial of the complex.  Only the row of g
+    at the bottom is solved.
     """
     res = poset.is_lower_eulerian()
     if not res:
         raise UnsuitablePoset(
             f"h-polynomial needs a lower Eulerian poset: {res.describe()}")
-    g = solve_g(eulerian_kernel(poset))
     bot = poset.bottom()
+    g = solve_g(eulerian_kernel(poset), row=bot)
     raw = poset.rank
     rho = [r - raw[bot] for r in raw]
     n = max(rho)
@@ -727,8 +769,8 @@ def h_polynomial(poset):
 def toric_h_boundary(poset):
     """h-polynomial of the boundary of an Eulerian poset of rank >= 1.
 
-    Computed from the g-polynomial of the full poset:
-    (t-1) h(boundary) = rev(g, n) - g.
+    Computed from the g-polynomial of the full poset, read off the row of
+    g at the bottom: (t-1) h(boundary) = rev(g, n) - g.
     """
     res = poset.is_eulerian()
     if not res:
@@ -738,5 +780,6 @@ def toric_h_boundary(poset):
     n = max(rho) - min(rho)
     if n < 1:
         raise UnsuitablePoset("boundary h needs rank >= 1")
-    g_top = solve_g(eulerian_kernel(poset)).value(poset.bottom(), poset.top())
+    bot = poset.bottom()
+    g_top = solve_g(eulerian_kernel(poset), row=bot).value(bot, poset.top())
     return poly_div_t_minus_1(poly_rev(g_top, n) - g_top)

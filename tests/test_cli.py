@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from klspoly import cli, equivariant, fans, schemas, subdivision, verify
+from klspoly import (cli, equivariant, fans, incidence, schemas, subdivision,
+                     verify)
 from klspoly.ehrhart import ComplexCylinder
 from klspoly.equivariant import AssemblyInconsistent
 from klspoly.incidence import MirrorConstraintViolated
-from klspoly.poset import chain
+from klspoly.poset import boolean_algebra, chain
 from klspoly.verify import load_complex_fixture, load_fixture
 
 
@@ -67,6 +68,30 @@ def test_kls_interval_and_all(capsys):
     code, out = run(capsys, ["kls", "fixture:boolean3.json", "--what", "g",
                              "--interval", "0", "7", "--all"])
     assert code == 2  # mutually exclusive
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["--what", "h"], 63), (["--what", "toric-h"], 63), (["--what", "g"], 63),
+    (["--what", "f"], 63), (["--what", "z", "--all"], 2 * 665)],
+    ids=["h", "toric-h", "g", "f", "z-all"])
+def test_a_single_value_solves_one_line(capsys, monkeypatch, tmp_path, argv,
+                                        checks):
+    # B6 has 63 intervals (0, y) with y > 0, as many (x, 1) with x < 1, and
+    # 665 off the diagonal: h, toric-h and g solve the bottom row of g, f
+    # the top column of f, and Z every interval of g and of f
+    counted = []
+    mirror_check = incidence._mirror_check
+
+    def counting(*args):
+        counted.append(args[2])
+        mirror_check(*args)
+
+    monkeypatch.setattr(incidence, "_mirror_check", counting)
+    path = tmp_path / "boolean6.json"
+    write_document(path, "poset", boolean_algebra(6).to_json())
+    assert cli.main(["kls", str(path), *argv]) == 0
+    capsys.readouterr()
+    assert len(counted) == checks
 
 
 def test_kls_corrupted_kernel_names_the_interval(capsys):

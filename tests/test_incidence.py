@@ -15,10 +15,13 @@ from klspoly.incidence import (CarrierMismatch, IncidenceElement,
                                solve_f, solve_g, toric_h_boundary,
                                validate_kernel, z_function)
 from klspoly.polynomial import Poly
-from klspoly.poset import (boolean_algebra, cube_face_lattice, from_covers,
+from klspoly.poset import (Poset, boolean_algebra, cross_polytope_face_lattice,
+                           cube_face_lattice, direct_product, from_covers,
                            polygon)
+from klspoly.schemas import (build_poset, fixture_path, load_fixture,
+                             load_kernel_file)
 from klspoly.status import VerificationFailure
-from klspoly.verify import square_fan_setup
+from klspoly.verify import builder_corpus, square_fan_setup
 
 B3 = boolean_algebra(3)
 WR3 = WeakRank.natural(B3)
@@ -240,6 +243,67 @@ def test_scaled_kernel_scales_g_f_and_z(c, name):
     assert g_c == _scaled(g, c)
     assert f_c == _scaled(f, c)
     assert z_function(kappa_c, g_c, f_c) == _scaled(z_function(kappa, g, f), c)
+
+
+# -- one row of g, one column of f ---------------------------------------------
+
+LINE_POSETS = builder_corpus() + [
+    ("boolean-6", boolean_algebra(6)), ("cube-4", cube_face_lattice(4)),
+    ("cross-4", cross_polytope_face_lattice(4)),
+    ("polygon-12xboolean-2", direct_product(polygon(12), boolean_algebra(2)))]
+EULERIAN_CORPUS = [(name, p) for name, p in builder_corpus() if p.is_eulerian()]
+
+
+@pytest.mark.parametrize("c", [1, Fraction(11, 13)], ids=["eulerian", "c=11/13"])
+@pytest.mark.parametrize("poset", [p for _name, p in LINE_POSETS],
+                         ids=[name for name, _p in LINE_POSETS])
+def test_each_line_equals_the_full_solve(poset, c):
+    # rev(g) = g * kappa stays inside a row and rev(f) = kappa * f inside a
+    # column, so a line alone, or its part inside an interval, is the full
+    # solve's values there; c = 11/13 solves with Fraction operands
+    kappa = _scaled(eulerian_kernel(poset), c)
+    g, f = solve_g(kappa), solve_f(kappa)
+    elements = range(poset.n)
+    for x in elements:
+        assert solve_g(kappa, row=x) == g.select(
+            [(x, y) for y in elements if poset.leq(x, y)])
+        assert solve_f(kappa, column=x) == f.select(
+            [(w, x) for w in elements if poset.leq(w, x)])
+    for (x, y) in poset.intervals():
+        inside = poset.elements_between(x, y)
+        assert solve_g(kappa, row=(x, y)) == g.select([(x, w) for w in inside])
+        assert solve_f(kappa, column=(x, y)) == f.select(
+            [(w, y) for w in inside])
+
+
+def _dual(poset):
+    """The order dual, ranked by max(rho) - rho."""
+    top = max(poset.rank)
+    return Poset(poset.down, labels=poset.labels,
+                 rank=[top - r for r in poset.rank])
+
+
+@pytest.mark.parametrize("poset", [p for _name, p in EULERIAN_CORPUS],
+                         ids=[name for name, _p in EULERIAN_CORPUS])
+def test_the_column_of_f_is_the_row_of_g_on_the_dual(poset):
+    # f_P(x, 1) = g_{P*}(1, x) for the Eulerian kernel: the right-sided
+    # recursion on P against the left-sided one on the order dual
+    top = poset.top()
+    f = solve_f(eulerian_kernel(poset), column=top)
+    g = solve_g(eulerian_kernel(_dual(poset)), row=top)
+    for x in range(poset.n):
+        assert f.value(x, top) == g.value(top, x)
+
+
+def test_a_row_names_the_mirror_failure_of_the_full_solve():
+    b3 = build_poset(load_fixture("boolean3.json", expect="poset")[1])
+    kappa = load_kernel_file(fixture_path("corrupted_kernel_b3.json"), b3)
+    with pytest.raises(MirrorConstraintViolated) as full:
+        solve_g(kappa)
+    with pytest.raises(MirrorConstraintViolated) as row:
+        solve_g(kappa, row=0)
+    assert row.value.interval == full.value.interval == (0, 3)
+    assert str(row.value) == str(full.value)
 
 
 # -- naive Fraction references for the sum-of-products loops -----------------
