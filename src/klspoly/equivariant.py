@@ -57,9 +57,9 @@ from .incidence import (
 )
 from .status import (CheckResult, GroupBoundError, InputError,
                      VerificationFailure)
-from .subdivision import (SubdivisionTriple, corollary_f_identity,
-                          corollary_z_identity, local_invariants,
-                          theorem_g_identities)
+from .subdivision import (LocalInvariants, SubdivisionTriple,
+                          corollary_f_identity, corollary_z_identity,
+                          local_invariants, theorem_g_identities)
 
 DEFAULT_MAX_GROUP = 10_000
 
@@ -974,28 +974,9 @@ def classpoly_json(action, cp):
     return {"on": on, "values": values}
 
 
-class EquivLocalInvariants:
-    """Equivariant local invariants of a subdivision, on the cylinder."""
-
-    __slots__ = ("triple", "action", "kappa", "g", "h_sigma", "ell_sigma",
-                 "delta_ell")
-
-    def __init__(self, triple, action, kappa, g, h_sigma, ell_sigma,
-                 delta_ell):
-        self.triple = triple
-        self.action = action
-        self.kappa = kappa
-        self.g = g
-        self.h_sigma = h_sigma
-        self.ell_sigma = ell_sigma
-        self.delta_ell = delta_ell
-
-    def __repr__(self):
-        return f"EquivLocalInvariants({self.triple!r}, |W|={len(self.action)})"
-
-
 def equiv_local_invariants(triple, weak_rank, action, kappa):
-    """Equivariant h, local-h and half-degree data of a subdivision.
+    """Equivariant h, local-h and half-degree data of a subdivision: a
+    LocalInvariants of equivariant elements.
 
     The action must fix q, preserve the cylinder rank, and have lower
     Eulerian fixed posets.  On the fixed poset of one representative of
@@ -1040,8 +1021,7 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     _agree_or_raise(AssemblyInconsistent,
                     "ell * g does not match h equivariantly",
                     equiv_multiply(ell_sigma, g), h_sigma)
-    return EquivLocalInvariants(triple, action, kappa, g, h_sigma, ell_sigma,
-                                delta_ell)
+    return LocalInvariants(triple, g, h_sigma, ell_sigma, delta_ell)
 
 
 def check_equivariant_theorem(triple, weak_rank, action, kappa):

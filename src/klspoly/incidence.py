@@ -17,8 +17,10 @@ For each kernel there are unique "half-degree" elements f and g with
 
 computed here by truncation: the low coefficients are forced, and the high
 coefficients must satisfy mirror constraints which are asserted on every
-interval (their failure is exactly a failure of the kernel property, and
-raises MirrorConstraintViolated naming the interval).
+interval a solve fills (their failure is exactly a failure of the kernel
+property, and raises MirrorConstraintViolated naming the interval).  A solve
+checks the unit diagonal too; the degree bound belongs to the gates,
+:func:`validate_kernel` and :func:`klspoly.subdivision.solve_kernel`.
 
 g, f and the inverse of an element all come from one triangular recursion,
 :func:`_triangular_solve`, over the intervals in weak-rank order: g and the
@@ -644,15 +646,6 @@ def eulerian_kernel(poset):
                     for (i, j) in poset.intervals()})
 
 
-def _check_solver_preconditions(kappa):
-    res = is_unitriangular(kappa)
-    if not res:
-        raise ValueError(f"kernel must have unit diagonal: {res.describe()}")
-    res = is_in_truncated(kappa)
-    if not res:
-        raise ValueError(f"kernel exceeds weak-rank degree bound: {res.describe()}")
-
-
 def _mirror_check(d_poly, r, interval, labels):
     """Assert D_i = -D_{r-i} for i > r/2 and D_{r/2} = 0 for even r.
 
@@ -686,10 +679,14 @@ def _solve_half_degree(kappa, on_left, line):
     """The unit-diagonal solution below half the weak rank, on one side,
     on the intervals of ``line`` (every interval when None).
 
-    The defect d on each interval filled must pass the mirror constraints;
-    the value is -d below degree r/2.
+    The defect d on each interval filled must pass the mirror constraints,
+    which bound its degree by the weak rank; the value is -d below degree
+    r/2.  Of the kernel only the unit diagonal, which the recursion never
+    visits, is checked here (ValueError); its degree bound is the gate's.
     """
-    _check_solver_preconditions(kappa)
+    res = is_unitriangular(kappa)
+    if not res:
+        raise ValueError(f"kernel must have unit diagonal: {res.describe()}")
     rho = kappa.weak_rank.rho
     labels = kappa.poset.labels
 
@@ -707,19 +704,20 @@ def solve_g(kappa, row=None):
     rev(g) = g * kappa.
 
     Low coefficients are forced by the recursion; the remaining mirror
-    constraints are asserted interval by interval and raise
-    MirrorConstraintViolated when kappa is not actually a kernel.  The
-    recursion stays inside a row: ``row`` an element x fills only the
-    g(x, y), and an interval (x, z) only those with y <= z.
+    constraints are asserted on every interval filled and raise
+    MirrorConstraintViolated when kappa is not actually a kernel.  The unit
+    diagonal is checked too, and deg kappa <= r by the gate ahead of the
+    solve.  The recursion stays inside a row: ``row`` an element x fills
+    only the g(x, y), and an interval (x, z) only those with y <= z.
     """
     return _solve_half_degree(kappa, True, row)
 
 
 def solve_f(kappa, column=None):
     """The unique f with unit diagonal, deg < r/2 off-diagonal and
-    rev(f) = kappa * f.  The recursion stays inside a column: ``column``
-    an element y fills only the f(x, y), and an interval (z, y) only
-    those with z <= x."""
+    rev(f) = kappa * f, checked as :func:`solve_g` checks g.  The
+    recursion stays inside a column: ``column`` an element y fills only
+    the f(x, y), and an interval (z, y) only those with z <= x."""
     return _solve_half_degree(kappa, False, column)
 
 

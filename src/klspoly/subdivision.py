@@ -21,14 +21,16 @@ and Delta ell_sigma recovers the mixed block of g itself; the checkers
 here verify that and its f/Z companions by two disjoint code paths.
 
 g, f and Z depend on the kernel alone, not on q, so every triple on the
-same Gamma shares them.  solve_kernel(kappa) returns a KernelSolution:
-it checks once that kappa is multiplicative and rank-alternating, solves
-g and its inverse, and solves f and Z (with the Z identities and
-symmetry verified) on first use.  local_invariants and the check_*
-functions accept either a raw kernel, solved on entry, or a
-KernelSolution shared across triples; the per-triple identities run on
-every call either way.  relative_g solves its lattice's Eulerian kernel
-once and reads that solution on both of its routes.
+same Gamma shares them.  solve_kernel(kappa), the gate of the local
+theory, checks once that kappa is multiplicative, unit-diagonal, within
+the weak rank and rank-alternating, and returns a KernelSolution: g and
+its inverse, with f and Z (the Z identities and symmetry verified) solved
+on first use.  local_invariants and the check_* functions accept either a
+raw kernel, solved on entry, or a KernelSolution shared across triples;
+the per-triple identities run on every call either way.  Plain and
+equivariant local invariants share LocalInvariants.  relative_g solves
+its lattice's Eulerian kernel once and reads that solution on both of
+its routes.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from .incidence import (
     eulerian_kernel,
     hat,
     invert,
+    is_in_truncated,
     is_multiplicative,
     is_rank_alternating,
+    is_unitriangular,
     rev,
     solve_f,
     solve_g,
@@ -60,14 +64,16 @@ class SubdivisionError(InputError):
 class KernelRejected(SubdivisionError):
     """solve_kernel refused a kernel that lacks a required property.
 
-    ``result`` is the failed check: its reason names the property
-    ("kernel-not-multiplicative", "kernel-not-rank-alternating") and its
-    witness the offending chain or interval.
+    ``result`` is the failed check, its witness the offending chain or
+    interval.  Its reason is "diagonal" or "degree" as validate_kernel
+    reports them, or names the property ``prop`` the kernel lacks:
+    "kernel-not-multiplicative" or "kernel-not-rank-alternating".
     """
 
-    def __init__(self, prop, res):
-        super().__init__(f"kernel is not {prop}: {res.describe()}")
-        self.result = CheckResult.failed(
+    def __init__(self, res, prop=None):
+        super().__init__(f"kernel is not {prop}: {res.describe()}" if prop
+                         else f"kernel rejected: {res.describe()}")
+        self.result = res if prop is None else CheckResult.failed(
             "kernel-not-" + prop.replace(" ", "-"), witness=res.witness,
             detail=res.detail)
 
@@ -301,38 +307,35 @@ class KernelSolution:
 def solve_kernel(kappa):
     """Check and solve a kernel once; a KernelSolution passes through.
 
-    kappa must be multiplicative and rank-alternating; otherwise
-    KernelRejected names the offending chain or interval.
-    MirrorConstraintViolated propagates from the g solver.
+    kappa must be multiplicative, unit-diagonal, of degree at most the
+    weak rank and rank-alternating, checked in that order; KernelRejected
+    names the first failure's chain or interval.  MirrorConstraintViolated
+    propagates from the g solver.
     """
     if isinstance(kappa, KernelSolution):
         return kappa
-    res = is_multiplicative(kappa)
-    if not res:
-        raise KernelRejected("multiplicative", res)
-    res = is_rank_alternating(kappa)
-    if not res:
-        raise KernelRejected("rank alternating", res)
+    for check, prop in ((is_multiplicative, "multiplicative"),
+                        (is_unitriangular, None), (is_in_truncated, None),
+                        (is_rank_alternating, "rank alternating")):
+        res = check(kappa)
+        if not res:
+            raise KernelRejected(res, prop)
     g = solve_g(kappa)
     return KernelSolution(kappa, g, invert(g))
 
 
 class LocalInvariants:
-    """h_sigma, ell_sigma and Delta ell_sigma of a subdivision, plus the
-    kernel solution they were computed from (all on the cylinder)."""
+    """h_sigma, ell_sigma and Delta ell_sigma of a subdivision, plus the g
+    they were computed from, on the cylinder: plain or equivariant."""
 
-    __slots__ = ("triple", "solution", "h_sigma", "ell_sigma", "delta_ell")
+    __slots__ = ("triple", "g", "h_sigma", "ell_sigma", "delta_ell")
 
-    def __init__(self, triple, solution, h_sigma, ell_sigma, delta_ell):
+    def __init__(self, triple, g, h_sigma, ell_sigma, delta_ell):
         self.triple = triple
-        self.solution = solution
+        self.g = g
         self.h_sigma = h_sigma
         self.ell_sigma = ell_sigma
         self.delta_ell = delta_ell
-
-    @property
-    def g(self):
-        return self.solution.g
 
     def __repr__(self):
         return f"LocalInvariants(on {self.triple!r})"
@@ -341,11 +344,10 @@ class LocalInvariants:
 def local_invariants(triple, weak_rank, kappa):
     """Compute h_sigma, ell_sigma, Delta ell_sigma on the cylinder.
 
-    kappa is a kernel or its KernelSolution; a raw kernel is solved (and
-    checked multiplicative and rank-alternating) by solve_kernel.  Its
-    carrier must be the triple's poset with this weak rank.  The division
-    by (t - 1) is exact for such kernels and NotDivisible propagates if
-    the input data is inconsistent.
+    kappa is a kernel or its KernelSolution; a raw kernel is checked and
+    solved by solve_kernel.  Its carrier must be the triple's poset with
+    this weak rank.  The division by (t - 1) is exact for such kernels and
+    NotDivisible propagates if the input data is inconsistent.
 
     Structural facts are verified before returning: degrees stay below the
     interval weak rank, ell is symmetric, h and ell agree on the pairs
@@ -385,7 +387,7 @@ def local_invariants(triple, weak_rank, kappa):
                 raise SubdivisionError(f"ell constant term nonzero on ({i}, {j})")
         if hv.coeff(0) != kr:
             raise SubdivisionError(f"h constant term != kernel top on ({i}, {j})")
-    return LocalInvariants(triple, solution, h_sigma, ell_sigma, delta_ell)
+    return LocalInvariants(triple, g, h_sigma, ell_sigma, delta_ell)
 
 
 # The three identities below use only the algebra operations (*, + and
@@ -424,21 +426,24 @@ def check_theorem_g(triple, kappa):
     Left side: solver output, masked.  Right side: convolutions of the
     local invariants.  The code paths share nothing but the solver.
     """
-    li = local_invariants(triple, kappa.weak_rank, kappa)
-    return theorem_g_identities(triple, li.g, li.solution.g_inv,
+    solution = solve_kernel(kappa)
+    li = local_invariants(triple, solution.weak_rank, solution)
+    return theorem_g_identities(triple, solution.g, solution.g_inv,
                                 li.delta_ell)
 
 
 def check_corollary_f(triple, kappa):
     """Corollary f on a triple; kappa is a kernel or its KernelSolution."""
-    li = local_invariants(triple, kappa.weak_rank, kappa)
-    return corollary_f_identity(triple, li.solution.f, hat(li.delta_ell))
+    solution = solve_kernel(kappa)
+    li = local_invariants(triple, solution.weak_rank, solution)
+    return corollary_f_identity(triple, solution.f, hat(li.delta_ell))
 
 
 def check_corollary_z(triple, kappa):
     """Corollary Z on a triple; kappa is a kernel or its KernelSolution."""
-    li = local_invariants(triple, kappa.weak_rank, kappa)
-    return corollary_z_identity(triple, li.solution.z, hat(li.delta_ell),
+    solution = solve_kernel(kappa)
+    li = local_invariants(triple, solution.weak_rank, solution)
+    return corollary_z_identity(triple, solution.z, hat(li.delta_ell),
                                 rev(li.delta_ell))
 
 

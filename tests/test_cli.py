@@ -9,6 +9,7 @@ from klspoly import (cli, equivariant, fans, incidence, schemas, subdivision,
 from klspoly.ehrhart import ComplexCylinder
 from klspoly.equivariant import AssemblyInconsistent
 from klspoly.incidence import MirrorConstraintViolated
+from klspoly.polynomial import Poly
 from klspoly.poset import boolean_algebra, chain
 from klspoly.verify import load_complex_fixture, load_fixture
 
@@ -70,28 +71,40 @@ def test_kls_interval_and_all(capsys):
     assert code == 2  # mutually exclusive
 
 
-@pytest.mark.parametrize("argv, checks", [
-    (["--what", "h"], 63), (["--what", "toric-h"], 63), (["--what", "g"], 63),
-    (["--what", "f"], 63), (["--what", "z", "--all"], 2 * 665)],
+@pytest.mark.parametrize("argv, checks, walks", [
+    (["--what", "h"], 63, 0), (["--what", "toric-h"], 63, 0),
+    (["--what", "g"], 63, 1), (["--what", "f"], 63, 1),
+    (["--what", "z", "--all"], 2 * 665, 1)],
     ids=["h", "toric-h", "g", "f", "z-all"])
 def test_a_single_value_solves_one_line(capsys, monkeypatch, tmp_path, argv,
-                                        checks):
+                                        checks, walks):
     # B6 has 63 intervals (0, y) with y > 0, as many (x, 1) with x < 1, and
     # 665 off the diagonal: h, toric-h and g solve the bottom row of g, f
-    # the top column of f, and Z every interval of g and of f
+    # the top column of f, and Z every interval of g and of f.  The degree
+    # bound is walked once, by validate_kernel ahead of a g, f or Z solve,
+    # and not at all for the Eulerian kernel of h and toric-h: the solvers
+    # leave it to the gate
     counted = []
+    walked = []
     mirror_check = incidence._mirror_check
+    is_in_truncated = incidence.is_in_truncated
 
     def counting(*args):
         counted.append(args[2])
         mirror_check(*args)
 
+    def walking(kappa):
+        walked.append(kappa)
+        return is_in_truncated(kappa)
+
     monkeypatch.setattr(incidence, "_mirror_check", counting)
+    monkeypatch.setattr(incidence, "is_in_truncated", walking)
     path = tmp_path / "boolean6.json"
     write_document(path, "poset", boolean_algebra(6).to_json())
     assert cli.main(["kls", str(path), *argv]) == 0
     capsys.readouterr()
     assert len(counted) == checks
+    assert len(walked) == walks
 
 
 def test_kls_corrupted_kernel_names_the_interval(capsys):
@@ -729,27 +742,71 @@ def test_verify_kernel_names_the_interval_of_a_mirror_violation(
                        "witness": [0, 3], "detail": "mirror constraint fails"}
 
 
-@pytest.mark.parametrize("suite", ["theorem-g", "corollary-f", "corollary-z"])
-def test_a_non_multiplicative_kernel_fails_the_triple_check(
-        capsys, tmp_path, suite):
+def _atom_kernel(_gamma):
     # t - 2 on the atom interval (0, 1) of the pentagon triple breaks
     # kappa(0, 6) = kappa(0, 1) kappa(1, 6)
+    return [[0, 1, ["-2", "1"]]]
+
+
+def _zero_bottom_row(gamma):
+    # 0 on every (0, z), the diagonal at the bottom included: multiplicative
+    # and rank alternating, but not unit-diagonal
+    return [[gamma.bottom(), z, []] for z in range(gamma.n)]
+
+
+def _degree_doubled(gamma):
+    # the Eulerian kernel times t^(rank difference): multiplicative, but of
+    # degree twice the weak rank, which no reversal at the weak rank takes
+    rho = gamma.rank
+    return [[i, j, (p * Poly([0, 1]) ** (rho[j] - rho[i])).to_json()]
+            for (i, j), p in incidence.eulerian_kernel(gamma).vals.items()]
+
+
+TRIPLE_SUITES = ["theorem-g", "corollary-f", "corollary-z"]
+
+
+@pytest.mark.parametrize("suite, fixture, kernel, reason, witness, detail", [
+    pytest.param(suite, "polygon_s2.json", _atom_kernel,
+                 "kernel-not-multiplicative", (0, 1, 6), "", id=suite)
+    for suite in TRIPLE_SUITES] + [
+    pytest.param(suite, fixture, kernel, reason, witness, detail,
+                 id=f"{suite}-{fixture.split('.')[0]}-{reason}")
+    for suite in TRIPLE_SUITES
+    for fixture in ("polygon_s2.json", "seg3_refinement.json")
+    for kernel, reason, witness, detail in (
+        (_zero_bottom_row, "diagonal", (0, 0), "value Poly(0)"),
+        (_degree_doubled, "degree", (0, 1), "degree 2 > 1"))])
+def test_a_non_multiplicative_kernel_fails_the_triple_check(
+        capsys, tmp_path, suite, fixture, kernel, reason, witness, detail):
+    # every hypothesis solve_kernel checks is a failed check of the triple,
+    # a diagonal or degree failure with the reason and witness local prints
+    # for the same kernel; an sfs is checked through its mapping cylinder
+    gamma = cli._triple(*schemas.load_document(
+        cli._resolve(f"fixture:{fixture}"), expect=("triple", "sfs"))).gamma
     path = tmp_path / "kernel.json"
-    path.write_text(json.dumps({"values": [[0, 1, ["-2", "1"]]]}))
-    argv = ["verify", "fixture:polygon_s2.json", "--suite", suite,
+    path.write_text(json.dumps({"values": kernel(gamma)}))
+    described = "; ".join([reason, f"witness={witness}"]
+                          + ([detail] if detail else []))
+    argv = ["verify", f"fixture:{fixture}", "--suite", suite,
             "--kernel", str(path)]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
     assert captured.out == (
-        f"{suite} on fixture:polygon_s2.json: kernel-not-multiplicative; "
-        "witness=(0, 1, 6)\npassed 0/1\n")
+        f"{suite} on fixture:{fixture}: {described}\npassed 0/1\n")
     code = cli.main(argv + ["--format", "json"])
     check, = json.loads(capsys.readouterr().out)["checks"]
     assert code == 1
-    assert check["reason"] == "kernel-not-multiplicative"
-    assert check["witness"] == [0, 1, 6]
+    assert check["reason"] == reason
+    assert check["witness"] == list(witness)
+    if kernel is _atom_kernel:
+        return  # local's validate_kernel fails it first, on (0, 1)
+    code = cli.main(["local", f"fixture:{fixture}", "--kernel", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == f"kernel rejected: {described}\n"
 
 
 def test_unknown_flags_exit_two():

@@ -284,6 +284,33 @@ def test_only_the_checking_constructor_checks_conjugation_compatibility():
                          "EquivIncidenceElement:\n" + "\n".join(found))
 
 
+def degree_walks(source):
+    """Lines that mention ``is_in_truncated`` outside both gates,
+    ``validate_kernel`` and ``solve_kernel``."""
+    return sorted(set(mentions_outside(source, "is_in_truncated",
+                                       "validate_kernel"))
+                  & set(mentions_outside(source, "is_in_truncated",
+                                         "solve_kernel")))
+
+
+def test_the_scan_finds_a_degree_walk_outside_the_gates():
+    source = ("def validate_kernel(k):\n    return is_in_truncated(k)\n"
+              "def solve_kernel(k):\n    checks = (is_in_truncated,)\n"
+              "def solve_g(k):\n    incidence.is_in_truncated(k)\n"
+              "def is_in_truncated(k):\n    pass\n")
+    assert degree_walks(source) == [6]
+
+
+def test_only_the_gates_walk_the_kernel_degree_bound():
+    # validate_kernel and solve_kernel check deg kappa <= r once per
+    # kernel; the solvers check only the unit diagonal and the mirror
+    # constraints, which bound the degree of every defect they fill
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in degree_walks(path.read_text(encoding="utf-8"))]
+    assert found == [], ("is_in_truncated outside validate_kernel and "
+                         "solve_kernel:\n" + "\n".join(found))
+
+
 def test_the_scan_finds_a_zero_denominator_outside_the_rational_reader():
     source = ("def json_rational(s):\n    try:\n        return Fraction(s)\n"
               "    except ZeroDivisionError:\n        raise\n"
