@@ -23,7 +23,6 @@ placed at height one.
 """
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 
 from .polynomial import (Poly, ZERO, NotDivisible, poly_div_t_minus_1,
@@ -460,6 +459,12 @@ def hstar_from_subdivision(cx):
     return total
 
 
+def _det(cx, w):
+    """det(I - wt) of the group element w, as t^(dim+1) charpoly(1/t);
+    its constant term is 1."""
+    return poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
+
+
 def polynomial_action_check(cx, hstar):
     """Certify the assembled counting polynomial ``hstar`` (from
     :func:`hstar_from_subdivision`) against direct counts.
@@ -472,12 +477,10 @@ def polynomial_action_check(cx, hstar):
     """
     order = cx.default_order()
     for w in cx.action.stabilizer().reps:
-        det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
-        series = ehr_series(cx, w, order)
-        product = series * det
-        expected = hstar.ev(w)
+        det = _det(cx, w)
+        product = ehr_series(cx, w, order) * det
         got = Poly(product.coeffs[: order + 1])
-        want = Poly(expected.coeffs[: order + 1])
+        want = Poly(hstar.ev(w).coeffs[: order + 1])
         if got != want:
             return CheckResult.failed(
                 "series-vs-assembled", witness={"w": list(w)},
@@ -485,44 +488,28 @@ def polynomial_action_check(cx, hstar):
     return CheckResult.passed()
 
 
-def _series_div(num, den, order):
-    """Truncated power series num/den; den must have unit constant term.
-
-    Runs on numerators: with num = N/a and den = D/b (so D_0 = b), the
-    coefficient of t^j is u_j / (a b^j), where
-    u_j = N_j b^j - sum_{k >= 1} D_k u_{j-k} b^(k-1) stays in int.
-    """
-    n, a = num.num, num.den
-    d, b = den.num, den.den
-    if not d or d[0] != b:
-        raise ValueError("denominator must have constant term 1")
-    u = []
-    for j in range(order + 1):
-        acc = n[j] * b ** j if j < len(n) else 0
-        for k in range(1, min(len(d), j + 1)):
-            if d[k]:
-                acc -= d[k] * u[j - k] * b ** (k - 1)
-        u.append(acc)
-    return [Fraction(c, a * b ** j) for j, c in enumerate(u)]
-
-
 def reciprocity_check(cx, w, order, hstar):
     """Interior counts versus the reflected counting polynomial.
 
-    Expands t^(dim+1) h*(1/t) / det(I - wt), with ``hstar`` the assembled
-    counting polynomial, as a power series and compares it with direct
-    w-fixed interior point counts order by order.
+    The w-fixed interior point counts times det(I - wt) must equal
+    t^(dim+1) h*(1/t), with ``hstar`` the assembled counting polynomial,
+    coefficient by coefficient up to t^order.  det(I - wt) has constant
+    term 1, so the first order m with a nonzero defect d is the first
+    order where the power series t^(dim+1) h*(1/t) / det(I - wt) differs
+    from the counts, and its coefficient there is count - d.
     """
     w = tuple(w)
     numer = poly_rev(hstar.ev(w), cx.dim + 1)
-    det = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
-    series = _series_div(numer, det, order)
-    direct = _series_counts(cx, w, order, cx.interior)
+    det = _det(cx, w)
+    counts = ehr_interior_series(cx, w, order)
+    product = counts * det
     for m in range(order + 1):
-        if series[m] != direct[m]:
+        defect = product.coeff(m) - numer.coeff(m)
+        if defect:
+            count = counts.coeff(m)
             return CheckResult.failed(
                 "reciprocity", witness={"w": list(w), "order": m},
-                detail=f"series {series[m]} != count {direct[m]}")
+                detail=f"series {count - defect} != count {count}")
     return CheckResult.passed()
 
 

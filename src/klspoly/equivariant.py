@@ -1024,8 +1024,9 @@ def equiv_local_invariants(triple, weak_rank, action, kappa):
     return LocalInvariants(triple, g, h_sigma, ell_sigma, delta_ell)
 
 
-def check_equivariant_theorem(triple, weak_rank, action, kappa):
-    """Verify the subdivision identities in the equivariant algebra.
+def check_equivariant_theorem(triple, kappa):
+    """Verify the subdivision identities in the equivariant algebra, on
+    the weak rank and group action of the kernel ``kappa``.
 
     Both routes are exercised: the local invariants are assembled from the
     fixed posets (where each carries its own ordinary proof obligations),
@@ -1033,7 +1034,8 @@ def check_equivariant_theorem(triple, weak_rank, action, kappa):
     and its f and Z companions are then checked with the
     induction/restriction product.
     """
-    li = equiv_local_invariants(triple, weak_rank, action, kappa)
+    li = equiv_local_invariants(triple, kappa.weak_rank, kappa.action,
+                                kappa)
     g = li.g
     dl = li.delta_ell
     result = theorem_g_identities(triple, g, equiv_invert(g), dl)

@@ -192,7 +192,10 @@ def realize_kernel(obj, poset):
 
     Starts from the Eulerian kernel of ``poset`` and overrides the listed
     comparable pairs, in file order.  Validation of the result is the
-    caller's business (the solvers re-check the kernel axioms as they run).
+    caller's business: :func:`klspoly.incidence.validate_kernel` checks the
+    kernel axioms on a poset and :func:`klspoly.subdivision.solve_kernel`
+    on a triple, while a solve checks only the unit diagonal and the
+    mirror constraints of the intervals it fills.
     """
     if not isinstance(obj, dict) or "values" not in obj:
         raise DocumentError("kernel file must be an object with a 'values' list")

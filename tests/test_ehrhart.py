@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from klspoly import cli, ehrhart
 from klspoly.ehrhart import (ComplexCylinder, ComplexError, HStarData,
-                             LatticeSimplexComplex, NotASimplex, _series_div,
-                             box_points,
+                             LatticeSimplexComplex, NotASimplex, box_points,
                              check_hl_relation, check_hstar_identity,
                              coarse_hstar, ehr_interior_series, ehr_series,
                              hstar_from_subdivision, hstar_via_localh,
@@ -372,15 +371,57 @@ def test_the_cylinder_honours_the_complex_group_bound(monkeypatch):
     assert len(cyl.action) == len(cx.action) == 8
 
 
-def test_series_division_on_rational_numerators_and_denominators():
-    # 1 / (1 - t/2) = sum (t/2)^j
-    assert _series_div(Poly([1]), Poly(["1", "-1/2"]), 4) == \
-        [Fraction(1, 2 ** j) for j in range(5)]
-    # (1/3) (1 + t) / (1 - t)^2 = (1/3) sum (2j + 1) t^j
-    assert _series_div(Poly(["1/3", "1/3"]), Poly([1, -2, 1]), 4) == \
-        [Fraction(2 * j + 1, 3) for j in range(5)]
-    with pytest.raises(ValueError, match="constant term 1"):
-        _series_div(Poly([1]), Poly([2, 1]), 3)
+def _quotient_reciprocity(cx, w, order, hstar):
+    """Reciprocity by division, as the reference for the product form:
+    t^(dim+1) h*(1/t) / det(I - wt) expanded term by term on numerators
+    (with num = N/a and den = D/b, so D_0 = b, the coefficient of t^j is
+    u_j / (a b^j), u_j = N_j b^j - sum_{k >= 1} D_k u_{j-k} b^(k-1)) and
+    compared with the interior counts; (ok, reason, witness, detail)."""
+    w = tuple(w)
+    numer = poly_rev(hstar.ev(w), cx.dim + 1)
+    den = poly_rev(charpoly(cx.by_perm[w]), cx.dim + 1)
+    n, a = numer.num, numer.den
+    d, b = den.num, den.den
+    assert d[0] == b  # det(I - wt) has constant term 1
+    u = []
+    for j in range(order + 1):
+        acc = n[j] * b ** j if j < len(n) else 0
+        for k in range(1, min(len(d), j + 1)):
+            acc -= d[k] * u[j - k] * b ** (k - 1)
+        u.append(acc)
+    series = [Fraction(c, a * b ** j) for j, c in enumerate(u)]
+    counts = ehr_interior_series(cx, w, order)
+    for m in range(order + 1):
+        if series[m] != counts.coeff(m):
+            return (False, "reciprocity", {"w": list(w), "order": m},
+                    f"series {series[m]} != count {counts.coeff(m)}")
+    return True, "", None, ""
+
+
+_BUMPS = (Poly([0]), Poly([1]), Poly([0, 1]), Poly(["1/2"]), Poly([0, 0, 3]),
+          Poly([0, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("name", COMPLEX_FIXTURES)
+def test_reciprocity_by_product_matches_the_division_reference(name):
+    cx = load_complex_fixture(name)
+    good = hstar_from_subdivision(cx)
+    failures = 0
+    for bump in _BUMPS:
+        hstar = good + ClassPoly.constant(good.group, bump)
+        if hstar.ev(cx.action.identity).degree > cx.dim + 1:
+            # the reflection refuses a degree above dim + 1 on both routes
+            with pytest.raises(ValueError, match="exceeds rank"):
+                reciprocity_check(cx, cx.action.identity, 3, hstar)
+            continue
+        for w in sorted(cx.action.elements):
+            for order in (0, 3, 6, 9):
+                res = reciprocity_check(cx, w, order, hstar)
+                want = _quotient_reciprocity(cx, w, order, hstar)
+                assert (res.ok, res.reason, res.witness, res.detail) == want
+                failures += not res
+    # the corrupted h* reach the failure branch, not just the passing one
+    assert failures
 
 
 def _count_calls(monkeypatch, name):

@@ -280,7 +280,7 @@ def test_equiv_delta_is_identity():
 
 def test_equivariant_theorem_through_the_ordinary_identity_code():
     triple, action, kappa = hexagon_dihedral_setup()
-    assert check_equivariant_theorem(triple, kappa.weak_rank, action, kappa)
+    assert check_equivariant_theorem(triple, kappa)
     # a wrong Delta ell is caught by the same code, naming an interval
     li = equiv_local_invariants(triple, kappa.weak_rank, action, kappa)
     res = theorem_g_identities(triple, li.g, equiv_invert(li.g),

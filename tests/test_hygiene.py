@@ -435,7 +435,6 @@ SCANNED = [PACKAGE, ROOT / "bench"]
 #: Package definitions that only the tests use, each kept on purpose.
 TEST_ONLY = {
     "check_hl_relation": "oracle: open-box = half-open-box * g^-1",
-    "ehr_interior_series": "oracle: interior point counts per element",
     "hstar_via_localh": "oracle: h* through the cylinder's local h",
     "check_hstar_identity": "oracle: the crossing identity on the cylinder",
     "fixed_fan": "oracle: the fixed fan of a group element",
